@@ -62,9 +62,9 @@ from .reporting import (
     noise_tag,
     placebo_plot_rows,
     recovery_plot_rows,
+    rule_tag,
     spectrum_plot_rows,
     write_json,
-    write_plot_csv,
     write_report,
 )
 
@@ -353,20 +353,6 @@ def resolve_out_dir(out) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _resolve_default_specs(args) -> None:
-    """Flags parsed from strings stay strings when defaults are used."""
-    for name in ("noise", "rule", "cluster_rule", "k", "noise_grid"):
-        if hasattr(args, name) and isinstance(getattr(args, name), str):
-            parser_fn = {
-                "noise": parse_noise,
-                "rule": parse_rule,
-                "cluster_rule": parse_rule,
-                "k": parse_k,
-                "noise_grid": parse_noise_grid,
-            }[name]
-            setattr(args, name, parser_fn(getattr(args, name)))
-
-
 def _variants(args) -> list[MethodVariant]:
     reg = RegressionSpec(args.method, lam=args.lam)
     cluster_rule = args.cluster_rule if args.cluster_rule is not None else args.rule
@@ -385,13 +371,18 @@ def _echo_variants(variants) -> list[dict]:
             "name": v.name,
             "method": v.reg.method,
             "lam": v.reg.lam,
-            "rule": v.rule.kind + (
-                f":{v.rule.r}" if v.rule.kind == "fixed" else f":{v.rule.threshold}"
-            ),
+            "rule": rule_tag(v.rule),
             "k": v.k,
         }
         for v in variants
     ]
+
+
+def _write_outputs(args, payload, plot_rows) -> int:
+    """Write <stem>.json and <stem>_plot.csv under the output directory."""
+    for path in write_report(payload, resolve_out_dir(args.out), args.stem, plot_rows=plot_rows):
+        print(path)
+    return 0
 
 
 def cmd_simulate(args) -> int:
@@ -429,7 +420,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_placebo_synthetic(args) -> int:
-    out = resolve_out_dir(args.out)
     variants = _variants(args)
     rng = np.random.default_rng(args.seed)
     dataset_seeds = rng.integers(0, SEED_CEILING, size=args.datasets)
@@ -482,12 +472,7 @@ def cmd_placebo_synthetic(args) -> int:
         },
         "datasets": per_dataset,
     }
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = write_json(payload, out / f"{args.stem}.json")
-    csv_path = write_plot_csv(plot_rows, out / f"{args.stem}_plot.csv")
-    print(json_path)
-    print(csv_path)
-    return 0
+    return _write_outputs(args, payload, plot_rows)
 
 
 def cmd_placebo_panel(args) -> int:
@@ -534,15 +519,7 @@ def cmd_placebo_panel(args) -> int:
         "preprocess": preprocess_meta,
         "report": report,
     }
-    out = resolve_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = write_json(payload, out / f"{args.stem}.json")
-    csv_path = write_plot_csv(
-        placebo_plot_rows(report, dataset=source), out / f"{args.stem}_plot.csv"
-    )
-    print(json_path)
-    print(csv_path)
-    return 0
+    return _write_outputs(args, payload, placebo_plot_rows(report, dataset=source))
 
 
 def cmd_cluster(args) -> int:
@@ -569,17 +546,10 @@ def cmd_cluster(args) -> int:
         ),
         "centers": model.centers,
     }
-    out = resolve_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = write_json(payload, out / f"{args.stem}.json")
-    csv_path = write_plot_csv(
-        cluster_plot_rows(panel.unit_ids, model.assignments.labels,
-                          dataset=Path(args.panel).stem),
-        out / f"{args.stem}_plot.csv",
+    return _write_outputs(
+        args, payload,
+        cluster_plot_rows(panel.unit_ids, model.assignments.labels, dataset=Path(args.panel).stem),
     )
-    print(json_path)
-    print(csv_path)
-    return 0
 
 
 def cmd_spectrum(args) -> int:
@@ -600,13 +570,7 @@ def cmd_spectrum(args) -> int:
         pre = spectrum_report(panel.pre)
         payload["pre"] = [list(r) for r in pre]
         rows.extend(spectrum_plot_rows(pre, dataset=source, variant="pre"))
-    out = resolve_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = write_json(payload, out / f"{args.stem}.json")
-    csv_path = write_plot_csv(rows, out / f"{args.stem}_plot.csv")
-    print(json_path)
-    print(csv_path)
-    return 0
+    return _write_outputs(args, payload, rows)
 
 
 def cmd_gap_check(args) -> int:
@@ -627,13 +591,7 @@ def cmd_gap_check(args) -> int:
         },
         "result": result,
     }
-    out = resolve_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = write_json(payload, out / f"{args.stem}.json")
-    csv_path = write_plot_csv(gap_plot_rows(result), out / f"{args.stem}_plot.csv")
-    print(json_path)
-    print(csv_path)
-    return 0
+    return _write_outputs(args, payload, gap_plot_rows(result))
 
 
 def cmd_recovery_check(args) -> int:
@@ -658,13 +616,7 @@ def cmd_recovery_check(args) -> int:
         },
         "result": result,
     }
-    out = resolve_out_dir(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    json_path = write_json(payload, out / f"{args.stem}.json")
-    csv_path = write_plot_csv(recovery_plot_rows(result), out / f"{args.stem}_plot.csv")
-    print(json_path)
-    print(csv_path)
-    return 0
+    return _write_outputs(args, payload, recovery_plot_rows(result))
 
 
 HANDLERS = {
@@ -711,7 +663,6 @@ def cli_dispatch(argv) -> int:
                 file=sys.stderr,
             )
             return 2
-        _resolve_default_specs(args)
         return HANDLERS[args.command](args)
     except ClusterScError as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)

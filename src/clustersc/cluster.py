@@ -12,19 +12,13 @@ and centers row i belongs to label i + 1.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 from .errors import DegenerateInputError, InvalidParamsError, ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
-
-# k! permutations are enumerated exactly up to this k; larger tables go to the
-# assignment solver, which computes the same optimum.
-EXHAUSTIVE_MATCH_MAX_K = 8
 
 
 @dataclass
@@ -47,14 +41,10 @@ class Partition:
             )
 
 
-def _as_points(points) -> np.ndarray:
-    return as_matrix(points)
-
-
 def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
     """D^2-weighted seeding: each next center is a data point drawn with
     probability proportional to its squared distance from the chosen ones."""
-    points = _as_points(points)
+    points = as_matrix(points)
     m = points.shape[0]
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
@@ -87,7 +77,7 @@ def lloyd(points, init_centers, max_iter: int = 300):
 
     Returns (centers, Partition, inertia).
     """
-    points = _as_points(points)
+    points = as_matrix(points)
     centers = np.array(init_centers, dtype=float)
     if centers.ndim != 2 or centers.shape[1] != points.shape[1]:
         raise ShapeError(
@@ -133,7 +123,7 @@ def best_lloyd(points, k: int, restarts: int, rng, max_iter: int = 300):
 
 def silhouette(points, partition: Partition, dists: np.ndarray | None = None) -> float:
     """Mean silhouette score; singletons and 0/0 points contribute zero."""
-    points = _as_points(points)
+    points = as_matrix(points)
     k = partition.k
     if k < 2:
         raise InvalidParamsError(f"silhouette needs k >= 2, got k={k}")
@@ -165,7 +155,7 @@ def silhouette(points, partition: Partition, dists: np.ndarray | None = None) ->
 
 
 def _choose_k_full(points, k_min, k_max, restarts, rng, max_iter):
-    points = _as_points(points)
+    points = as_matrix(points)
     m = points.shape[0]
     if not 2 <= k_min <= k_max:
         raise InvalidParamsError(f"need 2 <= k_min <= k_max, got {k_min}..{k_max}")
@@ -269,25 +259,15 @@ def assign_target(model: ClusterModel, target_pre) -> int:
     return int(np.argmin(d2)) + 1
 
 
-def _best_overlap_exhaustive(table: np.ndarray) -> int:
-    k = table.shape[0]
-    best = 0
-    for perm in itertools.permutations(range(k)):
-        best = max(best, int(table[np.arange(k), perm].sum()))
-    return best
-
-
-def _best_overlap_assignment(table: np.ndarray) -> int:
-    rows, cols = linear_sum_assignment(-table)
-    return int(table[rows, cols].sum())
-
-
 def partition_symmetric_difference(p: Partition, q: Partition) -> int:
     """Min over label bijections of the summed symmetric differences.
 
-    Equals 2n - 2 * (best total overlap); the best overlap is found
-    exhaustively up to k=8 and by assignment matching beyond.
+    Equals 2n - 2 * (best total overlap); the best overlap is found by
+    assignment matching on the k x k contingency table.
     """
+    # imported here: only recovery checks need it, and it slows every import
+    from scipy.optimize import linear_sum_assignment
+
     if p.labels.shape[0] != q.labels.shape[0]:
         raise ShapeError(
             f"partitions cover {p.labels.shape[0]} and {q.labels.shape[0]} points"
@@ -297,8 +277,5 @@ def partition_symmetric_difference(p: Partition, q: Partition) -> int:
     k = p.k
     table = np.zeros((k, k), dtype=int)
     np.add.at(table, (p.labels - 1, q.labels - 1), 1)
-    if k <= EXHAUSTIVE_MATCH_MAX_K:
-        overlap = _best_overlap_exhaustive(table)
-    else:
-        overlap = _best_overlap_assignment(table)
-    return int(2 * p.labels.shape[0] - 2 * overlap)
+    rows, cols = linear_sum_assignment(-table)
+    return int(2 * p.labels.shape[0] - 2 * table[rows, cols].sum())

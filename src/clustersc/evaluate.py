@@ -1,12 +1,22 @@
 """Placebo harnesses, benchmark baselines, and Monte-Carlo spectrum checks.
 
-Two placebo protocols produce the same report shape. The leave-one-out
-harness works on synthetic panels: each sampled group-A unit becomes the
-target, the rest form the donor pool, and errors are measured against the
-target's noiseless signal. The split harness works on observed panels:
-units are repeatedly split into donors and targets, and errors are measured
-against the observations themselves (there is no signal to compare with).
-The report records which reference was used.
+Two placebo protocols run one experiment and produce the same report shape.
+The leave-one-out harness works on synthetic panels: each sampled group-A
+unit becomes the target, the rest form the donor pool, and errors are
+measured against the target's noiseless signal. The split harness works on
+observed panels: units are repeatedly split into donors and targets, and
+errors are measured against the observations themselves (there is no signal
+to compare with). The report records which reference was used.
+
+Both harnesses hand each target to one per-target core. Given a donor set,
+the target's series, its (pre, post) reference series and a cluster source,
+the core fits every variant (full pool, the target's cluster, a size-matched
+random subset), records the skipped cells with their reason, and builds the
+placebo rows. The harnesses keep the rest: which units are targets, which
+reference the errors are measured against, where the target's cluster comes
+from (a fresh clustering of each donor pool, the dataset's pool model with
+the target removed, or the split iteration's donor model), and, for the
+split harness, the per-iteration aggregates.
 
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
@@ -22,7 +32,7 @@ import numpy as np
 
 from .cluster import assign_target, fit_cluster_model, Partition, partition_symmetric_difference
 from .datagen import NoiseSpec, SignalSpec, SyntheticDataset, gen_dataset, gen_group
-from .engine import cluster_sc, sc_infer, sc_learn, ScFit, EffectEstimate
+from .engine import sc_infer, sc_learn
 from .errors import (
     DegenerateClusterError,
     InvalidInputError,
@@ -280,17 +290,104 @@ def donor_selection_scores(selected, truth_labels, target_group) -> tuple[float,
     return hits / len(chosen), hits / len(group)
 
 
-def _fit_scores(fit: ScFit, estimate: EffectEstimate, t0: int, pre_ref, post_ref):
-    pre_prediction = fit.denoised_donors[:, :t0].T @ fit.weights.values
-    return mse(pre_prediction, pre_ref), mse(estimate.counterfactual_post, post_ref)
+def _aggregates(rows, skipped) -> dict:
+    return {
+        "medians": _medians_from_rows(rows, skipped),
+        "improvements": _improvements_from_rows(rows, skipped),
+    }
 
 
-def _selection_scores(fit: ScFit, id_to_row: dict, truth_labels, target_group):
-    positions = [id_to_row[u] for u in active_set(fit.weights)]
-    try:
-        return donor_selection_scores(positions, truth_labels, target_group)
-    except UndefinedPrecisionError:
-        return None, None
+def _fit_pool_models(variants, donor_pre, rng, restarts, k_range) -> dict:
+    """One cluster model per distinct (rule, k) of the cluster_sc variants."""
+    models = {}
+    for v in variants:
+        if v.name != "cluster_sc" or (v.rule, v.k) in models:
+            continue
+        model_rng = np.random.default_rng(rng.integers(0, SEED_CEILING))
+        models[(v.rule, v.k)] = fit_cluster_model(
+            donor_pre, v.rule, k=v.k, rng=model_rng, restarts=restarts, k_range=k_range,
+        )
+    return models
+
+
+def _nearest_cluster(model, target_pre):
+    label = assign_target(model, target_pre)
+    return label, np.flatnonzero(model.assignments.labels == label)
+
+
+def _placebo_target(
+    iteration: int,
+    target_id: str,
+    donors: np.ndarray,
+    donor_ids: list,
+    target_full: np.ndarray,
+    split,
+    reference: tuple,
+    variants,
+    seeds,
+    cluster_source,
+    score_selection=None,
+) -> tuple[list[PlaceboRow], list[dict]]:
+    """Fit every variant on one target and score it; returns (rows, skipped).
+
+    reference is the (pre, post) pair the errors are measured against.
+    cluster_source(variant, rng) returns the target's cluster label and its
+    member rows into donors. A cluster of fewer than 2 donors skips the
+    cluster_sc variant and, with it, the paired sc_random_subset variant.
+    score_selection(fit), when given, returns the active donors' precision
+    and recall against the planted groups.
+    """
+    target_pre = target_full[: split.t0]
+    rows: list[PlaceboRow] = []
+    skipped: list[dict] = []
+    cluster_size = None
+    for v, seed in zip(variants, seeds):
+        child = np.random.default_rng(seed)
+        members, label = None, None
+        try:
+            if v.name == "cluster_sc":
+                label, members = cluster_source(v, child)
+                if len(members) < 2:
+                    raise DegenerateClusterError(label, len(members))
+                cluster_size = len(members)
+            elif v.name == "sc_random_subset":
+                if cluster_size is None:
+                    raise DegenerateClusterError(0, 0)
+                members = random_subset_variant(donors, cluster_size, child)
+        except DegenerateClusterError as exc:
+            skipped.append(
+                {
+                    "iteration": iteration,
+                    "target_id": target_id,
+                    "variant": v.name,
+                    "reason": str(exc) if v.name == "cluster_sc"
+                    else "paired cluster_sc run was skipped",
+                }
+            )
+            continue
+        if members is None:
+            pool, ids = donors, donor_ids
+        else:
+            pool, ids = donors[members], [donor_ids[i] for i in members]
+        fit = sc_learn(pool, split, target_pre, v.rule, v.reg, donor_ids=ids, cluster_label=label)
+        estimate = sc_infer(fit, split, target_full)
+        pre_mse = mse(fit.denoised_donors[:, : split.t0].T @ fit.weights.values, reference[0])
+        post_mse = mse(estimate.counterfactual_post, reference[1])
+        precision, recall = score_selection(fit) if score_selection else (None, None)
+        rows.append(
+            PlaceboRow(
+                iteration=iteration,
+                target_id=target_id,
+                variant=v.name,
+                pre_mse=pre_mse,
+                post_mse=post_mse,
+                selected_donor_count=len(fit.donor_ids),
+                cluster_label=fit.cluster_label,
+                active_donor_precision=precision,
+                active_donor_recall=recall,
+            )
+        )
+    return rows, skipped
 
 
 def leave_one_out_placebo(
@@ -329,113 +426,54 @@ def leave_one_out_placebo(
     rng = np.random.default_rng(rng)
 
     panel = dataset.panel
-    split = panel.split
+    t0 = panel.split.t0
     values = panel.values
+    labels = dataset.group_labels
     id_to_row = {u: i for i, u in enumerate(panel.unit_ids)}
-    a_rows = [i for i, g in enumerate(dataset.group_labels) if g == "A"]
+    a_rows = [i for i, g in enumerate(labels) if g == "A"]
     if not a_rows:
         raise InvalidInputError("dataset has no group-A units to target")
 
     n_targets = max(1, int(round(target_fraction * len(a_rows))))
     target_rows = np.sort(rng.choice(a_rows, size=n_targets, replace=False))
     seeds = rng.integers(0, SEED_CEILING, size=(n_targets, len(variants)))
-
     pool_models = {}
     if cluster_mode == "per_dataset":
-        for v in variants:
-            if v.name != "cluster_sc" or (v.rule, v.k) in pool_models:
-                continue
-            model_rng = np.random.default_rng(rng.integers(0, SEED_CEILING))
-            pool_models[(v.rule, v.k)] = fit_cluster_model(
-                panel.pre, v.rule, k=v.k, rng=model_rng,
-                restarts=restarts, k_range=k_range,
-            )
+        pool_models = _fit_pool_models(variants, panel.pre, rng, restarts, k_range)
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
-    for ti, tr in enumerate(target_rows):
+    for tr, target_seeds in zip(target_rows, seeds):
         tr = int(tr)
-        target_id = panel.unit_ids[tr]
-        pool_rows = [i for i in range(values.shape[0]) if i != tr]
-        donors = values[pool_rows]
-        donor_ids = [panel.unit_ids[i] for i in pool_rows]
-        target_full = values[tr]
-        signal_pre = dataset.true_signal[tr, : split.t0]
-        signal_post = dataset.true_signal[tr, split.t0 :]
+        donors = np.delete(values, tr, axis=0)
+        donor_ids = panel.unit_ids[:tr] + panel.unit_ids[tr + 1 :]
 
-        cluster_size = None
-        for vj, v in enumerate(variants):
-            child = np.random.default_rng(seeds[ti, vj])
+        def cluster_source(v, child):
+            if cluster_mode == "per_target":
+                # the steps of engine.cluster_sc, so its results carry over bit for bit
+                model = fit_cluster_model(
+                    donors[:, :t0], v.rule, k=v.k, rng=child,
+                    restarts=restarts, k_range=k_range,
+                )
+                return _nearest_cluster(model, values[tr, :t0])
+            pool_labels = pool_models[(v.rule, v.k)].assignments.labels
+            label = int(pool_labels[tr])
+            return label, np.flatnonzero(np.delete(pool_labels, tr) == label)
+
+        def score_selection(fit):
+            positions = [id_to_row[u] for u in active_set(fit.weights)]
             try:
-                if v.name == "sc_full":
-                    fit = sc_learn(
-                        donors, split, target_full[: split.t0], v.rule, v.reg,
-                        donor_ids=donor_ids,
-                    )
-                    estimate = sc_infer(fit, split, target_full)
-                elif v.name == "cluster_sc":
-                    if cluster_mode == "per_target":
-                        estimate, fit, _ = cluster_sc(
-                            donors, split, target_full, v.rule, v.reg,
-                            k=v.k, rng=child, restarts=restarts,
-                            donor_ids=donor_ids, k_range=k_range,
-                        )
-                    else:
-                        model = pool_models[(v.rule, v.k)]
-                        label = int(model.assignments.labels[tr])
-                        members = [
-                            int(i)
-                            for i in np.flatnonzero(model.assignments.labels == label)
-                            if i != tr
-                        ]
-                        if len(members) < 2:
-                            raise DegenerateClusterError(label, len(members))
-                        fit = sc_learn(
-                            values[members], split, target_full[: split.t0],
-                            v.rule, v.reg,
-                            donor_ids=[panel.unit_ids[i] for i in members],
-                            cluster_label=label,
-                        )
-                        estimate = sc_infer(fit, split, target_full)
-                    cluster_size = len(fit.donor_ids)
-                else:
-                    if cluster_size is None:
-                        raise DegenerateClusterError(0, 0)
-                    idx = random_subset_variant(donors, cluster_size, child)
-                    fit = sc_learn(
-                        donors[idx], split, target_full[: split.t0], v.rule, v.reg,
-                        donor_ids=[donor_ids[i] for i in idx],
-                    )
-                    estimate = sc_infer(fit, split, target_full)
-            except DegenerateClusterError as exc:
-                skipped.append(
-                    {
-                        "iteration": 0,
-                        "target_id": target_id,
-                        "variant": v.name,
-                        "reason": str(exc) if v.name == "cluster_sc"
-                        else "paired cluster_sc run was skipped",
-                    }
-                )
-                continue
+                return donor_selection_scores(positions, labels, labels[tr])
+            except UndefinedPrecisionError:
+                return None, None
 
-            pre_mse, post_mse = _fit_scores(fit, estimate, split.t0, signal_pre, signal_post)
-            precision, recall = _selection_scores(
-                fit, id_to_row, dataset.group_labels, dataset.group_labels[tr]
-            )
-            rows.append(
-                PlaceboRow(
-                    iteration=0,
-                    target_id=target_id,
-                    variant=v.name,
-                    pre_mse=pre_mse,
-                    post_mse=post_mse,
-                    selected_donor_count=len(fit.donor_ids),
-                    cluster_label=fit.cluster_label,
-                    active_donor_precision=precision,
-                    active_donor_recall=recall,
-                )
-            )
+        cell_rows, cell_skipped = _placebo_target(
+            0, panel.unit_ids[tr], donors, donor_ids, values[tr], panel.split,
+            (dataset.true_signal[tr, :t0], dataset.true_signal[tr, t0:]),
+            variants, target_seeds, cluster_source, score_selection,
+        )
+        rows.extend(cell_rows)
+        skipped.extend(cell_skipped)
 
     config = {
         "harness": "leave_one_out",
@@ -450,11 +488,10 @@ def leave_one_out_placebo(
     }
     return PlaceboReport(
         rows=rows,
-        medians=_medians_from_rows(rows, skipped),
-        improvements=_improvements_from_rows(rows, skipped),
         skipped=skipped,
         reference="true_signal",
         config=config,
+        **_aggregates(rows, skipped),
     )
 
 
@@ -488,7 +525,7 @@ def split_placebo(
     _check_variants(variants)
     rng = np.random.default_rng(rng)
 
-    split = panel.split
+    t0 = panel.split.t0
     values = panel.values
     n = values.shape[0]
     n_train = int(round(train_fraction * n))
@@ -503,90 +540,27 @@ def split_placebo(
     skipped: list[dict] = []
     per_iteration: list[dict] = []
 
-    for it in range(1, iterations + 1):
-        it_rng = np.random.default_rng(iteration_seeds[it - 1])
+    for it, it_seed in enumerate(iteration_seeds, start=1):
+        it_rng = np.random.default_rng(it_seed)
         perm = it_rng.permutation(n)
         train_rows = np.sort(perm[:n_train])
         test_rows = np.sort(perm[n_train:])
         donors = values[train_rows]
         donor_ids = [panel.unit_ids[i] for i in train_rows]
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(variants)))
-
-        models = {}
-        for v in variants:
-            if v.name != "cluster_sc" or (v.rule, v.k) in models:
-                continue
-            model_rng = np.random.default_rng(it_rng.integers(0, SEED_CEILING))
-            models[(v.rule, v.k)] = fit_cluster_model(
-                donors[:, : split.t0], v.rule, k=v.k, rng=model_rng,
-                restarts=restarts, k_range=k_range,
-            )
+        models = _fit_pool_models(variants, donors[:, :t0], it_rng, restarts, k_range)
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
-        for ti, tr in enumerate(test_rows):
-            tr = int(tr)
-            target_id = panel.unit_ids[tr]
-            target_full = values[tr]
-            observed_pre = target_full[: split.t0]
-            observed_post = target_full[split.t0 :]
-
-            cluster_size = None
-            for vj, v in enumerate(variants):
-                child = np.random.default_rng(seeds[ti, vj])
-                try:
-                    if v.name == "sc_full":
-                        fit = sc_learn(
-                            donors, split, observed_pre, v.rule, v.reg,
-                            donor_ids=donor_ids,
-                        )
-                    elif v.name == "cluster_sc":
-                        model = models[(v.rule, v.k)]
-                        label = assign_target(model, observed_pre)
-                        members = np.flatnonzero(model.assignments.labels == label)
-                        if members.size < 2:
-                            raise DegenerateClusterError(label, int(members.size))
-                        fit = sc_learn(
-                            donors[members], split, observed_pre, v.rule, v.reg,
-                            donor_ids=[donor_ids[i] for i in members],
-                            cluster_label=label,
-                        )
-                        cluster_size = len(fit.donor_ids)
-                    else:
-                        if cluster_size is None:
-                            raise DegenerateClusterError(0, 0)
-                        idx = random_subset_variant(donors, cluster_size, child)
-                        fit = sc_learn(
-                            donors[idx], split, observed_pre, v.rule, v.reg,
-                            donor_ids=[donor_ids[i] for i in idx],
-                        )
-                except DegenerateClusterError as exc:
-                    it_skipped.append(
-                        {
-                            "iteration": it,
-                            "target_id": target_id,
-                            "variant": v.name,
-                            "reason": str(exc) if v.name == "cluster_sc"
-                            else "paired cluster_sc run was skipped",
-                        }
-                    )
-                    continue
-
-                estimate = sc_infer(fit, split, target_full)
-                pre_mse, post_mse = _fit_scores(
-                    fit, estimate, split.t0, observed_pre, observed_post
-                )
-                it_rows.append(
-                    PlaceboRow(
-                        iteration=it,
-                        target_id=target_id,
-                        variant=v.name,
-                        pre_mse=pre_mse,
-                        post_mse=post_mse,
-                        selected_donor_count=len(fit.donor_ids),
-                        cluster_label=fit.cluster_label,
-                    )
-                )
+        for tr, target_seeds in zip(test_rows, seeds):
+            observed = values[tr]
+            cell_rows, cell_skipped = _placebo_target(
+                it, panel.unit_ids[tr], donors, donor_ids, observed, panel.split,
+                (observed[:t0], observed[t0:]), variants, target_seeds,
+                lambda v, child: _nearest_cluster(models[(v.rule, v.k)], observed[:t0]),
+            )
+            it_rows.extend(cell_rows)
+            it_skipped.extend(cell_skipped)
 
         rows.extend(it_rows)
         skipped.extend(it_skipped)
@@ -595,8 +569,7 @@ def split_placebo(
                 "iteration": it,
                 "n_targets": int(test_rows.size),
                 "n_skipped_cells": len(_skipped_cells(it_skipped)),
-                "medians": _medians_from_rows(it_rows, it_skipped),
-                "improvements": _improvements_from_rows(it_rows, it_skipped),
+                **_aggregates(it_rows, it_skipped),
             }
         )
 
@@ -611,12 +584,11 @@ def split_placebo(
     }
     return PlaceboReport(
         rows=rows,
-        medians=_medians_from_rows(rows, skipped),
-        improvements=_improvements_from_rows(rows, skipped),
         skipped=skipped,
         reference="observed",
         config=config,
         per_iteration=per_iteration,
+        **_aggregates(rows, skipped),
     )
 
 

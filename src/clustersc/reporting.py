@@ -25,6 +25,7 @@ from .evaluate import GapExperimentResult, PlaceboReport, RecoveryResult
 __all__ = [
     "PLOT_COLUMNS",
     "noise_tag",
+    "rule_tag",
     "to_jsonable",
     "placebo_plot_rows",
     "gap_plot_rows",
@@ -41,6 +42,14 @@ PLOT_COLUMNS = ("dataset", "noise", "variant", "metric", "value")
 def noise_tag(noise) -> str:
     """Compact one-token label for a noise distribution, e.g. gaussian:0.3."""
     return ":".join([noise.kind] + [repr(float(p)) for p in noise.params])
+
+
+def rule_tag(rule) -> str:
+    """Compact one-token label for a rank rule in the CLI grammar, e.g.
+    fixed:6, energy:0.95 or energy:0.9:squared."""
+    if rule.kind == "fixed":
+        return f"fixed:{rule.r}"
+    return f"energy:{rule.threshold}" + (":squared" if rule.squared else "")
 
 
 def to_jsonable(obj):

@@ -21,6 +21,7 @@ from clustersc.cli import (
 from clustersc.errors import ConfigError
 from clustersc.linalg import RankRule
 from clustersc.panel import load_panel_csv
+from clustersc.reporting import rule_tag
 
 
 def run(*argv):
@@ -52,6 +53,13 @@ class TestParsers:
         assert parse_rule("fixed:3") == RankRule.fixed(3)
         assert parse_rule("energy:0.95") == RankRule.energy(0.95)
         assert parse_rule("energy:0.9:squared") == RankRule.energy(0.9, squared=True)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [RankRule.fixed(3), RankRule.energy(0.95), RankRule.energy(0.9, squared=True)],
+    )
+    def test_rule_tag_round_trip(self, rule):
+        assert parse_rule(rule_tag(rule)) == rule
 
     @pytest.mark.parametrize("bad", ["", "fixed", "fixed:0", "energy:1.5", "energy:0.9:cubed"])
     def test_bad_rule(self, bad):
@@ -206,6 +214,14 @@ class TestPlaceboSynthetic:
         payload = json.loads((tmp_path / "placebo_synthetic.json").read_text())
         names = [v["name"] for v in payload["config"]["variants"]]
         assert names == ["sc_full", "cluster_sc", "sc_random_subset"]
+
+    def test_config_echo_keeps_squared_rule(self, tmp_path):
+        run("placebo-synthetic", "--na", "10", "--nb", "10", "--datasets", "1",
+            "--rule", "energy:0.9:squared", "--cluster-rule", "fixed:3", "--k", "2",
+            "--seed", "2", "--out", str(tmp_path))
+        payload = json.loads((tmp_path / "placebo_synthetic.json").read_text())
+        rules = [v["rule"] for v in payload["config"]["variants"]]
+        assert rules == ["energy:0.9:squared", "fixed:3"]
 
 
 class TestPlaceboPanel:

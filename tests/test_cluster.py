@@ -11,6 +11,10 @@ Known values used below:
 from __future__ import annotations
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,16 @@ def silhouette_oracle(points: np.ndarray, labels: np.ndarray) -> float:
         denom = max(a, b)
         scores.append(0.0 if denom == 0 else (b - a) / denom)
     return float(np.mean(scores))
+
+
+def symmetric_difference_oracle(p: np.ndarray, q: np.ndarray, k: int) -> int:
+    """Min over all k! label bijections of the summed set differences."""
+    p_sets = [set(np.flatnonzero(p == label)) for label in range(1, k + 1)]
+    q_sets = [set(np.flatnonzero(q == label)) for label in range(1, k + 1)]
+    return min(
+        sum(len(p_sets[i] ^ q_sets[j]) for i, j in enumerate(perm))
+        for perm in itertools.permutations(range(k))
+    )
 
 
 def two_blobs(rng, m_per=10, sep=10.0, spread=0.2, d=2):
@@ -387,17 +401,25 @@ class TestPartitionSymmetricDifference:
                 + partition_symmetric_difference(q, r)
             )
 
-    def test_exhaustive_equals_assignment_route(self):
-        from clustersc.cluster import _best_overlap_exhaustive, _best_overlap_assignment
-
+    def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(367)
-        for _ in range(25):
-            m, k = int(rng.integers(4, 12)), int(rng.integers(2, 6))
-            p = rng.integers(1, k + 1, size=m)
-            q = rng.integers(1, k + 1, size=m)
-            table = np.zeros((k, k), dtype=int)
-            np.add.at(table, (p - 1, q - 1), 1)
-            assert _best_overlap_exhaustive(table) == _best_overlap_assignment(table)
+        for k in range(2, 7):
+            for _ in range(8):
+                m = int(rng.integers(k, 3 * k + 4))
+                p = rng.integers(1, k + 1, size=m)
+                q = rng.integers(1, k + 1, size=m)
+                assert partition_symmetric_difference(
+                    Partition(p, k), Partition(q, k)
+                ) == symmetric_difference_oracle(p, q, k)
+
+    def test_cli_import_leaves_assignment_solver_unloaded(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = "import sys, clustersc.cli; print('scipy.optimize' in sys.modules)"
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.strip() == "False"
 
     def test_partition_label_validation(self):
         with pytest.raises(InvalidParamsError):

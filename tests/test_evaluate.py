@@ -28,9 +28,11 @@ from clustersc.datagen import (
     GROUP_B_SPEC,
     NoiseSpec,
     SignalSpec,
+    SyntheticDataset,
     gen_dataset,
 )
 from clustersc.errors import (
+    DegenerateClusterError,
     InvalidInputError,
     InvalidParamsError,
     ShapeError,
@@ -51,6 +53,7 @@ from clustersc.evaluate import (
     std_error,
 )
 from clustersc.linalg import RankRule
+from clustersc.panel import InterventionSplit, TimePanel
 from clustersc.regression import RegressionSpec
 
 RIDGE = RegressionSpec("ridge", lam=0.01)
@@ -490,6 +493,78 @@ class TestSplitPlacebo:
             split_placebo(
                 ds.panel, 0.8, 0, standard_variants(), np.random.default_rng(0)
             )
+
+
+def outlier_pair_dataset():
+    """Twelve units: ten noise series near zero and a far pair u00, u01.
+
+    With k=2 the far pair forms a cluster of its own, so a target from the
+    pair finds a single donor in its cluster. Group A holds u00..u05.
+    """
+    values = np.random.default_rng(31).normal(0.0, 1.0, size=(12, 10))
+    values[:2] += 50.0
+    panel = TimePanel(
+        [f"u{i:02d}" for i in range(12)], [f"t{j}" for j in range(10)], values,
+        InterventionSplit(8, 10),
+    )
+    return SyntheticDataset(
+        panel=panel, group_labels=["A"] * 6 + ["B"] * 6, true_signal=values.copy(),
+        spec_a=GROUP_A_SPEC, spec_b=GROUP_B_SPEC, noise=NoiseSpec.gaussian(0.0), seed=0,
+    )
+
+
+class TestSkipPath:
+    """A target whose cluster has fewer than 2 donors, in both harnesses."""
+
+    VARIANTS = standard_variants(rule=RankRule.fixed(2), k=2)
+    CLUSTER_REASONS = {
+        str(DegenerateClusterError(label, size)) for label in (1, 2) for size in (0, 1)
+    }
+
+    def check_skips(self, report) -> set:
+        cells = {(s["iteration"], s["target_id"]) for s in report.skipped}
+        assert cells
+        for cell in cells:
+            entries = {s["variant"]: s["reason"] for s in report.skipped
+                       if (s["iteration"], s["target_id"]) == cell}
+            assert entries["cluster_sc"] in self.CLUSTER_REASONS
+            assert entries["sc_random_subset"] == "paired cluster_sc run was skipped"
+            ran = [r.variant for r in report.rows if (r.iteration, r.target_id) == cell]
+            assert ran == ["sc_full"]
+        for name in ("sc_full", "cluster_sc", "sc_random_subset"):
+            kept = [r for r in report.rows
+                    if r.variant == name and (r.iteration, r.target_id) not in cells]
+            assert report.medians[name] == {
+                "pre_mse": float(np.median([r.pre_mse for r in kept])),
+                "post_mse": float(np.median([r.post_mse for r in kept])),
+            }
+        assert len(report.improvements["values"]) == len(
+            {(r.iteration, r.target_id) for r in report.rows} - cells
+        )
+        return cells
+
+    def test_leave_one_out_per_dataset(self):
+        report = leave_one_out_placebo(
+            outlier_pair_dataset(), 1.0, self.VARIANTS, np.random.default_rng(0),
+            cluster_mode="per_dataset",
+        )
+        assert self.check_skips(report) == {(0, "u00"), (0, "u01")}
+        assert report.per_iteration == []
+
+    def test_split(self):
+        report = split_placebo(
+            outlier_pair_dataset().panel, 0.5, 6, self.VARIANTS, np.random.default_rng(0)
+        )
+        cells = self.check_skips(report)
+        for entry in report.per_iteration:
+            it_cells = {c for c in cells if c[0] == entry["iteration"]}
+            assert entry["n_skipped_cells"] == len(it_cells)
+            for name, med in entry["medians"].items():
+                kept = [r.post_mse for r in report.rows
+                        if r.variant == name and r.iteration == entry["iteration"]
+                        and (r.iteration, r.target_id) not in it_cells]
+                assert med["post_mse"] == float(np.median(kept))
+        assert sum(e["n_skipped_cells"] for e in report.per_iteration) == len(cells)
 
 
 class TestSingularGapExperiment:
