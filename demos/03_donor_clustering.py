@@ -33,8 +33,7 @@ def main():
 
     # automatic k by silhouette
     auto = fit_cluster_model(
-        dataset.panel.pre, RankRule.fixed(6), k="auto",
-        rng=np.random.default_rng(99), k_range=(2, 6),
+        dataset.panel.pre, RankRule.fixed(6), k="auto", rng=np.random.default_rng(99),
     )
     print(f"auto: silhouette picks k={auto.k}")
 

@@ -23,7 +23,7 @@ from clustersc.evaluate import MethodVariant, split_placebo
 from clustersc.linalg import RankRule
 from clustersc.panel import load_panel_csv, save_panel_csv
 from clustersc.regression import RegressionSpec
-from clustersc.reporting import write_report
+from clustersc.reporting import placebo_plot_rows, write_report
 
 
 def main():
@@ -52,7 +52,7 @@ def main():
     print(f"  median improvement (full vs clustered): "
           f"{report.improvements['median']:+.4f}")
 
-    json_path, csv_out = write_report(report, work, "placebo")
+    json_path, csv_out = write_report(report, work, "placebo", placebo_plot_rows(report))
     payload = json.loads(json_path.read_text())
     print(f"\nreport: {json_path}")
     print(f"plot rows: {csv_out} "

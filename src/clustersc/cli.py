@@ -163,8 +163,8 @@ def _add_out_and_config(sub) -> None:
     sub.add_argument("--config", default=None, help="INI file supplying flag defaults")
 
 
-def _add_seed(sub, required_note="required") -> None:
-    sub.add_argument("--seed", type=int, default=None, help=f"master random seed ({required_note})")
+def _add_seed(sub) -> None:
+    sub.add_argument("--seed", type=int, default=None, help="master random seed (required)")
 
 
 def _add_estimator_flags(sub, default_lam: float) -> None:
@@ -232,7 +232,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="pre-period count or last pre-period label (with --panel)")
     sub.add_argument("--hpi", default=None,
                      help="long quarterly file to preprocess instead of --panel")
-    sub.add_argument("--range", dest="date_range", default="1997Q1:2006Q4",
+    sub.add_argument("--range", default="1997Q1:2006Q4",
                      help="inclusive YYYYQn:YYYYQn window for --hpi")
     sub.add_argument("--train-fraction", type=float, default=0.8)
     sub.add_argument("--iterations", type=int, default=20)
@@ -485,10 +485,10 @@ def cmd_placebo_panel(args) -> int:
         panel = load_panel_csv(args.panel, args.t0)
         source = Path(args.panel).stem
     else:
-        first, _, last = args.date_range.partition(":")
+        first, _, last = args.range.partition(":")
         if not last:
             raise ConfigError(
-                f"--range {args.date_range!r}: expected FIRST:LAST, e.g. 1997Q1:2006Q4"
+                f"--range {args.range!r}: expected FIRST:LAST, e.g. 1997Q1:2006Q4"
             )
         result = preprocess_hpi(args.hpi, (first, last), t0=args.t0)
         panel = result.panel

@@ -2,7 +2,7 @@
 
 Donors are embedded as rows of U Sigma_r from the SVD of the pre-intervention
 block, then grouped by k-means (D^2-weighted seeding plus Lloyd iterations).
-When k is not given, it is chosen by mean silhouette over a small range. A
+With k="auto", it is chosen by mean silhouette over AUTO_K_RANGE. A
 target enters the picture only later: its series is projected onto the same
 right singular basis and sent to the nearest center.
 
@@ -17,8 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .errors import DegenerateInputError, InvalidParamsError, ShapeError
+from .errors import DegenerateClusterError, DegenerateInputError, InvalidParamsError, ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
+
+LLOYD_MAX_ITER = 300
+# k="auto" picks from this range by silhouette, capped at n - 1 donors
+AUTO_K_RANGE = (2, 8)
 
 
 @dataclass
@@ -67,13 +71,13 @@ def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
     return centers
 
 
-def lloyd(points, init_centers, max_iter: int = 300):
+def lloyd(points, init_centers):
     """Lloyd iterations from given centers.
 
     Ties assign to the lowest label. A cluster that comes up empty is
     reseeded at the point currently farthest from its own center (lowest
     point index on ties), processed in label order. Stops when assignments
-    repeat or after max_iter rounds.
+    repeat or after LLOYD_MAX_ITER rounds.
 
     Returns (centers, Partition, inertia).
     """
@@ -86,7 +90,7 @@ def lloyd(points, init_centers, max_iter: int = 300):
         )
     m, k = points.shape[0], centers.shape[0]
     labels = None
-    for _ in range(max_iter):
+    for _ in range(LLOYD_MAX_ITER):
         dist2 = cdist(points, centers, "sqeuclidean")
         new_labels = np.argmin(dist2, axis=1)
         missing = [c for c in range(k) if not np.any(new_labels == c)]
@@ -106,7 +110,7 @@ def lloyd(points, init_centers, max_iter: int = 300):
     return centers, Partition(labels + 1, k), inertia
 
 
-def best_lloyd(points, k: int, restarts: int, rng, max_iter: int = 300):
+def best_lloyd(points, k: int, restarts: int, rng):
     """Best of several seeded runs: lowest inertia, earliest restart on ties."""
     if restarts < 1:
         raise InvalidParamsError(f"restarts must be >= 1, got {restarts}")
@@ -115,7 +119,7 @@ def best_lloyd(points, k: int, restarts: int, rng, max_iter: int = 300):
     best = None
     for seed in seeds:
         init = kmeans_pp_init(points, k, np.random.default_rng(int(seed)))
-        run = lloyd(points, init, max_iter)
+        run = lloyd(points, init)
         if best is None or run[2] < best[2]:
             best = run
     return best
@@ -154,7 +158,11 @@ def silhouette(points, partition: Partition, dists: np.ndarray | None = None) ->
     return float(scores.mean())
 
 
-def _choose_k_full(points, k_min, k_max, restarts, rng, max_iter):
+def choose_k(points, k_min: int, k_max: int, restarts: int, rng):
+    """k in [k_min, k_max] with the highest mean silhouette (ties: smaller k).
+
+    Returns (k, centers, Partition, inertia) of the best Lloyd run at that k.
+    """
     points = as_matrix(points)
     m = points.shape[0]
     if not 2 <= k_min <= k_max:
@@ -167,16 +175,11 @@ def _choose_k_full(points, k_min, k_max, restarts, rng, max_iter):
     dists = cdist(points, points)
     best = None
     for k in range(k_min, k_max + 1):
-        centers, part, inertia = best_lloyd(points, k, restarts, rng, max_iter)
+        centers, part, inertia = best_lloyd(points, k, restarts, rng)
         score = silhouette(points, part, dists)
         if best is None or score > best[0]:  # ties keep the smaller k
             best = (score, k, centers, part, inertia)
     return best[1:]
-
-
-def choose_k(points, k_min: int, k_max: int, restarts: int, rng, max_iter: int = 300) -> int:
-    """k in [k_min, k_max] with the highest mean silhouette (ties: smaller k)."""
-    return _choose_k_full(points, k_min, k_max, restarts, rng, max_iter)[0]
 
 
 @dataclass
@@ -202,13 +205,12 @@ def fit_cluster_model(
     k="auto",
     rng=None,
     restarts: int = 10,
-    max_iter: int = 300,
-    k_range: tuple[int, int] = (2, 8),
 ) -> ClusterModel:
     """Embed the pre-intervention donor block and k-means it.
 
-    k may be an integer or "auto", which picks k from k_range (capped at
-    n - 1) by silhouette.
+    k may be an integer or "auto", which picks k from AUTO_K_RANGE (capped
+    at n - 1) by silhouette. Each candidate k keeps the best of restarts
+    seeded Lloyd runs.
     """
     donor_pre = as_matrix(donor_pre)
     n = donor_pre.shape[0]
@@ -219,23 +221,21 @@ def fit_cluster_model(
     embedding = factors.u[:, :r] * factors.sigma[:r]
     v_basis = factors.v[:, :r]
     rng = np.random.default_rng(rng)
-    if k == "auto" or k is None:
-        k_min, k_max = k_range
+    if k == "auto":
+        k_min, k_max = AUTO_K_RANGE
         k_max = min(k_max, n - 1)
         if k_max < k_min:
             raise DegenerateInputError(
-                f"auto k over {k_range} needs more than {n} donors"
+                f"auto k over {AUTO_K_RANGE} needs more than {n} donors"
             )
-        k, centers, part, inertia = _choose_k_full(
-            embedding, k_min, k_max, restarts, rng, max_iter
-        )
+        k, centers, part, inertia = choose_k(embedding, k_min, k_max, restarts, rng)
     else:
         k = int(k)
         if k < 1:
             raise InvalidParamsError(f"k must be >= 1, got {k}")
         if k > n:
             raise DegenerateInputError(f"k={k} exceeds the {n} donors")
-        centers, part, inertia = best_lloyd(embedding, k, restarts, rng, max_iter)
+        centers, part, inertia = best_lloyd(embedding, k, restarts, rng)
     return ClusterModel(
         k=k,
         rank_r=r,
@@ -259,11 +259,22 @@ def assign_target(model: ClusterModel, target_pre) -> int:
     return int(np.argmin(d2)) + 1
 
 
-def partition_symmetric_difference(p: Partition, q: Partition) -> int:
-    """Min over label bijections of the summed symmetric differences.
+def cluster_members(labels, label: int) -> np.ndarray:
+    """Row indices carrying label; DegenerateClusterError if fewer than 2."""
+    members = np.flatnonzero(labels == label)
+    if members.size < 2:
+        raise DegenerateClusterError(label, int(members.size))
+    return members
 
-    Equals 2n - 2 * (best total overlap); the best overlap is found by
-    assignment matching on the k x k contingency table.
+
+def partition_symmetric_difference(p: Partition, q: Partition) -> int:
+    """Min over label matchings of the summed symmetric differences.
+
+    The two partitions may have different k. Clusters are matched one to
+    one; a cluster left without a partner (the larger k has some) counts
+    as fully misassigned, as if matched to an empty cluster. The distance
+    equals 2n - 2 * (best total overlap); the best overlap is found by
+    assignment matching on the p.k x q.k contingency table.
     """
     # imported here: only recovery checks need it, and it slows every import
     from scipy.optimize import linear_sum_assignment
@@ -272,10 +283,7 @@ def partition_symmetric_difference(p: Partition, q: Partition) -> int:
         raise ShapeError(
             f"partitions cover {p.labels.shape[0]} and {q.labels.shape[0]} points"
         )
-    if p.k != q.k:
-        raise InvalidParamsError(f"partitions have k={p.k} and k={q.k}")
-    k = p.k
-    table = np.zeros((k, k), dtype=int)
+    table = np.zeros((p.k, q.k), dtype=int)
     np.add.at(table, (p.labels - 1, q.labels - 1), 1)
     rows, cols = linear_sum_assignment(-table)
     return int(2 * p.labels.shape[0] - 2 * table[rows, cols].sum())

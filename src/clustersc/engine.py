@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import ClusterModel, assign_target, fit_cluster_model
-from .errors import DegenerateClusterError, DegenerateInputError, ShapeError
+from .cluster import assign_target, cluster_members, fit_cluster_model
+from .errors import DegenerateInputError, ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
 from .panel import InterventionSplit
 from .regression import RegressionSpec, WeightVector, fit
@@ -135,16 +135,14 @@ def cluster_sc(
     k="auto",
     rng=None,
     restarts: int = 10,
-    force_pool_rank: bool = False,
     donor_ids=None,
-    k_range: tuple[int, int] = (2, 8),
 ):
     """Cluster the donor pool, keep the target's cluster, run SC on it.
 
-    The clustering sees only pre-intervention data. By default the rank rule
-    is applied afresh to the selected cluster's matrix; force_pool_rank=True
-    reuses the pool model's rank instead (capped by the cluster's own
-    dimensions).
+    The clustering sees only pre-intervention data (see fit_cluster_model
+    for k and restarts). The target's cluster must hold at least 2 donors,
+    else DegenerateClusterError is raised. The rank rule is applied afresh
+    to the selected cluster's matrix.
 
     Returns (EffectEstimate, ScFit, ClusterModel). With k=1 the selected
     cluster is the whole pool, reproducing plain SC bit for bit.
@@ -163,23 +161,15 @@ def cluster_sc(
         raise DegenerateInputError("cluster_sc needs at least 2 donors")
     if donor_ids is None:
         donor_ids = list(range(donors.shape[0]))
-    model = fit_cluster_model(
-        donors[:, : split.t0], rule, k=k, rng=rng, restarts=restarts, k_range=k_range
-    )
+    model = fit_cluster_model(donors[:, : split.t0], rule, k=k, rng=rng, restarts=restarts)
     label = assign_target(model, target_full[: split.t0])
-    selected = np.flatnonzero(model.assignments.labels == label)
-    if selected.size < 2:
-        raise DegenerateClusterError(label, int(selected.size))
-    sub_rule = rule
-    if force_pool_rank:
-        cap = min(selected.size, split.t_total)
-        sub_rule = RankRule.fixed(min(model.rank_r, cap))
+    selected = cluster_members(model.assignments.labels, label)
     sub_ids = [donor_ids[i] for i in selected]
     sc_fit = sc_learn(
         donors[selected],
         split,
         target_full[: split.t0],
-        sub_rule,
+        rule,
         reg,
         donor_ids=sub_ids,
         cluster_label=label,

@@ -30,7 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cluster import assign_target, fit_cluster_model, Partition, partition_symmetric_difference
+from .cluster import (
+    AUTO_K_RANGE,
+    Partition,
+    assign_target,
+    cluster_members,
+    fit_cluster_model,
+    partition_symmetric_difference,
+)
 from .datagen import NoiseSpec, SignalSpec, SyntheticDataset, gen_dataset, gen_group
 from .engine import sc_infer, sc_learn
 from .errors import (
@@ -297,22 +304,22 @@ def _aggregates(rows, skipped) -> dict:
     }
 
 
-def _fit_pool_models(variants, donor_pre, rng, restarts, k_range) -> dict:
-    """One cluster model per distinct (rule, k) of the cluster_sc variants."""
-    models = {}
-    for v in variants:
-        if v.name != "cluster_sc" or (v.rule, v.k) in models:
-            continue
-        model_rng = np.random.default_rng(rng.integers(0, SEED_CEILING))
-        models[(v.rule, v.k)] = fit_cluster_model(
-            donor_pre, v.rule, k=v.k, rng=model_rng, restarts=restarts, k_range=k_range,
-        )
-    return models
+def _fit_pool_model(variants, donor_pre, rng, restarts):
+    """The cluster_sc variant's model of the whole donor pool.
+
+    Returns None, and draws nothing from rng, when there is no cluster_sc
+    variant (_check_variants allows at most one).
+    """
+    v = next((v for v in variants if v.name == "cluster_sc"), None)
+    if v is None:
+        return None
+    model_rng = np.random.default_rng(rng.integers(0, SEED_CEILING))
+    return fit_cluster_model(donor_pre, v.rule, k=v.k, rng=model_rng, restarts=restarts)
 
 
 def _nearest_cluster(model, target_pre):
     label = assign_target(model, target_pre)
-    return label, np.flatnonzero(model.assignments.labels == label)
+    return label, cluster_members(model.assignments.labels, label)
 
 
 def _placebo_target(
@@ -332,8 +339,9 @@ def _placebo_target(
 
     reference is the (pre, post) pair the errors are measured against.
     cluster_source(variant, rng) returns the target's cluster label and its
-    member rows into donors. A cluster of fewer than 2 donors skips the
-    cluster_sc variant and, with it, the paired sc_random_subset variant.
+    member rows into donors, or raises DegenerateClusterError (see
+    cluster_members) when the cluster has fewer than 2 donors. That skips
+    the cluster_sc variant and, with it, the paired sc_random_subset variant.
     score_selection(fit), when given, returns the active donors' precision
     and recall against the planted groups.
     """
@@ -347,8 +355,6 @@ def _placebo_target(
         try:
             if v.name == "cluster_sc":
                 label, members = cluster_source(v, child)
-                if len(members) < 2:
-                    raise DegenerateClusterError(label, len(members))
                 cluster_size = len(members)
             elif v.name == "sc_random_subset":
                 if cluster_size is None:
@@ -398,7 +404,6 @@ def leave_one_out_placebo(
     *,
     cluster_mode: str = "per_target",
     restarts: int = 10,
-    k_range: tuple[int, int] = (2, 8),
 ) -> PlaceboReport:
     """Placebo test on a synthetic panel with group-A units as targets.
 
@@ -409,9 +414,9 @@ def leave_one_out_placebo(
 
     cluster_mode "per_target" re-clusters each target's donor pool, which is
     the protocol the harness models; "per_dataset" clusters the full panel
-    once per distinct (rule, k) and reuses the assignments, trading a little
-    fidelity (the target participates in the clustering) for a large
-    speedup on wide benchmark grids.
+    once and reuses the assignments, trading a little fidelity (the target
+    participates in the clustering) for a large speedup on wide benchmark
+    grids.
 
     Targets whose cluster collapses below two donors are recorded under
     skipped, and that cell is excluded from every variant's aggregates.
@@ -437,9 +442,9 @@ def leave_one_out_placebo(
     n_targets = max(1, int(round(target_fraction * len(a_rows))))
     target_rows = np.sort(rng.choice(a_rows, size=n_targets, replace=False))
     seeds = rng.integers(0, SEED_CEILING, size=(n_targets, len(variants)))
-    pool_models = {}
+    pool_model = None
     if cluster_mode == "per_dataset":
-        pool_models = _fit_pool_models(variants, panel.pre, rng, restarts, k_range)
+        pool_model = _fit_pool_model(variants, panel.pre, rng, restarts)
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
@@ -452,13 +457,12 @@ def leave_one_out_placebo(
             if cluster_mode == "per_target":
                 # the steps of engine.cluster_sc, so its results carry over bit for bit
                 model = fit_cluster_model(
-                    donors[:, :t0], v.rule, k=v.k, rng=child,
-                    restarts=restarts, k_range=k_range,
+                    donors[:, :t0], v.rule, k=v.k, rng=child, restarts=restarts
                 )
                 return _nearest_cluster(model, values[tr, :t0])
-            pool_labels = pool_models[(v.rule, v.k)].assignments.labels
+            pool_labels = pool_model.assignments.labels
             label = int(pool_labels[tr])
-            return label, np.flatnonzero(np.delete(pool_labels, tr) == label)
+            return label, cluster_members(np.delete(pool_labels, tr), label)
 
         def score_selection(fit):
             positions = [id_to_row[u] for u in active_set(fit.weights)]
@@ -481,7 +485,7 @@ def leave_one_out_placebo(
         "n_targets": n_targets,
         "cluster_mode": cluster_mode,
         "restarts": restarts,
-        "k_range": list(k_range),
+        "k_range": list(AUTO_K_RANGE),
         "dataset_seed": dataset.seed,
         "noise": _noise_config(dataset.noise),
         "variants": [_variant_config(v) for v in variants],
@@ -503,7 +507,6 @@ def split_placebo(
     rng,
     *,
     restarts: int = 10,
-    k_range: tuple[int, int] = (2, 8),
 ) -> PlaceboReport:
     """Repeated random donor/target splits of an observed panel.
 
@@ -512,9 +515,9 @@ def split_placebo(
     stores its own median errors next to the pooled ones. With no noiseless
     signal available, errors are measured against the observations.
 
-    Cluster models are fitted once per iteration per distinct (rule, k) on
-    the donor pool alone; targets are then embedded on the model's basis, so
-    no target influences the clustering.
+    The cluster model is fitted once per iteration on the donor pool alone;
+    targets are then embedded on the model's basis, so no target influences
+    the clustering.
     """
     if not 0.0 < train_fraction < 1.0:
         raise InvalidParamsError(
@@ -548,7 +551,7 @@ def split_placebo(
         donors = values[train_rows]
         donor_ids = [panel.unit_ids[i] for i in train_rows]
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(variants)))
-        models = _fit_pool_models(variants, donors[:, :t0], it_rng, restarts, k_range)
+        model = _fit_pool_model(variants, donors[:, :t0], it_rng, restarts)
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
@@ -557,7 +560,7 @@ def split_placebo(
             cell_rows, cell_skipped = _placebo_target(
                 it, panel.unit_ids[tr], donors, donor_ids, observed, panel.split,
                 (observed[:t0], observed[t0:]), variants, target_seeds,
-                lambda v, child: _nearest_cluster(models[(v.rule, v.k)], observed[:t0]),
+                lambda v, child: _nearest_cluster(model, observed[:t0]),
             )
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)
@@ -579,7 +582,7 @@ def split_placebo(
         "iterations": iterations,
         "n_train": n_train,
         "restarts": restarts,
-        "k_range": list(k_range),
+        "k_range": list(AUTO_K_RANGE),
         "variants": [_variant_config(v) for v in variants],
     }
     return PlaceboReport(
@@ -723,9 +726,11 @@ def cluster_recovery_experiment(
     """How well clustering the pre block recovers the planted groups.
 
     For each noise level, datasets_per_cell panels are generated and
-    clustered; the misassignment fraction compares the fitted partition to
-    the planted one. Group sizes must be at least 2 so a perfect partition
-    is a valid clustering.
+    clustered into k clusters (an integer or "auto"); the misassignment
+    fraction compares the fitted partition to the planted two-group one.
+    When k differs from 2, clusters left without a partner count as fully
+    misassigned (see partition_symmetric_difference). Group sizes must be
+    at least 2 so a perfect partition is a valid clustering.
     """
     noise_grid = list(noise_grid)
     if not noise_grid:

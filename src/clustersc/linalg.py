@@ -19,8 +19,6 @@ from .errors import (
     ShapeError,
 )
 
-# Singular values below ZERO_SIGMA_RTOL * sigma_1 count as numerically zero.
-ZERO_SIGMA_RTOL = 1e-12
 # Slack when comparing a cumulative ratio against an energy threshold, so that
 # exact-in-theory boundaries like 9/10 >= 0.9 survive float rounding.
 ENERGY_TIE_TOL = 1e-12
@@ -86,14 +84,6 @@ def hsvt(x, r: int) -> np.ndarray:
     if not 1 <= r <= min(x.shape):
         raise InvalidRankError(f"rank must be in 1..{min(x.shape)}, got {r}")
     return svd(x).low_rank(r)
-
-
-def numerical_rank(sigma) -> int:
-    """Count of singular values above ZERO_SIGMA_RTOL times the largest."""
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0 or sigma[0] <= 0:
-        return 0
-    return int(np.count_nonzero(sigma > ZERO_SIGMA_RTOL * sigma[0]))
 
 
 @dataclass(frozen=True)

@@ -178,10 +178,10 @@ def lasso_objective(design, target, values, lam) -> float:
     )
 
 
-def active_set(weights: WeightVector, tol: float = ACTIVE_SET_TOL) -> list:
-    """Donor ids whose weight magnitude exceeds tol."""
+def active_set(weights: WeightVector) -> list:
+    """Donor ids whose weight magnitude exceeds ACTIVE_SET_TOL."""
     return [
         did
         for did, val in zip(weights.donor_ids, weights.values)
-        if abs(val) > tol
+        if abs(val) > ACTIVE_SET_TOL
     ]

@@ -3,7 +3,9 @@
 Every run writes two files: <stem>.json holding the complete structured
 result (per-target rows, aggregates, config echo, seeds) and <stem>_plot.csv
 in long form with the fixed columns dataset,noise,variant,metric,value, one
-row per observation, ready for external plotting tools.
+row per observation, ready for external plotting tools. A field holding a
+comma, a double quote or a newline (a unit id like "Abilene, TX") is written
+in double quotes, with inner quotes doubled; every other field is bare.
 
 Writing is byte-deterministic: JSON keys are sorted, floats keep Python's
 shortest round-trip repr, newlines are fixed to "\n", and nothing
@@ -13,7 +15,9 @@ seed reproduces the files bit for bit.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -32,7 +36,6 @@ __all__ = [
     "recovery_plot_rows",
     "spectrum_plot_rows",
     "cluster_plot_rows",
-    "default_plot_rows",
     "write_report",
 ]
 
@@ -102,12 +105,11 @@ def placebo_plot_rows(report: PlaceboReport, dataset: str = "", noise: str = "")
     return rows
 
 
-def gap_plot_rows(result: GapExperimentResult, dataset: str = "") -> list[tuple]:
-    """Per-trial gap rows plus summary rows under dataset label 'all'."""
+def gap_plot_rows(result: GapExperimentResult) -> list[tuple]:
+    """Per-trial gap rows (trial_0001, ...) plus summary rows under 'all'."""
     tag = noise_tag(result.noise)
-    prefix = dataset or "trial"
     rows = [
-        (f"{prefix}_{i + 1:04d}", tag, "pool_minus_subgroup", "gap", gap)
+        (f"trial_{i + 1:04d}", tag, "pool_minus_subgroup", "gap", gap)
         for i, gap in enumerate(result.gaps)
     ]
     rows.append(("all", tag, "pool_minus_subgroup", "mean_gap", result.empirical_mean_gap))
@@ -156,23 +158,6 @@ def cluster_plot_rows(unit_ids, labels, dataset: str = "") -> list[tuple]:
     ]
 
 
-def default_plot_rows(report, dataset: str = "", noise: str = "") -> list[tuple]:
-    """Dispatch on report type; used when the caller has no custom rows.
-
-    Lists are treated as spectrum rows, the (index, sigma, ratio) triples
-    that spectrum_report produces.
-    """
-    if isinstance(report, PlaceboReport):
-        return placebo_plot_rows(report, dataset=dataset, noise=noise)
-    if isinstance(report, GapExperimentResult):
-        return gap_plot_rows(report, dataset=dataset)
-    if isinstance(report, RecoveryResult):
-        return recovery_plot_rows(report)
-    if isinstance(report, list):
-        return spectrum_plot_rows(report, dataset=dataset)
-    raise InvalidInputError(f"no plot-row builder for {type(report).__name__}")
-
-
 def _format_value(value) -> str:
     if isinstance(value, str):
         return value
@@ -186,14 +171,16 @@ def _format_value(value) -> str:
 def write_plot_csv(rows, path) -> Path:
     """Write long-form plot rows with the fixed header, LF newlines."""
     path = Path(path)
-    lines = [",".join(PLOT_COLUMNS)]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(PLOT_COLUMNS)
     for row in rows:
         if len(row) != len(PLOT_COLUMNS):
             raise InvalidInputError(
                 f"plot rows need {len(PLOT_COLUMNS)} fields, got {len(row)}"
             )
-        lines.append(",".join(_format_value(field) for field in row))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        writer.writerow([_format_value(field) for field in row])
+    path.write_bytes(text.getvalue().encode("utf-8"))
     return path
 
 
@@ -205,25 +192,14 @@ def write_json(payload, path) -> Path:
     return path
 
 
-def write_report(
-    report,
-    out_dir,
-    stem: str,
-    *,
-    plot_rows=None,
-    dataset: str = "",
-    noise: str = "",
-) -> tuple[Path, Path]:
+def write_report(report, out_dir, stem: str, plot_rows) -> tuple[Path, Path]:
     """Persist a report as <stem>.json and <stem>_plot.csv under out_dir.
 
-    plot_rows overrides the default long-form rows; dataset and noise label
-    the default rows when the report itself does not carry that context.
+    plot_rows are the long-form CSV rows, e.g. from placebo_plot_rows.
     Returns the two paths.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if plot_rows is None:
-        plot_rows = default_plot_rows(report, dataset=dataset, noise=noise)
     json_path = write_json(report, out_dir / f"{stem}.json")
     csv_path = write_plot_csv(plot_rows, out_dir / f"{stem}_plot.csv")
     return json_path, csv_path

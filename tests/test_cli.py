@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from clustersc.cli import (
@@ -262,6 +263,15 @@ class TestRecoveryCheck:
         assert len(payload["result"]["cells"]) == 2
         assert payload["result"]["datasets_per_cell"] == 2
 
+    @pytest.mark.parametrize("k", ["3", "auto"])
+    def test_k_other_than_two(self, tmp_path, k):
+        code = run("recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
+                   "--k", k, "--seed", "5", "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "recovery_check.json").read_text())
+        for cell in payload["result"]["cells"]:
+            assert all(0.0 <= f <= 1.0 for f in cell["fractions"])
+
 
 class TestConfigFile:
     def test_config_sets_defaults_flags_override(self, tmp_path):
@@ -300,6 +310,26 @@ class TestConfigFile:
             "--trials", "2", "--seed", "3", "--out", str(tmp_path))
         payload = json.loads((tmp_path / "gap_check.json").read_text())
         assert payload["config"]["noise"] == "uniform:0.5"
+
+    def test_range_key(self, tmp_path):
+        rng = np.random.default_rng(37)
+        lines = ["unit,year,quarter,value"]
+        for u in range(10):
+            level = rng.normal(100.0, 10.0)
+            for year in (1997, 1998, 1999):
+                for quarter in (1, 2, 3, 4):
+                    level += rng.normal(1.0, 0.5)
+                    lines.append(f"u{u:02d},{year},{quarter},{level}")
+        hpi = tmp_path / "hpi.csv"
+        hpi.write_text("\n".join(lines) + "\n")
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[placebo-panel]\nrange = 1997Q1:1998Q4\n")
+        code = run("placebo-panel", "--hpi", str(hpi), "--config", str(cfg),
+                   "--iterations", "1", "--rule", "fixed:2", "--k", "1",
+                   "--seed", "3", "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "placebo_panel.json").read_text())
+        assert payload["config"]["t"] == 8
 
 
 class TestEnvOutDir:

@@ -25,6 +25,7 @@ from clustersc.cluster import (
     assign_target,
     best_lloyd,
     choose_k,
+    cluster_members,
     fit_cluster_model,
     kmeans_pp_init,
     lloyd,
@@ -33,6 +34,7 @@ from clustersc.cluster import (
 )
 from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
 from clustersc.errors import (
+    DegenerateClusterError,
     DegenerateInputError,
     InvalidParamsError,
     ShapeError,
@@ -77,7 +79,11 @@ def silhouette_oracle(points: np.ndarray, labels: np.ndarray) -> float:
 
 
 def symmetric_difference_oracle(p: np.ndarray, q: np.ndarray, k: int) -> int:
-    """Min over all k! label bijections of the summed set differences."""
+    """Min over all k! label bijections of the summed set differences.
+
+    Labels above a partition's own k name empty clusters, so passing the
+    larger k pads the smaller partition with empty clusters.
+    """
     p_sets = [set(np.flatnonzero(p == label)) for label in range(1, k + 1)]
     q_sets = [set(np.flatnonzero(q == label)) for label in range(1, k + 1)]
     return min(
@@ -217,19 +223,19 @@ class TestChooseK:
     def test_two_blobs(self):
         rng = np.random.default_rng(341)
         points = two_blobs(rng)
-        assert choose_k(points, 2, 5, 10, np.random.default_rng(1)) == 2
+        assert choose_k(points, 2, 5, 10, np.random.default_rng(1))[0] == 2
 
     def test_three_blobs(self):
         rng = np.random.default_rng(347)
         blob = lambda c: rng.normal(scale=0.15, size=(8, 2)) + c
         points = np.vstack([blob((0, 0)), blob((8, 0)), blob((0, 8))])
-        assert choose_k(points, 2, 6, 10, np.random.default_rng(2)) == 3
+        assert choose_k(points, 2, 6, 10, np.random.default_rng(2))[0] == 3
 
     def test_deterministic(self):
         rng = np.random.default_rng(349)
         points = rng.normal(size=(25, 3))
-        a = choose_k(points, 2, 5, 5, np.random.default_rng(7))
-        b = choose_k(points, 2, 5, 5, np.random.default_rng(7))
+        a = choose_k(points, 2, 5, 5, np.random.default_rng(7))[0]
+        b = choose_k(points, 2, 5, 5, np.random.default_rng(7))[0]
         assert a == b
 
     def test_range_validation(self):
@@ -360,6 +366,18 @@ class TestAssignTarget:
             assign_target(model, np.ones(3))
 
 
+class TestClusterMembers:
+    def test_rows_of_label(self):
+        labels = np.array([2, 1, 2, 3, 2])
+        assert cluster_members(labels, 2).tolist() == [0, 2, 4]
+
+    @pytest.mark.parametrize("label, size", [(3, 1), (4, 0)])
+    def test_fewer_than_two_raises(self, label, size):
+        with pytest.raises(DegenerateClusterError) as err:
+            cluster_members(np.array([1, 1, 2, 2, 3]), label)
+        assert (err.value.label, err.value.size) == (label, size)
+
+
 class TestPartitionSymmetricDifference:
     def test_identical(self):
         p = Partition(np.array([1, 1, 2, 2]), 2)
@@ -384,8 +402,8 @@ class TestPartitionSymmetricDifference:
         p = Partition(np.array([1, 2]), 2)
         with pytest.raises(ShapeError):
             partition_symmetric_difference(p, Partition(np.array([1, 2, 2]), 2))
-        with pytest.raises(InvalidParamsError):
-            partition_symmetric_difference(p, Partition(np.array([1, 2]), 3))
+        # an extra, empty cluster costs nothing
+        assert partition_symmetric_difference(p, Partition(np.array([1, 2]), 3)) == 0
 
     def test_metric_properties(self):
         rng = np.random.default_rng(359)
@@ -411,6 +429,24 @@ class TestPartitionSymmetricDifference:
                 assert partition_symmetric_difference(
                     Partition(p, k), Partition(q, k)
                 ) == symmetric_difference_oracle(p, q, k)
+
+    def test_unequal_k_matches_padded_oracle(self):
+        rng = np.random.default_rng(373)
+        for kp, kq in [(2, 3), (3, 2), (2, 5), (4, 6), (6, 3)]:
+            for _ in range(8):
+                m = int(rng.integers(max(kp, kq), 3 * max(kp, kq) + 4))
+                p = rng.integers(1, kp + 1, size=m)
+                q = rng.integers(1, kq + 1, size=m)
+                assert partition_symmetric_difference(
+                    Partition(p, kp), Partition(q, kq)
+                ) == symmetric_difference_oracle(p, q, max(kp, kq))
+
+    def test_unmatched_cluster_fully_misassigned(self):
+        # {1,2},{3,4} vs {1,2},{3},{4}: {3} pairs with {3,4} (1 point
+        # differs) and {4} has no partner, so its 1 point counts too
+        p = Partition(np.array([1, 1, 2, 2]), 2)
+        q = Partition(np.array([1, 1, 2, 3]), 3)
+        assert partition_symmetric_difference(p, q) == 2
 
     def test_cli_import_leaves_assignment_solver_unloaded(self):
         src = Path(__file__).resolve().parent.parent / "src"

@@ -23,7 +23,7 @@ from clustersc.engine import (
     sc_project,
 )
 from clustersc.errors import DegenerateClusterError, ShapeError
-from clustersc.linalg import RankRule, numerical_rank, svd
+from clustersc.linalg import RankRule
 from clustersc.regression import RegressionSpec
 
 
@@ -73,7 +73,7 @@ class TestScLearn:
         split = InterventionSplit(8, 10)
         fit = sc_learn(donors, split, rng.normal(size=8), RankRule.fixed(3), RegressionSpec("ridge", lam=0.1))
         assert fit.rank_used == 3
-        assert numerical_rank(svd(fit.denoised_donors).sigma) == 3
+        assert np.linalg.matrix_rank(fit.denoised_donors) == 3
 
     def test_generator_config_smoke(self):
         ds = gen_dataset(GROUP_A_SPEC, GROUP_B_SPEC, 30, 30, 10, 8, NoiseSpec.gaussian(0.2), seed=11)
@@ -211,16 +211,6 @@ class TestClusterSc:
                 rng=np.random.default_rng(2),
             )
         assert err.value.size == 1
-
-    def test_force_pool_rank(self):
-        rng = np.random.default_rng(427)
-        donors, target, _, _ = disjoint_groups(rng)
-        split = InterventionSplit(8, 10)
-        est, fit, model = cluster_sc(
-            donors, split, target, RankRule.fixed(4), RegressionSpec("ols"),
-            k=2, rng=np.random.default_rng(3), force_pool_rank=True,
-        )
-        assert fit.rank_used == min(model.rank_r, 6)
 
     def test_effect_linearity_in_observation(self):
         rng = np.random.default_rng(431)

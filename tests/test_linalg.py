@@ -20,7 +20,15 @@ from clustersc.errors import (
     InvalidRankError,
     ShapeError,
 )
-from clustersc.linalg import RankRule, hsvt, numerical_rank, select_rank, spectrum_report, svd
+from clustersc.linalg import RankRule, hsvt, select_rank, spectrum_report, svd
+
+
+def numerical_rank(sigma) -> int:
+    """Oracle: count of singular values above 1e-12 times the largest."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.size == 0 or sigma[0] <= 0:
+        return 0
+    return int(np.count_nonzero(sigma > 1e-12 * sigma[0]))
 
 
 def gram_rank_r_oracle(x: np.ndarray, r: int) -> np.ndarray:
@@ -141,6 +149,7 @@ class TestHsvt:
         rng = np.random.default_rng(19)
         x = rng.normal(size=(7, 6))
         y = hsvt(x, 3)
+        assert numerical_rank(svd(y).sigma) == 3
         np.testing.assert_allclose(hsvt(y, 3), y, atol=1e-9)
 
     def test_full_rank_is_identity(self):

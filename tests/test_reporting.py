@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 
 import numpy as np
@@ -20,7 +21,6 @@ from clustersc.linalg import RankRule
 from clustersc.reporting import (
     PLOT_COLUMNS,
     cluster_plot_rows,
-    default_plot_rows,
     gap_plot_rows,
     noise_tag,
     placebo_plot_rows,
@@ -145,19 +145,12 @@ class TestPlotRows:
         rows = cluster_plot_rows(["a", "b"], np.array([1, 2]), dataset="p")
         assert rows == [("p", "", "a", "cluster_label", 1), ("p", "", "b", "cluster_label", 2)]
 
-    def test_default_dispatch(self):
-        assert default_plot_rows(sample_gap_result())
-        assert default_plot_rows(sample_recovery_result())
-        assert default_plot_rows(sample_placebo_report())
-        assert default_plot_rows([(1, 5.0, 1.0)])
-        with pytest.raises(InvalidInputError):
-            default_plot_rows(object())
-
 
 class TestWriteReport:
     def test_paths_and_header(self, tmp_path):
+        report = sample_placebo_report()
         json_path, csv_path = write_report(
-            sample_placebo_report(), tmp_path, "run", dataset="d1", noise="g:0.1"
+            report, tmp_path, "run", placebo_plot_rows(report, dataset="d1", noise="g:0.1")
         )
         assert json_path.name == "run.json"
         assert csv_path.name == "run_plot.csv"
@@ -167,8 +160,9 @@ class TestWriteReport:
 
     def test_byte_identical_rewrites(self, tmp_path):
         report = sample_placebo_report()
-        first = write_report(report, tmp_path / "a", "run")
-        second = write_report(report, tmp_path / "b", "run")
+        rows = placebo_plot_rows(report)
+        first = write_report(report, tmp_path / "a", "run", rows)
+        second = write_report(report, tmp_path / "b", "run", rows)
         assert first[0].read_bytes() == second[0].read_bytes()
         assert first[1].read_bytes() == second[1].read_bytes()
 
@@ -177,21 +171,23 @@ class TestWriteReport:
             rows=[], medians={}, improvements={"values": [], "median": None},
             skipped=[], reference="observed", config={"seed": 3},
         )
-        json_path, csv_path = write_report(report, tmp_path, "empty")
+        json_path, csv_path = write_report(report, tmp_path, "empty", placebo_plot_rows(report))
         payload = json.loads(json_path.read_text())
         assert payload["config"] == {"seed": 3}
         assert payload["rows"] == []
         assert csv_path.read_text() == ",".join(PLOT_COLUMNS) + "\n"
 
     def test_json_loads_and_is_sorted(self, tmp_path):
-        json_path, _ = write_report(sample_gap_result(), tmp_path, "gap")
+        result = sample_gap_result()
+        json_path, _ = write_report(result, tmp_path, "gap", gap_plot_rows(result))
         text = json_path.read_text()
         payload = json.loads(text)
         assert payload["empirical_mean_gap"] == 1.25
         assert text == json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def test_float_repr_in_csv(self, tmp_path):
-        _, csv_path = write_report(sample_gap_result(), tmp_path, "gap")
+        result = sample_gap_result()
+        _, csv_path = write_report(result, tmp_path, "gap", gap_plot_rows(result))
         assert "0.25" in csv_path.read_text()
 
     def test_wrong_arity_rejected(self, tmp_path):
@@ -204,3 +200,15 @@ class TestWriteReport:
             sample_placebo_report(), tmp_path, "custom", plot_rows=rows
         )
         assert csv_path.read_text().splitlines()[1] == "d,n,v,m,1.5"
+
+    def test_comma_in_unit_id_is_quoted(self, tmp_path):
+        rows = cluster_plot_rows(["Abilene, TX", "Akron"], np.array([1, 2]), dataset="p")
+        path = write_plot_csv(rows, tmp_path / "cluster_plot.csv")
+        assert path.read_text().splitlines()[1:] == [
+            'p,,"Abilene, TX",cluster_label,1',
+            "p,,Akron,cluster_label,2",
+        ]
+        with open(path, newline="") as fh:
+            parsed = list(csv.reader(fh))
+        assert [row[2] for row in parsed[1:]] == ["Abilene, TX", "Akron"]
+        assert all(len(row) == len(PLOT_COLUMNS) for row in parsed)
