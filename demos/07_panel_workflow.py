@@ -27,7 +27,11 @@ from clustersc.reporting import placebo_plot_rows, write_report
 
 
 def main():
-    work = Path(tempfile.mkdtemp(prefix="clustersc_demo_"))
+    with tempfile.TemporaryDirectory(prefix="clustersc_demo_") as tmp:
+        run(Path(tmp))
+
+
+def run(work: Path):
     dataset = gen_dataset(
         GROUP_A_SPEC, GROUP_B_SPEC, 40, 40, 10, 8,
         NoiseSpec.gaussian(0.2), seed=11,
@@ -54,9 +58,10 @@ def main():
 
     json_path, csv_out = write_report(report, work, "placebo", placebo_plot_rows(report))
     payload = json.loads(json_path.read_text())
+    with open(csv_out) as handle:
+        n_rows = sum(1 for _ in handle) - 1
     print(f"\nreport: {json_path}")
-    print(f"plot rows: {csv_out} "
-          f"({sum(1 for _ in open(csv_out)) - 1} rows, long form)")
+    print(f"plot rows: {csv_out} ({n_rows} rows, long form)")
     print(f"config echo keys: {sorted(payload['config'])}")
 
 

@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import fit_cluster_model
+from .cluster import KMEANS_RESTARTS, fit_cluster_model
 from .datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
 from .errors import ClusterScError, ConfigError
 from .evaluate import (
@@ -71,16 +71,6 @@ from .reporting import (
 __all__ = ["OUT_DIR_ENV", "build_parser", "cli_dispatch", "main"]
 
 OUT_DIR_ENV = "CLUSTERSC_OUT_DIR"
-
-# spectrum is a pure report of its input; everything else draws random numbers
-STOCHASTIC_COMMANDS = (
-    "simulate",
-    "placebo-synthetic",
-    "placebo-panel",
-    "cluster",
-    "gap-check",
-    "recovery-check",
-)
 
 
 def parse_noise(text: str) -> NoiseSpec:
@@ -158,7 +148,8 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-def _add_out_and_config(sub) -> None:
+def _add_out_and_config(sub, command: str) -> None:
+    sub.add_argument("--stem", default=command.replace("-", "_"), help="output file stem")
     sub.add_argument("--out", default=None, help="output directory (default: $CLUSTERSC_OUT_DIR or .)")
     sub.add_argument("--config", default=None, help="INI file supplying flag defaults")
 
@@ -179,7 +170,6 @@ def _add_estimator_flags(sub, default_lam: float) -> None:
     sub.add_argument("--k", type=parse_k, default=2, help="cluster count or auto")
     sub.add_argument("--with-random-subset", action="store_true",
                      help="add the size-matched random donor subset baseline")
-    sub.add_argument("--restarts", type=int, default=10, help="k-means restarts")
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
@@ -200,9 +190,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--t0", type=int, default=8, help="pre-intervention periods")
     sub.add_argument("--noise", type=parse_noise, default="gaussian:0.25",
                      help="noise spec, e.g. gaussian:0.3")
-    sub.add_argument("--stem", default="simulate", help="output file stem")
     _add_seed(sub)
-    _add_out_and_config(sub)
 
     sub = subs["placebo-synthetic"] = commands.add_parser(
         "placebo-synthetic",
@@ -220,9 +208,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      default="per_target",
                      help="re-cluster per target (faithful) or once per dataset (fast)")
     _add_estimator_flags(sub, default_lam=0.01)
-    sub.add_argument("--stem", default="placebo_synthetic", help="output file stem")
     _add_seed(sub)
-    _add_out_and_config(sub)
 
     sub = subs["placebo-panel"] = commands.add_parser(
         "placebo-panel", help="repeated-split placebo benchmark on an observed panel"
@@ -237,9 +223,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--train-fraction", type=float, default=0.8)
     sub.add_argument("--iterations", type=int, default=20)
     _add_estimator_flags(sub, default_lam=0.1)
-    sub.add_argument("--stem", default="placebo_panel", help="output file stem")
     _add_seed(sub)
-    _add_out_and_config(sub)
 
     sub = subs["cluster"] = commands.add_parser(
         "cluster", help="fit the donor clustering for a panel and report it"
@@ -249,10 +233,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="pre-period count or last pre-period label")
     sub.add_argument("--rule", type=parse_rule, default="energy:0.95")
     sub.add_argument("--k", type=parse_k, default="auto")
-    sub.add_argument("--restarts", type=int, default=10)
-    sub.add_argument("--stem", default="cluster", help="output file stem")
     _add_seed(sub)
-    _add_out_and_config(sub)
 
     sub = subs["spectrum"] = commands.add_parser(
         "spectrum", help="singular values and cumulative energy of a panel"
@@ -260,8 +241,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--panel", required=True, help="wide panel CSV")
     sub.add_argument("--t0", default=None,
                      help="also report the pre-intervention block's spectrum")
-    sub.add_argument("--stem", default="spectrum", help="output file stem")
-    _add_out_and_config(sub)
 
     sub = subs["gap-check"] = commands.add_parser(
         "gap-check", help="Monte-Carlo singular value gap experiment"
@@ -272,9 +251,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--rank", type=int, default=3, help="signal rank")
     sub.add_argument("--noise", type=parse_noise, default="gaussian:0.3")
     sub.add_argument("--trials", type=int, default=200)
-    sub.add_argument("--stem", default="gap_check", help="output file stem")
     _add_seed(sub)
-    _add_out_and_config(sub)
 
     sub = subs["recovery-check"] = commands.add_parser(
         "recovery-check", help="planted-partition recovery across a noise grid"
@@ -288,11 +265,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--noise-grid", type=parse_noise_grid,
                      default="gaussian:0.0,gaussian:0.1,gaussian:0.25,gaussian:0.4")
     sub.add_argument("--datasets", type=int, default=5, help="datasets per noise level")
-    sub.add_argument("--restarts", type=int, default=10)
-    sub.add_argument("--stem", default="recovery_check", help="output file stem")
     _add_seed(sub)
-    _add_out_and_config(sub)
 
+    for command, sub in subs.items():
+        _add_out_and_config(sub, command)
     return parser, subs
 
 
@@ -437,7 +413,7 @@ def cmd_placebo_synthetic(args) -> int:
         report = leave_one_out_placebo(
             dataset, args.target_fraction, variants,
             np.random.default_rng(harness_seeds[di]),
-            cluster_mode=args.cluster_mode, restarts=args.restarts,
+            cluster_mode=args.cluster_mode,
         )
         label = f"ds{di + 1:03d}"
         per_dataset.append({"dataset": label, "noise": tag, "report": report})
@@ -460,7 +436,7 @@ def cmd_placebo_synthetic(args) -> int:
             "datasets": args.datasets,
             "target_fraction": args.target_fraction,
             "cluster_mode": args.cluster_mode,
-            "restarts": args.restarts,
+            "restarts": KMEANS_RESTARTS,
             "variants": _echo_variants(variants),
             "seed": args.seed,
         },
@@ -501,7 +477,7 @@ def cmd_placebo_panel(args) -> int:
     variants = _variants(args)
     report = split_placebo(
         panel, args.train_fraction, args.iterations, variants,
-        np.random.default_rng(args.seed), restarts=args.restarts,
+        np.random.default_rng(args.seed),
     )
     payload = {
         "config": {
@@ -512,7 +488,7 @@ def cmd_placebo_panel(args) -> int:
             "t0": panel.split.t0,
             "train_fraction": args.train_fraction,
             "iterations": args.iterations,
-            "restarts": args.restarts,
+            "restarts": KMEANS_RESTARTS,
             "variants": _echo_variants(variants),
             "seed": args.seed,
         },
@@ -524,10 +500,7 @@ def cmd_placebo_panel(args) -> int:
 
 def cmd_cluster(args) -> int:
     panel = load_panel_csv(args.panel, args.t0)
-    model = fit_cluster_model(
-        panel.pre, args.rule, k=args.k,
-        rng=np.random.default_rng(args.seed), restarts=args.restarts,
-    )
+    model = fit_cluster_model(panel.pre, args.rule, k=args.k, rng=np.random.default_rng(args.seed))
     payload = {
         "config": {
             "command": "cluster",
@@ -535,7 +508,7 @@ def cmd_cluster(args) -> int:
             "t0": panel.split.t0,
             "rule": args.rule,
             "k": args.k,
-            "restarts": args.restarts,
+            "restarts": KMEANS_RESTARTS,
             "seed": args.seed,
         },
         "k": model.k,
@@ -598,7 +571,7 @@ def cmd_recovery_check(args) -> int:
     result = cluster_recovery_experiment(
         GROUP_A_SPEC, GROUP_B_SPEC, args.na, args.nb, args.t, args.t0,
         args.rule, args.noise_grid, args.datasets,
-        np.random.default_rng(args.seed), k=args.k, restarts=args.restarts,
+        np.random.default_rng(args.seed), k=args.k,
     )
     payload = {
         "config": {
@@ -611,7 +584,7 @@ def cmd_recovery_check(args) -> int:
             "k": args.k,
             "noise_grid": [noise_tag(n) for n in args.noise_grid],
             "datasets": args.datasets,
-            "restarts": args.restarts,
+            "restarts": KMEANS_RESTARTS,
             "seed": args.seed,
         },
         "result": result,
@@ -637,19 +610,16 @@ def cli_dispatch(argv) -> int:
 
     command = argv[0] if argv and not argv[0].startswith("-") else None
     try:
-        if command in subs:
-            # apply config-file defaults before parsing so flags override them
-            config_path = None
-            for i, token in enumerate(argv):
-                if token == "--config" and i + 1 < len(argv):
-                    config_path = argv[i + 1]
-                elif token.startswith("--config="):
-                    config_path = token.partition("=")[2]
-            if config_path:
-                subs[command].set_defaults(
-                    **load_config_defaults(config_path, command, subs[command])
-                )
         try:
+            if command in subs:
+                # config-file values become defaults, so flags override them;
+                # a first pass of the subcommand's own parser finds --config
+                # under any abbreviation it accepts
+                config_path = subs[command].parse_known_args(argv[1:])[0].config
+                if config_path:
+                    subs[command].set_defaults(
+                        **load_config_defaults(config_path, command, subs[command])
+                    )
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
@@ -657,7 +627,8 @@ def cli_dispatch(argv) -> int:
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: a command is required", file=sys.stderr)
             return 2
-        if args.command in STOCHASTIC_COMMANDS and args.seed is None:
+        # --seed is required wherever it exists; only spectrum has none
+        if "seed" in vars(args) and args.seed is None:
             print(
                 f"{parser.prog} {args.command}: error: --seed is required",
                 file=sys.stderr,

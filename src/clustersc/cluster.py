@@ -1,10 +1,12 @@
 """Donor clustering in singular vector space.
 
 Donors are embedded as rows of U Sigma_r from the SVD of the pre-intervention
-block, then grouped by k-means (D^2-weighted seeding plus Lloyd iterations).
-With k="auto", it is chosen by mean silhouette over AUTO_K_RANGE. A
-target enters the picture only later: its series is projected onto the same
-right singular basis and sent to the nearest center.
+block, then grouped by k-means. The protocol is fixed: KMEANS_RESTARTS
+D^2-weighted (k-means++) seedings, each refined by at most LLOYD_MAX_ITER
+Lloyd rounds, keeping the lowest-inertia run. With k="auto", k is chosen by
+mean silhouette over AUTO_K_RANGE. A target enters the picture only later:
+its series is projected onto the same right singular basis and sent to the
+nearest center, whose cluster becomes its donor pool (nearest_cluster).
 
 Labels are 1-based everywhere: a Partition over k clusters uses labels 1..k,
 and centers row i belongs to label i + 1.
@@ -20,6 +22,7 @@ from scipy.spatial.distance import cdist
 from .errors import DegenerateClusterError, DegenerateInputError, InvalidParamsError, ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
 
+KMEANS_RESTARTS = 10
 LLOYD_MAX_ITER = 300
 # k="auto" picks from this range by silhouette, capped at n - 1 donors
 AUTO_K_RANGE = (2, 8)
@@ -199,18 +202,12 @@ class ClusterModel:
     inertia: float
 
 
-def fit_cluster_model(
-    donor_pre,
-    rule: RankRule,
-    k="auto",
-    rng=None,
-    restarts: int = 10,
-) -> ClusterModel:
+def fit_cluster_model(donor_pre, rule: RankRule, k="auto", rng=None) -> ClusterModel:
     """Embed the pre-intervention donor block and k-means it.
 
     k may be an integer or "auto", which picks k from AUTO_K_RANGE (capped
-    at n - 1) by silhouette. Each candidate k keeps the best of restarts
-    seeded Lloyd runs.
+    at n - 1) by silhouette. Each candidate k keeps the best of
+    KMEANS_RESTARTS seeded Lloyd runs.
     """
     donor_pre = as_matrix(donor_pre)
     n = donor_pre.shape[0]
@@ -228,14 +225,14 @@ def fit_cluster_model(
             raise DegenerateInputError(
                 f"auto k over {AUTO_K_RANGE} needs more than {n} donors"
             )
-        k, centers, part, inertia = choose_k(embedding, k_min, k_max, restarts, rng)
+        k, centers, part, inertia = choose_k(embedding, k_min, k_max, KMEANS_RESTARTS, rng)
     else:
         k = int(k)
         if k < 1:
             raise InvalidParamsError(f"k must be >= 1, got {k}")
         if k > n:
             raise DegenerateInputError(f"k={k} exceeds the {n} donors")
-        centers, part, inertia = best_lloyd(embedding, k, restarts, rng)
+        centers, part, inertia = best_lloyd(embedding, k, KMEANS_RESTARTS, rng)
     return ClusterModel(
         k=k,
         rank_r=r,
@@ -265,6 +262,13 @@ def cluster_members(labels, label: int) -> np.ndarray:
     if members.size < 2:
         raise DegenerateClusterError(label, int(members.size))
     return members
+
+
+def nearest_cluster(model: ClusterModel, target_pre) -> tuple[int, np.ndarray]:
+    """The target's label (assign_target) and its cluster's donor rows
+    (cluster_members, so DegenerateClusterError below 2 donors)."""
+    label = assign_target(model, target_pre)
+    return label, cluster_members(model.assignments.labels, label)
 
 
 def partition_symmetric_difference(p: Partition, q: Partition) -> int:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cluster import assign_target, cluster_members, fit_cluster_model
+from .cluster import fit_cluster_model, nearest_cluster
 from .errors import DegenerateInputError, ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
 from .panel import InterventionSplit
@@ -134,14 +134,13 @@ def cluster_sc(
     reg: RegressionSpec,
     k="auto",
     rng=None,
-    restarts: int = 10,
     donor_ids=None,
 ):
     """Cluster the donor pool, keep the target's cluster, run SC on it.
 
     The clustering sees only pre-intervention data (see fit_cluster_model
-    for k and restarts). The target's cluster must hold at least 2 donors,
-    else DegenerateClusterError is raised. The rank rule is applied afresh
+    for k). The target's cluster must hold at least 2 donors, else
+    DegenerateClusterError is raised. The rank rule is applied afresh
     to the selected cluster's matrix.
 
     Returns (EffectEstimate, ScFit, ClusterModel). With k=1 the selected
@@ -161,9 +160,8 @@ def cluster_sc(
         raise DegenerateInputError("cluster_sc needs at least 2 donors")
     if donor_ids is None:
         donor_ids = list(range(donors.shape[0]))
-    model = fit_cluster_model(donors[:, : split.t0], rule, k=k, rng=rng, restarts=restarts)
-    label = assign_target(model, target_full[: split.t0])
-    selected = cluster_members(model.assignments.labels, label)
+    model = fit_cluster_model(donors[:, : split.t0], rule, k=k, rng=rng)
+    label, selected = nearest_cluster(model, target_full[: split.t0])
     sub_ids = [donor_ids[i] for i in selected]
     sc_fit = sc_learn(
         donors[selected],

@@ -32,10 +32,11 @@ import numpy as np
 
 from .cluster import (
     AUTO_K_RANGE,
+    KMEANS_RESTARTS,
     Partition,
-    assign_target,
     cluster_members,
     fit_cluster_model,
+    nearest_cluster,
     partition_symmetric_difference,
 )
 from .datagen import NoiseSpec, SignalSpec, SyntheticDataset, gen_dataset, gen_group
@@ -181,14 +182,6 @@ class PlaceboReport:
                 raise InvalidInputError(f"duplicate placebo cell {key}")
             seen.add(key)
 
-    def recomputed_medians(self) -> dict:
-        """Recompute the per-variant medians from the stored rows."""
-        return _medians_from_rows(self.rows, self.skipped)
-
-    def recomputed_improvements(self) -> dict:
-        """Recompute the pairwise improvements from the stored rows."""
-        return _improvements_from_rows(self.rows, self.skipped)
-
 
 def _skipped_cells(skipped) -> set:
     return {(entry["iteration"], entry["target_id"]) for entry in skipped}
@@ -304,7 +297,7 @@ def _aggregates(rows, skipped) -> dict:
     }
 
 
-def _fit_pool_model(variants, donor_pre, rng, restarts):
+def _fit_pool_model(variants, donor_pre, rng):
     """The cluster_sc variant's model of the whole donor pool.
 
     Returns None, and draws nothing from rng, when there is no cluster_sc
@@ -314,12 +307,7 @@ def _fit_pool_model(variants, donor_pre, rng, restarts):
     if v is None:
         return None
     model_rng = np.random.default_rng(rng.integers(0, SEED_CEILING))
-    return fit_cluster_model(donor_pre, v.rule, k=v.k, rng=model_rng, restarts=restarts)
-
-
-def _nearest_cluster(model, target_pre):
-    label = assign_target(model, target_pre)
-    return label, cluster_members(model.assignments.labels, label)
+    return fit_cluster_model(donor_pre, v.rule, k=v.k, rng=model_rng)
 
 
 def _placebo_target(
@@ -403,7 +391,6 @@ def leave_one_out_placebo(
     rng,
     *,
     cluster_mode: str = "per_target",
-    restarts: int = 10,
 ) -> PlaceboReport:
     """Placebo test on a synthetic panel with group-A units as targets.
 
@@ -444,7 +431,7 @@ def leave_one_out_placebo(
     seeds = rng.integers(0, SEED_CEILING, size=(n_targets, len(variants)))
     pool_model = None
     if cluster_mode == "per_dataset":
-        pool_model = _fit_pool_model(variants, panel.pre, rng, restarts)
+        pool_model = _fit_pool_model(variants, panel.pre, rng)
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
@@ -455,11 +442,8 @@ def leave_one_out_placebo(
 
         def cluster_source(v, child):
             if cluster_mode == "per_target":
-                # the steps of engine.cluster_sc, so its results carry over bit for bit
-                model = fit_cluster_model(
-                    donors[:, :t0], v.rule, k=v.k, rng=child, restarts=restarts
-                )
-                return _nearest_cluster(model, values[tr, :t0])
+                model = fit_cluster_model(donors[:, :t0], v.rule, k=v.k, rng=child)
+                return nearest_cluster(model, values[tr, :t0])
             pool_labels = pool_model.assignments.labels
             label = int(pool_labels[tr])
             return label, cluster_members(np.delete(pool_labels, tr), label)
@@ -484,7 +468,7 @@ def leave_one_out_placebo(
         "target_fraction": target_fraction,
         "n_targets": n_targets,
         "cluster_mode": cluster_mode,
-        "restarts": restarts,
+        "restarts": KMEANS_RESTARTS,
         "k_range": list(AUTO_K_RANGE),
         "dataset_seed": dataset.seed,
         "noise": _noise_config(dataset.noise),
@@ -505,8 +489,6 @@ def split_placebo(
     iterations: int,
     variants: list[MethodVariant],
     rng,
-    *,
-    restarts: int = 10,
 ) -> PlaceboReport:
     """Repeated random donor/target splits of an observed panel.
 
@@ -551,7 +533,7 @@ def split_placebo(
         donors = values[train_rows]
         donor_ids = [panel.unit_ids[i] for i in train_rows]
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(variants)))
-        model = _fit_pool_model(variants, donors[:, :t0], it_rng, restarts)
+        model = _fit_pool_model(variants, donors[:, :t0], it_rng)
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
@@ -560,7 +542,7 @@ def split_placebo(
             cell_rows, cell_skipped = _placebo_target(
                 it, panel.unit_ids[tr], donors, donor_ids, observed, panel.split,
                 (observed[:t0], observed[t0:]), variants, target_seeds,
-                lambda v, child: _nearest_cluster(model, observed[:t0]),
+                lambda v, child: nearest_cluster(model, observed[:t0]),
             )
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)
@@ -581,7 +563,7 @@ def split_placebo(
         "train_fraction": train_fraction,
         "iterations": iterations,
         "n_train": n_train,
-        "restarts": restarts,
+        "restarts": KMEANS_RESTARTS,
         "k_range": list(AUTO_K_RANGE),
         "variants": [_variant_config(v) for v in variants],
     }
@@ -678,14 +660,17 @@ class RecoveryCell:
 
     fractions holds per-dataset misassignment shares: the symmetric
     difference between the fitted partition and the planted two-group
-    partition, divided by 2n. median_precisions holds, per dataset, the
-    median over group-A units of their cluster's group-A share; the
-    precision_one_share is the fraction of datasets where that median is
-    exactly 1 (the cluster around a typical A unit contains only A units).
+    partition, divided by 2n. ks holds the k each dataset was fitted with
+    (the silhouette's choice when k is "auto"). median_precisions holds,
+    per dataset, the median over group-A units of their cluster's group-A
+    share; the precision_one_share is the fraction of datasets where that
+    median is exactly 1 (the cluster around a typical A unit contains only
+    A units).
     """
 
     noise: NoiseSpec
     fractions: list[float]
+    ks: list[int]
     mean_fraction: float
     median_precisions: list[float]
     precision_one_share: float
@@ -704,9 +689,6 @@ class RecoveryResult:
     rule: RankRule
     cells: list[RecoveryCell]
 
-    def mean_fractions(self) -> list[float]:
-        return [cell.mean_fraction for cell in self.cells]
-
 
 def cluster_recovery_experiment(
     spec_a: SignalSpec,
@@ -721,7 +703,6 @@ def cluster_recovery_experiment(
     rng,
     *,
     k: int = 2,
-    restarts: int = 10,
 ) -> RecoveryResult:
     """How well clustering the pre block recovers the planted groups.
 
@@ -751,20 +732,18 @@ def cluster_recovery_experiment(
     cells = []
     for gi, noise in enumerate(noise_grid):
         fractions = []
+        ks = []
         median_precisions = []
         for di in range(datasets_per_cell):
             dataset = gen_dataset(
                 spec_a, spec_b, n_a, n_b, t_count, t0, noise, int(seeds[gi, di, 0])
             )
             model = fit_cluster_model(
-                dataset.panel.pre,
-                rule,
-                k=k,
-                rng=np.random.default_rng(seeds[gi, di, 1]),
-                restarts=restarts,
+                dataset.panel.pre, rule, k=k, rng=np.random.default_rng(seeds[gi, di, 1])
             )
             distance = partition_symmetric_difference(truth, model.assignments)
             fractions.append(distance / (2 * n))
+            ks.append(model.k)
 
             labels = model.assignments.labels
             purity = {}
@@ -778,6 +757,7 @@ def cluster_recovery_experiment(
             RecoveryCell(
                 noise=noise,
                 fractions=fractions,
+                ks=ks,
                 mean_fraction=float(np.mean(fractions)),
                 median_precisions=median_precisions,
                 precision_one_share=float(np.mean([p == 1.0 for p in median_precisions])),

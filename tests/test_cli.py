@@ -6,11 +6,13 @@ see the handlers and failures carry ordinary tracebacks.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from clustersc.cluster import AUTO_K_RANGE
 from clustersc.cli import (
     main,
     parse_k,
@@ -99,6 +101,23 @@ class TestExitCodes:
     def test_missing_seed(self, capsys):
         assert run("gap-check") == 2
         assert "--seed is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate"], ["placebo-synthetic"], ["placebo-panel"],
+        ["cluster", "--panel", "p.csv", "--t0", "8"], ["recovery-check"],
+    ], ids=lambda argv: argv[0])
+    def test_every_command_with_seed_requires_it(self, argv, capsys):
+        assert run(*argv) == 2
+        assert "--seed is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["placebo-synthetic"], ["placebo-panel"],
+        ["cluster", "--panel", "p.csv", "--t0", "8"], ["recovery-check"],
+    ], ids=lambda argv: argv[0])
+    def test_restarts_flag_removed(self, argv, tmp_path, capsys):
+        # the k-means restart count is fixed at cluster.KMEANS_RESTARTS
+        assert run(*argv, "--restarts", "5", "--seed", "1", "--out", str(tmp_path)) == 2
+        assert "unrecognized arguments: --restarts" in capsys.readouterr().err
 
     def test_spectrum_needs_no_seed(self, tmp_path):
         run("simulate", "--na", "4", "--nb", "4", "--seed", "1",
@@ -263,6 +282,18 @@ class TestRecoveryCheck:
         assert len(payload["result"]["cells"]) == 2
         assert payload["result"]["datasets_per_cell"] == 2
 
+    @pytest.mark.parametrize("k, allowed", [
+        ("2", {2}), ("auto", set(range(AUTO_K_RANGE[0], AUTO_K_RANGE[1] + 1))),
+    ])
+    def test_fitted_k_recorded(self, tmp_path, k, allowed):
+        code = run("recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
+                   "--k", k, "--seed", "5", "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "recovery_check.json").read_text())
+        for cell in payload["result"]["cells"]:
+            assert len(cell["ks"]) == 2
+            assert set(cell["ks"]) <= allowed
+
     @pytest.mark.parametrize("k", ["3", "auto"])
     def test_k_other_than_two(self, tmp_path, k):
         code = run("recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
@@ -290,6 +321,31 @@ class TestConfigFile:
         assert run("gap-check", "--config", str(cfg), "--seed", "1",
                    "--out", str(tmp_path)) == 1
         assert "unknown key" in capsys.readouterr().err
+
+    def test_restarts_key_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[recovery-check]\nrestarts = 5\n")
+        assert run("recovery-check", "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path)) == 1
+        assert "unknown key 'restarts'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--conf", "--co", "--conf="])
+    def test_abbreviated_config_flag(self, tmp_path, flag):
+        # argparse accepts any unambiguous prefix of --config, so the file
+        # must be read for it too
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[gap-check]\nn = 80\nna = 40\ntrials = 2\n")
+        given = [flag + str(cfg)] if flag.endswith("=") else [flag, str(cfg)]
+        code = run("gap-check", *given, "--seed", "1", "--out", str(tmp_path))
+        assert code == 0
+        payload = json.loads((tmp_path / "gap_check.json").read_text())
+        assert payload["config"]["n"] == 80
+
+    def test_ambiguous_prefix_is_usage_error(self, tmp_path, capsys):
+        # --c could be --config, --cluster-rule or --cluster-mode
+        assert run("placebo-synthetic", "--c", str(tmp_path / "run.ini"),
+                   "--seed", "1", "--out", str(tmp_path)) == 2
+        assert "ambiguous option" in capsys.readouterr().err
 
     def test_missing_file_rejected(self, tmp_path):
         assert run("gap-check", "--config", str(tmp_path / "nope.ini"),
@@ -340,3 +396,76 @@ class TestEnvOutDir:
                    "--seed", "4")
         assert code == 0
         assert (target / "gap_check.json").exists()
+
+
+# SHA-256 of every file the acceptance criterion-8 commands write
+RECORDED_DIGESTS = {
+    "simulate/simulate_meta.json":
+        "a9949117ec744548c6dad9043b3c85528871668262874211beb909cb84bea8aa",
+    "simulate/simulate_panel.csv":
+        "2002c83c52ecc460ce14cabdc4221e2d5451c49020e0022f4ffe3e8199af5ad8",
+    "simulate/simulate_signal.csv":
+        "ed7aac1d175ef1c180f264856a72c443eae6f2de492c99b3556aa98562c12750",
+    "placebo-synthetic/placebo_synthetic.json":
+        "75cdfa3b52c7bd56ab11b6afc61fbfd36e1465f8477b499f03f798eaba397706",
+    "placebo-synthetic/placebo_synthetic_plot.csv":
+        "7bb674f31cd79edbe9032033ff215a9ef6395071ea07209997da1b2f8c8a3ed1",
+    "placebo-panel/placebo_panel.json":
+        "20efe06be2fd69c63cf0770beef9066b5ca50df66ab1ed9dc63dbe48fa05cddc",
+    "placebo-panel/placebo_panel_plot.csv":
+        "73be24eb01313b82fee45804efb9a48badf4251dcb121798e21175faeca92197",
+    "cluster/cluster.json":
+        "88daa2dd27dcb663745c16ad679102c063f7886eaa11e28ad63eaa77b3b67db1",
+    "cluster/cluster_plot.csv":
+        "cc211e595ed9c2fa650b3fe13a562328f85380fc96e072f953aeac84824e6f24",
+    "spectrum/spectrum.json":
+        "cad5e9a56db98ace4366fd6221dc37eb13a4e7f3acb241140a992d3cb83c1de8",
+    "spectrum/spectrum_plot.csv":
+        "c2624a1e8d7150a5e859ee4aeed6ecaeb44678e19afc640d6b335433b13f24b5",
+    "gap-check/gap_check.json":
+        "6f05f623ab73a1fb50e7f886b03771cfba41e73580856f5568f21abee6493d0c",
+    "gap-check/gap_check_plot.csv":
+        "9ef4f1967d188cb1938b976d8916e1c5a752abeae85e82103b6e03cdc531b0be",
+    "recovery-check/recovery_check.json":
+        "b04e69cc4842b59d2c896ed25dec42762f151a97e949a946447a4c02cfd20224",
+    "recovery-check/recovery_check_plot.csv":
+        "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
+}
+
+
+def test_outputs_match_recorded_digests(tmp_path, capsys):
+    """The criterion-8 commands write the recorded bytes.
+
+    Criterion 8 checks that a rerun repeats itself; this checks that a
+    change to the code leaves the outputs as they were. A change that is
+    meant to alter an output updates its digest here and says why.
+
+    The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on
+    OpenBLAS 0.3.31 (x86-64, 2-core Xeon). Another numpy or BLAS build may
+    round differently and change them; rerun the commands on the parent
+    commit to tell such a difference from a real change.
+    """
+    panel_dir = tmp_path / "panel_src"
+    assert run("simulate", "--na", "10", "--nb", "10", "--seed", "40",
+               "--out", str(panel_dir)) == 0
+    panel_csv = str(panel_dir / "simulate_panel.csv")
+    commands = [
+        ["simulate", "--na", "6", "--nb", "6", "--seed", "41"],
+        ["placebo-synthetic", "--na", "10", "--nb", "10", "--datasets", "1",
+         "--rule", "fixed:3", "--k", "2", "--seed", "42"],
+        ["placebo-panel", "--panel", panel_csv, "--t0", "8", "--iterations", "2",
+         "--rule", "fixed:3", "--k", "2", "--seed", "43"],
+        ["cluster", "--panel", panel_csv, "--t0", "8", "--k", "2", "--seed", "44"],
+        ["spectrum", "--panel", panel_csv, "--t0", "8"],
+        ["gap-check", "--n", "60", "--na", "30", "--trials", "3", "--seed", "45"],
+        ["recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
+         "--noise-grid", "gaussian:0.0,gaussian:0.2", "--rule", "fixed:6", "--seed", "46"],
+    ]
+    digests = {}
+    for argv in commands:
+        out = tmp_path / argv[0]
+        assert run(*argv, "--out", str(out)) == 0, argv[0]
+        for path in sorted(out.iterdir()):
+            digests[f"{argv[0]}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    capsys.readouterr()
+    assert digests == RECORDED_DIGESTS

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from clustersc.cluster import (
+    KMEANS_RESTARTS,
     ClusterModel,
     Partition,
     assign_target,
@@ -29,6 +30,7 @@ from clustersc.cluster import (
     fit_cluster_model,
     kmeans_pp_init,
     lloyd,
+    nearest_cluster,
     partition_symmetric_difference,
     silhouette,
 )
@@ -39,7 +41,7 @@ from clustersc.errors import (
     InvalidParamsError,
     ShapeError,
 )
-from clustersc.linalg import RankRule
+from clustersc.linalg import RankRule, svd
 
 
 def exhaustive_bipartition_inertia(points: np.ndarray) -> float:
@@ -319,6 +321,23 @@ class TestFitClusterModel:
         )
         assert model.k == 2
 
+    def test_fixed_restart_protocol(self):
+        # the model is the best of KMEANS_RESTARTS = 10 seeded Lloyd runs on
+        # the rank-r embedding, bit for bit
+        ds = gen_dataset(
+            GROUP_A_SPEC, GROUP_B_SPEC, 15, 15, 10, 8, NoiseSpec.gaussian(0.3), seed=5
+        )
+        model = fit_cluster_model(
+            ds.panel.pre, RankRule.fixed(3), k=3, rng=np.random.default_rng(8)
+        )
+        factors = svd(ds.panel.pre)
+        embedding = factors.u[:, :3] * factors.sigma[:3]
+        centers, part, inertia = best_lloyd(embedding, 3, 10, np.random.default_rng(8))
+        assert KMEANS_RESTARTS == 10
+        assert np.array_equal(model.centers, centers)
+        assert np.array_equal(model.assignments.labels, part.labels)
+        assert model.inertia == inertia
+
     def test_too_few_donors(self):
         with pytest.raises(DegenerateInputError):
             fit_cluster_model(
@@ -364,6 +383,30 @@ class TestAssignTarget:
     def test_shape_validation(self, model):
         with pytest.raises(ShapeError):
             assign_target(model, np.ones(3))
+
+
+class TestNearestCluster:
+    def hand_model(self, labels):
+        return ClusterModel(
+            k=2,
+            rank_r=2,
+            v_basis=np.eye(4)[:, :2],
+            centers=np.array([[1.0, 0.0], [3.0, 0.0]]),
+            assignments=Partition(np.array(labels), 2),
+            inertia=0.0,
+        )
+
+    def test_label_and_members(self):
+        label, members = nearest_cluster(
+            self.hand_model([2, 1, 2, 1, 1]), np.array([2.9, 0.0, 5.0, 5.0])
+        )
+        assert label == 2
+        assert members.tolist() == [0, 2]
+
+    def test_singleton_cluster_raises(self):
+        with pytest.raises(DegenerateClusterError) as err:
+            nearest_cluster(self.hand_model([1, 1, 1, 2]), np.array([3.0, 0.0, 0.0, 0.0]))
+        assert (err.value.label, err.value.size) == (2, 1)
 
 
 class TestClusterMembers:

@@ -42,6 +42,7 @@ from clustersc.evaluate import (
     MethodVariant,
     PlaceboReport,
     PlaceboRow,
+    _aggregates,
     cluster_recovery_experiment,
     donor_selection_scores,
     leave_one_out_placebo,
@@ -77,6 +78,47 @@ def standard_variants(reg=RIDGE, rule=ENERGY, k=2):
         MethodVariant("cluster_sc", reg, rule, k=k),
         MethodVariant("sc_random_subset", reg, rule),
     ]
+
+
+def oracle_medians(rows, skipped) -> dict:
+    """Per-variant medians over complete cells, recomputed from the rows."""
+    bad = {(s["iteration"], s["target_id"]) for s in skipped}
+    by_variant: dict[str, list] = {}
+    for row in rows:
+        if (row.iteration, row.target_id) not in bad:
+            by_variant.setdefault(row.variant, []).append(row)
+    return {
+        name: {
+            "pre_mse": float(np.median([r.pre_mse for r in kept])),
+            "post_mse": float(np.median([r.post_mse for r in kept])),
+        }
+        for name, kept in by_variant.items()
+    }
+
+
+def oracle_improvements(rows, skipped) -> dict:
+    """Full-pool minus cluster post MSE per complete cell, and their median."""
+    bad = {(s["iteration"], s["target_id"]) for s in skipped}
+    cells: dict[tuple, dict] = {}
+    for row in rows:
+        cell = (row.iteration, row.target_id)
+        if cell not in bad:
+            cells.setdefault(cell, {})[row.variant] = row.post_mse
+    values = [
+        post["sc_full"] - post["cluster_sc"]
+        for post in cells.values() if "sc_full" in post and "cluster_sc" in post
+    ]
+    return {"values": values, "median": float(np.median(values)) if values else None}
+
+
+def assert_aggregates_match_oracles(report):
+    assert report.medians == oracle_medians(report.rows, report.skipped)
+    assert report.improvements == oracle_improvements(report.rows, report.skipped)
+    for entry in report.per_iteration:
+        rows = [r for r in report.rows if r.iteration == entry["iteration"]]
+        skipped = [s for s in report.skipped if s["iteration"] == entry["iteration"]]
+        assert entry["medians"] == oracle_medians(rows, skipped)
+        assert entry["improvements"] == oracle_improvements(rows, skipped)
 
 
 class TestMse:
@@ -246,11 +288,14 @@ class TestPlaceboReport:
     def test_skipped_cell_excluded_from_every_variant(self):
         # u2 was skipped for cluster_sc, so its sc_full row must not count
         report = self.hand_report()
-        assert report.recomputed_medians() == report.medians
+        assert _aggregates(report.rows, report.skipped)["medians"] == report.medians
 
     def test_improvements_from_complete_cells_only(self):
         report = self.hand_report()
-        assert report.recomputed_improvements() == report.improvements
+        assert _aggregates(report.rows, report.skipped)["improvements"] == report.improvements
+
+    def test_oracles_agree_with_hand_values(self):
+        assert_aggregates_match_oracles(self.hand_report())
 
     def test_duplicate_cell_rejected(self):
         rows = [
@@ -321,8 +366,7 @@ class TestLeaveOneOutPlacebo:
         report = leave_one_out_placebo(
             small_dataset(), 0.3, standard_variants(), np.random.default_rng(5)
         )
-        assert report.recomputed_medians() == report.medians
-        assert report.recomputed_improvements() == report.improvements
+        assert_aggregates_match_oracles(report)
 
     def test_deterministic_given_seed(self):
         ds = small_dataset()
@@ -461,8 +505,7 @@ class TestSplitPlacebo:
         report = split_placebo(
             ds.panel, 0.75, 2, standard_variants(), np.random.default_rng(6)
         )
-        assert report.recomputed_medians() == report.medians
-        assert report.recomputed_improvements() == report.improvements
+        assert_aggregates_match_oracles(report)
 
     def test_no_precision_without_labels(self):
         ds = small_dataset(seed=25, n_a=10, n_b=10)
@@ -541,6 +584,7 @@ class TestSkipPath:
         assert len(report.improvements["values"]) == len(
             {(r.iteration, r.target_id) for r in report.rows} - cells
         )
+        assert_aggregates_match_oracles(report)
         return cells
 
     def test_leave_one_out_per_dataset(self):
@@ -655,7 +699,9 @@ class TestClusterRecoveryExperiment:
             grid, 5, np.random.default_rng(5),
         )
         scales = [noise.scale for noise in grid]
-        rho = stats.spearmanr(scales, result.mean_fractions()).statistic
+        means = [float(np.mean(cell.fractions)) for cell in result.cells]
+        assert means == [cell.mean_fraction for cell in result.cells]
+        rho = stats.spearmanr(scales, means).statistic
         assert rho > 0
 
     def test_low_noise_precision_is_usually_one(self):

@@ -57,7 +57,7 @@ def sample_gap_result():
 
 def sample_recovery_result():
     cell = RecoveryCell(
-        noise=NoiseSpec.gaussian(0.1), fractions=[0.0, 0.1],
+        noise=NoiseSpec.gaussian(0.1), fractions=[0.0, 0.1], ks=[2, 2],
         mean_fraction=0.05, median_precisions=[1.0, 0.9],
         precision_one_share=0.5,
     )
