@@ -31,6 +31,10 @@ class DegenerateSpectrumError(ClusterScError):
     """All singular values are zero, so no energy threshold can be met."""
 
 
+class SolverStepLimitError(ClusterScError):
+    """An exact solver took more steps than its documented bound allows."""
+
+
 class DegenerateInputError(ClusterScError):
     """Data cannot support the request, e.g. fewer distinct points than k."""
 

@@ -62,7 +62,7 @@ from clustersc.evaluate import (
 )
 from clustersc.linalg import RankRule, hsvt, svd
 from clustersc.panel import InterventionSplit, preprocess_hpi
-from clustersc.regression import RegressionSpec, fit, lasso_objective
+from clustersc.regression import RegressionSpec, fit
 
 ENERGY = RankRule.energy(0.95)
 RIDGE = RegressionSpec("ridge", lam=0.01)
@@ -112,6 +112,12 @@ def exhaustive_bipartition_inertia(points: np.ndarray) -> float:
         right = [i for i in range(m) if i not in left]
         best = min(best, ssd(left) + ssd(right))
     return best
+
+
+def lasso_objective(design: np.ndarray, y: np.ndarray, values: np.ndarray, lam: float) -> float:
+    """(1 / (2 T0)) ||y - design f||^2 + lam ||f||_1."""
+    resid = y - design @ values
+    return float(resid @ resid / (2 * design.shape[0]) + lam * np.abs(values).sum())
 
 
 def grid_lasso_objective(design: np.ndarray, y: np.ndarray, lam: float) -> float:

@@ -398,7 +398,8 @@ class TestEnvOutDir:
         assert (target / "gap_check.json").exists()
 
 
-# SHA-256 of every file the acceptance criterion-8 commands write
+# SHA-256 of every file the acceptance criterion-8 commands and one lasso run
+# write
 RECORDED_DIGESTS = {
     "simulate/simulate_meta.json":
         "a9949117ec744548c6dad9043b3c85528871668262874211beb909cb84bea8aa",
@@ -430,15 +431,21 @@ RECORDED_DIGESTS = {
         "b04e69cc4842b59d2c896ed25dec42762f151a97e949a946447a4c02cfd20224",
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
+    "placebo-synthetic-lasso/placebo_synthetic.json":
+        "bffcab5c7914bda93d6ccf4b8a9de4fc8d6727befa60c29a5cb91fa2769e5d8e",
+    "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
+        "4f132e761bbe7da0fc6d0ded986ec4e5e5ec4a9cc57acc9aadf10436c248aa31",
 }
 
 
 def test_outputs_match_recorded_digests(tmp_path, capsys):
-    """The criterion-8 commands write the recorded bytes.
+    """The criterion-8 commands, and one lasso run, write the recorded bytes.
 
     Criterion 8 checks that a rerun repeats itself; this checks that a
-    change to the code leaves the outputs as they were. A change that is
-    meant to alter an output updates its digest here and says why.
+    change to the code leaves the outputs as they were. The criterion-8
+    commands fit ridge only, so a lasso placebo run is added to cover the
+    lasso solver. A change that is meant to alter an output updates its
+    digest here and says why.
 
     The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on
     OpenBLAS 0.3.31 (x86-64, 2-core Xeon). Another numpy or BLAS build may
@@ -449,23 +456,31 @@ def test_outputs_match_recorded_digests(tmp_path, capsys):
     assert run("simulate", "--na", "10", "--nb", "10", "--seed", "40",
                "--out", str(panel_dir)) == 0
     panel_csv = str(panel_dir / "simulate_panel.csv")
-    commands = [
-        ["simulate", "--na", "6", "--nb", "6", "--seed", "41"],
-        ["placebo-synthetic", "--na", "10", "--nb", "10", "--datasets", "1",
-         "--rule", "fixed:3", "--k", "2", "--seed", "42"],
-        ["placebo-panel", "--panel", panel_csv, "--t0", "8", "--iterations", "2",
-         "--rule", "fixed:3", "--k", "2", "--seed", "43"],
-        ["cluster", "--panel", panel_csv, "--t0", "8", "--k", "2", "--seed", "44"],
-        ["spectrum", "--panel", panel_csv, "--t0", "8"],
-        ["gap-check", "--n", "60", "--na", "30", "--trials", "3", "--seed", "45"],
-        ["recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
-         "--noise-grid", "gaussian:0.0,gaussian:0.2", "--rule", "fixed:6", "--seed", "46"],
-    ]
+    commands = {
+        "simulate": ["simulate", "--na", "6", "--nb", "6", "--seed", "41"],
+        "placebo-synthetic": ["placebo-synthetic", "--na", "10", "--nb", "10",
+                              "--datasets", "1", "--rule", "fixed:3", "--k", "2",
+                              "--seed", "42"],
+        "placebo-panel": ["placebo-panel", "--panel", panel_csv, "--t0", "8",
+                          "--iterations", "2", "--rule", "fixed:3", "--k", "2",
+                          "--seed", "43"],
+        "cluster": ["cluster", "--panel", panel_csv, "--t0", "8", "--k", "2",
+                    "--seed", "44"],
+        "spectrum": ["spectrum", "--panel", panel_csv, "--t0", "8"],
+        "gap-check": ["gap-check", "--n", "60", "--na", "30", "--trials", "3",
+                      "--seed", "45"],
+        "recovery-check": ["recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
+                           "--noise-grid", "gaussian:0.0,gaussian:0.2",
+                           "--rule", "fixed:6", "--seed", "46"],
+        "placebo-synthetic-lasso": ["placebo-synthetic", "--method", "lasso",
+                                    "--na", "20", "--nb", "20", "--datasets", "1",
+                                    "--k", "2", "--seed", "47"],
+    }
     digests = {}
-    for argv in commands:
-        out = tmp_path / argv[0]
-        assert run(*argv, "--out", str(out)) == 0, argv[0]
+    for label, argv in commands.items():
+        out = tmp_path / label
+        assert run(*argv, "--out", str(out)) == 0, label
         for path in sorted(out.iterdir()):
-            digests[f"{argv[0]}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+            digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     capsys.readouterr()
     assert digests == RECORDED_DIGESTS

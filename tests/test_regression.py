@@ -6,6 +6,10 @@ Known values used below:
     y = [2, 3] gives [1.0, 1.5].
   - Lasso on the identity decouples into soft thresholding at T0 * lam:
     y = [2, 0.5], lam = 0.25, T0 = 2 gives [1.5, 0.0].
+
+The lasso objective and its Gap Safe duality gap are written out here, apart
+from the solver, so the solver's own gap is checked against an independent
+formula.
 """
 
 from __future__ import annotations
@@ -13,14 +17,40 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from clustersc.errors import InvalidInputError, InvalidParamsError, ShapeError
-from clustersc.regression import (
-    RegressionSpec,
-    WeightVector,
-    active_set,
-    fit,
-    lasso_objective,
+from clustersc import regression
+from clustersc.errors import (
+    InvalidInputError,
+    InvalidParamsError,
+    ShapeError,
+    SolverStepLimitError,
 )
+from clustersc.regression import RegressionSpec, WeightVector, active_set, fit
+
+EPS = np.finfo(float).eps
+
+
+def lasso_objective(design, y, values, lam) -> float:
+    """(1 / (2 T0)) ||y - design f||^2 + lam ||f||_1."""
+    resid = y - design @ values
+    return float(resid @ resid / (2 * design.shape[0]) + lam * np.abs(values).sum())
+
+
+def lasso_gap_oracle(design, y, values, lam) -> float:
+    """Gap Safe duality gap of the objective above at f.
+
+    With level = T0 lam and residual r = y - X f, the dual point
+    theta = r * level / max(level, ||X' r||_inf) is feasible for the dual
+    max 0.5 ||y||^2 - 0.5 ||y - theta||^2 s.t. ||X' theta||_inf <= level, so
+    primal minus dual, over T0, bounds f's suboptimality.
+    """
+    t0 = design.shape[0]
+    level = t0 * lam
+    resid = y - design @ values
+    worst = float(np.abs(design.T @ resid).max())
+    theta = resid * (level / worst if worst > level else 1.0)
+    primal = 0.5 * float(resid @ resid) + level * float(np.abs(values).sum())
+    dual = 0.5 * float(y @ y) - 0.5 * float((y - theta) @ (y - theta))
+    return max(primal - dual, 0.0) / t0
 
 
 def soft_threshold_oracle(y: np.ndarray, thresh: float) -> np.ndarray:
@@ -181,13 +211,13 @@ class TestLasso:
             sizes.append(np.count_nonzero(np.abs(w.values) > 1e-12))
         assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_nonconvergence_flag(self):
+    def test_step_bound_raises(self, monkeypatch):
         rng = np.random.default_rng(151)
         design = rng.normal(size=(6, 12))
         y = rng.normal(size=6)
-        spec = RegressionSpec("lasso", lam=1e-6, lasso_tol=1e-14, lasso_max_iter=2)
-        w = fit(design, y, spec)
-        assert not w.converged
+        monkeypatch.setattr(regression, "_path_step_bound", lambda t0, n: 1)
+        with pytest.raises(SolverStepLimitError, match="more than 1 steps"):
+            fit(design, y, RegressionSpec("lasso", lam=1e-6))
 
     def test_warm_problem_deterministic(self):
         rng = np.random.default_rng(157)
@@ -196,6 +226,109 @@ class TestLasso:
         a = fit(design, y, RegressionSpec("lasso", lam=0.05))
         b = fit(design, y, RegressionSpec("lasso", lam=0.05))
         assert np.array_equal(a.values, b.values)
+
+
+class TestLassoCertificate:
+    """Degenerate designs: the path answer satisfies the KKT conditions, and
+    its reported gap matches the oracle and meets the tolerance.
+
+    Half the designs are Gaussian T0 x n (rank min(T0, n)), half are
+    products of Gaussian T0 x r and r x n factors (rank r); a quarter of
+    each get zero columns, a quarter a duplicated column, and a quarter are
+    scaled by 1e3. lam runs log-uniformly from 1e-5 to 1.5 lam_max.
+
+    No answer stored in double precision gets the gap below about
+    eps cond(X_A)^2 ||y||^2 / (2 T0), where X_A holds the active columns:
+    rounding f moves X'r by about X'X times eps |f|. So the bound is
+    1e-9 max(1, ||y||^2 / (2 T0)), raised to 16 eps cond(X_A)^2 times the
+    same scale where that is larger; in this sample only rank-r products
+    with an ill-conditioned square factor reach that.
+    """
+
+    def test_degenerate_designs(self):
+        rng = np.random.default_rng(163)
+        for trial in range(3000):
+            t0 = int(rng.integers(3, 12))
+            n = int(rng.integers(2, 81))
+            if trial % 2:
+                r = int(rng.integers(1, min(t0, n) + 1))
+                design = rng.normal(size=(t0, r)) @ rng.normal(size=(r, n))
+            else:
+                design = rng.normal(size=(t0, n))
+            kind = (trial // 2) % 4
+            pair = None
+            if kind == 1:
+                design[:, rng.integers(0, n, size=max(1, n // 5))] = 0.0
+            elif kind == 2 and n > 1:
+                pair = sorted(rng.choice(n, size=2, replace=False))
+                design[:, pair[1]] = design[:, pair[0]]
+            elif kind == 3:
+                design *= 1e3
+            y = rng.normal(size=t0)
+            lam_max = float(np.abs(design.T @ y).max()) / t0
+            hi = max(1.5 * lam_max, 2e-5)
+            lam = float(np.exp(rng.uniform(np.log(1e-5), np.log(hi))))
+
+            w = fit(design, y, RegressionSpec("lasso", lam=lam))
+            gap = lasso_gap_oracle(design, y, w.values, lam)
+            scale = max(1.0, float(y @ y) / (2 * t0))
+            on = np.flatnonzero(w.values)
+            cond = np.linalg.cond(design[:, on]) if on.size else 1.0
+            assert gap <= max(1e-9, 16 * EPS * cond**2) * scale, (trial, gap, cond)
+            assert w.gap == pytest.approx(gap, rel=1e-6, abs=1e-14 * scale)
+            assert w.converged
+            # KKT: |X_j' r| <= T0 lam, with equality and matching sign on the
+            # support; slack for rounding f, as above
+            level = t0 * lam
+            corr = design.T @ (y - design @ w.values)
+            rounding = 16 * EPS * np.linalg.norm(design, 2) ** 2 * np.abs(w.values).sum()
+            slack = 1e-9 * level + rounding
+            assert np.all(np.abs(corr) <= level + slack), trial
+            np.testing.assert_allclose(
+                corr[on], level * np.sign(w.values[on]), rtol=0, atol=slack
+            )
+            if lam >= lam_max:
+                assert np.all(w.values == 0.0)
+            if pair is not None:
+                assert w.values[pair[1]] == 0.0, trial
+
+    def test_zero_target_and_zero_design(self):
+        for design, y in [(np.ones((4, 3)), np.zeros(4)), (np.zeros((4, 3)), np.ones(4))]:
+            w = fit(design, y, RegressionSpec("lasso", lam=0.1))
+            assert np.all(w.values == 0.0) and w.gap == 0.0 and w.converged
+
+    def test_zero_penalty_reaches_least_squares(self):
+        # at lam = 0 the path ends at a least squares fit on at most rank(X)
+        # columns; later columns lie in the span of the active ones
+        rng = np.random.default_rng(181)
+        for t0, n, r in [(8, 40, 8), (8, 40, 3), (8, 5, 5), (6, 12, 6)]:
+            design = rng.normal(size=(t0, r)) @ rng.normal(size=(r, n))
+            y = rng.normal(size=t0)
+            w = fit(design, y, RegressionSpec("lasso", lam=0.0))
+            resid = y - design @ w.values
+            assert np.abs(design.T @ resid).max() <= 1e-10 * np.linalg.norm(y)
+            assert np.count_nonzero(w.values) <= r
+            assert w.gap == pytest.approx(lasso_gap_oracle(design, y, w.values, 0.0))
+            assert w.converged == (w.gap <= 1e-8)
+
+    def test_gap_only_for_lasso(self):
+        rng = np.random.default_rng(173)
+        design = rng.normal(size=(5, 3))
+        y = rng.normal(size=5)
+        for spec in (RegressionSpec("ols"), RegressionSpec("ridge", lam=0.1)):
+            w = fit(design, y, spec)
+            assert w.gap is None and w.converged
+        w = fit(design, y, RegressionSpec("lasso", lam=0.1))
+        assert w.gap is not None and w.gap <= 1e-12
+
+    def test_converged_is_gap_within_tolerance(self):
+        rng = np.random.default_rng(179)
+        design = rng.normal(size=(6, 12))
+        y = rng.normal(size=6)
+        w = fit(design, y, RegressionSpec("lasso", lam=0.01))
+        assert w.converged and w.gap > 0.0  # rounding leaves a gap above zero
+        tight = fit(design, y, RegressionSpec("lasso", lam=0.01, lasso_tol=w.gap / 2))
+        assert tight.gap == w.gap and not tight.converged
 
 
 class TestActiveSet:
@@ -238,8 +371,6 @@ class TestValidation:
             RegressionSpec("banana")
         with pytest.raises(InvalidParamsError):
             RegressionSpec("ridge", lam=-1.0)
-        with pytest.raises(InvalidParamsError):
-            RegressionSpec("lasso", lasso_max_iter=0)
         with pytest.raises(InvalidParamsError):
             RegressionSpec("lasso", lasso_tol=-1e-8)
 
