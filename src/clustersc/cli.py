@@ -19,10 +19,12 @@ Grammars used by several flags:
             squared-energy variant
     k       a positive integer or the word auto
 
-A --config file (INI) can supply any flag's value: one section per
-subcommand, keys named like the flags without the leading dashes (hyphens
-and underscores are interchangeable). Flags given on the command line
-override the file. Example:
+A --config file (INI) can supply any flag's value, required ones too: one
+section per subcommand, keys named like the flags without the leading
+dashes (hyphens and underscores are interchangeable). Flags given on the
+command line override the file. Every report's config echoes the flags
+under these keys (see reporting), so its flag keys make such a section.
+Example:
 
     [gap-check]
     n = 1000
@@ -42,8 +44,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import KMEANS_RESTARTS, fit_cluster_model
-from .datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
+from .cluster import AUTO_K_RANGE, KMEANS_RESTARTS, fit_cluster_model
+from .datagen import (
+    GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset, noise_tag, parse_noise,
+)
 from .errors import ClusterScError, ConfigError
 from .evaluate import (
     MethodVariant,
@@ -53,16 +57,14 @@ from .evaluate import (
     singular_gap_experiment,
     split_placebo,
 )
-from .linalg import RankRule, spectrum_report
+from .linalg import parse_rule, spectrum_report
 from .panel import TimePanel, load_panel_csv, preprocess_hpi, save_panel_csv
 from .regression import RegressionSpec
 from .reporting import (
     cluster_plot_rows,
     gap_plot_rows,
-    noise_tag,
     placebo_plot_rows,
     recovery_plot_rows,
-    rule_tag,
     spectrum_plot_rows,
     write_json,
     write_report,
@@ -73,56 +75,12 @@ __all__ = ["OUT_DIR_ENV", "build_parser", "cli_dispatch", "main"]
 OUT_DIR_ENV = "CLUSTERSC_OUT_DIR"
 
 
-def parse_noise(text: str) -> NoiseSpec:
-    """Parse kind:params noise grammar, e.g. gaussian:0.3 or student_t:4:0.3."""
-    parts = text.split(":")
-    kind = parts[0].strip().lower()
-    try:
-        params = tuple(float(p) for p in parts[1:])
-    except ValueError:
-        raise ConfigError(f"noise {text!r}: parameters must be numbers") from None
-    try:
-        if kind == "gaussian" and len(params) == 1:
-            return NoiseSpec.gaussian(params[0])
-        if kind == "uniform" and len(params) == 1:
-            return NoiseSpec.uniform(params[0])
-        if kind == "student_t" and len(params) == 2:
-            return NoiseSpec.student_t(*params)
-    except ConfigError:
-        raise
-    except ClusterScError as exc:
-        raise ConfigError(f"noise {text!r}: {exc}") from None
-    raise ConfigError(
-        f"noise {text!r}: expected gaussian:SD, uniform:HALF_WIDTH, "
-        f"or student_t:DOF:SCALE"
-    )
-
-
 def parse_noise_grid(text: str) -> list[NoiseSpec]:
     """Comma-separated list of noise specs."""
     items = [item.strip() for item in text.split(",") if item.strip()]
     if not items:
         raise ConfigError("noise grid is empty")
     return [parse_noise(item) for item in items]
-
-
-def parse_rule(text: str) -> RankRule:
-    """Parse fixed:R, energy:THRESHOLD, or energy:THRESHOLD:squared."""
-    parts = [p.strip() for p in text.split(":")]
-    try:
-        if parts[0] == "fixed" and len(parts) == 2:
-            return RankRule.fixed(int(parts[1]))
-        if parts[0] == "energy" and len(parts) == 2:
-            return RankRule.energy(float(parts[1]))
-        if parts[0] == "energy" and len(parts) == 3 and parts[2] == "squared":
-            return RankRule.energy(float(parts[1]), squared=True)
-    except ConfigError:
-        raise
-    except (ValueError, ClusterScError) as exc:
-        raise ConfigError(f"rule {text!r}: {exc}") from None
-    raise ConfigError(
-        f"rule {text!r}: expected fixed:R, energy:T, or energy:T:squared"
-    )
 
 
 def parse_k(text: str):
@@ -341,17 +299,35 @@ def _variants(args) -> list[MethodVariant]:
     return variants
 
 
-def _echo_variants(variants) -> list[dict]:
-    return [
-        {
-            "name": v.name,
-            "method": v.reg.method,
-            "lam": v.reg.lam,
-            "rule": rule_tag(v.rule),
-            "k": v.k,
-        }
-        for v in variants
-    ]
+# flags naming files rather than choosing the experiment; never echoed
+_PATH_FLAGS = ("out", "config", "stem", "panel", "hpi")
+
+
+def _run_config(args, **facts) -> dict:
+    """The config echo of a run: every flag, then the facts the flags do not fix.
+
+    Each flag is kept under its dest name in the flag's own grammar (rules
+    and noise specs become tags when written; a noise grid is joined here).
+    Commands that cluster also record the fixed k-means protocol. facts,
+    such as _panel_facts, come last and so win over a flag of the same name.
+    """
+    config = {dest: value for dest, value in vars(args).items() if dest not in _PATH_FLAGS}
+    if "noise_grid" in config:
+        config["noise_grid"] = ",".join(noise_tag(n) for n in args.noise_grid)
+    if "k" in config:
+        config.update(restarts=KMEANS_RESTARTS, k_range=list(AUTO_K_RANGE))
+    config.update(facts)
+    return config
+
+
+def _panel_facts(path, panel) -> dict:
+    """An input panel's file stem and shape, with t0 as a pre-period count."""
+    return {
+        "source": Path(path).stem,
+        "n_units": len(panel.unit_ids),
+        "t": panel.split.t_total,
+        "t0": panel.split.t0,
+    }
 
 
 def _write_outputs(args, payload, plot_rows) -> int:
@@ -377,15 +353,7 @@ def cmd_simulate(args) -> int:
     )
     signal_path = save_panel_csv(signal_panel, out / f"{args.stem}_signal.csv")
     meta = {
-        "config": {
-            "command": "simulate",
-            "na": args.na,
-            "nb": args.nb,
-            "t": args.t,
-            "t0": args.t0,
-            "noise": noise_tag(args.noise),
-            "seed": args.seed,
-        },
+        "config": _run_config(args),
         "groups": dict(zip(dataset.panel.unit_ids, dataset.group_labels)),
         "files": [panel_path.name, signal_path.name],
     }
@@ -405,6 +373,7 @@ def cmd_placebo_synthetic(args) -> int:
     per_dataset = []
     plot_rows = []
     improvement_medians = []
+    wins = 0
     for di in range(args.datasets):
         dataset = gen_dataset(
             GROUP_A_SPEC, GROUP_B_SPEC, args.na, args.nb, args.t, args.t0,
@@ -419,27 +388,15 @@ def cmd_placebo_synthetic(args) -> int:
         per_dataset.append({"dataset": label, "noise": tag, "report": report})
         plot_rows.extend(placebo_plot_rows(report, dataset=label, noise=tag))
         improvement_medians.append(report.improvements["median"])
+        # a dataset whose every cell was skipped has no medians and is not won
+        medians = report.medians
+        if "cluster_sc" in medians and (
+            medians["cluster_sc"]["post_mse"] < medians["sc_full"]["post_mse"]
+        ):
+            wins += 1
 
-    wins = sum(
-        1 for entry in per_dataset
-        if entry["report"].medians["cluster_sc"]["post_mse"]
-        < entry["report"].medians["sc_full"]["post_mse"]
-    )
     payload = {
-        "config": {
-            "command": "placebo-synthetic",
-            "na": args.na,
-            "nb": args.nb,
-            "t": args.t,
-            "t0": args.t0,
-            "noise": tag,
-            "datasets": args.datasets,
-            "target_fraction": args.target_fraction,
-            "cluster_mode": args.cluster_mode,
-            "restarts": KMEANS_RESTARTS,
-            "variants": _echo_variants(variants),
-            "seed": args.seed,
-        },
+        "config": _run_config(args),
         "summary": {
             "datasets_won_by_cluster": wins,
             "improvement_medians": improvement_medians,
@@ -458,59 +415,41 @@ def cmd_placebo_panel(args) -> int:
     if args.panel is not None:
         if args.t0 is None:
             raise ConfigError("--panel needs --t0 (count or column label)")
-        panel = load_panel_csv(args.panel, args.t0)
-        source = Path(args.panel).stem
+        path = args.panel
+        panel = load_panel_csv(path, args.t0)
     else:
         first, _, last = args.range.partition(":")
         if not last:
             raise ConfigError(
                 f"--range {args.range!r}: expected FIRST:LAST, e.g. 1997Q1:2006Q4"
             )
-        result = preprocess_hpi(args.hpi, (first, last), t0=args.t0)
+        path = args.hpi
+        result = preprocess_hpi(path, (first, last), t0=args.t0)
         panel = result.panel
-        source = Path(args.hpi).stem
         preprocess_meta = {
             "retained_units": result.retained_units,
             "dropped_units": len(result.dropped_units),
         }
 
-    variants = _variants(args)
     report = split_placebo(
-        panel, args.train_fraction, args.iterations, variants,
+        panel, args.train_fraction, args.iterations, _variants(args),
         np.random.default_rng(args.seed),
     )
+    facts = _panel_facts(path, panel)
     payload = {
-        "config": {
-            "command": "placebo-panel",
-            "source": source,
-            "n_units": len(panel.unit_ids),
-            "t": panel.split.t_total,
-            "t0": panel.split.t0,
-            "train_fraction": args.train_fraction,
-            "iterations": args.iterations,
-            "restarts": KMEANS_RESTARTS,
-            "variants": _echo_variants(variants),
-            "seed": args.seed,
-        },
+        "config": _run_config(args, **facts),
         "preprocess": preprocess_meta,
         "report": report,
     }
-    return _write_outputs(args, payload, placebo_plot_rows(report, dataset=source))
+    return _write_outputs(args, payload, placebo_plot_rows(report, dataset=facts["source"]))
 
 
 def cmd_cluster(args) -> int:
     panel = load_panel_csv(args.panel, args.t0)
     model = fit_cluster_model(panel.pre, args.rule, k=args.k, rng=np.random.default_rng(args.seed))
+    facts = _panel_facts(args.panel, panel)
     payload = {
-        "config": {
-            "command": "cluster",
-            "source": Path(args.panel).stem,
-            "t0": panel.split.t0,
-            "rule": args.rule,
-            "k": args.k,
-            "restarts": KMEANS_RESTARTS,
-            "seed": args.seed,
-        },
+        "config": _run_config(args, **facts),
         "k": model.k,
         "rank_r": model.rank_r,
         "inertia": model.inertia,
@@ -521,28 +460,26 @@ def cmd_cluster(args) -> int:
     }
     return _write_outputs(
         args, payload,
-        cluster_plot_rows(panel.unit_ids, model.assignments.labels, dataset=Path(args.panel).stem),
+        cluster_plot_rows(panel.unit_ids, model.assignments.labels, dataset=facts["source"]),
     )
 
 
 def cmd_spectrum(args) -> int:
     # load with a throwaway split when no t0 is given; only values are used
     panel = load_panel_csv(args.panel, args.t0 if args.t0 is not None else 1)
+    facts = _panel_facts(args.panel, panel)
+    if args.t0 is None:
+        del facts["t0"]  # the throwaway split's, not the run's
     full = spectrum_report(panel.values)
-    source = Path(args.panel).stem
-    rows = spectrum_plot_rows(full, dataset=source, variant="full")
+    rows = spectrum_plot_rows(full, dataset=facts["source"], variant="full")
     payload = {
-        "config": {
-            "command": "spectrum",
-            "source": source,
-            "t0": args.t0,
-        },
+        "config": _run_config(args, **facts),
         "full": [list(r) for r in full],
     }
     if args.t0 is not None:
         pre = spectrum_report(panel.pre)
         payload["pre"] = [list(r) for r in pre]
-        rows.extend(spectrum_plot_rows(pre, dataset=source, variant="pre"))
+        rows.extend(spectrum_plot_rows(pre, dataset=facts["source"], variant="pre"))
     return _write_outputs(args, payload, rows)
 
 
@@ -551,19 +488,7 @@ def cmd_gap_check(args) -> int:
         args.n, args.na, args.t, args.rank, args.noise, args.trials,
         np.random.default_rng(args.seed),
     )
-    payload = {
-        "config": {
-            "command": "gap-check",
-            "n": args.n,
-            "na": args.na,
-            "t": args.t,
-            "rank": args.rank,
-            "noise": noise_tag(args.noise),
-            "trials": args.trials,
-            "seed": args.seed,
-        },
-        "result": result,
-    }
+    payload = {"config": _run_config(args), "result": result}
     return _write_outputs(args, payload, gap_plot_rows(result))
 
 
@@ -573,22 +498,7 @@ def cmd_recovery_check(args) -> int:
         args.rule, args.noise_grid, args.datasets,
         np.random.default_rng(args.seed), k=args.k,
     )
-    payload = {
-        "config": {
-            "command": "recovery-check",
-            "na": args.na,
-            "nb": args.nb,
-            "t": args.t,
-            "t0": args.t0,
-            "rule": args.rule,
-            "k": args.k,
-            "noise_grid": [noise_tag(n) for n in args.noise_grid],
-            "datasets": args.datasets,
-            "restarts": KMEANS_RESTARTS,
-            "seed": args.seed,
-        },
-        "result": result,
-    }
+    payload = {"config": _run_config(args), "result": result}
     return _write_outputs(args, payload, recovery_plot_rows(result))
 
 
@@ -614,12 +524,17 @@ def cli_dispatch(argv) -> int:
             if command in subs:
                 # config-file values become defaults, so flags override them;
                 # a first pass of the subcommand's own parser finds --config
-                # under any abbreviation it accepts
-                config_path = subs[command].parse_known_args(argv[1:])[0].config
-                if config_path:
-                    subs[command].set_defaults(
-                        **load_config_defaults(config_path, command, subs[command])
-                    )
+                # under any abbreviation it accepts, and a required flag the
+                # file supplies is required no more
+                sub = subs[command]
+                required = [a for a in sub._actions if a.required]
+                for action in required:
+                    action.required = False
+                config_path = sub.parse_known_args(argv[1:])[0].config
+                defaults = load_config_defaults(config_path, command, sub) if config_path else {}
+                for action in required:
+                    action.required = action.dest not in defaults
+                sub.set_defaults(**defaults)
             args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)

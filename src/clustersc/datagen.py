@@ -7,7 +7,10 @@ Each group draws one basis of n_components sinusoid rows
 with alpha ~ Beta, omega ~ Uniform, phi ~ Normal, then every unit mixes the
 basis with fresh Uniform[0, 1] weights. Time is normalized to j / T so the
 frequency parameter means the same thing at every panel length. Observations
-add i.i.d. noise on top of the low-rank signal.
+add i.i.d. noise on top of the low-rank signal. Flags, config files and
+reports write a noise distribution one way, kind:params (gaussian:0.3,
+uniform:0.5, student_t:4.0:0.3): parse_noise reads that grammar and
+noise_tag writes it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParamsError
+from .errors import ClusterScError, ConfigError, InvalidParamsError
 from .panel import InterventionSplit, TimePanel
 
 
@@ -98,6 +101,34 @@ class NoiseSpec:
             return rng.uniform(-h, h, size=shape) if h else np.zeros(shape)
         dof, scale = self.params
         return scale * rng.standard_t(dof, size=shape)
+
+
+def parse_noise(text: str) -> NoiseSpec:
+    """Parse the noise grammar kind:params, e.g. gaussian:0.3 or student_t:4:0.3."""
+    parts = text.split(":")
+    kind = parts[0].strip().lower()
+    try:
+        params = tuple(float(p) for p in parts[1:])
+    except ValueError:
+        raise ConfigError(f"noise {text!r}: parameters must be numbers") from None
+    try:
+        if kind == "gaussian" and len(params) == 1:
+            return NoiseSpec.gaussian(params[0])
+        if kind == "uniform" and len(params) == 1:
+            return NoiseSpec.uniform(params[0])
+        if kind == "student_t" and len(params) == 2:
+            return NoiseSpec.student_t(*params)
+    except ClusterScError as exc:
+        raise ConfigError(f"noise {text!r}: {exc}") from None
+    raise ConfigError(
+        f"noise {text!r}: expected gaussian:SD, uniform:HALF_WIDTH, "
+        f"or student_t:DOF:SCALE"
+    )
+
+
+def noise_tag(noise: NoiseSpec) -> str:
+    """A noise spec in the grammar parse_noise reads, e.g. gaussian:0.3."""
+    return ":".join([noise.kind] + [repr(float(p)) for p in noise.params])
 
 
 def sinusoid_rows(alphas, omegas, phis, t_count: int) -> np.ndarray:

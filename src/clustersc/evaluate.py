@@ -31,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import (
-    AUTO_K_RANGE,
-    KMEANS_RESTARTS,
     Partition,
     cluster_members,
     fit_cluster_model,
@@ -163,7 +161,9 @@ class PlaceboReport:
     the per-cell I values (full minus cluster) and their median. skipped
     lists the cells a variant could not run on, with the reason. reference
     is "true_signal" or "observed". per_iteration holds the split harness's
-    per-iteration medians and is empty for leave-one-out runs.
+    per-iteration medians and is empty for leave-one-out runs. config holds
+    only what the harness decides: its name, n_targets or n_train, and for
+    leave-one-out the dataset's seed; the caller records its own inputs.
     """
 
     rows: list[PlaceboRow]
@@ -233,26 +233,6 @@ def _check_variants(variants) -> None:
                 "sc_random_subset needs a cluster_sc variant before it "
                 "to define the subset size"
             )
-
-
-def _rule_config(rule: RankRule) -> dict:
-    if rule.kind == "fixed":
-        return {"kind": "fixed", "r": rule.r}
-    return {"kind": "energy", "threshold": rule.threshold, "squared": rule.squared}
-
-
-def _variant_config(v: MethodVariant) -> dict:
-    return {
-        "name": v.name,
-        "method": v.reg.method,
-        "lam": v.reg.lam,
-        "rule": _rule_config(v.rule),
-        "k": v.k,
-    }
-
-
-def _noise_config(noise: NoiseSpec) -> dict:
-    return {"kind": noise.kind, "params": list(noise.params)}
 
 
 def random_subset_variant(pool, subset_size: int, rng) -> list[int]:
@@ -463,22 +443,13 @@ def leave_one_out_placebo(
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
 
-    config = {
-        "harness": "leave_one_out",
-        "target_fraction": target_fraction,
-        "n_targets": n_targets,
-        "cluster_mode": cluster_mode,
-        "restarts": KMEANS_RESTARTS,
-        "k_range": list(AUTO_K_RANGE),
-        "dataset_seed": dataset.seed,
-        "noise": _noise_config(dataset.noise),
-        "variants": [_variant_config(v) for v in variants],
-    }
     return PlaceboReport(
         rows=rows,
         skipped=skipped,
         reference="true_signal",
-        config=config,
+        config={
+            "harness": "leave_one_out", "n_targets": n_targets, "dataset_seed": dataset.seed,
+        },
         **_aggregates(rows, skipped),
     )
 
@@ -558,20 +529,11 @@ def split_placebo(
             }
         )
 
-    config = {
-        "harness": "split",
-        "train_fraction": train_fraction,
-        "iterations": iterations,
-        "n_train": n_train,
-        "restarts": KMEANS_RESTARTS,
-        "k_range": list(AUTO_K_RANGE),
-        "variants": [_variant_config(v) for v in variants],
-    }
     return PlaceboReport(
         rows=rows,
         skipped=skipped,
         reference="observed",
-        config=config,
+        config={"harness": "split", "n_train": n_train},
         per_iteration=per_iteration,
         **_aggregates(rows, skipped),
     )

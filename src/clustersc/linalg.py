@@ -3,7 +3,9 @@
 The denoising step of every estimator in this package is hard singular value
 thresholding (HSVT): keep the top r singular triplets and drop the rest. The
 rank r either comes from a fixed request or from an energy rule on the
-cumulative singular value mass.
+cumulative singular value mass. Flags, config files and reports write a
+rule one way, fixed:R, energy:T or energy:T:squared: parse_rule reads that
+grammar and rule_tag writes it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ClusterScError,
+    ConfigError,
     DegenerateSpectrumError,
     InvalidInputError,
     InvalidRankError,
@@ -114,6 +118,30 @@ class RankRule:
                 f"energy threshold must be in (0, 1], got {threshold!r}"
             )
         return cls(kind="energy", threshold=float(threshold), squared=squared)
+
+
+def parse_rule(text: str) -> RankRule:
+    """Parse the rule grammar: fixed:R, energy:THRESHOLD or energy:THRESHOLD:squared."""
+    parts = [p.strip() for p in text.split(":")]
+    try:
+        if parts[0] == "fixed" and len(parts) == 2:
+            return RankRule.fixed(int(parts[1]))
+        if parts[0] == "energy" and len(parts) == 2:
+            return RankRule.energy(float(parts[1]))
+        if parts[0] == "energy" and len(parts) == 3 and parts[2] == "squared":
+            return RankRule.energy(float(parts[1]), squared=True)
+    except (ValueError, ClusterScError) as exc:
+        raise ConfigError(f"rule {text!r}: {exc}") from None
+    raise ConfigError(
+        f"rule {text!r}: expected fixed:R, energy:T, or energy:T:squared"
+    )
+
+
+def rule_tag(rule: RankRule) -> str:
+    """A rule in the grammar parse_rule reads, e.g. fixed:6 or energy:0.9:squared."""
+    if rule.kind == "fixed":
+        return f"fixed:{rule.r}"
+    return f"energy:{rule.threshold}" + (":squared" if rule.squared else "")
 
 
 def select_rank(sigma, rule: RankRule) -> int:

@@ -47,9 +47,11 @@ class RegressionSpec:
     """Solver choice plus its parameters.
 
     lam is the ridge or lasso penalty (ignored by OLS). lasso_tol is the
-    duality-gap tolerance a lasso fit must meet to count as converged: the
-    path solver is exact, and its answer is certified when its Gap Safe gap
-    is at most lasso_tol.
+    relative duality-gap tolerance a lasso fit must meet to count as
+    converged: the path solver is exact, and its answer is certified when
+    its Gap Safe gap is at most lasso_tol * (y'y) / (2 T0). That scale is the
+    objective at zero weights, which bounds the optimum, so the test reads
+    the same whatever the units of the data.
     """
 
     method: str
@@ -73,7 +75,8 @@ class WeightVector:
 
     gap is the lasso fit's Gap Safe duality gap, on the scale of the
     objective in the module docstring, and None for OLS and ridge; converged
-    is gap <= RegressionSpec.lasso_tol for lasso and always true otherwise.
+    is gap <= RegressionSpec.lasso_tol * (y'y) / (2 T0) for lasso and always
+    true otherwise.
     The certificate needs a penalty above the rounding noise of X'r: at
     lam = 0 the gap is ||r||^2 / (2 T0), so a least squares fit that does not
     interpolate reads unconverged.
@@ -120,7 +123,10 @@ def fit(design, target, spec: RegressionSpec, donor_ids=None) -> WeightVector:
         values = _ridge(design, target, spec.lam)
     else:
         values, gap = _lasso_lars(design, target, spec.lam)
-        return WeightVector(values, donor_ids, converged=gap <= spec.lasso_tol, gap=gap)
+        zero_objective = float(target @ target) / (2 * design.shape[0])
+        return WeightVector(
+            values, donor_ids, converged=gap <= spec.lasso_tol * zero_objective, gap=gap
+        )
     return WeightVector(values=values, donor_ids=donor_ids)
 
 

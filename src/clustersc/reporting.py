@@ -7,6 +7,17 @@ row per observation, ready for external plotting tools. A field holding a
 comma, a double quote or a newline (a unit id like "Abilene, TX") is written
 in double quotes, with inner quotes doubled; every other field is bare.
 
+The JSON's config echoes the run. It holds one key per flag of the
+command, named like the flag (--train-fraction is train_fraction) and
+written in the flag's grammar: a rank rule as energy:0.95, a noise grid as
+its comma-separated text, null for an optional flag left unset. Output and
+input paths (--out, --config, --stem, --panel, --hpi) are left out. The
+other keys are facts the flags do not fix: command; for an input panel its
+file stem (source), n_units, t, and t0 resolved to a pre-period count; and
+for commands that cluster the k-means protocol (restarts, k_range). An INI
+section built from the flag keys that are not null, rerun with --config and
+the same input path, rewrites the same files.
+
 Writing is byte-deterministic: JSON keys are sorted, floats keep Python's
 shortest round-trip repr, newlines are fixed to "\n", and nothing
 timestamp- or host-dependent is recorded. Rerunning a command with the same
@@ -23,13 +34,13 @@ from pathlib import Path
 
 import numpy as np
 
+from .datagen import NoiseSpec, noise_tag
 from .errors import InvalidInputError
 from .evaluate import GapExperimentResult, PlaceboReport, RecoveryResult
+from .linalg import RankRule, rule_tag
 
 __all__ = [
     "PLOT_COLUMNS",
-    "noise_tag",
-    "rule_tag",
     "to_jsonable",
     "placebo_plot_rows",
     "gap_plot_rows",
@@ -42,21 +53,16 @@ __all__ = [
 PLOT_COLUMNS = ("dataset", "noise", "variant", "metric", "value")
 
 
-def noise_tag(noise) -> str:
-    """Compact one-token label for a noise distribution, e.g. gaussian:0.3."""
-    return ":".join([noise.kind] + [repr(float(p)) for p in noise.params])
-
-
-def rule_tag(rule) -> str:
-    """Compact one-token label for a rank rule in the CLI grammar, e.g.
-    fixed:6, energy:0.95 or energy:0.9:squared."""
-    if rule.kind == "fixed":
-        return f"fixed:{rule.r}"
-    return f"energy:{rule.threshold}" + (":squared" if rule.squared else "")
-
-
 def to_jsonable(obj):
-    """Recursively convert dataclasses, numpy values, and paths to JSON types."""
+    """Recursively convert dataclasses, numpy values, and paths to JSON types.
+
+    Rank rules and noise specs are written by their tags, in the grammar the
+    flags take (energy:0.95, gaussian:0.3).
+    """
+    if isinstance(obj, RankRule):
+        return rule_tag(obj)
+    if isinstance(obj, NoiseSpec):
+        return noise_tag(obj)
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {
             f.name: to_jsonable(getattr(obj, f.name))

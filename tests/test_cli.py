@@ -13,22 +13,29 @@ import numpy as np
 import pytest
 
 from clustersc.cluster import AUTO_K_RANGE
-from clustersc.cli import (
-    main,
-    parse_k,
-    parse_noise,
-    parse_noise_grid,
-    parse_rule,
-    resolve_out_dir,
-)
+from clustersc.cli import build_parser, main, parse_k, parse_noise_grid, resolve_out_dir
+from clustersc.datagen import NoiseSpec, noise_tag, parse_noise
 from clustersc.errors import ConfigError
-from clustersc.linalg import RankRule
+from clustersc.linalg import RankRule, parse_rule, rule_tag
 from clustersc.panel import load_panel_csv
-from clustersc.reporting import rule_tag
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def write_hpi(path):
+    """A long quarterly file: 10 units over 1997Q1..1999Q4."""
+    rng = np.random.default_rng(37)
+    lines = ["unit,year,quarter,value"]
+    for u in range(10):
+        level = rng.normal(100.0, 10.0)
+        for year in (1997, 1998, 1999):
+            for quarter in (1, 2, 3, 4):
+                level += rng.normal(1.0, 0.5)
+                lines.append(f"u{u:02d},{year},{quarter},{level}")
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 class TestParsers:
@@ -59,10 +66,19 @@ class TestParsers:
 
     @pytest.mark.parametrize(
         "rule",
-        [RankRule.fixed(3), RankRule.energy(0.95), RankRule.energy(0.9, squared=True)],
+        [
+            RankRule.fixed(3), RankRule.energy(0.95), RankRule.energy(0.9, squared=True),
+            pytest.param(NoiseSpec.gaussian(0.3), id="noise-gaussian"),
+            pytest.param(NoiseSpec.uniform(0.5), id="noise-uniform"),
+            pytest.param(NoiseSpec.student_t(4, 0.25), id="noise-student_t"),
+        ],
     )
     def test_rule_tag_round_trip(self, rule):
-        assert parse_rule(rule_tag(rule)) == rule
+        # each grammar's tag parses back to the value; noise specs ride along
+        if isinstance(rule, RankRule):
+            assert parse_rule(rule_tag(rule)) == rule
+        else:
+            assert parse_noise(noise_tag(rule)) == rule
 
     @pytest.mark.parametrize("bad", ["", "fixed", "fixed:0", "energy:1.5", "energy:0.9:cubed"])
     def test_bad_rule(self, bad):
@@ -232,16 +248,31 @@ class TestPlaceboSynthetic:
             "--datasets", "1", "--rule", "fixed:3", "--k", "2",
             "--with-random-subset", "--seed", "2", "--out", str(tmp_path))
         payload = json.loads((tmp_path / "placebo_synthetic.json").read_text())
-        names = [v["name"] for v in payload["config"]["variants"]]
-        assert names == ["sc_full", "cluster_sc", "sc_random_subset"]
+        assert payload["config"]["with_random_subset"] is True
+        report = payload["datasets"][0]["report"]
+        names = {r["variant"] for r in report["rows"]} | {s["variant"] for s in report["skipped"]}
+        assert names == {"sc_full", "cluster_sc", "sc_random_subset"}
 
     def test_config_echo_keeps_squared_rule(self, tmp_path):
         run("placebo-synthetic", "--na", "10", "--nb", "10", "--datasets", "1",
             "--rule", "energy:0.9:squared", "--cluster-rule", "fixed:3", "--k", "2",
             "--seed", "2", "--out", str(tmp_path))
+        config = json.loads((tmp_path / "placebo_synthetic.json").read_text())["config"]
+        assert (config["rule"], config["cluster_rule"]) == ("energy:0.9:squared", "fixed:3")
+
+    def test_every_cell_skipped(self, tmp_path):
+        # with 2 + 2 units the target's cluster never keeps 2 donors, so the
+        # dataset has no complete cell: it is not won and has no median
+        code = run("placebo-synthetic", "--na", "2", "--nb", "2", "--k", "2",
+                   "--datasets", "1", "--seed", "1", "--out", str(tmp_path))
+        assert code == 0
         payload = json.loads((tmp_path / "placebo_synthetic.json").read_text())
-        rules = [v["rule"] for v in payload["config"]["variants"]]
-        assert rules == ["energy:0.9:squared", "fixed:3"]
+        assert payload["datasets"][0]["report"]["medians"] == {}
+        assert payload["summary"] == {
+            "datasets_won_by_cluster": 0,
+            "improvement_medians": [None],
+            "median_improvement": None,
+        }
 
 
 class TestPlaceboPanel:
@@ -347,6 +378,17 @@ class TestConfigFile:
                    "--seed", "1", "--out", str(tmp_path)) == 2
         assert "ambiguous option" in capsys.readouterr().err
 
+    def test_file_supplies_required_flag(self, tmp_path, capsys):
+        run("simulate", "--na", "6", "--nb", "6", "--seed", "3", "--out", str(tmp_path))
+        given = ["cluster", "--panel", str(tmp_path / "simulate_panel.csv"), "--k", "2",
+                 "--seed", "1", "--out", str(tmp_path)]
+        assert run(*given) == 2
+        assert "required: --t0" in capsys.readouterr().err
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[cluster]\nt0 = 8\n")
+        assert run(*given, "--config", str(cfg)) == 0
+        assert json.loads((tmp_path / "cluster.json").read_text())["config"]["t0"] == 8
+
     def test_missing_file_rejected(self, tmp_path):
         assert run("gap-check", "--config", str(tmp_path / "nope.ini"),
                    "--seed", "1", "--out", str(tmp_path)) == 1
@@ -368,16 +410,7 @@ class TestConfigFile:
         assert payload["config"]["noise"] == "uniform:0.5"
 
     def test_range_key(self, tmp_path):
-        rng = np.random.default_rng(37)
-        lines = ["unit,year,quarter,value"]
-        for u in range(10):
-            level = rng.normal(100.0, 10.0)
-            for year in (1997, 1998, 1999):
-                for quarter in (1, 2, 3, 4):
-                    level += rng.normal(1.0, 0.5)
-                    lines.append(f"u{u:02d},{year},{quarter},{level}")
-        hpi = tmp_path / "hpi.csv"
-        hpi.write_text("\n".join(lines) + "\n")
+        hpi = write_hpi(tmp_path / "hpi.csv")
         cfg = tmp_path / "run.ini"
         cfg.write_text("[placebo-panel]\nrange = 1997Q1:1998Q4\n")
         code = run("placebo-panel", "--hpi", str(hpi), "--config", str(cfg),
@@ -408,37 +441,133 @@ RECORDED_DIGESTS = {
     "simulate/simulate_signal.csv":
         "ed7aac1d175ef1c180f264856a72c443eae6f2de492c99b3556aa98562c12750",
     "placebo-synthetic/placebo_synthetic.json":
-        "75cdfa3b52c7bd56ab11b6afc61fbfd36e1465f8477b499f03f798eaba397706",
+        "7903f7e48919b3787c7127ed63eb4c59ce6c74cf73ffeed448b362400dd6d6d8",
     "placebo-synthetic/placebo_synthetic_plot.csv":
         "7bb674f31cd79edbe9032033ff215a9ef6395071ea07209997da1b2f8c8a3ed1",
     "placebo-panel/placebo_panel.json":
-        "20efe06be2fd69c63cf0770beef9066b5ca50df66ab1ed9dc63dbe48fa05cddc",
+        "958b14f2af78d944d06d5a688684f0e37939cd68c0959452a4283efb564a4937",
     "placebo-panel/placebo_panel_plot.csv":
         "73be24eb01313b82fee45804efb9a48badf4251dcb121798e21175faeca92197",
     "cluster/cluster.json":
-        "88daa2dd27dcb663745c16ad679102c063f7886eaa11e28ad63eaa77b3b67db1",
+        "1699ef2ff3565d210d49d95eccedb12638cb89272868d723c47a97a581bcb462",
     "cluster/cluster_plot.csv":
         "cc211e595ed9c2fa650b3fe13a562328f85380fc96e072f953aeac84824e6f24",
     "spectrum/spectrum.json":
-        "cad5e9a56db98ace4366fd6221dc37eb13a4e7f3acb241140a992d3cb83c1de8",
+        "65380e697cb22efd5f0785f8b7985fd108b9010857c187089f73f6606fdadca0",
     "spectrum/spectrum_plot.csv":
         "c2624a1e8d7150a5e859ee4aeed6ecaeb44678e19afc640d6b335433b13f24b5",
     "gap-check/gap_check.json":
-        "6f05f623ab73a1fb50e7f886b03771cfba41e73580856f5568f21abee6493d0c",
+        "771b096cb09c24c8a98f6cb0931fb1db3c72bb13117dfe99418abb66beff3ebe",
     "gap-check/gap_check_plot.csv":
         "9ef4f1967d188cb1938b976d8916e1c5a752abeae85e82103b6e03cdc531b0be",
     "recovery-check/recovery_check.json":
-        "b04e69cc4842b59d2c896ed25dec42762f151a97e949a946447a4c02cfd20224",
+        "c515d29cbf32615fb7bf83153e5269a3802aa7deedb683b04f4e37c834194fa3",
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
     "placebo-synthetic-lasso/placebo_synthetic.json":
-        "bffcab5c7914bda93d6ccf4b8a9de4fc8d6727befa60c29a5cb91fa2769e5d8e",
+        "29d67569dd9e25467d6e4f800811816e24c5e1f446e703d75ba591113c5ae7ad",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
         "4f132e761bbe7da0fc6d0ded986ec4e5e5ec4a9cc57acc9aadf10436c248aa31",
 }
 
 
-def test_outputs_match_recorded_digests(tmp_path, capsys):
+# The criterion-8 commands and one lasso run; {panel} is a 20-unit simulated
+# panel and {hpi} a long quarterly file (see the reference_inputs fixture)
+REFERENCE_COMMANDS = {
+    "simulate": ["simulate", "--na", "6", "--nb", "6", "--seed", "41"],
+    "placebo-synthetic": ["placebo-synthetic", "--na", "10", "--nb", "10",
+                          "--datasets", "1", "--rule", "fixed:3", "--k", "2",
+                          "--seed", "42"],
+    "placebo-panel": ["placebo-panel", "--panel", "{panel}", "--t0", "8",
+                      "--iterations", "2", "--rule", "fixed:3", "--k", "2",
+                      "--seed", "43"],
+    "cluster": ["cluster", "--panel", "{panel}", "--t0", "8", "--k", "2",
+                "--seed", "44"],
+    "spectrum": ["spectrum", "--panel", "{panel}", "--t0", "8"],
+    "gap-check": ["gap-check", "--n", "60", "--na", "30", "--trials", "3",
+                  "--seed", "45"],
+    "recovery-check": ["recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
+                       "--noise-grid", "gaussian:0.0,gaussian:0.2",
+                       "--rule", "fixed:6", "--seed", "46"],
+    "placebo-synthetic-lasso": ["placebo-synthetic", "--method", "lasso",
+                                "--na", "20", "--nb", "20", "--datasets", "1",
+                                "--k", "2", "--seed", "47"],
+}
+# the same, plus the --hpi path with its window and a label for t0
+CONFIG_COMMANDS = {
+    **REFERENCE_COMMANDS,
+    "placebo-panel-hpi": ["placebo-panel", "--hpi", "{hpi}", "--range", "1997Q1:1998Q4",
+                          "--t0", "1998Q2", "--iterations", "2", "--rule", "fixed:2",
+                          "--k", "auto", "--with-random-subset", "--seed", "48"],
+}
+# flags that name files; the config echo leaves them out
+PATH_FLAGS = {"out", "config", "stem", "panel", "hpi"}
+
+
+@pytest.fixture()
+def reference_inputs(tmp_path):
+    src = tmp_path / "panel_src"
+    assert run("simulate", "--na", "10", "--nb", "10", "--seed", "40",
+               "--out", str(src)) == 0
+    return {
+        "panel": str(src / "simulate_panel.csv"),
+        "hpi": str(write_hpi(src / "hpi.csv")),
+    }
+
+
+def reference_argv(label, inputs):
+    return [arg.format(**inputs) for arg in CONFIG_COMMANDS[label]]
+
+
+def flag_dests(command):
+    """Every flag of a command by dest name, less those naming files."""
+    return {a.dest for a in build_parser()[1][command]._actions} - {"help"} - PATH_FLAGS
+
+
+def echoed_config(out):
+    """The config of the one JSON file a command wrote into out."""
+    (path,) = out.glob("*.json")
+    return json.loads(path.read_text())["config"]
+
+
+@pytest.mark.parametrize("label", sorted(CONFIG_COMMANDS))
+def test_config_echoes_every_flag(label, reference_inputs, tmp_path, capsys):
+    argv = reference_argv(label, reference_inputs)
+    assert run(*argv, "--out", str(tmp_path / "out")) == 0
+    config = echoed_config(tmp_path / "out")
+    assert flag_dests(argv[0]) <= set(config)
+    assert not PATH_FLAGS & set(config)
+    if label == "placebo-panel-hpi":
+        assert config["range"] == "1997Q1:1998Q4"
+        assert config["t0"] == 6  # the label 1998Q2, resolved to a count
+
+
+@pytest.mark.parametrize("label", sorted(CONFIG_COMMANDS))
+def test_config_echo_as_ini_reruns_the_same_files(label, reference_inputs, tmp_path, capsys):
+    """Writing the echoed flag keys as an INI section reproduces the run."""
+    argv = reference_argv(label, reference_inputs)
+    command = argv[0]
+    assert run(*argv, "--out", str(tmp_path / "flags")) == 0
+    config = echoed_config(tmp_path / "flags")
+    dests = flag_dests(command)
+    ini = tmp_path / "run.ini"
+    ini.write_text("\n".join(
+        [f"[{command}]"]
+        + [f"{key} = {value}" for key, value in config.items()
+           if key in dests and value is not None]
+    ) + "\n")
+    inputs = []
+    for flag, value in zip(argv, argv[1:]):
+        if flag in ("--panel", "--hpi"):
+            inputs += [flag, value]
+    assert run(command, *inputs, "--config", str(ini), "--out", str(tmp_path / "ini")) == 0
+    written = sorted(path.name for path in (tmp_path / "flags").iterdir())
+    assert sorted(path.name for path in (tmp_path / "ini").iterdir()) == written
+    for name in written:
+        assert (tmp_path / "ini" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes(), name
+
+
+def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
     """The criterion-8 commands, and one lasso run, write the recorded bytes.
 
     Criterion 8 checks that a rerun repeats itself; this checks that a
@@ -452,34 +581,10 @@ def test_outputs_match_recorded_digests(tmp_path, capsys):
     round differently and change them; rerun the commands on the parent
     commit to tell such a difference from a real change.
     """
-    panel_dir = tmp_path / "panel_src"
-    assert run("simulate", "--na", "10", "--nb", "10", "--seed", "40",
-               "--out", str(panel_dir)) == 0
-    panel_csv = str(panel_dir / "simulate_panel.csv")
-    commands = {
-        "simulate": ["simulate", "--na", "6", "--nb", "6", "--seed", "41"],
-        "placebo-synthetic": ["placebo-synthetic", "--na", "10", "--nb", "10",
-                              "--datasets", "1", "--rule", "fixed:3", "--k", "2",
-                              "--seed", "42"],
-        "placebo-panel": ["placebo-panel", "--panel", panel_csv, "--t0", "8",
-                          "--iterations", "2", "--rule", "fixed:3", "--k", "2",
-                          "--seed", "43"],
-        "cluster": ["cluster", "--panel", panel_csv, "--t0", "8", "--k", "2",
-                    "--seed", "44"],
-        "spectrum": ["spectrum", "--panel", panel_csv, "--t0", "8"],
-        "gap-check": ["gap-check", "--n", "60", "--na", "30", "--trials", "3",
-                      "--seed", "45"],
-        "recovery-check": ["recovery-check", "--na", "8", "--nb", "8", "--datasets", "2",
-                           "--noise-grid", "gaussian:0.0,gaussian:0.2",
-                           "--rule", "fixed:6", "--seed", "46"],
-        "placebo-synthetic-lasso": ["placebo-synthetic", "--method", "lasso",
-                                    "--na", "20", "--nb", "20", "--datasets", "1",
-                                    "--k", "2", "--seed", "47"],
-    }
     digests = {}
-    for label, argv in commands.items():
+    for label in REFERENCE_COMMANDS:
         out = tmp_path / label
-        assert run(*argv, "--out", str(out)) == 0, label
+        assert run(*reference_argv(label, reference_inputs), "--out", str(out)) == 0, label
         for path in sorted(out.iterdir()):
             digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     capsys.readouterr()

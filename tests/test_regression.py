@@ -309,7 +309,7 @@ class TestLassoCertificate:
             assert np.abs(design.T @ resid).max() <= 1e-10 * np.linalg.norm(y)
             assert np.count_nonzero(w.values) <= r
             assert w.gap == pytest.approx(lasso_gap_oracle(design, y, w.values, 0.0))
-            assert w.converged == (w.gap <= 1e-8)
+            assert w.converged == (w.gap <= 1e-8 * float(y @ y) / (2 * t0))
 
     def test_gap_only_for_lasso(self):
         rng = np.random.default_rng(173)
@@ -322,13 +322,20 @@ class TestLassoCertificate:
         assert w.gap is not None and w.gap <= 1e-12
 
     def test_converged_is_gap_within_tolerance(self):
+        # the tolerance is relative to (y'y) / (2 T0), so the same problem in
+        # other units (design, target and lam all scaled by 1e5, where the
+        # gap reaches 2e-6) converges too
         rng = np.random.default_rng(179)
-        design = rng.normal(size=(6, 12))
-        y = rng.normal(size=6)
-        w = fit(design, y, RegressionSpec("lasso", lam=0.01))
-        assert w.converged and w.gap > 0.0  # rounding leaves a gap above zero
-        tight = fit(design, y, RegressionSpec("lasso", lam=0.01, lasso_tol=w.gap / 2))
-        assert tight.gap == w.gap and not tight.converged
+        cases = [(rng.normal(size=(6, 12)), rng.normal(size=6), 1.0)]
+        rng = np.random.default_rng(0)
+        cases.append((rng.normal(size=(8, 40)), rng.normal(size=8), 1e5))
+        for design, y, scale in cases:
+            design, y, lam = scale * design, scale * y, scale * 0.01
+            w = fit(design, y, RegressionSpec("lasso", lam=lam))
+            assert w.converged and w.gap > 0.0  # rounding leaves a gap above zero
+            relative_gap = w.gap / (float(y @ y) / (2 * y.size))
+            tight = fit(design, y, RegressionSpec("lasso", lam=lam, lasso_tol=relative_gap / 2))
+            assert tight.gap == w.gap and not tight.converged
 
 
 class TestActiveSet:

@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from clustersc.datagen import NoiseSpec
+from clustersc.datagen import NoiseSpec, noise_tag
 from clustersc.errors import InvalidInputError
 from clustersc.evaluate import (
     GapExperimentResult,
@@ -22,7 +22,6 @@ from clustersc.reporting import (
     PLOT_COLUMNS,
     cluster_plot_rows,
     gap_plot_rows,
-    noise_tag,
     placebo_plot_rows,
     recovery_plot_rows,
     spectrum_plot_rows,
@@ -70,7 +69,7 @@ def sample_recovery_result():
 class TestToJsonable:
     def test_nested_dataclass(self):
         payload = to_jsonable(sample_gap_result())
-        assert payload["noise"] == {"kind": "gaussian", "params": [0.3]}
+        assert payload["noise"] == "gaussian:0.3"
         assert payload["gaps"] == [1.0, 1.5]
 
     def test_numpy_values(self):
@@ -87,9 +86,11 @@ class TestToJsonable:
             to_jsonable(object())
 
     def test_rank_rule(self):
-        assert to_jsonable(RankRule.fixed(3)) == {
-            "kind": "fixed", "r": 3, "threshold": None, "squared": False,
-        }
+        # written by its tag, in the grammar of the --rule flag
+        assert to_jsonable(RankRule.fixed(3)) == "fixed:3"
+        payload = to_jsonable(sample_recovery_result())
+        assert payload["rule"] == "energy:0.95"
+        assert payload["cells"][0]["noise"] == "gaussian:0.1"
 
 
 class TestNoiseTag:
