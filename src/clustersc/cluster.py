@@ -3,7 +3,10 @@
 Donors are embedded as rows of U Sigma_r from the SVD of the pre-intervention
 block, then grouped by k-means. The protocol is fixed: KMEANS_RESTARTS
 D^2-weighted (k-means++) seedings, each refined by at most LLOYD_MAX_ITER
-Lloyd rounds, keeping the lowest-inertia run. With k="auto", k is chosen by
+Lloyd rounds, keeping the lowest-inertia run. best_lloyd seeds every restart
+first and then advances them in lockstep, one cdist call per Lloyd round over
+the centers of every run still moving; each run makes the same draws, breaks
+ties the same way and ends where it would alone. With k="auto", k is chosen by
 mean silhouette over AUTO_K_RANGE. A target enters the picture only later:
 its series is projected onto the same right singular basis and sent to the
 nearest center, whose cluster becomes its donor pool (nearest_cluster).
@@ -48,11 +51,8 @@ class Partition:
             )
 
 
-def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
-    """D^2-weighted seeding: each next center is a data point drawn with
-    probability proportional to its squared distance from the chosen ones."""
-    points = as_matrix(points)
-    m = points.shape[0]
+def _check_k(points: np.ndarray, k: int) -> None:
+    """k must be at least 1 and at most the number of distinct points."""
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
     distinct = np.unique(points, axis=0).shape[0]
@@ -60,18 +60,95 @@ def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
         raise DegenerateInputError(
             f"k={k} exceeds the {distinct} distinct point(s)"
         )
-    rng = np.random.default_rng(rng)
+
+
+def _draw_centers(points: np.ndarray, k: int, rng) -> np.ndarray:
+    """The D^2 draws of kmeans_pp_init on points that passed _check_k."""
+    m = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(m))]
     d2 = ((points - centers[0]) ** 2).sum(axis=1)
     for j in range(1, k):
-        total = d2.sum()  # > 0 because there are at least k distinct points
+        total = d2.sum()
+        if not 0.0 < total < np.inf:
+            raise DegenerateInputError(
+                f"the squared distances to the first {j} center(s) sum to "
+                f"{total}: the points are distinct, but too close together "
+                f"(underflow) or too far apart (overflow) for D^2 seeding"
+            )
         idx = int(rng.choice(m, p=d2 / total))
         if d2[idx] == 0.0:
             idx = int(np.argmax(d2))
         centers[j] = points[idx]
         d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
     return centers
+
+
+def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
+    """D^2-weighted seeding: each next center is a data point drawn with
+    probability proportional to its squared distance from the chosen ones.
+
+    DegenerateInputError when k exceeds the distinct points, or when the
+    squared distances of distinct points underflow to 0 or overflow.
+    """
+    points = as_matrix(points)
+    _check_k(points, k)
+    return _draw_centers(points, k, np.random.default_rng(rng))
+
+
+def _center_means(points, columns, labels, counts) -> np.ndarray:
+    """Member means of every run's clusters, (runs, k, r), bit-equal to
+    points[labels[run] == c].mean(axis=0).
+
+    columns holds each coordinate of the points repeated once per run. A
+    bincount adds each cluster's members in point order, as numpy's
+    reduction over rows does. A single column is summed pairwise by numpy,
+    so at r = 1 only .mean itself gives the same bits.
+    """
+    runs, k = counts.shape
+    if points.shape[1] == 1:
+        return np.array([[points[run == c].mean(axis=0) for c in range(k)] for run in labels])
+    bins = (labels + k * np.arange(runs)[:, None]).ravel()
+    sums = [np.bincount(bins, weights=col[: bins.size], minlength=runs * k) for col in columns]
+    return np.stack(sums, axis=-1).reshape(runs, k, -1) / counts[:, :, None]
+
+
+def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
+    """Lloyd iterations for several runs in lockstep; see lloyd for the rules.
+
+    centers is (runs, k, r) and is refined in place. Each round makes one
+    cdist call over the centers of every run still moving; a run is frozen
+    once its labels repeat. Every run ends exactly as lloyd alone would
+    leave it. Returns 0-based labels (runs, m) and the runs' inertias.
+    """
+    m, r = points.shape
+    runs, k = centers.shape[:2]
+    labels = np.full((runs, m), -1)
+    active = np.arange(runs)
+    columns = np.tile(points.T, runs)
+    for _ in range(LLOYD_MAX_ITER):
+        a = active.size
+        dist2 = cdist(points, centers[active].reshape(a * k, r), "sqeuclidean").reshape(m, a, k)
+        new = dist2.argmin(axis=2).T
+        bins = (new + k * np.arange(a)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=a * k).reshape(a, k)
+        for j in np.flatnonzero((counts == 0).any(axis=1)):
+            own = dist2[np.arange(m), j, new[j]]
+            for c in np.flatnonzero(counts[j] == 0):
+                far = int(np.argmax(own))
+                centers[active[j], c] = points[far]
+                counts[j, new[j, far]] -= 1
+                counts[j, c] += 1
+                new[j, far] = c
+                own[far] = -1.0  # not reusable for another empty cluster
+        moving = (new != labels[active]).any(axis=1)
+        active, new = active[moving], new[moving]
+        if not active.size:
+            break
+        labels[active] = new
+        centers[active] = _center_means(points, columns, new, counts[moving])
+    inertias = [float(((points - c[lab]) ** 2).sum()) for c, lab in zip(centers, labels)]
+    return labels, inertias
 
 
 def lloyd(points, init_centers):
@@ -91,41 +168,30 @@ def lloyd(points, init_centers):
             f"init centers shape {centers.shape} does not match points "
             f"{points.shape}"
         )
-    m, k = points.shape[0], centers.shape[0]
-    labels = None
-    for _ in range(LLOYD_MAX_ITER):
-        dist2 = cdist(points, centers, "sqeuclidean")
-        new_labels = np.argmin(dist2, axis=1)
-        missing = [c for c in range(k) if not np.any(new_labels == c)]
-        if missing:
-            own = dist2[np.arange(m), new_labels].copy()
-            for c in missing:
-                far = int(np.argmax(own))
-                centers[c] = points[far]
-                new_labels[far] = c
-                own[far] = -1.0  # not reusable for another empty cluster
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for c in range(k):
-            centers[c] = points[labels == c].mean(axis=0)
-    inertia = float(((points - centers[labels]) ** 2).sum())
-    return centers, Partition(labels + 1, k), inertia
+    labels, inertias = _lloyd_runs(points, centers[None])
+    return centers, Partition(labels[0] + 1, centers.shape[0]), inertias[0]
 
 
 def best_lloyd(points, k: int, restarts: int, rng):
-    """Best of several seeded runs: lowest inertia, earliest restart on ties."""
+    """Best of several seeded runs: lowest inertia, earliest restart on ties.
+
+    Every restart is seeded first (kmeans_pp_init, each from its own child
+    generator, drawn from rng in order), then all of them run one Lloyd loop
+    in lockstep. The draws, ties and results are those of seeding and
+    running each restart alone.
+    """
     if restarts < 1:
         raise InvalidParamsError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(rng)
     seeds = rng.integers(0, 2**63 - 1, size=restarts)
-    best = None
-    for seed in seeds:
-        init = kmeans_pp_init(points, k, np.random.default_rng(int(seed)))
-        run = lloyd(points, init)
-        if best is None or run[2] < best[2]:
-            best = run
-    return best
+    points = as_matrix(points)
+    _check_k(points, k)
+    centers = np.stack(
+        [_draw_centers(points, k, np.random.default_rng(int(seed))) for seed in seeds]
+    )
+    labels, inertias = _lloyd_runs(points, centers)
+    best = min(range(restarts), key=inertias.__getitem__)  # first of equals
+    return centers[best], Partition(labels[best] + 1, k), inertias[best]
 
 
 def silhouette(points, partition: Partition, dists: np.ndarray | None = None) -> float:

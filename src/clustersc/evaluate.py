@@ -256,18 +256,20 @@ def donor_selection_scores(selected, truth_labels, target_group) -> tuple[float,
     selected holds integer positions into truth_labels; duplicates are
     collapsed. Precision is the share of selected units carrying
     target_group; recall is the share of the group that was selected.
+    Passing truth_labels as an array saves converting them on every call.
     """
-    labels = list(truth_labels)
-    chosen = {int(i) for i in selected}
-    if not chosen:
+    labels = np.asarray(truth_labels)
+    chosen = np.unique(np.fromiter(selected, dtype=int))
+    if not chosen.size:
         raise UndefinedPrecisionError("empty selection has no precision")
-    if any(i < 0 or i >= len(labels) for i in chosen):
+    if chosen[0] < 0 or chosen[-1] >= labels.shape[0]:
         raise InvalidInputError("selected indices out of range")
-    group = {i for i, g in enumerate(labels) if g == target_group}
-    if not group:
+    in_group = labels == target_group
+    group_size = int(np.count_nonzero(in_group))
+    if not group_size:
         raise InvalidInputError(f"no units labeled {target_group!r}")
-    hits = len(chosen & group)
-    return hits / len(chosen), hits / len(group)
+    hits = int(np.count_nonzero(in_group[chosen]))
+    return hits / chosen.size, hits / group_size
 
 
 def _aggregates(rows, skipped) -> dict:
@@ -400,7 +402,7 @@ def leave_one_out_placebo(
     panel = dataset.panel
     t0 = panel.split.t0
     values = panel.values
-    labels = dataset.group_labels
+    labels = np.asarray(dataset.group_labels)
     id_to_row = {u: i for i, u in enumerate(panel.unit_ids)}
     a_rows = [i for i, g in enumerate(labels) if g == "A"]
     if not a_rows:

@@ -18,7 +18,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import clustersc.cluster as cluster_module
 from clustersc.cluster import (
     KMEANS_RESTARTS,
     ClusterModel,
@@ -41,7 +43,7 @@ from clustersc.errors import (
     InvalidParamsError,
     ShapeError,
 )
-from clustersc.linalg import RankRule, svd
+from clustersc.linalg import RankRule, as_matrix, svd
 
 
 def exhaustive_bipartition_inertia(points: np.ndarray) -> float:
@@ -94,6 +96,127 @@ def symmetric_difference_oracle(p: np.ndarray, q: np.ndarray, k: int) -> int:
     )
 
 
+class SerialOracle:
+    """The k-means protocol run one restart at a time, as it was written
+    before the restarts moved into one lockstep Lloyd loop: kmeans_pp_init,
+    then lloyd, once per restart. It reads LLOYD_MAX_ITER from the module at
+    call time and records what each Lloyd run did, so the tests can show
+    which paths their cases reached."""
+
+    def __init__(self):
+        self.reseeds = 0  # Lloyd rounds that reseeded an empty cluster
+        self.capped = 0  # runs stopped by LLOYD_MAX_ITER
+        self.rounds = []  # rounds of each run
+
+    def kmeans_pp_init(self, points, k, rng):
+        points = as_matrix(points)
+        m = points.shape[0]
+        if k < 1:
+            raise InvalidParamsError(f"k must be >= 1, got {k}")
+        distinct = np.unique(points, axis=0).shape[0]
+        if k > distinct:
+            raise DegenerateInputError(
+                f"k={k} exceeds the {distinct} distinct point(s)"
+            )
+        rng = np.random.default_rng(rng)
+        centers = np.empty((k, points.shape[1]))
+        centers[0] = points[int(rng.integers(m))]
+        d2 = ((points - centers[0]) ** 2).sum(axis=1)
+        for j in range(1, k):
+            total = d2.sum()
+            idx = int(rng.choice(m, p=d2 / total))
+            if d2[idx] == 0.0:
+                idx = int(np.argmax(d2))
+            centers[j] = points[idx]
+            d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        return centers
+
+    def lloyd(self, points, init_centers):
+        points = as_matrix(points)
+        centers = np.array(init_centers, dtype=float)
+        m, k = points.shape[0], centers.shape[0]
+        labels = None
+        rounds = 0
+        for _ in range(cluster_module.LLOYD_MAX_ITER):
+            rounds += 1
+            dist2 = cdist(points, centers, "sqeuclidean")
+            new_labels = np.argmin(dist2, axis=1)
+            missing = [c for c in range(k) if not np.any(new_labels == c)]
+            if missing:
+                self.reseeds += 1
+                own = dist2[np.arange(m), new_labels].copy()
+                for c in missing:
+                    far = int(np.argmax(own))
+                    centers[c] = points[far]
+                    new_labels[far] = c
+                    own[far] = -1.0
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            for c in range(k):
+                centers[c] = points[labels == c].mean(axis=0)
+        else:
+            self.capped += 1
+        self.rounds.append(rounds)
+        inertia = float(((points - centers[labels]) ** 2).sum())
+        return centers, Partition(labels + 1, k), inertia
+
+    def best_lloyd(self, points, k, restarts, rng):
+        if restarts < 1:
+            raise InvalidParamsError(f"restarts must be >= 1, got {restarts}")
+        rng = np.random.default_rng(rng)
+        seeds = rng.integers(0, 2**63 - 1, size=restarts)
+        best = None
+        for seed in seeds:
+            init = self.kmeans_pp_init(points, k, np.random.default_rng(int(seed)))
+            run = self.lloyd(points, init)
+            if best is None or run[2] < best[2]:
+                best = run
+        return best
+
+    def choose_k(self, points, k_min, k_max, restarts, rng):
+        points = as_matrix(points)
+        rng = np.random.default_rng(rng)
+        dists = cdist(points, points)
+        best = None
+        for k in range(k_min, k_max + 1):
+            centers, part, inertia = self.best_lloyd(points, k, restarts, rng)
+            score = silhouette(points, part, dists)
+            if best is None or score > best[0]:
+                best = (score, k, centers, part, inertia)
+        return best[1:]
+
+
+def outcome(call):
+    """A k-means result as bytes, or the type and text of what it raised."""
+    try:
+        result = call()
+    except (DegenerateInputError, InvalidParamsError) as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(as_bytes(value) for value in result)
+
+
+def as_bytes(value):
+    if isinstance(value, Partition):
+        return value.k, value.labels.tobytes()
+    if isinstance(value, int):
+        return value
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def oracle_points(rng, m, r):
+    """Gaussian points, or rounded ones (duplicates), or repeated rows."""
+    kind = int(rng.integers(4))
+    points = rng.normal(size=(m, r)) * rng.choice([1e-3, 1.0, 50.0])
+    if kind == 1:
+        points = np.round(points, int(rng.integers(0, 2)))
+    elif kind == 2:
+        points = points[rng.integers(0, max(2, m // 2), size=m)]
+    elif kind == 3:
+        points = np.round(rng.normal(size=(m, r)) * 0.8) + 5 * rng.integers(0, 3, size=(m, 1))
+    return points
+
+
 def two_blobs(rng, m_per=10, sep=10.0, spread=0.2, d=2):
     a = rng.normal(scale=spread, size=(m_per, d))
     b = rng.normal(scale=spread, size=(m_per, d)) + sep
@@ -131,6 +254,23 @@ class TestKmeansPpInit:
         points = np.arange(6.0).reshape(3, 2)
         with pytest.raises(InvalidParamsError):
             kmeans_pp_init(points, 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_underflowing_distances_diagnosed(self, seed):
+        # three distinct points, but 1e-200 squared underflows to 0: once two
+        # centers are drawn no point has weight left for the third
+        points = [[0.0], [1e-200], [1.0]]
+        with pytest.raises(DegenerateInputError, match="underflow"):
+            kmeans_pp_init(points, 3, seed)
+        with pytest.raises(DegenerateInputError, match="underflow"):
+            best_lloyd(points, 3, 2, seed)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_overflowing_distances_diagnosed(self, seed):
+        points = [[0.0], [1e200], [-1e200]]
+        with pytest.raises(DegenerateInputError, match="overflow"):
+            kmeans_pp_init(points, 2, seed)
 
 
 class TestLloyd:
@@ -185,6 +325,105 @@ class TestLloyd:
         points = rng.normal(size=(12, 2))
         _, part, _ = best_lloyd(points, 4, restarts=5, rng=rng)
         assert part.labels.min() >= 1 and part.labels.max() <= 4
+
+
+class TestLockstepMatchesSerialOracle:
+    """best_lloyd, choose_k and lloyd against SerialOracle, bit for bit:
+    centers, labels, inertia, chosen k and raised errors."""
+
+    @staticmethod
+    def case(rng, m_max=40):
+        m = int(rng.integers(2, m_max + 1))
+        r = int(rng.choice([1, 1, 2, 3, 5]))
+        return oracle_points(rng, m, r), int(rng.integers(2**32))
+
+    def test_best_lloyd(self):
+        oracle = SerialOracle()
+        rng = np.random.default_rng(811)
+        spread_rounds = wide_r1 = raised = 0
+        for case in range(2000):
+            points, seed = self.case(rng)
+            k = int(rng.integers(1, min(8, len(points)) + 1))
+            restarts = int(rng.choice([1, 2, 3, 5, 10]))
+            before = len(oracle.rounds)
+            want = outcome(lambda: oracle.best_lloyd(points, k, restarts, np.random.default_rng(seed)))
+            got = outcome(lambda: best_lloyd(points, k, restarts, np.random.default_rng(seed)))
+            assert got == want, f"case {case}"
+            spread_rounds += len(set(oracle.rounds[before:])) > 1
+            if len(want) == 2:
+                raised += 1
+            elif points.shape[1] == 1:
+                labels = np.frombuffer(want[1][1], dtype=int)
+                wide_r1 += np.bincount(labels).max() >= 8
+        # the paths the cases reached: restarts converging in different
+        # rounds, r = 1 clusters of 8 or more, too few distinct points, and
+        # empty clusters reseeded
+        assert spread_rounds > 500
+        assert wide_r1 > 100
+        assert raised > 20
+
+    # seeds whose points leave a cluster empty in some k-means++ restart,
+    # found by searching (about 1 seed in 3,000 does); the test checks that
+    # each one still does
+    RESEED_SEEDS = (10316, 12127, 13831, 17064, 17115, 20403, 29055)
+
+    @pytest.mark.parametrize("seed", RESEED_SEEDS)
+    def test_best_lloyd_reseeds_empty_cluster(self, seed):
+        g = np.random.default_rng(seed)
+        m, r, k = int(g.integers(12, 41)), int(g.integers(1, 4)), int(g.integers(3, 9))
+        points = np.round(g.uniform(size=(m, r)), 2)
+        oracle = SerialOracle()
+        want = outcome(lambda: oracle.best_lloyd(points, k, 10, np.random.default_rng(seed)))
+        got = outcome(lambda: best_lloyd(points, k, 10, np.random.default_rng(seed)))
+        assert got == want
+        assert oracle.reseeds > 0
+
+    def test_choose_k(self):
+        oracle = SerialOracle()
+        rng = np.random.default_rng(823)
+        for case in range(250):
+            points, seed = self.case(rng, m_max=30)
+            m = len(points)
+            if m < 3:
+                continue
+            k_max = int(rng.integers(2, min(8, m - 1) + 1))
+            restarts = int(rng.choice([1, 3, 10]))
+            want = outcome(lambda: oracle.choose_k(points, 2, k_max, restarts, np.random.default_rng(seed)))
+            got = outcome(lambda: choose_k(points, 2, k_max, restarts, np.random.default_rng(seed)))
+            assert got == want, f"case {case}"
+
+    # k above m, or a reseed that empties another cluster, leaves a NaN
+    # center (a mean of no points) in both versions
+    @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
+    def test_lloyd_from_given_centers(self):
+        # far-off, repeated and shared starting centers leave clusters empty
+        oracle = SerialOracle()
+        rng = np.random.default_rng(827)
+        for case in range(400):
+            points, _ = self.case(rng)
+            m, r = points.shape
+            k = int(rng.integers(1, 9))
+            init = rng.normal(size=(k, r)) * rng.choice([1.0, 100.0])
+            if case % 3 == 0:
+                init[:] = init[0]
+            elif case % 3 == 1:
+                init = points[rng.integers(0, m, size=k)]
+            want = outcome(lambda: oracle.lloyd(points, init))
+            got = outcome(lambda: lloyd(points, init))
+            assert got == want, f"case {case}"
+        assert oracle.reseeds > 100
+
+    def test_round_cap(self, monkeypatch):
+        oracle = SerialOracle()
+        rng = np.random.default_rng(829)
+        for case in range(300):
+            monkeypatch.setattr(cluster_module, "LLOYD_MAX_ITER", 1 + case % 3)
+            points, seed = self.case(rng)
+            k = int(rng.integers(1, min(8, len(points)) + 1))
+            want = outcome(lambda: oracle.best_lloyd(points, k, 5, np.random.default_rng(seed)))
+            got = outcome(lambda: best_lloyd(points, k, 5, np.random.default_rng(seed)))
+            assert got == want, f"case {case}"
+        assert oracle.capped > 300
 
 
 class TestSilhouette:

@@ -16,8 +16,10 @@ each side's median and quartiles, the pairs each side won (ties count for
 neither), the change/parent ratio of the medians, whether the change is
 within the metric's bound, and whether a gain may be claimed (the change won
 at least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles). --append adds the runs to those
-already in the output file before summarising.
+distance between the parent's quartiles). Per workload it also counts the
+pairs whose two sides wrote the same outputs_sha256 and first_call_sha256
+(outputs_identical_pairs). --append adds the runs to those already in the
+output file before summarising.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
+# output digests a pair must share for its two sides to count as byte-identical
+DIGESTS = ("outputs_sha256", "first_call_sha256")
 
 
 def parse_args(argv=None):
@@ -121,6 +125,10 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
                 and abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
             }
         rows["all_runs_correct"] = all(p[s]["correct"] for p in pairs for s in p)
+        rows["outputs_identical_pairs"] = sum(
+            all(p["parent"]["detail"][key] == p["change"]["detail"][key] for key in DIGESTS)
+            for p in pairs
+        )
         summary[workload] = rows
     return summary
 
