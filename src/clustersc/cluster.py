@@ -3,10 +3,13 @@
 Donors are embedded as rows of U Sigma_r from the SVD of the pre-intervention
 block, then grouped by k-means. The protocol is fixed: KMEANS_RESTARTS
 D^2-weighted (k-means++) seedings, each refined by at most LLOYD_MAX_ITER
-Lloyd rounds, keeping the lowest-inertia run. best_lloyd seeds every restart
-first and then advances them in lockstep, one cdist call per Lloyd round over
-the centers of every run still moving; each run makes the same draws, breaks
-ties the same way and ends where it would alone. With k="auto", k is chosen by
+Lloyd rounds, keeping the lowest-inertia run. best_lloyd checks once that
+there are at least k distinct points, seeds all restarts in lockstep (one D^2
+update per center step over every restart, each drawing from its own
+generator with the rule of Generator.choice), then advances them in lockstep
+too, one cdist call per Lloyd round over the centers of every run still
+moving; each run makes the same draws, breaks ties the same way, ends where it
+would alone and raises what it would alone. With k="auto", k is chosen by
 mean silhouette over AUTO_K_RANGE. A target enters the picture only later:
 its series is projected onto the same right singular basis and sent to the
 nearest center, whose cluster becomes its donor pool (nearest_cluster).
@@ -52,35 +55,81 @@ class Partition:
 
 
 def _check_k(points: np.ndarray, k: int) -> None:
-    """k must be at least 1 and at most the number of distinct points."""
+    """k must be at least 1 and at most the number of distinct points.
+
+    Picks distinct rows greedily, one comparison with every row per pick,
+    until k are found; when the rows run out first, the picks made are the
+    exact count of distinct rows.
+    """
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
-    distinct = np.unique(points, axis=0).shape[0]
+    # each row as one opaque value; adding 0.0 turns -0.0 into 0.0, so rows
+    # of finite points are equal as bytes exactly when equal as numbers
+    row = np.dtype((np.void, points.itemsize * points.shape[1]))
+    rows = np.add(points, 0.0, order="C").view(row)
+    left = np.ones(points.shape[0], dtype=bool)  # rows equal to no pick yet
+    distinct = pick = 0
+    while distinct < k and left[pick]:
+        left &= rows[:, 0] != rows[pick, 0]
+        distinct += 1
+        pick = int(left.argmax())
     if k > distinct:
         raise DegenerateInputError(
             f"k={k} exceeds the {distinct} distinct point(s)"
         )
 
 
-def _draw_centers(points: np.ndarray, k: int, rng) -> np.ndarray:
-    """The D^2 draws of kmeans_pp_init on points that passed _check_k."""
+def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (runs, m) from the points to one center per run,
+    centers (runs, 1, r), squared in place to keep one (runs, m, r) buffer."""
+    diff = points - centers
+    return np.square(diff, out=diff).sum(axis=2)
+
+
+def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
+    """The D^2 draws of kmeans_pp_init on points that passed _check_k, one
+    restart per generator in rngs, all restarts in lockstep: (runs, k, r).
+
+    Each restart draws integers(m) for its first center and then one
+    random() per further center, u, taking the index that
+    Generator.choice(m, p=d2 / total) takes with that draw: the count of
+    cdf <= u, where cdf is the cumulative sum of p divided by its last
+    entry. The guard 0 < total < inf implies the checks choice makes on p
+    (no entry below 0, a sum within sqrt(eps) of 1), since d2 >= 0. A
+    restart that fails the guard would have raised before the restarts
+    after it were seeded, so those are dropped and the error raised at the
+    end is that of the first failing restart.
+    """
     m = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(m))]
-    d2 = ((points - centers[0]) ** 2).sum(axis=1)
+    first = [int(rng.integers(m)) for rng in rngs]
+    centers = np.empty((len(rngs), k, points.shape[1]))
+    centers[:, 0] = points[first]
+    d2 = _squared_distances(points, centers[:, :1])
+    failure = None
     for j in range(1, k):
-        total = d2.sum()
-        if not 0.0 < total < np.inf:
-            raise DegenerateInputError(
-                f"the squared distances to the first {j} center(s) sum to "
-                f"{total}: the points are distinct, but too close together "
-                f"(underflow) or too far apart (overflow) for D^2 seeding"
-            )
-        idx = int(rng.choice(m, p=d2 / total))
-        if d2[idx] == 0.0:
-            idx = int(np.argmax(d2))
-        centers[j] = points[idx]
-        d2 = np.minimum(d2, ((points - centers[j]) ** 2).sum(axis=1))
+        total = d2.sum(axis=1)
+        bad = np.flatnonzero(~((0.0 < total) & (total < np.inf)))
+        if bad.size:
+            runs = int(bad[0])
+            failure = (j, total[runs])
+            rngs, centers, d2, total = rngs[:runs], centers[:runs], d2[:runs], total[:runs]
+            if not runs:
+                break
+        cdf = np.cumsum(d2 / total[:, None], axis=1)
+        cdf /= cdf[:, -1:]
+        u = np.array([rng.random() for rng in rngs])
+        idx = np.count_nonzero(cdf <= u[:, None], axis=1)
+        zero = d2[np.arange(idx.size), idx] == 0.0
+        idx[zero] = d2[zero].argmax(axis=1)
+        centers[:, j] = points[idx]
+        d2 = np.minimum(d2, _squared_distances(points, centers[:, j : j + 1]))
+    if failure is not None:
+        j, total = failure
+        raise DegenerateInputError(
+            f"the squared distances to the first {j} center(s) sum to "
+            f"{total}: the points are distinct, but too close together "
+            f"(underflow) or too far apart (overflow) for D^2 seeding"
+        )
     return centers
 
 
@@ -88,12 +137,16 @@ def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
     """D^2-weighted seeding: each next center is a data point drawn with
     probability proportional to its squared distance from the chosen ones.
 
+    The draw is that of Generator.choice(m, p=d2 / d2.sum()), one random()
+    per center after the first; a draw that lands on a chosen point (weight
+    0) takes the farthest point instead.
+
     DegenerateInputError when k exceeds the distinct points, or when the
     squared distances of distinct points underflow to 0 or overflow.
     """
     points = as_matrix(points)
     _check_k(points, k)
-    return _draw_centers(points, k, np.random.default_rng(rng))
+    return _draw_centers(points, k, [np.random.default_rng(rng)])[0]
 
 
 def _center_means(points, columns, labels, counts) -> np.ndarray:
@@ -113,6 +166,25 @@ def _center_means(points, columns, labels, counts) -> np.ndarray:
     return np.stack(sums, axis=-1).reshape(runs, k, -1) / counts[:, :, None]
 
 
+def _nearest_centers(dist2: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Each point's nearest center per run, as argmin over k would pick it.
+
+    dist2 is (k, runs, m): a running strict < over the k distance blocks,
+    so the lowest label wins ties. A NaN distance wins as in argmin, and
+    only a NaN center gives one (the points are finite), so a run with a
+    NaN center sends every point to its first NaN center.
+    """
+    best = dist2[0].copy()
+    labels = np.zeros(best.shape, dtype=np.intp)
+    for c in range(1, dist2.shape[0]):
+        np.putmask(labels, dist2[c] < best, c)
+        np.minimum(best, dist2[c], out=best)
+    nan = np.isnan(centers).any(axis=2)
+    for j in np.flatnonzero(nan.any(axis=1)):
+        labels[j] = np.argmax(nan[j])
+    return labels
+
+
 def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
     """Lloyd iterations for several runs in lockstep; see lloyd for the rules.
 
@@ -128,12 +200,16 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
     columns = np.tile(points.T, runs)
     for _ in range(LLOYD_MAX_ITER):
         a = active.size
-        dist2 = cdist(points, centers[active].reshape(a * k, r), "sqeuclidean").reshape(m, a, k)
-        new = dist2.argmin(axis=2).T
+        moving_centers = centers[active]
+        # center-major, so each label's distances are one contiguous block;
+        # cdist's squared distances are symmetric to the bit
+        blocks = moving_centers.transpose(1, 0, 2).reshape(k * a, r)
+        dist2 = cdist(blocks, points, "sqeuclidean").reshape(k, a, m)
+        new = _nearest_centers(dist2, moving_centers)
         bins = (new + k * np.arange(a)[:, None]).ravel()
         counts = np.bincount(bins, minlength=a * k).reshape(a, k)
         for j in np.flatnonzero((counts == 0).any(axis=1)):
-            own = dist2[np.arange(m), j, new[j]]
+            own = dist2[new[j], j, np.arange(m)]
             for c in np.flatnonzero(counts[j] == 0):
                 far = int(np.argmax(own))
                 centers[active[j], c] = points[far]
@@ -147,7 +223,10 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
             break
         labels[active] = new
         centers[active] = _center_means(points, columns, new, counts[moving])
-    inertias = [float(((points - c[lab]) ** 2).sum()) for c, lab in zip(centers, labels)]
+    # one reduction over each run's m * r residuals, as .sum() of each alone
+    residuals = centers[np.arange(runs)[:, None], labels]
+    np.subtract(points, residuals, out=residuals)
+    inertias = np.square(residuals, out=residuals).reshape(runs, -1).sum(axis=1).tolist()
     return labels, inertias
 
 
@@ -157,7 +236,8 @@ def lloyd(points, init_centers):
     Ties assign to the lowest label. A cluster that comes up empty is
     reseeded at the point currently farthest from its own center (lowest
     point index on ties), processed in label order. Stops when assignments
-    repeat or after LLOYD_MAX_ITER rounds.
+    repeat or after LLOYD_MAX_ITER rounds. DegenerateInputError when there
+    are more centers than distinct points.
 
     Returns (centers, Partition, inertia).
     """
@@ -168,6 +248,7 @@ def lloyd(points, init_centers):
             f"init centers shape {centers.shape} does not match points "
             f"{points.shape}"
         )
+    _check_k(points, centers.shape[0])
     labels, inertias = _lloyd_runs(points, centers[None])
     return centers, Partition(labels[0] + 1, centers.shape[0]), inertias[0]
 
@@ -175,10 +256,11 @@ def lloyd(points, init_centers):
 def best_lloyd(points, k: int, restarts: int, rng):
     """Best of several seeded runs: lowest inertia, earliest restart on ties.
 
-    Every restart is seeded first (kmeans_pp_init, each from its own child
-    generator, drawn from rng in order), then all of them run one Lloyd loop
-    in lockstep. The draws, ties and results are those of seeding and
-    running each restart alone.
+    Every restart is seeded first, all in lockstep (kmeans_pp_init's draws,
+    each restart from its own child generator, drawn from rng in order),
+    then all of them run one Lloyd loop in lockstep. The distinct points
+    are checked once, before any draw. The draws, ties, results and errors
+    are those of seeding and running each restart alone, in order.
     """
     if restarts < 1:
         raise InvalidParamsError(f"restarts must be >= 1, got {restarts}")
@@ -186,9 +268,7 @@ def best_lloyd(points, k: int, restarts: int, rng):
     seeds = rng.integers(0, 2**63 - 1, size=restarts)
     points = as_matrix(points)
     _check_k(points, k)
-    centers = np.stack(
-        [_draw_centers(points, k, np.random.default_rng(int(seed))) for seed in seeds]
-    )
+    centers = _draw_centers(points, k, [np.random.default_rng(int(seed)) for seed in seeds])
     labels, inertias = _lloyd_runs(points, centers)
     best = min(range(restarts), key=inertias.__getitem__)  # first of equals
     return centers[best], Partition(labels[best] + 1, k), inertias[best]

@@ -246,8 +246,7 @@ def random_subset_variant(pool, subset_size: int, rng) -> list[int]:
             f"subset_size must be in 1..{n}, got {subset_size}"
         )
     rng = np.random.default_rng(rng)
-    idx = rng.choice(n, size=subset_size, replace=False)
-    return sorted(int(i) for i in idx)
+    return np.sort(rng.choice(n, size=subset_size, replace=False)).tolist()
 
 
 def donor_selection_scores(selected, truth_labels, target_group) -> tuple[float, float]:

@@ -71,14 +71,15 @@ def svd(x) -> SvdFactors:
     x = as_matrix(x)
     u, sigma, vh = np.linalg.svd(x, full_matrices=False)
     v = vh.T
-    for j in range(v.shape[1]):
-        col = v[:, j]
-        nz = np.flatnonzero(np.abs(col) > 1e-12)
-        # v columns are unit vectors, so nz is empty only for exact zeros,
-        # which LAPACK does not produce; guard anyway.
-        if nz.size and col[nz[0]] < 0:
-            v[:, j] = -col
-            u[:, j] = -u[:, j]
+    # each column's first entry above 1e-12 in magnitude; v columns are unit
+    # vectors, so a column has none only if it is near 0, which LAPACK does
+    # not produce, and such a column keeps its sign
+    big = np.abs(v) > 1e-12
+    first = big.argmax(axis=0)
+    cols = np.arange(v.shape[1])
+    signs = np.where(big[first, cols] & (v[first, cols] < 0), -1.0, 1.0)
+    u *= signs
+    v *= signs
     return SvdFactors(u=u, sigma=sigma, v=v)
 
 

@@ -226,8 +226,5 @@ def _duality_gap(design, target, values, level):
 
 def active_set(weights: WeightVector) -> list:
     """Donor ids whose weight magnitude exceeds ACTIVE_SET_TOL."""
-    return [
-        did
-        for did, val in zip(weights.donor_ids, weights.values)
-        if abs(val) > ACTIVE_SET_TOL
-    ]
+    ids = weights.donor_ids
+    return [ids[i] for i in np.flatnonzero(np.abs(weights.values) > ACTIVE_SET_TOL).tolist()]

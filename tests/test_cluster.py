@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,12 @@ class SerialOracle:
         d2 = ((points - centers[0]) ** 2).sum(axis=1)
         for j in range(1, k):
             total = d2.sum()
+            if not 0.0 < total < np.inf:
+                raise DegenerateInputError(
+                    f"the squared distances to the first {j} center(s) sum to "
+                    f"{total}: the points are distinct, but too close together "
+                    f"(underflow) or too far apart (overflow) for D^2 seeding"
+                )
             idx = int(rng.choice(m, p=d2 / total))
             if d2[idx] == 0.0:
                 idx = int(np.argmax(d2))
@@ -250,6 +257,28 @@ class TestKmeansPpInit:
         with pytest.raises(DegenerateInputError):
             kmeans_pp_init(points, 2, np.random.default_rng(0))
 
+    def test_distinct_count_in_message(self):
+        # the count named when k is too large is np.unique's, on points with
+        # repeated rows and with rounded ones, whose zeros are often -0.0, in
+        # row-major and column-major layout
+        rng = np.random.default_rng(853)
+        raised = negative_zeros = 0
+        for case in range(300):
+            m, r = int(rng.integers(2, 41)), int(rng.choice([1, 2, 3, 5]))
+            points = oracle_points(rng, m, r)
+            if case % 2:
+                points = np.asfortranarray(points)
+            negative_zeros += bool(np.any((points == 0) & np.signbit(points)))
+            distinct = np.unique(points, axis=0).shape[0]
+            k = distinct + int(rng.integers(0, 3))
+            got = outcome(lambda: kmeans_pp_init(points, k, case))
+            if k > distinct:
+                raised += 1
+                assert got == ("DegenerateInputError", f"k={k} exceeds the {distinct} distinct point(s)")
+            else:
+                assert len(got) == k, f"case {case}"
+        assert raised > 150 and negative_zeros > 20
+
     def test_k_bounds(self):
         points = np.arange(6.0).reshape(3, 2)
         with pytest.raises(InvalidParamsError):
@@ -340,10 +369,11 @@ class TestLockstepMatchesSerialOracle:
     def test_best_lloyd(self):
         oracle = SerialOracle()
         rng = np.random.default_rng(811)
-        spread_rounds = wide_r1 = raised = 0
+        spread_rounds = wide_r1 = raised = multi_draw = 0
         for case in range(2000):
             points, seed = self.case(rng)
             k = int(rng.integers(1, min(8, len(points)) + 1))
+            multi_draw += k >= 3
             restarts = int(rng.choice([1, 2, 3, 5, 10]))
             before = len(oracle.rounds)
             want = outcome(lambda: oracle.best_lloyd(points, k, restarts, np.random.default_rng(seed)))
@@ -357,8 +387,9 @@ class TestLockstepMatchesSerialOracle:
                 wide_r1 += np.bincount(labels).max() >= 8
         # the paths the cases reached: restarts converging in different
         # rounds, r = 1 clusters of 8 or more, too few distinct points, and
-        # empty clusters reseeded
+        # seedings of two or more D^2 draws
         assert spread_rounds > 500
+        assert multi_draw > 200
         assert wide_r1 > 100
         assert raised > 20
 
@@ -378,6 +409,59 @@ class TestLockstepMatchesSerialOracle:
         assert got == want
         assert oracle.reseeds > 0
 
+    @staticmethod
+    def degenerate_points(rng):
+        """1-d points, sometimes with a zero second coordinate, on which D^2
+        seeding fails for some first centers and not for others: points
+        1e-200 apart near 0, whose squared distances underflow once one of
+        them is a center (total 0), a group near D with D^2 of 0.35e308 to
+        0.95e308, whose squared distances from near 0 overflow in sum when
+        there are enough of them (total inf), and a few points in between."""
+        d = np.sqrt(rng.uniform(0.35, 0.95)) * 1e154
+        tiny = np.arange(int(rng.integers(1, 5))) * 1e-200
+        far = d + np.arange(int(rng.integers(1, 5))) * 1e140
+        mid = rng.uniform(1.0, 10.0, size=int(rng.integers(0, 3)))
+        points = rng.permutation(np.concatenate([tiny, far, mid]))[:, None]
+        if rng.random() < 0.5:
+            points = np.hstack([points, np.zeros_like(points)])
+        return points
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_seeding_failures_in_serial_order(self):
+        # restarts that fail at different center indices, or by underflow in
+        # one and overflow in another: the error raised is the serial one,
+        # that of the first failing restart in seed order with its own j
+        oracle = SerialOracle()
+        rng = np.random.default_rng(839)
+        kinds = {"underflow": 0, "overflow": 0}
+        out_of_order = 0
+        for case in range(800):
+            points = self.degenerate_points(rng)
+            seed = int(rng.integers(2**32))
+            k = int(rng.integers(2, len(points) + 1))
+            restarts = int(rng.choice([1, 2, 3, 5, 10]))
+            want = outcome(lambda: oracle.best_lloyd(points, k, restarts, np.random.default_rng(seed)))
+            got = outcome(lambda: best_lloyd(points, k, restarts, np.random.default_rng(seed)))
+            assert got == want, f"case {case}"
+            if restarts == 1:
+                alone = outcome(lambda: kmeans_pp_init(points, k, np.random.default_rng(seed).integers(0, 2**63 - 1)))
+                serial = outcome(lambda: oracle.kmeans_pp_init(points, k, np.random.default_rng(seed).integers(0, 2**63 - 1)))
+                assert alone == serial, f"case {case}"
+            if want[0] == "DegenerateInputError":
+                kinds["overflow" if "sum to inf" in want[1] else "underflow"] += 1
+            # the center index at which each restart fails alone, if it does
+            failed = []
+            for child in np.random.default_rng(seed).integers(0, 2**63 - 1, size=restarts):
+                try:
+                    oracle.kmeans_pp_init(points, k, int(child))
+                except DegenerateInputError as exc:
+                    failed.append(int(re.search(r"first (\d+) center", str(exc))[1]))
+            out_of_order += len(failed) > 1 and min(failed[1:]) < failed[0]
+        assert kinds["underflow"] > 100 and kinds["overflow"] > 300
+        # cases where a later restart fails at an earlier center than the
+        # first failing one
+        assert out_of_order > 30
+
     def test_choose_k(self):
         oracle = SerialOracle()
         rng = np.random.default_rng(823)
@@ -392,13 +476,15 @@ class TestLockstepMatchesSerialOracle:
             got = outcome(lambda: choose_k(points, 2, k_max, restarts, np.random.default_rng(seed)))
             assert got == want, f"case {case}"
 
-    # k above m, or a reseed that empties another cluster, leaves a NaN
-    # center (a mean of no points) in both versions
+    # a reseed that empties another cluster leaves a NaN center (a mean of
+    # no points) in both versions
     @pytest.mark.filterwarnings("ignore:Mean of empty slice", "ignore:invalid value")
     def test_lloyd_from_given_centers(self):
-        # far-off, repeated and shared starting centers leave clusters empty
+        # far-off, repeated and shared starting centers leave clusters empty;
+        # more centers than distinct points raise, as in best_lloyd
         oracle = SerialOracle()
         rng = np.random.default_rng(827)
+        raised = 0
         for case in range(400):
             points, _ = self.case(rng)
             m, r = points.shape
@@ -408,10 +494,16 @@ class TestLockstepMatchesSerialOracle:
                 init[:] = init[0]
             elif case % 3 == 1:
                 init = points[rng.integers(0, m, size=k)]
-            want = outcome(lambda: oracle.lloyd(points, init))
+            distinct = np.unique(points, axis=0).shape[0]
+            if k > distinct:
+                raised += 1
+                want = ("DegenerateInputError", f"k={k} exceeds the {distinct} distinct point(s)")
+            else:
+                want = outcome(lambda: oracle.lloyd(points, init))
             got = outcome(lambda: lloyd(points, init))
             assert got == want, f"case {case}"
         assert oracle.reseeds > 100
+        assert raised > 20
 
     def test_round_cap(self, monkeypatch):
         oracle = SerialOracle()

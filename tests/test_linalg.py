@@ -43,6 +43,19 @@ def gram_rank_r_oracle(x: np.ndarray, r: int) -> np.ndarray:
     return x @ basis @ basis.T
 
 
+def sign_loop_oracle(u: np.ndarray, v: np.ndarray):
+    """The sign convention one column at a time: flip v's column (and u's)
+    when its first entry above 1e-12 in magnitude is negative."""
+    u, v = u.copy(), v.copy()
+    for j in range(v.shape[1]):
+        col = v[:, j]
+        nz = np.flatnonzero(np.abs(col) > 1e-12)
+        if nz.size and col[nz[0]] < 0:
+            v[:, j] = -col
+            u[:, j] = -u[:, j]
+    return u, v
+
+
 def random_rank_r(rng: np.random.Generator, n: int, t: int, r: int) -> np.ndarray:
     return rng.normal(size=(n, r)) @ rng.normal(size=(r, t))
 
@@ -94,6 +107,41 @@ class TestSvd:
                 nz = np.flatnonzero(np.abs(col) > 1e-9)
                 assert nz.size > 0
                 assert col[nz[0]] > -1e-12
+
+    def test_signs_match_column_loop(self, monkeypatch):
+        # factors as LAPACK might return them, with leading entries below
+        # 1e-12 or exactly +-0 and columns with no entry above 1e-12; the
+        # signs (zeros' too) equal the column loop's, bit for bit
+        rng = np.random.default_rng(13)
+        factors = []
+        for case in range(300):
+            n, t = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+            p = min(n, t)
+            u, vh = rng.normal(size=(n, p)), rng.normal(size=(p, t))
+            lead = rng.integers(0, t + 1, size=p)  # entries set small per row of vh
+            for j in range(p):
+                vh[j, : lead[j]] = rng.choice([0.0, -0.0, 1e-13, -1e-13, 1e-12, -1e-12], size=lead[j])
+            factors.append((u, np.sort(rng.random(p))[::-1], vh))
+        calls = iter(factors)
+        monkeypatch.setattr(np.linalg, "svd", lambda x, full_matrices: next(calls))
+        for case, (u, sigma, vh) in enumerate(factors):
+            want_u, want_v = sign_loop_oracle(u, vh.T)
+            f = svd(np.ones((u.shape[0], vh.shape[1])))
+            assert f.u.tobytes() == want_u.tobytes(), f"case {case}"
+            assert f.v.tobytes() == want_v.tobytes(), f"case {case}"
+
+    def test_signs_with_zero_leading_coordinates(self):
+        # real SVDs whose v columns start with zeros: leading columns of x
+        # that are 0, and x with a single column
+        rng = np.random.default_rng(17)
+        for case in range(100):
+            x = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
+            x[:, : int(rng.integers(0, x.shape[1]))] = 0.0
+            u, sigma, vh = np.linalg.svd(x, full_matrices=False)
+            want_u, want_v = sign_loop_oracle(u, vh.T)
+            f = svd(x)
+            assert f.u.tobytes() == want_u.tobytes(), f"case {case}"
+            assert f.v.tobytes() == want_v.tobytes(), f"case {case}"
 
     def test_deterministic_repeat(self):
         rng = np.random.default_rng(3)

@@ -345,6 +345,23 @@ class TestActiveSet:
         )
         assert active_set(w) == ["a"]
 
+    def test_matches_element_loop(self):
+        # weights exactly at +-ACTIVE_SET_TOL, a step either side of it, and
+        # signed zeros, with string and integer ids: the ids kept, their
+        # order and their types are those of the loop over each weight
+        tol = regression.ACTIVE_SET_TOL
+        edges = [tol, -tol, np.nextafter(tol, 1.0), np.nextafter(-tol, -1.0),
+                 np.nextafter(tol, 0.0), 0.0, -0.0, 0.3, -2.0]
+        rng = np.random.default_rng(19)
+        for case in range(200):
+            n = int(rng.integers(1, 30))
+            values = rng.choice(edges, size=n) * rng.choice([1.0, 1.0, -1.0], size=n)
+            ids = [f"u{i}" for i in range(n)] if case % 2 else list(rng.permutation(n).tolist())
+            w = WeightVector(values=values, donor_ids=ids)
+            want = [did for did, val in zip(w.donor_ids, w.values) if abs(val) > tol]
+            got = active_set(w)
+            assert got == want and [type(d) for d in got] == [type(d) for d in want], f"case {case}"
+
     def test_custom_ids_alignment(self):
         w = fit(
             np.eye(2),

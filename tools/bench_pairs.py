@@ -20,6 +20,10 @@ distance between the parent's quartiles). Per workload it also counts the
 pairs whose two sides wrote the same outputs_sha256 and first_call_sha256
 (outputs_identical_pairs). --append adds the runs to those already in the
 output file before summarising.
+
+Both sides must run the same benchmark: when BENCHMARK.json or any file
+under perfbench/ differs between the parent and the working tree, nothing
+runs, the differing files are named on stderr and the exit status is 2.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800
 # output digests a pair must share for its two sides to count as byte-identical
 DIGESTS = ("outputs_sha256", "first_call_sha256")
+# the benchmark's own files, which must be the same on both sides
+BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
+# directories that running the benchmark writes under perfbench/
+RUN_OUTPUTS = {"__pycache__", "_work"}
 
 
 def parse_args(argv=None):
@@ -66,6 +74,25 @@ def export_commit(ref: str, dest: Path) -> str:
         tar.extractall(dest / "tree", filter="data")
     archive.unlink()
     return commit
+
+
+def benchmark_files(tree: Path) -> dict[str, bytes]:
+    """The benchmark's files in tree, by path relative to it."""
+    files = {}
+    for name in BENCHMARK_FILES:
+        path = tree / name
+        for f in [path] if path.is_file() else sorted(path.rglob("*")):
+            rel = f.relative_to(tree)
+            if f.is_file() and not RUN_OUTPUTS & set(rel.parts):
+                files[rel.as_posix()] = f.read_bytes()
+    return files
+
+
+def benchmark_differences(parent: Path, change: Path) -> list[str]:
+    """Benchmark files whose bytes differ between two trees or that only
+    one of them has."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -141,6 +168,11 @@ def main(argv=None) -> int:
     try:
         parent_commit = export_commit(args.parent, tmp)
         trees = {"parent": tmp / "tree", "change": ROOT}
+        differ = benchmark_differences(trees["parent"], trees["change"])
+        if differ:
+            print(f"{args.parent} and the working tree run different benchmark code: "
+                  + ", ".join(differ), file=sys.stderr)
+            return 2
         # the working tree, named by its HEAD and marked when it has local edits
         change_commit = git("rev-parse", "HEAD") + ("+edits" if git("status", "--porcelain") else "")
         order = 0
