@@ -468,11 +468,16 @@ RECORDED_DIGESTS = {
         "29d67569dd9e25467d6e4f800811816e24c5e1f446e703d75ba591113c5ae7ad",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
         "4f132e761bbe7da0fc6d0ded986ec4e5e5ec4a9cc57acc9aadf10436c248aa31",
+    "placebo-panel-auto/placebo_panel.json":
+        "83f0643850f3de3914d58f47418f3e64f887cd27fad2e0e25aef01faeef42030",
+    "placebo-panel-auto/placebo_panel_plot.csv":
+        "c375b220bc2c6b8012e30fd1cc9a65e2d8d174863115f8ef4bf63f7f51e1c9dd",
 }
 
 
-# The criterion-8 commands and one lasso run; {panel} is a 20-unit simulated
-# panel and {hpi} a long quarterly file (see the reference_inputs fixture)
+# The criterion-8 commands, one lasso run and one split run with auto k and the
+# random subset; {panel} is a 20-unit simulated panel and {hpi} a long
+# quarterly file (see the reference_inputs fixture)
 REFERENCE_COMMANDS = {
     "simulate": ["simulate", "--na", "6", "--nb", "6", "--seed", "41"],
     "placebo-synthetic": ["placebo-synthetic", "--na", "10", "--nb", "10",
@@ -492,6 +497,9 @@ REFERENCE_COMMANDS = {
     "placebo-synthetic-lasso": ["placebo-synthetic", "--method", "lasso",
                                 "--na", "20", "--nb", "20", "--datasets", "1",
                                 "--k", "2", "--seed", "47"],
+    "placebo-panel-auto": ["placebo-panel", "--panel", "{panel}", "--t0", "8",
+                           "--iterations", "2", "--k", "auto", "--with-random-subset",
+                           "--seed", "49"],
 }
 # the same, plus the --hpi path with its window and a label for t0
 CONFIG_COMMANDS = {
@@ -568,12 +576,15 @@ def test_config_echo_as_ini_reruns_the_same_files(label, reference_inputs, tmp_p
 
 
 def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
-    """The criterion-8 commands, and one lasso run, write the recorded bytes.
+    """The criterion-8 commands, one lasso run and one auto-k split run write
+    the recorded bytes.
 
     Criterion 8 checks that a rerun repeats itself; this checks that a
     change to the code leaves the outputs as they were. The criterion-8
     commands fit ridge only, so a lasso placebo run is added to cover the
-    lasso solver. A change that is meant to alter an output updates its
+    lasso solver, and their split run uses a fixed k and no random subset,
+    so a split run with auto k and the random subset is added to cover the
+    donor pools the split harness shares between targets. A change that is meant to alter an output updates its
     digest here and says why.
 
     The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on
