@@ -119,8 +119,6 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
         cdf /= cdf[:, -1:]
         u = np.array([rng.random() for rng in rngs])
         idx = np.count_nonzero(cdf <= u[:, None], axis=1)
-        zero = d2[np.arange(idx.size), idx] == 0.0
-        idx[zero] = d2[zero].argmax(axis=1)
         centers[:, j] = points[idx]
         d2 = np.minimum(d2, _squared_distances(points, centers[:, j : j + 1]))
     if failure is not None:
@@ -138,8 +136,9 @@ def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
     probability proportional to its squared distance from the chosen ones.
 
     The draw is that of Generator.choice(m, p=d2 / d2.sum()), one random()
-    per center after the first; a draw that lands on a chosen point (weight
-    0) takes the farthest point instead.
+    per center after the first. It never lands on a chosen point: a point
+    of weight 0 adds exactly 0 to the cumulative sum, so the cdf does not
+    rise there, and the index drawn is always one where it rises.
 
     DegenerateInputError when k exceeds the distinct points, or when the
     squared distances of distinct points underflow to 0 or overflow.

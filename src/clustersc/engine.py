@@ -6,6 +6,12 @@ through the denoised post block to get the counterfactual. The clustered
 variant first restricts the donor pool to the cluster nearest the target in
 singular vector space and runs the same engine on that subset.
 
+Learning is two steps. sc_denoise depends on the donor pool alone (SVD, rank
+rule, HSVT); sc_fit_weights fits one target's weights on a denoised pool.
+sc_learn is the two in sequence. A caller that serves many targets from the
+same pool, as the split placebo harness does, denoises it once and fits each
+target on the result.
+
 A note on rank selection. The engine benefits from clustering through the
 rank: a cluster's matrix has lower signal rank than the pool's, so its HSVT
 keeps fewer, cleaner directions. That only happens when the rank rule can
@@ -33,6 +39,9 @@ __all__ = [
     "InterventionSplit",
     "ScFit",
     "EffectEstimate",
+    "DenoisedPool",
+    "sc_denoise",
+    "sc_fit_weights",
     "sc_learn",
     "sc_project",
     "sc_infer",
@@ -62,6 +71,53 @@ class EffectEstimate:
     pre_fit_residual: np.ndarray
 
 
+@dataclass(frozen=True)
+class DenoisedPool:
+    """A donor window after HSVT at the rank the rule selected."""
+
+    values: np.ndarray
+    rank_used: int
+
+
+def sc_denoise(donors, rule: RankRule) -> DenoisedPool:
+    """The target-free step of sc_learn: SVD, rank selection, HSVT."""
+    factors = svd(donors)
+    rank_used = select_rank(factors.sigma, rule)
+    return DenoisedPool(factors.low_rank(rank_used), rank_used)
+
+
+def _check_window(periods: int, target_pre, split: InterventionSplit) -> np.ndarray:
+    if periods != split.t_total:
+        raise ShapeError(f"donors have {periods} periods, split expects {split.t_total}")
+    target_pre = np.asarray(target_pre, dtype=float)
+    if target_pre.ndim != 1 or target_pre.shape[0] != split.t0:
+        raise ShapeError(
+            f"target_pre must have length t0={split.t0}, got {target_pre.shape}"
+        )
+    return target_pre
+
+
+def sc_fit_weights(
+    pool: DenoisedPool,
+    split: InterventionSplit,
+    target_pre,
+    reg: RegressionSpec,
+    donor_ids=None,
+    cluster_label: int | None = None,
+) -> ScFit:
+    """The per-target step of sc_learn: fit the weights on a denoised pool."""
+    target_pre = _check_window(pool.values.shape[1], target_pre, split)
+    weights = fit(pool.values[:, : split.t0].T, target_pre, reg, donor_ids)
+    return ScFit(
+        weights=weights,
+        donor_ids=weights.donor_ids,
+        denoised_donors=pool.values,
+        rank_used=pool.rank_used,
+        regression=reg,
+        cluster_label=cluster_label,
+    )
+
+
 def sc_learn(
     donors,
     split: InterventionSplit,
@@ -73,27 +129,9 @@ def sc_learn(
 ) -> ScFit:
     """Denoise the donor window at the selected rank and fit the weights."""
     donors = as_matrix(donors)
-    target_pre = np.asarray(target_pre, dtype=float)
-    if donors.shape[1] != split.t_total:
-        raise ShapeError(
-            f"donors have {donors.shape[1]} periods, split expects {split.t_total}"
-        )
-    if target_pre.ndim != 1 or target_pre.shape[0] != split.t0:
-        raise ShapeError(
-            f"target_pre must have length t0={split.t0}, got {target_pre.shape}"
-        )
-    factors = svd(donors)
-    rank_used = select_rank(factors.sigma, rule)
-    denoised = factors.low_rank(rank_used)
-    design = denoised[:, : split.t0].T
-    weights = fit(design, target_pre, reg, donor_ids)
-    return ScFit(
-        weights=weights,
-        donor_ids=weights.donor_ids,
-        denoised_donors=denoised,
-        rank_used=rank_used,
-        regression=reg,
-        cluster_label=cluster_label,
+    _check_window(donors.shape[1], target_pre, split)
+    return sc_fit_weights(
+        sc_denoise(donors, rule), split, target_pre, reg, donor_ids, cluster_label
     )
 
 

@@ -12,11 +12,22 @@ Both harnesses hand each target to one per-target core. Given a donor set,
 the target's series, its (pre, post) reference series and a cluster source,
 the core fits every variant (full pool, the target's cluster, a size-matched
 random subset), records the skipped cells with their reason, and builds the
-placebo rows. The harnesses keep the rest: which units are targets, which
-reference the errors are measured against, where the target's cluster comes
-from (a fresh clustering of each donor pool, the dataset's pool model with
-the target removed, or the split iteration's donor model), and, for the
-split harness, the per-iteration aggregates.
+placebo rows. Each fit is the engine's two steps: denoise the variant's pool
+(sc_denoise), then fit the target's weights on it (sc_fit_weights). The
+harnesses keep the rest: which units are targets, which reference the errors
+are measured against, where the target's cluster comes from (a fresh
+clustering of each donor pool, the dataset's pool model with the target
+removed, or the split iteration's donor model), and, for the split harness,
+the per-iteration aggregates.
+
+What the harnesses share between targets follows from where the pools come
+from. In a leave-one-out run every target removes itself from the pool, so
+every pool is denoised for its target. In a split iteration every target
+sees the same donors and the same donor model, so the full pool and each
+cluster are denoised once, when a target first uses them; only the random
+subsets are drawn and denoised per target. The leave-one-out harness scores
+selections on row arrays: a weight's position maps through the cluster's
+member rows to a donor row, and past the target's row to a panel row.
 
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
@@ -38,7 +49,7 @@ from .cluster import (
     partition_symmetric_difference,
 )
 from .datagen import NoiseSpec, SignalSpec, SyntheticDataset, gen_dataset, gen_group
-from .engine import sc_infer, sc_learn
+from .engine import sc_denoise, sc_fit_weights, sc_infer
 from .errors import (
     DegenerateClusterError,
     InvalidInputError,
@@ -48,7 +59,7 @@ from .errors import (
 )
 from .linalg import RankRule
 from .panel import TimePanel
-from .regression import RegressionSpec, active_set
+from .regression import RegressionSpec, active_positions
 
 __all__ = [
     "VARIANT_NAMES",
@@ -255,10 +266,16 @@ def donor_selection_scores(selected, truth_labels, target_group) -> tuple[float,
     selected holds integer positions into truth_labels; duplicates are
     collapsed. Precision is the share of selected units carrying
     target_group; recall is the share of the group that was selected.
-    Passing truth_labels as an array saves converting them on every call.
+    Passing truth_labels as an array saves converting them on every call,
+    and passing selected as a strictly increasing array saves sorting it.
     """
     labels = np.asarray(truth_labels)
-    chosen = np.unique(np.fromiter(selected, dtype=int))
+    if isinstance(selected, np.ndarray):
+        chosen = selected.astype(int, copy=False)
+    else:
+        chosen = np.fromiter(selected, dtype=int)
+    if not np.all(chosen[1:] > chosen[:-1]):
+        chosen = np.unique(chosen)
     if not chosen.size:
         raise UndefinedPrecisionError("empty selection has no precision")
     if chosen[0] < 0 or chosen[-1] >= labels.shape[0]:
@@ -303,6 +320,7 @@ def _placebo_target(
     seeds,
     cluster_source,
     score_selection=None,
+    pools=None,
 ) -> tuple[list[PlaceboRow], list[dict]]:
     """Fit every variant on one target and score it; returns (rows, skipped).
 
@@ -311,8 +329,12 @@ def _placebo_target(
     member rows into donors, or raises DegenerateClusterError (see
     cluster_members) when the cluster has fewer than 2 donors. That skips
     the cluster_sc variant and, with it, the paired sc_random_subset variant.
-    score_selection(fit), when given, returns the active donors' precision
-    and recall against the planted groups.
+    score_selection(fit, members), when given, returns the active donors'
+    precision and recall against the planted groups; members are the pool's
+    rows into donors, ascending, or None for the whole of donors.
+    pools, when given, keeps the denoised full pool and cluster pools under
+    (variant name, cluster label) for later targets; pass it only when every
+    target sees the same donors and clusters. Random subsets are never kept.
     """
     target_pre = target_full[: split.t0]
     rows: list[PlaceboRow] = []
@@ -328,7 +350,7 @@ def _placebo_target(
             elif v.name == "sc_random_subset":
                 if cluster_size is None:
                     raise DegenerateClusterError(0, 0)
-                members = random_subset_variant(donors, cluster_size, child)
+                members = np.asarray(random_subset_variant(donors, cluster_size, child))
         except DegenerateClusterError as exc:
             skipped.append(
                 {
@@ -340,15 +362,23 @@ def _placebo_target(
                 }
             )
             continue
-        if members is None:
-            pool, ids = donors, donor_ids
+        key = (v.name, label)
+        if pools is not None and key in pools:
+            pool, ids = pools[key]
         else:
-            pool, ids = donors[members], [donor_ids[i] for i in members]
-        fit = sc_learn(pool, split, target_pre, v.rule, v.reg, donor_ids=ids, cluster_label=label)
+            if members is None:
+                pool, ids = sc_denoise(donors, v.rule), donor_ids
+            else:
+                pool, ids = sc_denoise(donors[members], v.rule), [donor_ids[i] for i in members]
+            if pools is not None and v.name != "sc_random_subset":
+                pools[key] = pool, ids
+        fit = sc_fit_weights(pool, split, target_pre, v.reg, donor_ids=ids, cluster_label=label)
         estimate = sc_infer(fit, split, target_full)
         pre_mse = mse(fit.denoised_donors[:, : split.t0].T @ fit.weights.values, reference[0])
         post_mse = mse(estimate.counterfactual_post, reference[1])
-        precision, recall = score_selection(fit) if score_selection else (None, None)
+        precision, recall = (
+            score_selection(fit, members) if score_selection else (None, None)
+        )
         rows.append(
             PlaceboRow(
                 iteration=iteration,
@@ -402,7 +432,6 @@ def leave_one_out_placebo(
     t0 = panel.split.t0
     values = panel.values
     labels = np.asarray(dataset.group_labels)
-    id_to_row = {u: i for i, u in enumerate(panel.unit_ids)}
     a_rows = [i for i, g in enumerate(labels) if g == "A"]
     if not a_rows:
         raise InvalidInputError("dataset has no group-A units to target")
@@ -429,8 +458,12 @@ def leave_one_out_placebo(
             label = int(pool_labels[tr])
             return label, cluster_members(np.delete(pool_labels, tr), label)
 
-        def score_selection(fit):
-            positions = [id_to_row[u] for u in active_set(fit.weights)]
+        def score_selection(fit, members):
+            # pool position -> donor row -> panel row, ascending throughout
+            positions = active_positions(fit.weights)
+            if members is not None:
+                positions = members[positions]
+            positions += positions >= tr
             try:
                 return donor_selection_scores(positions, labels, labels[tr])
             except UndefinedPrecisionError:
@@ -509,12 +542,15 @@ def split_placebo(
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
+        # every target of the iteration shares the donors and the model's
+        # clusters, so each of those pools is denoised once, on first use
+        pools: dict = {}
         for tr, target_seeds in zip(test_rows, seeds):
             observed = values[tr]
             cell_rows, cell_skipped = _placebo_target(
                 it, panel.unit_ids[tr], donors, donor_ids, observed, panel.split,
                 (observed[:t0], observed[t0:]), variants, target_seeds,
-                lambda v, child: nearest_cluster(model, observed[:t0]),
+                lambda v, child: nearest_cluster(model, observed[:t0]), pools=pools,
             )
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)

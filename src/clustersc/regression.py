@@ -224,7 +224,12 @@ def _duality_gap(design, target, values, level):
     return max(primal - dual, 0.0) / design.shape[0]
 
 
+def active_positions(weights: WeightVector) -> np.ndarray:
+    """Ascending positions of the weights whose magnitude exceeds ACTIVE_SET_TOL."""
+    return np.flatnonzero(np.abs(weights.values) > ACTIVE_SET_TOL)
+
+
 def active_set(weights: WeightVector) -> list:
     """Donor ids whose weight magnitude exceeds ACTIVE_SET_TOL."""
     ids = weights.donor_ids
-    return [ids[i] for i in np.flatnonzero(np.abs(weights.values) > ACTIVE_SET_TOL).tolist()]
+    return [ids[i] for i in active_positions(weights).tolist()]

@@ -38,7 +38,10 @@ from clustersc.errors import (
     ShapeError,
     UndefinedPrecisionError,
 )
+from clustersc import evaluate
+from clustersc.engine import sc_learn
 from clustersc.evaluate import (
+    VARIANT_NAMES,
     MethodVariant,
     PlaceboReport,
     PlaceboRow,
@@ -55,7 +58,7 @@ from clustersc.evaluate import (
 )
 from clustersc.linalg import RankRule
 from clustersc.panel import InterventionSplit, TimePanel
-from clustersc.regression import RegressionSpec
+from clustersc.regression import RegressionSpec, active_set
 
 RIDGE = RegressionSpec("ridge", lam=0.01)
 ENERGY = RankRule.energy(0.95)
@@ -536,6 +539,143 @@ class TestSplitPlacebo:
             split_placebo(
                 ds.panel, 0.8, 0, standard_variants(), np.random.default_rng(0)
             )
+
+
+def record_fits(monkeypatch) -> list:
+    """Every fit the harnesses push through sc_infer, in the order of their rows."""
+    fits = []
+
+    def recording(fit, split, target_full):
+        fits.append(fit)
+        return sc_infer(fit, split, target_full)
+
+    sc_infer = evaluate.sc_infer
+    monkeypatch.setattr(evaluate, "sc_infer", recording)
+    return fits
+
+
+class TestSelectionScoringOracle:
+    """The leave-one-out harness scores selections on row arrays; the oracle
+    maps the active donors' ids back to panel rows one by one."""
+
+    @staticmethod
+    def oracle(fit, dataset, target_id):
+        id_to_row = {u: i for i, u in enumerate(dataset.panel.unit_ids)}
+        labels = dataset.group_labels
+        try:
+            return donor_selection_scores(
+                [id_to_row[u] for u in active_set(fit.weights)], labels,
+                labels[id_to_row[target_id]],
+            )
+        except UndefinedPrecisionError:
+            return None, None
+
+    def scored_rows(self, monkeypatch, reg, mode, seed):
+        dataset = small_dataset(seed=seed, s=0.2)
+        fits = record_fits(monkeypatch)
+        report = leave_one_out_placebo(
+            dataset, 0.3, standard_variants(reg=reg), np.random.default_rng(seed),
+            cluster_mode=mode,
+        )
+        assert len(fits) == len(report.rows)
+        for fit, row in zip(fits, report.rows):
+            assert (row.active_donor_precision, row.active_donor_recall) == self.oracle(
+                fit, dataset, row.target_id
+            ), (row.target_id, row.variant)
+        return report.rows
+
+    @pytest.mark.parametrize("mode", ["per_target", "per_dataset"])
+    @pytest.mark.parametrize("reg", [RIDGE, RegressionSpec("lasso", 0.01)])
+    def test_matches_id_oracle(self, monkeypatch, reg, mode):
+        rows = []
+        for seed in (41, 42):
+            rows += self.scored_rows(monkeypatch, reg, mode, seed)
+        for name in VARIANT_NAMES:
+            assert any(
+                r.variant == name and r.active_donor_precision is not None for r in rows
+            ), name
+
+    def test_empty_active_set_scores_none(self, monkeypatch):
+        # a penalty this large zeroes every lasso weight
+        rows = self.scored_rows(monkeypatch, RegressionSpec("lasso", 1e6), "per_dataset", 43)
+        assert rows
+        assert all(
+            (r.active_donor_precision, r.active_donor_recall) == (None, None) for r in rows
+        )
+
+
+class TestSplitSharedPools:
+    """The split harness denoises the full pool once per iteration and each
+    cluster once; every row must still be what a fresh sc_learn gives."""
+
+    def test_rows_equal_fresh_fits_and_svds_are_shared(self, monkeypatch):
+        panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
+        variants = standard_variants(k="auto")
+        svd_calls = []
+        numpy_svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            svd_calls.append(None)
+            return numpy_svd(*args, **kwargs)
+
+        # (svd calls made before the model, the model) per iteration
+        models = []
+        fit_cluster_model = evaluate.fit_cluster_model
+
+        def recording_model(*args, **kwargs):
+            before = len(svd_calls)
+            model = fit_cluster_model(*args, **kwargs)
+            models.append((before, model))
+            return model
+
+        fits = record_fits(monkeypatch)
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(evaluate, "fit_cluster_model", recording_model)
+        report = split_placebo(panel, 0.6, 2, variants, np.random.default_rng(52))
+        monkeypatch.undo()
+
+        assert len(fits) == len(report.rows)
+        assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
+        id_to_row = {u: i for i, u in enumerate(panel.unit_ids)}
+        split, t0 = panel.split, panel.split.t0
+        variant_of = {v.name: v for v in variants}
+        full_ids = {r.iteration: f.donor_ids for f, r in zip(fits, report.rows)
+                    if r.variant == "sc_full"}
+        for fit, row in zip(fits, report.rows):
+            v = variant_of[row.variant]
+            if row.variant == "cluster_sc":
+                labels = models[row.iteration - 1][1].assignments.labels
+                assert fit.donor_ids == [
+                    full_ids[row.iteration][i]
+                    for i in np.flatnonzero(labels == row.cluster_label)
+                ]
+            observed = panel.values[id_to_row[row.target_id]]
+            pool = panel.values[[id_to_row[u] for u in fit.donor_ids]]
+            fresh = sc_learn(
+                pool, split, observed[:t0], v.rule, v.reg, donor_ids=fit.donor_ids,
+                cluster_label=row.cluster_label,
+            )
+            assert np.array_equal(fresh.denoised_donors, fit.denoised_donors)
+            assert np.array_equal(fresh.weights.values, fit.weights.values)
+            assert fresh.rank_used == fit.rank_used
+            counterfactual = fresh.denoised_donors[:, t0:].T @ fresh.weights.values
+            pre = fresh.denoised_donors[:, :t0].T @ fresh.weights.values
+            assert row.post_mse == mse(counterfactual, observed[t0:])
+            assert row.pre_mse == mse(pre, observed[:t0])
+
+        # one SVD for the cluster model, one for the full pool, one per
+        # cluster used and one per random subset, in each iteration
+        assert len(models) == 2
+        bounds = [before for before, _ in models] + [len(svd_calls)]
+        for it, ((_, model), entry) in enumerate(zip(models, report.per_iteration), start=1):
+            n_targets = entry["n_targets"]
+            calls = bounds[it] - bounds[it - 1]
+            assert calls <= 1 + 1 + model.k + n_targets
+            it_rows = [r for r in report.rows if r.iteration == it]
+            clusters = {r.cluster_label for r in it_rows if r.variant == "cluster_sc"}
+            subsets = sum(r.variant == "sc_random_subset" for r in it_rows)
+            assert calls == 2 + len(clusters) + subsets
+            assert len(clusters) < n_targets  # some cluster served two targets
 
 
 def outlier_pair_dataset():
