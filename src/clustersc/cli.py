@@ -9,9 +9,10 @@ Subcommands
     gap-check         Monte-Carlo singular value gap experiment
     recovery-check    planted-partition recovery across a noise grid
 
-Every experiment command takes --seed (required; runs are reproducible to
-the byte) and --out for the output directory. When --out is absent the
-CLUSTERSC_OUT_DIR environment variable is used, then the current directory.
+Every experiment command takes --seed (required, non-negative; runs are
+reproducible to the byte) and --out for the output directory. When --out
+is absent the CLUSTERSC_OUT_DIR environment variable is used, then the
+current directory.
 
 Grammars used by several flags:
     noise   kind:params, e.g. gaussian:0.3, uniform:0.5, student_t:4:0.3
@@ -48,7 +49,7 @@ from .cluster import AUTO_K_RANGE, KMEANS_RESTARTS, fit_cluster_model
 from .datagen import (
     GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset, noise_tag, parse_noise,
 )
-from .errors import ClusterScError, ConfigError
+from .errors import ClusterScError, ConfigError, InvalidParamsError
 from .evaluate import (
     MethodVariant,
     SEED_CEILING,
@@ -231,21 +232,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _convert_config_value(action, raw: str):
+    """A config value through its flag's converter; a bad value names the key."""
     if isinstance(action, argparse._StoreTrueAction):
-        return _parse_bool(raw)
-    if action.type is int:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"key {action.dest!r}: expected an integer, got {raw!r}") from None
-    if action.type is float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"key {action.dest!r}: expected a number, got {raw!r}") from None
-    if callable(action.type):
-        return action.type(raw)
-    return raw
+        convert = _parse_bool
+    else:
+        convert = action.type or str
+    try:
+        return convert(raw)
+    except ValueError as exc:
+        raise ConfigError(f"key {action.dest!r}: {exc}") from None
 
 
 def load_config_defaults(path, command: str, sub: argparse.ArgumentParser) -> dict:
@@ -364,6 +359,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_placebo_synthetic(args) -> int:
+    if args.datasets < 1:
+        raise InvalidParamsError(f"--datasets must be >= 1, got {args.datasets}")
     variants = _variants(args)
     rng = np.random.default_rng(args.seed)
     dataset_seeds = rng.integers(0, SEED_CEILING, size=args.datasets)
@@ -542,10 +539,12 @@ def cli_dispatch(argv) -> int:
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: a command is required", file=sys.stderr)
             return 2
-        # --seed is required wherever it exists; only spectrum has none
-        if "seed" in vars(args) and args.seed is None:
+        # --seed is required wherever it exists (only spectrum has none), and
+        # numpy seeds are non-negative; flag and config file share this check
+        if "seed" in vars(args) and (args.seed is None or args.seed < 0):
             print(
-                f"{parser.prog} {args.command}: error: --seed is required",
+                f"{parser.prog} {args.command}: error: --seed is required "
+                "and must be a non-negative integer",
                 file=sys.stderr,
             )
             return 2

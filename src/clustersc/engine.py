@@ -8,9 +8,11 @@ singular vector space and runs the same engine on that subset.
 
 Learning is two steps. sc_denoise depends on the donor pool alone (SVD, rank
 rule, HSVT); sc_fit_weights fits one target's weights on a denoised pool.
-sc_learn is the two in sequence. A caller that serves many targets from the
-same pool, as the split placebo harness does, denoises it once and fits each
-target on the result.
+sc_learn is the two in sequence; sc_denoise checks the donors and
+sc_fit_weights the target's window. A caller that serves many targets from
+the same pool, as the split placebo harness does, denoises it once and fits
+each target on the result. sc_infer returns the pre-period fit with its
+residual, so scoring it against another reference needs no second product.
 
 A note on rank selection. The engine benefits from clustering through the
 rank: a cluster's matrix has lower signal rank than the pool's, so its HSVT
@@ -57,7 +59,6 @@ class ScFit:
     donor_ids: list
     denoised_donors: np.ndarray
     rank_used: int
-    regression: RegressionSpec
     cluster_label: int | None = None
 
 
@@ -68,6 +69,7 @@ class EffectEstimate:
     counterfactual_post: np.ndarray
     observed_post: np.ndarray
     effect: np.ndarray
+    pre_fit: np.ndarray
     pre_fit_residual: np.ndarray
 
 
@@ -86,17 +88,6 @@ def sc_denoise(donors, rule: RankRule) -> DenoisedPool:
     return DenoisedPool(factors.low_rank(rank_used), rank_used)
 
 
-def _check_window(periods: int, target_pre, split: InterventionSplit) -> np.ndarray:
-    if periods != split.t_total:
-        raise ShapeError(f"donors have {periods} periods, split expects {split.t_total}")
-    target_pre = np.asarray(target_pre, dtype=float)
-    if target_pre.ndim != 1 or target_pre.shape[0] != split.t0:
-        raise ShapeError(
-            f"target_pre must have length t0={split.t0}, got {target_pre.shape}"
-        )
-    return target_pre
-
-
 def sc_fit_weights(
     pool: DenoisedPool,
     split: InterventionSplit,
@@ -106,14 +97,20 @@ def sc_fit_weights(
     cluster_label: int | None = None,
 ) -> ScFit:
     """The per-target step of sc_learn: fit the weights on a denoised pool."""
-    target_pre = _check_window(pool.values.shape[1], target_pre, split)
+    periods = pool.values.shape[1]
+    if periods != split.t_total:
+        raise ShapeError(f"donors have {periods} periods, split expects {split.t_total}")
+    target_pre = np.asarray(target_pre, dtype=float)
+    if target_pre.ndim != 1 or target_pre.shape[0] != split.t0:
+        raise ShapeError(
+            f"target_pre must have length t0={split.t0}, got {target_pre.shape}"
+        )
     weights = fit(pool.values[:, : split.t0].T, target_pre, reg, donor_ids)
     return ScFit(
         weights=weights,
         donor_ids=weights.donor_ids,
         denoised_donors=pool.values,
         rank_used=pool.rank_used,
-        regression=reg,
         cluster_label=cluster_label,
     )
 
@@ -128,8 +125,6 @@ def sc_learn(
     cluster_label: int | None = None,
 ) -> ScFit:
     """Denoise the donor window at the selected rank and fit the weights."""
-    donors = as_matrix(donors)
-    _check_window(donors.shape[1], target_pre, split)
     return sc_fit_weights(
         sc_denoise(donors, rule), split, target_pre, reg, donor_ids, cluster_label
     )
@@ -155,12 +150,13 @@ def sc_infer(sc_fit: ScFit, split: InterventionSplit, target_full) -> EffectEsti
     counterfactual = sc_project(sc_fit, split)
     observed_post = target_full[split.t0 :]
     design = sc_fit.denoised_donors[:, : split.t0].T
-    pre_fit_residual = target_full[: split.t0] - design @ sc_fit.weights.values
+    pre_fit = design @ sc_fit.weights.values
     return EffectEstimate(
         counterfactual_post=counterfactual,
         observed_post=observed_post,
         effect=observed_post - counterfactual,
-        pre_fit_residual=pre_fit_residual,
+        pre_fit=pre_fit,
+        pre_fit_residual=target_full[: split.t0] - pre_fit,
     )
 
 

@@ -194,44 +194,6 @@ class PlaceboReport:
             seen.add(key)
 
 
-def _skipped_cells(skipped) -> set:
-    return {(entry["iteration"], entry["target_id"]) for entry in skipped}
-
-
-def _medians_from_rows(rows, skipped) -> dict:
-    bad = _skipped_cells(skipped)
-    by_variant: dict[str, list[PlaceboRow]] = {}
-    for row in rows:
-        if (row.iteration, row.target_id) in bad:
-            continue
-        by_variant.setdefault(row.variant, []).append(row)
-    medians = {}
-    for name, kept in by_variant.items():
-        medians[name] = {
-            "pre_mse": float(np.median([r.pre_mse for r in kept])),
-            "post_mse": float(np.median([r.post_mse for r in kept])),
-        }
-    return medians
-
-
-def _improvements_from_rows(rows, skipped) -> dict:
-    bad = _skipped_cells(skipped)
-    cells: dict[tuple, dict] = {}
-    for row in rows:
-        cell = (row.iteration, row.target_id)
-        if cell in bad:
-            continue
-        cells.setdefault(cell, {})[row.variant] = row.post_mse
-    values = []
-    for post in cells.values():
-        if "sc_full" in post and "cluster_sc" in post:
-            values.append(pairwise_improvement(post["sc_full"], post["cluster_sc"]))
-    return {
-        "values": values,
-        "median": float(np.median(values)) if values else None,
-    }
-
-
 def _check_variants(variants) -> None:
     if not variants:
         raise InvalidParamsError("need at least one variant")
@@ -289,9 +251,32 @@ def donor_selection_scores(selected, truth_labels, target_group) -> tuple[float,
 
 
 def _aggregates(rows, skipped) -> dict:
+    """The report's medians and improvements over complete cells, in one pass."""
+    bad = {(entry["iteration"], entry["target_id"]) for entry in skipped}
+    by_variant: dict[str, list[PlaceboRow]] = {}
+    cells: dict[tuple, dict] = {}
+    for row in rows:
+        cell = (row.iteration, row.target_id)
+        if cell in bad:
+            continue
+        by_variant.setdefault(row.variant, []).append(row)
+        cells.setdefault(cell, {})[row.variant] = row.post_mse
+    values = []
+    for post in cells.values():
+        if "sc_full" in post and "cluster_sc" in post:
+            values.append(pairwise_improvement(post["sc_full"], post["cluster_sc"]))
     return {
-        "medians": _medians_from_rows(rows, skipped),
-        "improvements": _improvements_from_rows(rows, skipped),
+        "medians": {
+            name: {
+                "pre_mse": float(np.median([r.pre_mse for r in kept])),
+                "post_mse": float(np.median([r.post_mse for r in kept])),
+            }
+            for name, kept in by_variant.items()
+        },
+        "improvements": {
+            "values": values,
+            "median": float(np.median(values)) if values else None,
+        },
     }
 
 
@@ -374,7 +359,7 @@ def _placebo_target(
                 pools[key] = pool, ids
         fit = sc_fit_weights(pool, split, target_pre, v.reg, donor_ids=ids, cluster_label=label)
         estimate = sc_infer(fit, split, target_full)
-        pre_mse = mse(fit.denoised_donors[:, : split.t0].T @ fit.weights.values, reference[0])
+        pre_mse = mse(estimate.pre_fit, reference[0])
         post_mse = mse(estimate.counterfactual_post, reference[1])
         precision, recall = (
             score_selection(fit, members) if score_selection else (None, None)
@@ -561,7 +546,7 @@ def split_placebo(
             {
                 "iteration": it,
                 "n_targets": int(test_rows.size),
-                "n_skipped_cells": len(_skipped_cells(it_skipped)),
+                "n_skipped_cells": len({entry["target_id"] for entry in it_skipped}),
                 **_aggregates(it_rows, it_skipped),
             }
         )

@@ -54,9 +54,6 @@ class SvdFactors:
     sigma: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.T
-
     def low_rank(self, r: int) -> np.ndarray:
         """Reconstruction from the leading r singular triplets."""
         if not 1 <= r <= self.sigma.size:

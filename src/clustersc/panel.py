@@ -43,10 +43,6 @@ class InterventionSplit:
                 f"need 1 <= t0 < t_total, got t0={self.t0}, t_total={self.t_total}"
             )
 
-    @property
-    def t_post(self) -> int:
-        return self.t_total - self.t0
-
 
 @dataclass
 class TimePanel:

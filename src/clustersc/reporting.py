@@ -18,6 +18,11 @@ for commands that cluster the k-means protocol (restarts, k_range). An INI
 section built from the flag keys that are not null, rerun with --config and
 the same input path, rewrites the same files.
 
+JSON is written in one walk of the payload. json's default hook converts,
+one level at a time, what json cannot encode: a dataclass to its fields, a
+numpy value to Python, a path to text, and a rank rule or noise spec to its
+tag in the grammar its flag takes (energy:0.95, gaussian:0.3).
+
 Writing is byte-deterministic: JSON keys are sorted, floats keep Python's
 shortest round-trip repr, newlines are fixed to "\n", and nothing
 timestamp- or host-dependent is recorded. Rerunning a command with the same
@@ -41,7 +46,6 @@ from .linalg import RankRule, rule_tag
 
 __all__ = [
     "PLOT_COLUMNS",
-    "to_jsonable",
     "placebo_plot_rows",
     "gap_plot_rows",
     "recovery_plot_rows",
@@ -51,40 +55,6 @@ __all__ = [
 ]
 
 PLOT_COLUMNS = ("dataset", "noise", "variant", "metric", "value")
-
-
-def to_jsonable(obj):
-    """Recursively convert dataclasses, numpy values, and paths to JSON types.
-
-    Rank rules and noise specs are written by their tags, in the grammar the
-    flags take (energy:0.95, gaussian:0.3).
-    """
-    if isinstance(obj, RankRule):
-        return rule_tag(obj)
-    if isinstance(obj, NoiseSpec):
-        return noise_tag(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: to_jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-        }
-    if isinstance(obj, dict):
-        return {str(key): to_jsonable(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(item) for item in obj]
-    if isinstance(obj, np.ndarray):
-        return [to_jsonable(item) for item in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, Path):
-        return str(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
-        return obj
-    raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
 def placebo_plot_rows(report: PlaceboReport, dataset: str = "", noise: str = "") -> list[tuple]:
@@ -190,10 +160,25 @@ def write_plot_csv(rows, path) -> Path:
     return path
 
 
+def _json_default(obj):
+    """json's hook for a value it cannot encode; json then walks the result."""
+    if isinstance(obj, RankRule):
+        return rule_tag(obj)
+    if isinstance(obj, NoiseSpec):
+        return noise_tag(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, Path):
+        return str(obj)
+    raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
 def write_json(payload, path) -> Path:
-    """Write sorted, indented JSON with a trailing newline."""
+    """Write sorted, indented JSON with a trailing newline, in one json walk."""
     path = Path(path)
-    text = json.dumps(to_jsonable(payload), sort_keys=True, indent=2)
+    text = json.dumps(payload, default=_json_default, sort_keys=True, indent=2)
     path.write_bytes((text + "\n").encode("utf-8"))
     return path
 

@@ -127,6 +127,21 @@ class TestExitCodes:
         assert "--seed is required" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
+        ["simulate"], ["placebo-synthetic"], ["placebo-panel"],
+        ["cluster", "--panel", "p.csv", "--t0", "8"], ["gap-check"], ["recovery-check"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, argv, tmp_path, capsys):
+        assert run(*argv, "--seed", "-5", "--out", str(tmp_path)) == 2
+        assert "--seed is required" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_negative_seed_from_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[gap-check]\nseed = -5\n")
+        assert run("gap-check", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        assert "--seed is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
         ["placebo-synthetic"], ["placebo-panel"],
         ["cluster", "--panel", "p.csv", "--t0", "8"], ["recovery-check"],
     ], ids=lambda argv: argv[0])
@@ -259,6 +274,13 @@ class TestPlaceboSynthetic:
             "--seed", "2", "--out", str(tmp_path))
         config = json.loads((tmp_path / "placebo_synthetic.json").read_text())["config"]
         assert (config["rule"], config["cluster_rule"]) == ("energy:0.9:squared", "fixed:3")
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_datasets_below_one_rejected(self, count, tmp_path, capsys):
+        assert run("placebo-synthetic", "--datasets", count, "--seed", "1",
+                   "--out", str(tmp_path)) == 1
+        assert f"--datasets must be >= 1, got {count}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_every_cell_skipped(self, tmp_path):
         # with 2 + 2 units the target's cluster never keeps 2 donors, so the
@@ -400,6 +422,13 @@ class TestConfigFile:
             "--seed", "3", "--out", str(tmp_path))
         payload = json.loads((tmp_path / "gap_check.json").read_text())
         assert payload["config"]["n"] == 70
+
+    def test_bad_value_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[gap-check]\nna = abc\n")
+        assert run("gap-check", "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path)) == 1
+        assert "key 'na'" in capsys.readouterr().err
 
     def test_spec_valued_keys(self, tmp_path):
         cfg = tmp_path / "run.ini"

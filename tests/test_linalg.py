@@ -78,7 +78,7 @@ class TestSvd:
             x = rng.normal(size=(n, t))
             f = svd(x)
             p = min(n, t)
-            np.testing.assert_allclose(f.reconstruct(), x, atol=1e-8)
+            np.testing.assert_allclose(f.low_rank(f.sigma.size), x, atol=1e-8)
             np.testing.assert_allclose(f.u.T @ f.u, np.eye(p), atol=1e-8)
             np.testing.assert_allclose(f.v.T @ f.v, np.eye(p), atol=1e-8)
             assert np.all(np.diff(f.sigma) <= 1e-12)
@@ -95,7 +95,7 @@ class TestSvd:
     def test_reconstruction_property(self, x):
         f = svd(x)
         scale = max(1.0, float(np.abs(x).max()))
-        np.testing.assert_allclose(f.reconstruct(), x, atol=1e-8 * scale)
+        np.testing.assert_allclose(f.low_rank(f.sigma.size), x, atol=1e-8 * scale)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(11)
@@ -154,7 +154,7 @@ class TestSvd:
     def test_zero_matrix(self):
         f = svd(np.zeros((4, 3)))
         np.testing.assert_allclose(f.sigma, 0.0, atol=0)
-        np.testing.assert_allclose(f.reconstruct(), np.zeros((4, 3)), atol=0)
+        np.testing.assert_allclose(f.low_rank(f.sigma.size), np.zeros((4, 3)), atol=0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):

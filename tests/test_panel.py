@@ -36,9 +36,6 @@ def make_panel(n=3, t=5, t0=3, seed=0):
 
 
 class TestInterventionSplit:
-    def test_t_post(self):
-        assert InterventionSplit(3, 10).t_post == 7
-
     def test_rejects_no_post_period(self):
         with pytest.raises(InvalidParamsError):
             InterventionSplit(5, 5)

@@ -25,7 +25,7 @@ from clustersc.reporting import (
     placebo_plot_rows,
     recovery_plot_rows,
     spectrum_plot_rows,
-    to_jsonable,
+    write_json,
     write_plot_csv,
     write_report,
 )
@@ -66,29 +66,39 @@ def sample_recovery_result():
     )
 
 
+def written(payload, tmp_path):
+    """payload as write_json writes it, read back."""
+    return json.loads(write_json(payload, tmp_path / "payload.json").read_text())
+
+
 class TestToJsonable:
-    def test_nested_dataclass(self):
-        payload = to_jsonable(sample_gap_result())
+    """The conversions write_json applies to values json cannot encode."""
+
+    def test_nested_dataclass(self, tmp_path):
+        payload = written({"result": sample_gap_result()}, tmp_path)["result"]
         assert payload["noise"] == "gaussian:0.3"
         assert payload["gaps"] == [1.0, 1.5]
 
-    def test_numpy_values(self):
-        assert to_jsonable(np.float64(1.5)) == 1.5
-        assert to_jsonable(np.int64(3)) == 3
-        assert to_jsonable(np.bool_(True)) is True
-        assert to_jsonable(np.array([[1, 2]])) == [[1, 2]]
+    def test_numpy_values(self, tmp_path):
+        payload = written(
+            {"f": np.float64(1.5), "i": np.int64(3), "b": np.bool_(True),
+             "a": np.array([[1, 2]])},
+            tmp_path,
+        )
+        assert payload == {"f": 1.5, "i": 3, "b": True, "a": [[1, 2]]}
+        assert payload["b"] is True
 
-    def test_dict_keys_become_strings(self):
-        assert to_jsonable({1: "a"}) == {"1": "a"}
+    def test_dict_keys_become_strings(self, tmp_path):
+        assert written({1: "a"}, tmp_path) == {"1": "a"}
 
-    def test_unserializable_rejected(self):
+    def test_unserializable_rejected(self, tmp_path):
         with pytest.raises(InvalidInputError):
-            to_jsonable(object())
+            write_json({"x": object()}, tmp_path / "payload.json")
 
-    def test_rank_rule(self):
+    def test_rank_rule(self, tmp_path):
         # written by its tag, in the grammar of the --rule flag
-        assert to_jsonable(RankRule.fixed(3)) == "fixed:3"
-        payload = to_jsonable(sample_recovery_result())
+        assert written(RankRule.fixed(3), tmp_path) == "fixed:3"
+        payload = written(sample_recovery_result(), tmp_path)
         assert payload["rule"] == "energy:0.95"
         assert payload["cells"][0]["noise"] == "gaussian:0.1"
 
