@@ -49,6 +49,11 @@ class DegenerateClusterError(ClusterScError):
             f"cluster {label} has {size} donor(s); at least 2 are required"
         )
 
+    def __reduce__(self):
+        # args holds the message, not (label, size), so pickle's default
+        # reconstruction would call __init__ with one argument
+        return type(self), (self.label, self.size)
+
 
 class UndefinedPrecisionError(ClusterScError):
     """Precision/recall requested for an empty selection."""

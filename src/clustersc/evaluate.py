@@ -29,6 +29,17 @@ subsets are drawn and denoised per target. The leave-one-out harness scores
 selections on row arrays: a weight's position maps through the cluster's
 member rows to a donor row, and past the target's row to a panel row.
 
+Leave-one-out targets share nothing once their seeds are drawn (and, in
+per_dataset mode, the pool model is fitted), so the harness deals them
+round-robin over the CPUs in the process's affinity mask: one forked child
+per extra CPU sends its share's rows back through a pipe, and the parent
+puts every target's rows back in target order. The report is the same for
+any CPU count, and the error raised is the one a serial run raises first.
+With one CPU or one target, without os.fork or os.sched_getaffinity, or
+while another Python thread runs, the same loop runs in this process alone
+(`taskset -c 0` pins a run to it). The split harness stays in one process:
+its targets share the pools denoised on first use.
+
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
 a subgroup, and the recovery rate of the planted two-group structure.
@@ -37,6 +48,10 @@ a subgroup, and the recovery rate of the planted two-group structure.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,7 +98,7 @@ __all__ = [
 VARIANT_NAMES = ("sc_full", "sc_random_subset", "cluster_sc")
 
 # child seeds for per-target work are drawn upfront so results do not depend
-# on execution order (targets could run in parallel)
+# on execution order or on the process a target runs in
 SEED_CEILING = 2**63 - 1
 
 
@@ -310,7 +325,9 @@ def _placebo_target(
     """Fit every variant on one target and score it; returns (rows, skipped).
 
     reference is the (pre, post) pair the errors are measured against.
-    cluster_source(variant, rng) returns the target's cluster label and its
+    seeds holds one integer seed per variant; a variant that draws builds its
+    generator from it, and one that does not never pays for one.
+    cluster_source(variant, seed) returns the target's cluster label and its
     member rows into donors, or raises DegenerateClusterError (see
     cluster_members) when the cluster has fewer than 2 donors. That skips
     the cluster_sc variant and, with it, the paired sc_random_subset variant.
@@ -326,16 +343,15 @@ def _placebo_target(
     skipped: list[dict] = []
     cluster_size = None
     for v, seed in zip(variants, seeds):
-        child = np.random.default_rng(seed)
         members, label = None, None
         try:
             if v.name == "cluster_sc":
-                label, members = cluster_source(v, child)
+                label, members = cluster_source(v, seed)
                 cluster_size = len(members)
             elif v.name == "sc_random_subset":
                 if cluster_size is None:
                     raise DegenerateClusterError(0, 0)
-                members = np.asarray(random_subset_variant(donors, cluster_size, child))
+                members = np.asarray(random_subset_variant(donors, cluster_size, seed))
         except DegenerateClusterError as exc:
             skipped.append(
                 {
@@ -378,6 +394,114 @@ def _placebo_target(
             )
         )
     return rows, skipped
+
+
+def _share_count(count: int) -> int:
+    """How many processes split count targets: one per CPU, at most one per target.
+
+    fork is safe only while this process runs no other Python thread.
+    """
+    if (
+        count < 2
+        or not hasattr(os, "fork")
+        or not hasattr(os, "sched_getaffinity")
+        or threading.active_count() > 1
+    ):
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def _run_share(work, count: int, share: int, shares: int) -> tuple[list, Exception | None]:
+    """work(i) for i = share, share + shares, ... below count, in order.
+
+    Stops at the first error and returns (results before it, the error), so
+    the share's results cover exactly its indices below the failing one.
+    """
+    results = []
+    for i in range(share, count, shares):
+        try:
+            results.append(work(i))
+        except Exception as exc:
+            return results, exc
+    return results, None
+
+
+def _fork_share(work, count: int, share: int, shares: int):
+    """Run one share in a forked child; returns (pid, read end of its pipe).
+
+    The child writes its pickled _run_share outcome to the pipe and leaves
+    through os._exit, so it runs no exit handler and never flushes the
+    stdio buffers it inherited. Its exit status is 0 only when the whole
+    outcome was written. Returns None when no child could be started.
+    """
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_run_share(work, count, share, shares), pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _collect_share(child):
+    """The outcome a forked share delivered, or None; always reaps the child."""
+    pid, read_fd = child
+    try:
+        with open(read_fd, "rb") as pipe:
+            payload = pipe.read()
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        return None
+    return pickle.loads(payload)
+
+
+def _deal_over_cpus(work, count: int) -> list:
+    """[work(i) for i in range(count)], with the indices dealt over the CPUs.
+
+    Index i goes to share i % shares; share 0 runs here, every other share in
+    a forked child (see _share_count). A share whose child delivers nothing
+    is run here instead. The results come back in index order, and the error
+    raised is that of the lowest failing index, as a serial loop raises it.
+    """
+    shares = _share_count(count)
+    children = {}
+    try:
+        for share in range(1, shares):
+            child = _fork_share(work, count, share, shares)
+            if child is not None:
+                children[share] = child
+        outcomes = [_run_share(work, count, 0, shares)]
+        for share in range(1, shares):
+            outcome = _collect_share(children.pop(share)) if share in children else None
+            if outcome is None:
+                outcome = _run_share(work, count, share, shares)
+            outcomes.append(outcome)
+    finally:
+        # children are left here only when this call leaves by an exception
+        for pid, read_fd in children.values():
+            os.close(read_fd)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = []
+    for i in range(count):
+        done, error = outcomes[i % shares]
+        if i // shares == len(done):
+            raise error
+        results.append(done[i // shares])
+    return results
 
 
 def leave_one_out_placebo(
@@ -428,16 +552,14 @@ def leave_one_out_placebo(
     if cluster_mode == "per_dataset":
         pool_model = _fit_pool_model(variants, panel.pre, rng)
 
-    rows: list[PlaceboRow] = []
-    skipped: list[dict] = []
-    for tr, target_seeds in zip(target_rows, seeds):
-        tr = int(tr)
+    def run_target(i):
+        tr = int(target_rows[i])
         donors = np.delete(values, tr, axis=0)
         donor_ids = panel.unit_ids[:tr] + panel.unit_ids[tr + 1 :]
 
-        def cluster_source(v, child):
+        def cluster_source(v, seed):
             if cluster_mode == "per_target":
-                model = fit_cluster_model(donors[:, :t0], v.rule, k=v.k, rng=child)
+                model = fit_cluster_model(donors[:, :t0], v.rule, k=v.k, rng=seed)
                 return nearest_cluster(model, values[tr, :t0])
             pool_labels = pool_model.assignments.labels
             label = int(pool_labels[tr])
@@ -454,11 +576,15 @@ def leave_one_out_placebo(
             except UndefinedPrecisionError:
                 return None, None
 
-        cell_rows, cell_skipped = _placebo_target(
+        return _placebo_target(
             0, panel.unit_ids[tr], donors, donor_ids, values[tr], panel.split,
             (dataset.true_signal[tr, :t0], dataset.true_signal[tr, t0:]),
-            variants, target_seeds, cluster_source, score_selection,
+            variants, seeds[i], cluster_source, score_selection,
         )
+
+    rows: list[PlaceboRow] = []
+    skipped: list[dict] = []
+    for cell_rows, cell_skipped in _deal_over_cpus(run_target, n_targets):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
 
@@ -535,7 +661,7 @@ def split_placebo(
             cell_rows, cell_skipped = _placebo_target(
                 it, panel.unit_ids[tr], donors, donor_ids, observed, panel.split,
                 (observed[:t0], observed[t0:]), variants, target_seeds,
-                lambda v, child: nearest_cluster(model, observed[:t0]), pools=pools,
+                lambda v, seed: nearest_cluster(model, observed[:t0]), pools=pools,
             )
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -620,12 +621,23 @@ def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
     OpenBLAS 0.3.31 (x86-64, 2-core Xeon). Another numpy or BLAS build may
     round differently and change them; rerun the commands on the parent
     commit to tell such a difference from a real change.
+
+    The commands run twice: with this process's whole affinity mask, where
+    the leave-one-out harness deals its targets over the CPUs, and pinned to
+    one CPU, where it runs them in this process alone.
     """
-    digests = {}
-    for label in REFERENCE_COMMANDS:
-        out = tmp_path / label
-        assert run(*reference_argv(label, reference_inputs), "--out", str(out)) == 0, label
-        for path in sorted(out.iterdir()):
-            digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
-    capsys.readouterr()
-    assert digests == RECORDED_DIGESTS
+    mask = os.sched_getaffinity(0)
+    for cpus in (mask, {min(mask)}):
+        digests = {}
+        os.sched_setaffinity(0, cpus)
+        try:
+            for label in REFERENCE_COMMANDS:
+                out = tmp_path / f"{len(cpus)}cpu" / label
+                argv = reference_argv(label, reference_inputs)
+                assert run(*argv, "--out", str(out)) == 0, label
+                for path in sorted(out.iterdir()):
+                    digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+        finally:
+            os.sched_setaffinity(0, mask)
+        capsys.readouterr()
+        assert digests == RECORDED_DIGESTS, f"{len(cpus)} CPU(s)"

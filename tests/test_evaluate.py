@@ -15,7 +15,12 @@ Hand-computed values used below:
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +64,7 @@ from clustersc.evaluate import (
 from clustersc.linalg import RankRule
 from clustersc.panel import InterventionSplit, TimePanel
 from clustersc.regression import RegressionSpec, active_set
+from clustersc.reporting import write_json
 
 RIDGE = RegressionSpec("ridge", lam=0.01)
 ENERGY = RankRule.energy(0.95)
@@ -542,7 +548,13 @@ class TestSplitPlacebo:
 
 
 def record_fits(monkeypatch) -> list:
-    """Every fit the harnesses push through sc_infer, in the order of their rows."""
+    """Every fit the harnesses push through sc_infer, in the order of their rows.
+
+    A wrapper sees only the fits made in this process, so the harness is
+    held to one CPU; TestDealtTargets checks that the rows do not depend on
+    the CPU count.
+    """
+    use_cpus(monkeypatch, 1)
     fits = []
 
     def recording(fit, split, target_full):
@@ -749,6 +761,160 @@ class TestSkipPath:
                         and (r.iteration, r.target_id) not in it_cells]
                 assert med["post_mse"] == float(np.median(kept))
         assert sum(e["n_skipped_cells"] for e in report.per_iteration) == len(cells)
+
+
+def use_cpus(monkeypatch, count):
+    """Make the harness see count CPUs in this process's affinity mask."""
+    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def count_forks(monkeypatch) -> list:
+    """The pids of the children the harness forks from now on."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(evaluate.os, "fork", counting_fork)
+    return pids
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestDealtTargets:
+    """The leave-one-out harness deals its targets over the CPUs in the
+    affinity mask; the report and the error raised must not depend on how
+    many there are, and no child may outlive the call."""
+
+    CASES = {
+        "per_target": (lambda: small_dataset(seed=61, s=0.2), 0.5, "per_target"),
+        "per_dataset": (lambda: small_dataset(seed=61, s=0.2), 0.5, "per_dataset"),
+        # the far pair u00, u01 is skipped for cluster_sc (see TestSkipPath)
+        "skipped_per_target": (outlier_pair_dataset, 1.0, "per_target"),
+        "skipped_per_dataset": (outlier_pair_dataset, 1.0, "per_dataset"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_bytes_do_not_depend_on_cpus(self, case, monkeypatch, tmp_path):
+        make_dataset, fraction, mode = self.CASES[case]
+        dataset = make_dataset()
+        variants = TestSkipPath.VARIANTS if case.startswith("skipped") else standard_variants()
+        forks = count_forks(monkeypatch)
+        written = []
+        for cpus in (1, 2, 4):
+            use_cpus(monkeypatch, cpus)
+            del forks[:]
+            report = leave_one_out_placebo(
+                dataset, fraction, variants, np.random.default_rng(62), cluster_mode=mode
+            )
+            assert_no_children()
+            assert len(forks) == cpus - 1
+            written.append(write_json(report, tmp_path / f"{cpus}.json").read_bytes())
+        assert written[1] == written[0]
+        assert written[2] == written[0]
+        assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
+        if case == "skipped_per_dataset":
+            assert {s["target_id"] for s in report.skipped} == {"u00", "u01"}
+
+    @pytest.mark.parametrize("picklable", [True, False])
+    @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (3, 5), (6,)])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_error_in_target_order_is_raised(self, cpus, failing, picklable, monkeypatch):
+        dataset = small_dataset(seed=63)
+        variants = standard_variants()
+        use_cpus(monkeypatch, 1)
+        serial = leave_one_out_placebo(dataset, 0.4, variants, np.random.default_rng(64))
+        target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
+        assert len(target_ids) == 8
+        bad = {target_ids[i] for i in failing}
+
+        class LocalError(Exception):
+            """A class local to a function cannot be pickled, so a child
+            that meets it exits without sending its results."""
+
+        error = InvalidInputError if picklable else LocalError
+        placebo_target = evaluate._placebo_target
+
+        def failing_target(iteration, target_id, *args):
+            if target_id in bad:
+                raise error(f"target {target_id} failed")
+            return placebo_target(iteration, target_id, *args)
+
+        monkeypatch.setattr(evaluate, "_placebo_target", failing_target)
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
+            leave_one_out_placebo(dataset, 0.4, variants, np.random.default_rng(64))
+        assert_no_children()
+
+    def test_share_runs_here_when_fork_fails(self, monkeypatch, tmp_path):
+        dataset = small_dataset(seed=65)
+        use_cpus(monkeypatch, 1)
+        serial = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+
+        def failing_fork():
+            raise BlockingIOError("no process slot")
+
+        use_cpus(monkeypatch, 4)
+        monkeypatch.setattr(evaluate.os, "fork", failing_fork)
+        report = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+        assert write_json(report, tmp_path / "4.json").read_bytes() == write_json(
+            serial, tmp_path / "1.json"
+        ).read_bytes()
+
+    def test_interrupt_kills_and_reaps_children(self, monkeypatch):
+        parent = os.getpid()
+        placebo_target = evaluate._placebo_target
+
+        def interrupted_target(*args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return placebo_target(*args)
+
+        monkeypatch.setattr(evaluate, "_placebo_target", interrupted_target)
+        forks = count_forks(monkeypatch)
+        use_cpus(monkeypatch, 4)
+        with pytest.raises(KeyboardInterrupt):
+            leave_one_out_placebo(small_dataset(seed=67), 0.4, standard_variants(), 68)
+        assert len(forks) == 3
+        assert_no_children()
+
+    def test_children_never_flush_inherited_stdio(self):
+        # stdout is a buffered pipe, so the line sits in the buffer the
+        # children inherit
+        script = textwrap.dedent('''
+            import os, sys
+            from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
+            from clustersc.evaluate import MethodVariant, leave_one_out_placebo
+            from clustersc.linalg import RankRule
+            from clustersc.regression import RegressionSpec
+
+            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
+            dataset = gen_dataset(
+                GROUP_A_SPEC, GROUP_B_SPEC, 10, 10, 10, 8, NoiseSpec.gaussian(0.1), seed=1
+            )
+            variants = [MethodVariant(name, RegressionSpec("ridge", lam=0.01),
+                                      RankRule.energy(0.95), k=2)
+                        for name in ("sc_full", "cluster_sc")]
+            sys.stdout.write("written once\\n")
+            report = leave_one_out_placebo(dataset, 0.4, variants, 2)
+            sys.stderr.write(str(len(report.rows)))
+        ''')
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(evaluate.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+            env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "written once\n"
+        assert done.stderr == "8"
 
 
 class TestSingularGapExperiment:
