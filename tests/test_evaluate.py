@@ -19,6 +19,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from dataclasses import asdict
 from pathlib import Path
 
@@ -820,7 +821,7 @@ class TestDealtTargets:
         assert written[1] == written[0]
         assert written[2] == written[0]
         assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
-        if case == "skipped_per_dataset":
+        if case.startswith("skipped"):
             assert {s["target_id"] for s in report.skipped} == {"u00", "u01"}
 
     @pytest.mark.parametrize("picklable", [True, False])
@@ -852,6 +853,31 @@ class TestDealtTargets:
         with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, variants, np.random.default_rng(64))
         assert_no_children()
+
+    @pytest.mark.parametrize("reason", ["no_fork", "no_affinity", "second_thread"])
+    def test_runs_in_process_when_forking_is_unsafe(self, reason, monkeypatch):
+        dataset = small_dataset(seed=69)
+        use_cpus(monkeypatch, 1)
+        serial = leave_one_out_placebo(dataset, 0.4, standard_variants(), 70)
+        use_cpus(monkeypatch, 4)
+        forks = count_forks(monkeypatch)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        if reason == "no_fork":
+            monkeypatch.delattr(evaluate.os, "fork")
+        elif reason == "no_affinity":
+            monkeypatch.delattr(evaluate.os, "sched_getaffinity")
+        else:
+            thread.start()
+        try:
+            report = leave_one_out_placebo(dataset, 0.4, standard_variants(), 70)
+        finally:
+            release.set()
+            if reason == "second_thread":
+                thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert forks == []
+        assert asdict(report) == asdict(serial)
 
     def test_share_runs_here_when_fork_fails(self, monkeypatch, tmp_path):
         dataset = small_dataset(seed=65)
