@@ -32,6 +32,9 @@ KMEANS_RESTARTS = 10
 LLOYD_MAX_ITER = 300
 # k="auto" picks from this range by silhouette, capped at n - 1 donors
 AUTO_K_RANGE = (2, 8)
+# child seeds are drawn upfront so results do not depend on execution order
+# or on the process that uses them
+SEED_CEILING = 2**63 - 1
 
 
 @dataclass
@@ -264,7 +267,7 @@ def best_lloyd(points, k: int, restarts: int, rng):
     if restarts < 1:
         raise InvalidParamsError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(rng)
-    seeds = rng.integers(0, 2**63 - 1, size=restarts)
+    seeds = rng.integers(0, SEED_CEILING, size=restarts)
     points = as_matrix(points)
     _check_k(points, k)
     centers = _draw_centers(points, k, [np.random.default_rng(int(seed)) for seed in seeds])
@@ -373,10 +376,6 @@ def fit_cluster_model(donor_pre, rule: RankRule, k="auto", rng=None) -> ClusterM
         k, centers, part, inertia = choose_k(embedding, k_min, k_max, KMEANS_RESTARTS, rng)
     else:
         k = int(k)
-        if k < 1:
-            raise InvalidParamsError(f"k must be >= 1, got {k}")
-        if k > n:
-            raise DegenerateInputError(f"k={k} exceeds the {n} donors")
         centers, part, inertia = best_lloyd(embedding, k, KMEANS_RESTARTS, rng)
     return ClusterModel(
         k=k,

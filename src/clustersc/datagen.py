@@ -54,8 +54,8 @@ GROUP_B_SPEC = SignalSpec(3, (2.0, 5.0), (3.0, 6.0), (0.0, 1.0))
 @dataclass(frozen=True)
 class NoiseSpec:
     """i.i.d. noise distribution: gaussian(sd), uniform(half_width), or
-    student_t(dof, scale). Scales may be zero (noiseless); dof must be >= 3
-    so the variance exists comfortably."""
+    student_t(dof, scale). Every parameter is finite; scales may be zero
+    (noiseless), and dof must be >= 3 so the variance exists comfortably."""
 
     kind: str
     params: tuple[float, ...]
@@ -76,6 +76,8 @@ class NoiseSpec:
                 )
         else:
             raise InvalidParamsError(f"unknown noise kind {self.kind!r}")
+        if not np.isfinite(self.params).all():
+            raise InvalidParamsError(f"{self.kind} parameters must be finite, got {self.params}")
 
     @classmethod
     def gaussian(cls, sd: float) -> "NoiseSpec":

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cluster import fit_cluster_model, nearest_cluster
-from .errors import DegenerateInputError, ShapeError
+from .errors import ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
 from .panel import InterventionSplit
 from .regression import RegressionSpec, WeightVector, fit
@@ -175,23 +175,14 @@ def cluster_sc(
     The clustering sees only pre-intervention data (see fit_cluster_model
     for k). The target's cluster must hold at least 2 donors, else
     DegenerateClusterError is raised. The rank rule is applied afresh
-    to the selected cluster's matrix.
+    to the selected cluster's matrix. Each step checks its own inputs, so a
+    wrong period count or target length is found after the clustering.
 
     Returns (EffectEstimate, ScFit, ClusterModel). With k=1 the selected
     cluster is the whole pool, reproducing plain SC bit for bit.
     """
     donors = as_matrix(donors)
     target_full = np.asarray(target_full, dtype=float)
-    if donors.shape[1] != split.t_total:
-        raise ShapeError(
-            f"donors have {donors.shape[1]} periods, split expects {split.t_total}"
-        )
-    if target_full.ndim != 1 or target_full.shape[0] != split.t_total:
-        raise ShapeError(
-            f"target_full must have length {split.t_total}, got {target_full.shape}"
-        )
-    if donors.shape[0] < 2:
-        raise DegenerateInputError("cluster_sc needs at least 2 donors")
     if donor_ids is None:
         donor_ids = list(range(donors.shape[0]))
     model = fit_cluster_model(donors[:, : split.t0], rule, k=k, rng=rng)

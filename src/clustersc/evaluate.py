@@ -33,8 +33,9 @@ Leave-one-out targets share nothing once their seeds are drawn (and, in
 per_dataset mode, the pool model is fitted), so the harness deals them
 round-robin over the CPUs in the process's affinity mask: one forked child
 per extra CPU sends its share's rows back through a pipe, and the parent
-puts every target's rows back in target order. The report is the same for
-any CPU count, and the error raised is the one a serial run raises first.
+puts every target's rows back in target order. After any failure every
+target runs again here, in order, so the report is the same for any CPU
+count and the error raised is the one a serial run raises first.
 With one CPU or one target, without os.fork or os.sched_getaffinity, or
 while another Python thread runs, the same loop runs in this process alone
 (`taskset -c 0` pins a run to it). The split harness stays in one process:
@@ -57,6 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cluster import (
+    SEED_CEILING,
     Partition,
     cluster_members,
     fit_cluster_model,
@@ -96,10 +98,6 @@ __all__ = [
 ]
 
 VARIANT_NAMES = ("sc_full", "sc_random_subset", "cluster_sc")
-
-# child seeds for per-target work are drawn upfront so results do not depend
-# on execution order or on the process a target runs in
-SEED_CEILING = 2**63 - 1
 
 
 def mse(predicted, reference) -> float:
@@ -411,28 +409,14 @@ def _share_count(count: int) -> int:
     return min(count, len(os.sched_getaffinity(0)))
 
 
-def _run_share(work, count: int, share: int, shares: int) -> tuple[list, Exception | None]:
-    """work(i) for i = share, share + shares, ... below count, in order.
-
-    Stops at the first error and returns (results before it, the error), so
-    the share's results cover exactly its indices below the failing one.
-    """
-    results = []
-    for i in range(share, count, shares):
-        try:
-            results.append(work(i))
-        except Exception as exc:
-            return results, exc
-    return results, None
-
-
 def _fork_share(work, count: int, share: int, shares: int):
     """Run one share in a forked child; returns (pid, read end of its pipe).
 
-    The child writes its pickled _run_share outcome to the pipe and leaves
-    through os._exit, so it runs no exit handler and never flushes the
-    stdio buffers it inherited. Its exit status is 0 only when the whole
-    outcome was written. Returns None when no child could be started.
+    The child runs work(i) for i = share, share + shares, ... below count,
+    writes the pickled list of results to the pipe and leaves through
+    os._exit, so it runs no exit handler and never flushes the stdio buffers
+    it inherited. Its exit status is 0 only when the whole list was written.
+    Raises OSError when no pipe or no child can be made.
     """
     read_fd, write_fd = os.pipe()
     try:
@@ -440,12 +424,13 @@ def _fork_share(work, count: int, share: int, shares: int):
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return None
+        raise
     if pid == 0:
         status = 1
         try:
             os.close(read_fd)
-            payload = pickle.dumps(_run_share(work, count, share, shares), pickle.HIGHEST_PROTOCOL)
+            results = [work(i) for i in range(share, count, shares)]
+            payload = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
             status = 0
@@ -455,8 +440,8 @@ def _fork_share(work, count: int, share: int, shares: int):
     return pid, read_fd
 
 
-def _collect_share(child):
-    """The outcome a forked share delivered, or None; always reaps the child."""
+def _collect_share(child) -> list:
+    """The results a forked share sent, else ChildProcessError; reaps the child."""
     pid, read_fd = child
     try:
         with open(read_fd, "rb") as pipe:
@@ -464,7 +449,7 @@ def _collect_share(child):
     finally:
         _, status = os.waitpid(pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
-        return None
+        raise ChildProcessError(f"share child {pid} delivered nothing")
     return pickle.loads(payload)
 
 
@@ -472,36 +457,31 @@ def _deal_over_cpus(work, count: int) -> list:
     """[work(i) for i in range(count)], with the indices dealt over the CPUs.
 
     Index i goes to share i % shares; share 0 runs here, every other share in
-    a forked child (see _share_count). A share whose child delivers nothing
-    is run here instead. The results come back in index order, and the error
-    raised is that of the lowest failing index, as a serial loop raises it.
+    a forked child (see _share_count). If anything fails (a pipe or a child
+    cannot be made, a child delivers nothing, or this process's share
+    raises), the children still running are killed and reaped, and the
+    serial loop runs here from the start: its results, and the first error
+    in index order, are what the call returns or raises.
     """
     shares = _share_count(count)
-    children = {}
+    children = []
     try:
-        for share in range(1, shares):
-            child = _fork_share(work, count, share, shares)
-            if child is not None:
-                children[share] = child
-        outcomes = [_run_share(work, count, 0, shares)]
-        for share in range(1, shares):
-            outcome = _collect_share(children.pop(share)) if share in children else None
-            if outcome is None:
-                outcome = _run_share(work, count, share, shares)
-            outcomes.append(outcome)
+        if shares > 1:
+            for share in range(1, shares):
+                children.append(_fork_share(work, count, share, shares))
+            dealt = [[work(i) for i in range(0, count, shares)]]
+            while children:
+                dealt.append(_collect_share(children.pop(0)))
+            return [dealt[i % shares][i // shares] for i in range(count)]
+    except Exception:
+        pass  # one policy for every failure: the serial loop below
     finally:
-        # children are left here only when this call leaves by an exception
-        for pid, read_fd in children.values():
+        # children are left here only when the dealt run failed
+        for pid, read_fd in children:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    results = []
-    for i in range(count):
-        done, error = outcomes[i % shares]
-        if i // shares == len(done):
-            raise error
-        results.append(done[i // shares])
-    return results
+    return [work(i) for i in range(count)]
 
 
 def leave_one_out_placebo(
@@ -723,12 +703,14 @@ def singular_gap_experiment(
     rng,
 ) -> GapExperimentResult:
     """Measure sigma_{r+1}(full pool) - sigma_{r+1}(subgroup) over trials."""
-    if not 1 <= rank_r < t_count:
-        raise InvalidParamsError(
-            f"need 1 <= rank_r < t_count, got rank_r={rank_r}, t_count={t_count}"
-        )
     if not 1 <= n_a < n:
         raise InvalidParamsError(f"need 1 <= n_a < n, got n_a={n_a}, n={n}")
+    # sigma_{r+1} of the subgroup exists only below min(n_a, t_count)
+    if not 1 <= rank_r < min(t_count, n_a):
+        raise InvalidParamsError(
+            f"need 1 <= rank_r < min(t_count, n_a), got rank_r={rank_r}, "
+            f"t_count={t_count}, n_a={n_a}"
+        )
     if trials < 1:
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(rng)

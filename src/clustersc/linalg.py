@@ -82,9 +82,6 @@ def svd(x) -> SvdFactors:
 
 def hsvt(x, r: int) -> np.ndarray:
     """Hard singular value thresholding: best rank-r approximation of x."""
-    x = as_matrix(x)
-    if not 1 <= r <= min(x.shape):
-        raise InvalidRankError(f"rank must be in 1..{min(x.shape)}, got {r}")
     return svd(x).low_rank(r)
 
 

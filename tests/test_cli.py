@@ -56,6 +56,13 @@ class TestParsers:
         with pytest.raises(ConfigError):
             parse_noise(bad)
 
+    @pytest.mark.parametrize("bad", [
+        "gaussian:nan", "gaussian:inf", "uniform:inf", "student_t:inf:0.3", "student_t:4:nan",
+    ])
+    def test_noise_parameters_must_be_finite(self, bad):
+        with pytest.raises(ConfigError, match="must be finite"):
+            parse_noise(bad)
+
     def test_noise_grid(self):
         grid = parse_noise_grid("gaussian:0.0,gaussian:0.4")
         assert [n.params[0] for n in grid] == [0.0, 0.4]
@@ -167,6 +174,17 @@ class TestExitCodes:
     def test_bad_flag_value_is_two(self, tmp_path):
         assert run("gap-check", "--seed", "1", "--noise", "nope:1",
                    "--out", str(tmp_path)) == 2
+
+    def test_infinite_noise_is_usage_error(self, tmp_path, capsys):
+        assert run("simulate", "--noise", "uniform:inf", "--seed", "1",
+                   "--out", str(tmp_path)) == 2
+        assert "argument --noise" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    def test_gap_rank_beyond_subgroup_is_one(self, tmp_path, capsys):
+        assert run("gap-check", "--n", "5", "--na", "3", "--rank", "3", "--trials", "2",
+                   "--seed", "1", "--out", str(tmp_path)) == 1
+        assert "rank_r < min(t_count, n_a)" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -14,6 +14,7 @@ Hand-computed values used below:
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import subprocess
@@ -890,9 +891,49 @@ class TestDealtTargets:
         use_cpus(monkeypatch, 4)
         monkeypatch.setattr(evaluate.os, "fork", failing_fork)
         report = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+        assert_no_children()
         assert write_json(report, tmp_path / "4.json").read_bytes() == write_json(
             serial, tmp_path / "1.json"
         ).read_bytes()
+
+    def test_runs_here_when_no_pipe_can_be_made(self, monkeypatch, tmp_path):
+        dataset = small_dataset(seed=65)
+        use_cpus(monkeypatch, 1)
+        serial = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+
+        def failing_pipe():
+            raise OSError(errno.EMFILE, "too many open files")
+
+        use_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(evaluate.os, "pipe", failing_pipe)
+        report = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+        assert forks == []
+        assert_no_children()
+        assert write_json(report, tmp_path / "2.json").read_bytes() == write_json(
+            serial, tmp_path / "1.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_parent_runs_only_its_own_share(self, cpus, monkeypatch):
+        parent = os.getpid()
+        placebo_target = evaluate._placebo_target
+        here = []
+
+        def counting_target(iteration, target_id, *args):
+            if os.getpid() == parent:
+                here.append(target_id)
+            return placebo_target(iteration, target_id, *args)
+
+        monkeypatch.setattr(evaluate, "_placebo_target", counting_target)
+        use_cpus(monkeypatch, cpus)
+        report = leave_one_out_placebo(small_dataset(seed=63), 0.4, standard_variants(), 64)
+        target_ids = list(dict.fromkeys(r.target_id for r in report.rows))
+        assert len(target_ids) == 8
+        # share 0 is targets 0, cpus, 2 * cpus, ...: ceil(8 / cpus) calls
+        assert here == target_ids[::cpus]
+        assert len(here) == math.ceil(8 / cpus)
+        assert_no_children()
 
     def test_interrupt_kills_and_reaps_children(self, monkeypatch):
         parent = os.getpid()
@@ -1000,6 +1041,13 @@ class TestSingularGapExperiment:
         with pytest.raises(InvalidParamsError):
             singular_gap_experiment(
                 100, 50, 10, 10, NoiseSpec.gaussian(0.3), 2, np.random.default_rng(0)
+            )
+
+    def test_rank_beyond_subgroup(self):
+        # the subgroup of 3 units has only 3 singular values
+        with pytest.raises(InvalidParamsError, match="n_a=3"):
+            singular_gap_experiment(
+                5, 3, 10, 3, NoiseSpec.gaussian(0.3), 2, np.random.default_rng(1)
             )
 
     def test_bad_subgroup_size(self):
