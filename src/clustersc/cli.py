@@ -23,8 +23,10 @@ Grammars used by several flags:
 A --config file (INI) can supply any flag's value, required ones too: one
 section per subcommand, keys named like the flags without the leading
 dashes (hyphens and underscores are interchangeable). Flags given on the
-command line override the file. Every report's config echoes the flags
-under these keys (see reporting), so its flag keys make such a section.
+command line override the file. One parser serves every call in a process:
+the first call builds it and no call changes it, so a file's values apply
+to its own call only. Every report's config echoes the flags under these
+keys (see reporting), so its flag keys make such a section.
 Example:
 
     [gap-check]
@@ -187,9 +189,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = subs["cluster"] = commands.add_parser(
         "cluster", help="fit the donor clustering for a panel and report it"
     )
-    sub.add_argument("--panel", required=True, help="wide panel CSV")
-    sub.add_argument("--t0", required=True,
-                     help="pre-period count or last pre-period label")
+    sub.add_argument("--panel", default=None, help="wide panel CSV (required)")
+    sub.add_argument("--t0", default=None,
+                     help="pre-period count or last pre-period label (required)")
     sub.add_argument("--rule", type=parse_rule, default="energy:0.95")
     sub.add_argument("--k", type=parse_k, default="auto")
     _add_seed(sub)
@@ -197,7 +199,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = subs["spectrum"] = commands.add_parser(
         "spectrum", help="singular values and cumulative energy of a panel"
     )
-    sub.add_argument("--panel", required=True, help="wide panel CSV")
+    sub.add_argument("--panel", default=None, help="wide panel CSV (required)")
     sub.add_argument("--t0", default=None,
                      help="also report the pre-intervention block's spectrum")
 
@@ -244,7 +246,7 @@ def _convert_config_value(action, raw: str):
 
 
 def load_config_defaults(path, command: str, sub: argparse.ArgumentParser) -> dict:
-    """Read one subcommand's section into argparse defaults.
+    """Read one subcommand's section into values for its flags' dests.
 
     Unknown keys are errors: a typo silently falling back to a default would
     change the experiment.
@@ -510,29 +512,38 @@ HANDLERS = {
 }
 
 
+# built by the first cli_dispatch call; no call changes it
+_PARSER = None
+# checked after the parse, like --seed, so that a config file may supply them
+_REQUIRED = {"cluster": ("panel", "t0"), "spectrum": ("panel",)}
+
+
 def cli_dispatch(argv) -> int:
     """Parse argv, run the subcommand, and map failures to exit codes."""
+    global _PARSER
     argv = list(argv)
-    parser, subs = build_parser()
+    parser, subs = _PARSER = _PARSER or build_parser()
 
     command = argv[0] if argv and not argv[0].startswith("-") else None
     try:
         try:
             if command in subs:
-                # config-file values become defaults, so flags override them;
-                # a first pass of the subcommand's own parser finds --config
-                # under any abbreviation it accepts, and a required flag the
-                # file supplies is required no more
+                # the shared parser stays as built: when a first parse finds --config
+                # (any abbreviation), the file's values seed a namespace flags override
                 sub = subs[command]
-                required = [a for a in sub._actions if a.required]
-                for action in required:
-                    action.required = False
-                config_path = sub.parse_known_args(argv[1:])[0].config
-                defaults = load_config_defaults(config_path, command, sub) if config_path else {}
-                for action in required:
-                    action.required = action.dest not in defaults
-                sub.set_defaults(**defaults)
-            args = parser.parse_args(argv)
+                args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=command))
+                if args.config:
+                    values = load_config_defaults(args.config, command, sub)
+                    args, extra = sub.parse_known_args(
+                        argv[1:], argparse.Namespace(command=command, **values))
+                missing = [f"--{dest}" for dest in _REQUIRED.get(command, ())
+                           if getattr(args, dest) is None]
+                if missing:
+                    sub.error(f"the following arguments are required: {', '.join(missing)}")
+                if extra:
+                    parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            else:
+                args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
         if args.command is None:
@@ -549,10 +560,7 @@ def cli_dispatch(argv) -> int:
             )
             return 2
         return HANDLERS[args.command](args)
-    except ClusterScError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ClusterScError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,6 +6,8 @@ command line entry point) can distinguish diagnosed input problems from bugs.
 
 from __future__ import annotations
 
+from argparse import ArgumentTypeError
+
 
 class ClusterScError(Exception):
     """Base class for all diagnosed errors."""
@@ -67,9 +69,9 @@ class MissingValueError(PanelFormatError):
     """A required cell is blank."""
 
 
-class ConfigError(ClusterScError, ValueError):
+class ConfigError(ClusterScError, ValueError, ArgumentTypeError):
     """A config file or flag combination is invalid.
 
-    Also a ValueError so argparse type converters raising it turn into
-    ordinary usage errors (exit code 2) instead of crashing the parser.
+    Also an ArgumentTypeError, so a flag converter raising it is a usage error
+    (exit code 2) that shows its text; and a ValueError, caught as int()'s are.
     """

@@ -13,6 +13,7 @@ import os
 import numpy as np
 import pytest
 
+from clustersc import cli
 from clustersc.cluster import AUTO_K_RANGE
 from clustersc.cli import build_parser, main, parse_k, parse_noise_grid, resolve_out_dir
 from clustersc.datagen import NoiseSpec, noise_tag, parse_noise
@@ -179,6 +180,25 @@ class TestExitCodes:
         assert run("simulate", "--noise", "uniform:inf", "--seed", "1",
                    "--out", str(tmp_path)) == 2
         assert "argument --noise" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv, message", [
+        pytest.param(["simulate", "--noise", "uniform:inf"], "argument --noise: noise "
+                     "'uniform:inf': uniform parameters must be finite, got (inf,)", id="noise"),
+        pytest.param(["placebo-synthetic", "--rule", "energy:2"], "argument --rule: rule "
+                     "'energy:2': energy threshold must be in (0, 1], got 2.0", id="rule"),
+        pytest.param(["placebo-synthetic", "--cluster-rule", "fixed:0"], "argument "
+                     "--cluster-rule: rule 'fixed:0': fixed rank must be a positive integer, "
+                     "got 0", id="cluster-rule"),
+        pytest.param(["placebo-synthetic", "--k", "0"], "argument --k: k must be >= 1, got 0",
+                     id="k"),
+        pytest.param(["recovery-check", "--noise-grid", ","],
+                     "argument --noise-grid: noise grid is empty", id="noise-grid"),
+    ])
+    def test_rejected_flag_value_keeps_its_diagnosis(self, argv, message, tmp_path, capsys):
+        # the converter's own message, not argparse's "invalid parse_rule value"
+        assert run(*argv, "--seed", "1", "--out", str(tmp_path)) == 2
+        assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_gap_rank_beyond_subgroup_is_one(self, tmp_path, capsys):
@@ -429,6 +449,33 @@ class TestConfigFile:
         cfg.write_text("[cluster]\nt0 = 8\n")
         assert run(*given, "--config", str(cfg)) == 0
         assert json.loads((tmp_path / "cluster.json").read_text())["config"]["t0"] == 8
+        # the file supplied t0 to its own call only
+        capsys.readouterr()
+        assert run(*given) == 2
+        assert "required: --t0" in capsys.readouterr().err
+
+    def test_file_values_apply_to_their_own_call_only(self, tmp_path):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[gap-check]\nn = 80\nna = 40\n")
+        argv = ["gap-check", "--trials", "2", "--seed", "1"]
+        assert run(*argv, "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+        assert json.loads((tmp_path / "a" / "gap_check.json").read_text())["config"]["n"] == 80
+        assert run(*argv, "--na", "25", "--out", str(tmp_path / "b")) == 0
+        assert json.loads((tmp_path / "b" / "gap_check.json").read_text())["config"]["n"] == 1000
+
+    @pytest.mark.parametrize("command", [None, *sorted(build_parser()[1])])
+    def test_help_matches_a_fresh_parser(self, command, tmp_path, capsys):
+        # calls whose files supply the required flags come first; the help
+        # of the parser every call shares must not show what they supplied
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[cluster]\npanel = p.csv\nt0 = 8\n\n[spectrum]\npanel = p.csv\n")
+        for name in ("cluster", "spectrum"):
+            assert run(name, "--config", str(cfg), "--bogus") == 2
+        capsys.readouterr()
+        assert run(*(["--help"] if command is None else [command, "--help"])) == 0
+        parser, subs = build_parser()
+        fresh = parser if command is None else subs[command]
+        assert capsys.readouterr().out == fresh.format_help()
 
     def test_missing_file_rejected(self, tmp_path):
         assert run("gap-check", "--config", str(tmp_path / "nope.ini"),
@@ -467,6 +514,21 @@ class TestConfigFile:
         assert code == 0
         payload = json.loads((tmp_path / "placebo_panel.json").read_text())
         assert payload["config"]["t"] == 8
+
+
+def test_main_builds_the_parser_once(monkeypatch, tmp_path):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    argv = ["gap-check", "--n", "50", "--na", "25", "--trials", "2", "--seed", "1"]
+    assert run(*argv, "--out", str(tmp_path / "a")) == 0
+    assert run(*argv, "--out", str(tmp_path / "b")) == 0
+    assert len(built) == 1
 
 
 class TestEnvOutDir:
