@@ -35,7 +35,6 @@ from .engine import (
     cluster_sc,
     sc_infer,
     sc_learn,
-    sc_project,
 )
 from .errors import ClusterScError
 from .evaluate import (
@@ -83,7 +82,6 @@ __all__ = [
     "cluster_sc",
     "sc_infer",
     "sc_learn",
-    "sc_project",
     "ClusterScError",
     "GapExperimentResult",
     "MethodVariant",

@@ -20,6 +20,9 @@ Grammars used by several flags:
             squared-energy variant
     k       a positive integer or the word auto
 
+placebo-panel reads either --panel with --t0, or --hpi cut to --range, an
+inclusive FIRST:LAST window of quarter labels (e.g. 1997Q1:2006Q4).
+
 A --config file (INI) can supply any flag's value, required ones too: one
 section per subcommand, keys named like the flags without the leading
 dashes (hyphens and underscores are interchangeable). Flags given on the
@@ -34,7 +37,8 @@ Example:
     na = 500
     noise = gaussian:0.3
 
-Exit codes: 0 success, 1 runtime failure (bad input data, I/O), 2 usage.
+Exit codes: 0 success, 1 runtime failure (bad input data, I/O, config file
+contents), 2 usage (a malformed flag value, or a flag the command needs left out).
 """
 
 from __future__ import annotations
@@ -100,6 +104,13 @@ def parse_k(text: str):
     return k
 
 
+def parse_range(text: str) -> str:
+    """FIRST:LAST, an inclusive window of quarter labels; kept as written."""
+    if not text.partition(":")[2]:
+        raise ConfigError(f"range {text!r}: expected FIRST:LAST, e.g. 1997Q1:2006Q4")
+    return text
+
+
 def _parse_bool(text: str) -> bool:
     lowered = str(text).strip().lower()
     if lowered in ("1", "true", "yes", "on"):
@@ -117,6 +128,13 @@ def _add_out_and_config(sub, command: str) -> None:
 
 def _add_seed(sub) -> None:
     sub.add_argument("--seed", type=int, default=None, help="master random seed (required)")
+
+
+def _add_design_flags(sub, default_units: int) -> None:
+    sub.add_argument("--na", type=int, default=default_units, help="group A size")
+    sub.add_argument("--nb", type=int, default=default_units, help="group B size")
+    sub.add_argument("--t", type=int, default=10, help="total periods")
+    sub.add_argument("--t0", type=int, default=8, help="pre-intervention periods")
 
 
 def _add_estimator_flags(sub, default_lam: float) -> None:
@@ -145,10 +163,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = subs["simulate"] = commands.add_parser(
         "simulate", help="generate a two-group synthetic panel and write it out"
     )
-    sub.add_argument("--na", type=int, default=200, help="group A size")
-    sub.add_argument("--nb", type=int, default=200, help="group B size")
-    sub.add_argument("--t", type=int, default=10, help="total periods")
-    sub.add_argument("--t0", type=int, default=8, help="pre-intervention periods")
+    _add_design_flags(sub, default_units=200)
     sub.add_argument("--noise", type=parse_noise, default="gaussian:0.25",
                      help="noise spec, e.g. gaussian:0.3")
     _add_seed(sub)
@@ -157,10 +172,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "placebo-synthetic",
         help="leave-one-out placebo benchmark over generated datasets",
     )
-    sub.add_argument("--na", type=int, default=200)
-    sub.add_argument("--nb", type=int, default=200)
-    sub.add_argument("--t", type=int, default=10)
-    sub.add_argument("--t0", type=int, default=8)
+    _add_design_flags(sub, default_units=200)
     sub.add_argument("--noise", type=parse_noise, default="gaussian:0.25")
     sub.add_argument("--datasets", type=int, default=5, help="datasets to generate")
     sub.add_argument("--target-fraction", type=float, default=0.3,
@@ -179,7 +191,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                      help="pre-period count or last pre-period label (with --panel)")
     sub.add_argument("--hpi", default=None,
                      help="long quarterly file to preprocess instead of --panel")
-    sub.add_argument("--range", default="1997Q1:2006Q4",
+    sub.add_argument("--range", type=parse_range, default="1997Q1:2006Q4",
                      help="inclusive YYYYQn:YYYYQn window for --hpi")
     sub.add_argument("--train-fraction", type=float, default=0.8)
     sub.add_argument("--iterations", type=int, default=20)
@@ -217,10 +229,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = subs["recovery-check"] = commands.add_parser(
         "recovery-check", help="planted-partition recovery across a noise grid"
     )
-    sub.add_argument("--na", type=int, default=20)
-    sub.add_argument("--nb", type=int, default=20)
-    sub.add_argument("--t", type=int, default=10)
-    sub.add_argument("--t0", type=int, default=8)
+    _add_design_flags(sub, default_units=20)
     sub.add_argument("--rule", type=parse_rule, default="energy:0.95")
     sub.add_argument("--k", type=parse_k, default=2)
     sub.add_argument("--noise-grid", type=parse_noise_grid,
@@ -408,22 +417,13 @@ def cmd_placebo_synthetic(args) -> int:
 
 
 def cmd_placebo_panel(args) -> int:
-    if (args.panel is None) == (args.hpi is None):
-        raise ConfigError("give exactly one of --panel or --hpi")
     preprocess_meta = None
     if args.panel is not None:
-        if args.t0 is None:
-            raise ConfigError("--panel needs --t0 (count or column label)")
         path = args.panel
         panel = load_panel_csv(path, args.t0)
     else:
-        first, _, last = args.range.partition(":")
-        if not last:
-            raise ConfigError(
-                f"--range {args.range!r}: expected FIRST:LAST, e.g. 1997Q1:2006Q4"
-            )
         path = args.hpi
-        result = preprocess_hpi(path, (first, last), t0=args.t0)
+        result = preprocess_hpi(path, tuple(args.range.split(":", 1)), t0=args.t0)
         panel = result.panel
         preprocess_meta = {
             "retained_units": result.retained_units,
@@ -518,6 +518,23 @@ _PARSER = None
 _REQUIRED = {"cluster": ("panel", "t0"), "spectrum": ("panel",)}
 
 
+def _usage_problem(command: str, args) -> str | None:
+    """The usage error of a parsed call that leaves out a flag it needs, if any."""
+    # --seed is required wherever it exists (only spectrum has none), and
+    # numpy seeds are non-negative
+    if "seed" in vars(args) and (args.seed is None or args.seed < 0):
+        return "--seed is required and must be a non-negative integer"
+    missing = [f"--{dest}" for dest in _REQUIRED.get(command, ()) if getattr(args, dest) is None]
+    if missing:
+        return f"the following arguments are required: {', '.join(missing)}"
+    if command == "placebo-panel":
+        if (args.panel is None) == (args.hpi is None):
+            return "give exactly one of --panel or --hpi"
+        if args.panel is not None and args.t0 is None:
+            return "--panel needs --t0 (count or column label)"
+    return None
+
+
 def cli_dispatch(argv) -> int:
     """Parse argv, run the subcommand, and map failures to exit codes."""
     global _PARSER
@@ -536,12 +553,11 @@ def cli_dispatch(argv) -> int:
                     values = load_config_defaults(args.config, command, sub)
                     args, extra = sub.parse_known_args(
                         argv[1:], argparse.Namespace(command=command, **values))
-                missing = [f"--{dest}" for dest in _REQUIRED.get(command, ())
-                           if getattr(args, dest) is None]
-                if missing:
-                    sub.error(f"the following arguments are required: {', '.join(missing)}")
                 if extra:
                     parser.error(f"unrecognized arguments: {' '.join(extra)}")
+                problem = _usage_problem(command, args)
+                if problem:
+                    sub.error(problem)
             else:
                 args = parser.parse_args(argv)
         except SystemExit as exc:
@@ -549,15 +565,6 @@ def cli_dispatch(argv) -> int:
         if args.command is None:
             parser.print_usage(sys.stderr)
             print(f"{parser.prog}: error: a command is required", file=sys.stderr)
-            return 2
-        # --seed is required wherever it exists (only spectrum has none), and
-        # numpy seeds are non-negative; flag and config file share this check
-        if "seed" in vars(args) and (args.seed is None or args.seed < 0):
-            print(
-                f"{parser.prog} {args.command}: error: --seed is required "
-                "and must be a non-negative integer",
-                file=sys.stderr,
-            )
             return 2
         return HANDLERS[args.command](args)
     except (ClusterScError, OSError) as exc:

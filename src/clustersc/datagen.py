@@ -53,21 +53,25 @@ GROUP_B_SPEC = SignalSpec(3, (2.0, 5.0), (3.0, 6.0), (0.0, 1.0))
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """i.i.d. noise distribution: gaussian(sd), uniform(half_width), or
-    student_t(dof, scale). Every parameter is finite; scales may be zero
-    (noiseless), and dof must be >= 3 so the variance exists comfortably."""
+    """i.i.d. noise: gaussian(sd), uniform(half_width), or student_t(dof, scale).
+    Every parameter is finite, as is a uniform's range 2 * half_width; scales
+    may be zero (noiseless), and dof must be >= 3 so the variance exists."""
 
     kind: str
     params: tuple[float, ...]
 
     def __post_init__(self):
+        if not np.isfinite(self.params).all():
+            raise InvalidParamsError(f"{self.kind} parameters must be finite, got {self.params}")
         if self.kind == "gaussian":
             if len(self.params) != 1 or self.params[0] < 0:
                 raise InvalidParamsError(f"gaussian needs sd >= 0, got {self.params}")
         elif self.kind == "uniform":
-            if len(self.params) != 1 or self.params[0] < 0:
+            widest = float(np.finfo(float).max) / 2  # the range 2 * half_width stays finite
+            if len(self.params) != 1 or not 0 <= self.params[0] <= widest:
                 raise InvalidParamsError(
-                    f"uniform needs half_width >= 0, got {self.params}"
+                    f"uniform needs 0 <= half_width <= {widest!r} (a finite range), "
+                    f"got {self.params}"
                 )
         elif self.kind == "student_t":
             if len(self.params) != 2 or self.params[0] < 3 or self.params[1] < 0:
@@ -76,8 +80,6 @@ class NoiseSpec:
                 )
         else:
             raise InvalidParamsError(f"unknown noise kind {self.kind!r}")
-        if not np.isfinite(self.params).all():
-            raise InvalidParamsError(f"{self.kind} parameters must be finite, got {self.params}")
 
     @classmethod
     def gaussian(cls, sd: float) -> "NoiseSpec":
@@ -169,14 +171,11 @@ def add_noise(signal, noise: NoiseSpec, rng) -> np.ndarray:
 
 @dataclass
 class SyntheticDataset:
-    """Panel plus everything needed to score against the truth."""
+    """A generated panel, its noiseless signal, each unit's group and the seed."""
 
     panel: TimePanel
     group_labels: list[str]
     true_signal: np.ndarray
-    spec_a: SignalSpec
-    spec_b: SignalSpec
-    noise: NoiseSpec
     seed: int
 
 
@@ -211,8 +210,5 @@ def gen_dataset(
         panel=panel,
         group_labels=["A"] * n_a + ["B"] * n_b,
         true_signal=true_signal,
-        spec_a=spec_a,
-        spec_b=spec_b,
-        noise=noise,
         seed=seed,
     )

@@ -45,7 +45,6 @@ __all__ = [
     "sc_denoise",
     "sc_fit_weights",
     "sc_learn",
-    "sc_project",
     "sc_infer",
     "cluster_sc",
 ]
@@ -130,27 +129,20 @@ def sc_learn(
     )
 
 
-def sc_project(sc_fit: ScFit, split: InterventionSplit) -> np.ndarray:
-    """Counterfactual post-intervention path from the denoised post block."""
-    if sc_fit.denoised_donors.shape[1] != split.t_total:
-        raise ShapeError(
-            f"fit covers {sc_fit.denoised_donors.shape[1]} periods, split "
-            f"expects {split.t_total}"
-        )
-    return sc_fit.denoised_donors[:, split.t0 :].T @ sc_fit.weights.values
-
-
 def sc_infer(sc_fit: ScFit, split: InterventionSplit, target_full) -> EffectEstimate:
-    """effect = observed post - counterfactual post."""
+    """The counterfactual (the denoised post block through the weights), the
+    effect (observed post minus it), and the pre-period fit with its residual."""
     target_full = np.asarray(target_full, dtype=float)
     if target_full.ndim != 1 or target_full.shape[0] != split.t_total:
         raise ShapeError(
             f"target_full must have length {split.t_total}, got {target_full.shape}"
         )
-    counterfactual = sc_project(sc_fit, split)
+    periods = sc_fit.denoised_donors.shape[1]
+    if periods != split.t_total:
+        raise ShapeError(f"fit covers {periods} periods, split expects {split.t_total}")
+    counterfactual = sc_fit.denoised_donors[:, split.t0 :].T @ sc_fit.weights.values
     observed_post = target_full[split.t0 :]
-    design = sc_fit.denoised_donors[:, : split.t0].T
-    pre_fit = design @ sc_fit.weights.values
+    pre_fit = sc_fit.denoised_donors[:, : split.t0].T @ sc_fit.weights.values
     return EffectEstimate(
         counterfactual_post=counterfactual,
         observed_post=observed_post,

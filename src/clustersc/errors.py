@@ -70,7 +70,7 @@ class MissingValueError(PanelFormatError):
 
 
 class ConfigError(ClusterScError, ValueError, ArgumentTypeError):
-    """A config file or flag combination is invalid.
+    """A config file or flag value is invalid.
 
     Also an ArgumentTypeError, so a flag converter raising it is a usage error
     (exit code 2) that shows its text; and a ValueError, caught as int()'s are.

@@ -22,6 +22,9 @@ from clustersc.linalg import RankRule, parse_rule, rule_tag
 from clustersc.panel import load_panel_csv
 
 
+UNIFORM_BOUND = "uniform needs 0 <= half_width <= 8.988465674311579e+307 (a finite range)"
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -194,12 +197,52 @@ class TestExitCodes:
                      id="k"),
         pytest.param(["recovery-check", "--noise-grid", ","],
                      "argument --noise-grid: noise grid is empty", id="noise-grid"),
+        # a half-width whose range 2 * h overflows; Generator.uniform would raise
+        pytest.param(["simulate", "--noise", "uniform:9e307"], "argument --noise: noise "
+                     f"'uniform:9e307': {UNIFORM_BOUND}", id="uniform-range-simulate"),
+        pytest.param(["gap-check", "--noise", "uniform:9e307"], "argument --noise: noise "
+                     f"'uniform:9e307': {UNIFORM_BOUND}", id="uniform-range-gap-check"),
+        pytest.param(["placebo-synthetic", "--noise", "uniform:1e308"], "argument --noise: "
+                     f"noise 'uniform:1e308': {UNIFORM_BOUND}", id="uniform-range-placebo-synthetic"),
+        pytest.param(["recovery-check", "--noise-grid", "gaussian:0.1,uniform:9e307"],
+                     f"argument --noise-grid: noise 'uniform:9e307': {UNIFORM_BOUND}",
+                     id="uniform-range-recovery-check"),
     ])
     def test_rejected_flag_value_keeps_its_diagnosis(self, argv, message, tmp_path, capsys):
         # the converter's own message, not argparse's "invalid parse_rule value"
         assert run(*argv, "--seed", "1", "--out", str(tmp_path)) == 2
         assert message in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    # each command's required flags, given in full; a case leaves one out
+    REQUIRED = {
+        "simulate": {"seed": "1"},
+        "placebo-synthetic": {"seed": "1"},
+        "placebo-panel": {"panel": "p.csv", "t0": "8", "seed": "1"},
+        "cluster": {"panel": "p.csv", "t0": "8", "seed": "1"},
+        "spectrum": {"panel": "p.csv"},
+        "gap-check": {"seed": "1"},
+        "recovery-check": {"seed": "1"},
+    }
+
+    @pytest.mark.parametrize("source", ["argv", "config"])
+    @pytest.mark.parametrize("command, left_out", [
+        (command, flag) for command, flags in REQUIRED.items() for flag in flags
+    ])
+    def test_missing_required_flag_is_usage_error(self, command, left_out, source,
+                                                   tmp_path, capsys):
+        given = {flag: value for flag, value in self.REQUIRED[command].items()
+                 if flag != left_out}
+        if source == "argv":
+            argv = [arg for flag, value in given.items() for arg in (f"--{flag}", value)]
+        else:
+            cfg = tmp_path / "run.ini"
+            cfg.write_text("\n".join([f"[{command}]"] + [f"{k} = {v}" for k, v in given.items()]))
+            argv = ["--config", str(cfg)]
+        out = tmp_path / "out"
+        assert run(command, *argv, "--out", str(out)) == 2
+        assert f"--{left_out}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_gap_rank_beyond_subgroup_is_one(self, tmp_path, capsys):
         assert run("gap-check", "--n", "5", "--na", "3", "--rank", "3", "--trials", "2",
@@ -338,17 +381,17 @@ class TestPlaceboSynthetic:
 
 class TestPlaceboPanel:
     def test_panel_and_hpi_are_exclusive(self, tmp_path, capsys):
-        assert run("placebo-panel", "--seed", "1", "--out", str(tmp_path)) == 1
+        assert run("placebo-panel", "--seed", "1", "--out", str(tmp_path)) == 2
         assert run("placebo-panel", "--panel", "x.csv", "--hpi", "y.csv",
-                   "--seed", "1", "--out", str(tmp_path)) == 1
+                   "--seed", "1", "--out", str(tmp_path)) == 2
 
     def test_panel_requires_t0(self, tmp_path):
         assert run("placebo-panel", "--panel", "x.csv", "--seed", "1",
-                   "--out", str(tmp_path)) == 1
+                   "--out", str(tmp_path)) == 2
 
     def test_bad_range(self, tmp_path):
         assert run("placebo-panel", "--hpi", "x.csv", "--range", "1997Q1",
-                   "--seed", "1", "--out", str(tmp_path)) == 1
+                   "--seed", "1", "--out", str(tmp_path)) == 2
 
     def test_runs_on_synthetic_panel(self, tmp_path):
         run("simulate", "--na", "8", "--nb", "8", "--seed", "19",
@@ -503,6 +546,14 @@ class TestConfigFile:
             "--trials", "2", "--seed", "3", "--out", str(tmp_path))
         payload = json.loads((tmp_path / "gap_check.json").read_text())
         assert payload["config"]["noise"] == "uniform:0.5"
+
+    def test_bad_range_key_names_its_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[placebo-panel]\nrange = 1997Q1\n")
+        assert run("placebo-panel", "--hpi", "x.csv", "--config", str(cfg), "--seed", "1",
+                   "--out", str(tmp_path / "out")) == 1
+        assert "key 'range': range '1997Q1': expected FIRST:LAST" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_range_key(self, tmp_path):
         hpi = write_hpi(tmp_path / "hpi.csv")
@@ -699,8 +750,13 @@ def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
 
     The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on
     OpenBLAS 0.3.31 (x86-64, 2-core Xeon). Another numpy or BLAS build may
-    round differently and change them; rerun the commands on the parent
-    commit to tell such a difference from a real change.
+    round differently and change them. So may the same build on another CPU:
+    numpy's OpenBLAS is a DYNAMIC_ARCH build that picks its kernels by CPU,
+    and these digests were recorded under its SkylakeX (AVX-512) kernels.
+    Under the Haswell or Zen kernels only 6 of the 19 match, and under
+    Sandybridge, Nehalem or Prescott only 4, with no code change. Rerun the
+    commands on the parent commit, on the same host, to tell such a
+    difference from a real change.
 
     The commands run twice: with this process's whole affinity mask, where
     the leave-one-out harness deals its targets over the CPUs, and pinned to

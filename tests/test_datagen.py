@@ -103,6 +103,13 @@ class TestNoise:
         with pytest.raises(InvalidParamsError):
             NoiseSpec("triangular", (1.0,))
 
+    def test_uniform_range_must_be_finite(self):
+        # Generator.uniform draws from [-h, h) only while 2 * h is finite
+        widest = float(np.finfo(float).max) / 2
+        assert np.isfinite(add_noise(np.zeros(3), NoiseSpec.uniform(widest), 1)).all()
+        with pytest.raises(InvalidParamsError, match=r"half_width <= 8\.988465674311579e\+307"):
+            NoiseSpec.uniform(np.nextafter(widest, np.inf))
+
 
 class TestSignalSpecValidation:
     def test_domains(self):

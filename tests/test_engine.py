@@ -1,4 +1,4 @@
-"""Synthetic control engine: learn/project/infer plus the clustered pipeline.
+"""Synthetic control engine: learn/infer plus the clustered pipeline.
 
 The noiseless constructions rely on exact linear algebra: when donors are
 exactly rank-r and the target's pre-intervention series lies in the donor
@@ -20,7 +20,6 @@ from clustersc.engine import (
     cluster_sc,
     sc_infer,
     sc_learn,
-    sc_project,
 )
 from clustersc.errors import DegenerateClusterError, ShapeError
 from clustersc.linalg import RankRule
@@ -45,6 +44,11 @@ def disjoint_groups(rng, n_per=6, t=10, t_split=5, lo=0.9, hi=1.1):
     return donors, target, basis_a, basis_b
 
 
+def projection(fit, split):
+    """sc_infer's counterfactual path; the observed series does not enter it."""
+    return sc_infer(fit, split, np.zeros(split.t_total)).counterfactual_post
+
+
 class TestScLearn:
     def test_self_representation_noiseless(self):
         rng = np.random.default_rng(401)
@@ -54,7 +58,7 @@ class TestScLearn:
         fit = sc_learn(donors, split, target[:8], RankRule.fixed(2), RegressionSpec("ols"))
         design = fit.denoised_donors[:, :8].T
         np.testing.assert_allclose(design @ fit.weights.values, target[:8], atol=1e-8)
-        np.testing.assert_allclose(sc_project(fit, split), target[8:], atol=1e-8)
+        np.testing.assert_allclose(projection(fit, split), target[8:], atol=1e-8)
 
     def test_minimum_norm_weight_recovery(self):
         rng = np.random.default_rng(403)
@@ -111,7 +115,7 @@ class TestScProjectInfer:
     def test_projection_is_weighted_post_block(self, noisy_fit):
         fit, split = noisy_fit
         expected = fit.denoised_donors[:, split.t0 :].T @ fit.weights.values
-        np.testing.assert_allclose(sc_project(fit, split), expected, atol=0)
+        np.testing.assert_allclose(projection(fit, split), expected, atol=0)
 
     def test_unit_weight_picks_one_donor(self):
         rng = np.random.default_rng(411)
@@ -120,16 +124,16 @@ class TestScProjectInfer:
         fit = sc_learn(donors, split, donors[3, :6], RankRule.fixed(5), RegressionSpec("ols"))
         fit.weights.values[:] = 0.0
         fit.weights.values[3] = 1.0
-        np.testing.assert_allclose(sc_project(fit, split), fit.denoised_donors[3, 6:], atol=0)
+        np.testing.assert_allclose(projection(fit, split), fit.denoised_donors[3, 6:], atol=0)
 
     def test_zero_weights_zero_projection(self, noisy_fit):
         fit, split = noisy_fit
         fit.weights.values[:] = 0.0
-        np.testing.assert_allclose(sc_project(fit, split), 0.0, atol=0)
+        np.testing.assert_allclose(projection(fit, split), 0.0, atol=0)
 
     def test_zero_effect_when_observed_matches(self, noisy_fit):
         fit, split = noisy_fit
-        counterfactual = sc_project(fit, split)
+        counterfactual = projection(fit, split)
         target_full = np.concatenate([np.zeros(split.t0), counterfactual])
         est = sc_infer(fit, split, target_full)
         np.testing.assert_allclose(est.effect, 0.0, atol=1e-12)
@@ -137,7 +141,7 @@ class TestScProjectInfer:
 
     def test_constant_shift_effect(self, noisy_fit):
         fit, split = noisy_fit
-        counterfactual = sc_project(fit, split)
+        counterfactual = projection(fit, split)
         target_full = np.concatenate([np.zeros(split.t0), counterfactual + 1.0])
         est = sc_infer(fit, split, target_full)
         np.testing.assert_allclose(est.effect, 1.0, atol=1e-12)
@@ -151,6 +155,16 @@ class TestScProjectInfer:
         est = sc_infer(fit, split, target)
         assert np.linalg.norm(est.effect) <= 1e-6
         np.testing.assert_allclose(est.pre_fit_residual, 0.0, atol=1e-6)
+
+    def test_fit_and_split_must_cover_the_same_periods(self, noisy_fit):
+        fit, _ = noisy_fit
+        with pytest.raises(ShapeError, match=r"^fit covers 10 periods, split expects 9$"):
+            sc_infer(fit, InterventionSplit(7, 9), np.zeros(9))
+
+    def test_target_full_must_span_the_split(self, noisy_fit):
+        fit, split = noisy_fit
+        with pytest.raises(ShapeError, match=r"^target_full must have length 10, got \(9,\)$"):
+            sc_infer(fit, split, np.zeros(9))
 
 
 class TestClusterSc:
@@ -257,7 +271,7 @@ class TestClusterSc:
                 )
                 cluster_mses.append(np.mean((est_c.counterfactual_post - truth_post) ** 2))
                 fit_f = sc_learn(pool, ds.panel.split, target_series[:8], RankRule.fixed(6), reg)
-                proj_f = sc_project(fit_f, ds.panel.split)
+                proj_f = sc_infer(fit_f, ds.panel.split, target_series).counterfactual_post
                 full_mses.append(np.mean((proj_f - truth_post) ** 2))
             wins += np.median(cluster_mses) < np.median(full_mses)
         assert wins >= datasets - 2

@@ -705,8 +705,7 @@ def outlier_pair_dataset():
         InterventionSplit(8, 10),
     )
     return SyntheticDataset(
-        panel=panel, group_labels=["A"] * 6 + ["B"] * 6, true_signal=values.copy(),
-        spec_a=GROUP_A_SPEC, spec_b=GROUP_B_SPEC, noise=NoiseSpec.gaussian(0.0), seed=0,
+        panel=panel, group_labels=["A"] * 6 + ["B"] * 6, true_signal=values.copy(), seed=0,
     )
 
 
