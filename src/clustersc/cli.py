@@ -55,7 +55,7 @@ from .cluster import AUTO_K_RANGE, KMEANS_RESTARTS, fit_cluster_model
 from .datagen import (
     GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset, noise_tag, parse_noise,
 )
-from .errors import ClusterScError, ConfigError, InvalidParamsError
+from .errors import ClusterScError, ConfigError, InvalidParamsError, PanelFormatError
 from .evaluate import (
     MethodVariant,
     SEED_CEILING,
@@ -65,7 +65,7 @@ from .evaluate import (
     split_placebo,
 )
 from .linalg import parse_rule, spectrum_report
-from .panel import TimePanel, load_panel_csv, preprocess_hpi, save_panel_csv
+from .panel import TimePanel, load_panel_csv, parse_period, preprocess_hpi, save_panel_csv
 from .regression import RegressionSpec
 from .reporting import (
     cluster_plot_rows,
@@ -105,9 +105,14 @@ def parse_k(text: str):
 
 
 def parse_range(text: str) -> str:
-    """FIRST:LAST, an inclusive window of quarter labels; kept as written."""
-    if not text.partition(":")[2]:
-        raise ConfigError(f"range {text!r}: expected FIRST:LAST, e.g. 1997Q1:2006Q4")
+    """FIRST:LAST, an inclusive window of YYYYQn labels; kept as written."""
+    try:
+        for label in text.partition(":")[::2]:
+            parse_period(label)
+    except PanelFormatError as exc:
+        raise ConfigError(
+            f"range {text!r}: expected FIRST:LAST, e.g. 1997Q1:2006Q4; {exc}"
+        ) from None
     return text
 
 

@@ -197,6 +197,9 @@ class TestExitCodes:
                      id="k"),
         pytest.param(["recovery-check", "--noise-grid", ","],
                      "argument --noise-grid: noise grid is empty", id="noise-grid"),
+        pytest.param(["placebo-panel", "--hpi", "x.csv", "--range", "1997Q1:1998Q4:x"],
+                     "argument --range: range '1997Q1:1998Q4:x': expected FIRST:LAST, e.g. "
+                     "1997Q1:2006Q4; period '1998Q4:X' is not of the form YYYYQn", id="range"),
         # a half-width whose range 2 * h overflows; Generator.uniform would raise
         pytest.param(["simulate", "--noise", "uniform:9e307"], "argument --noise: noise "
                      f"'uniform:9e307': {UNIFORM_BOUND}", id="uniform-range-simulate"),
