@@ -636,11 +636,16 @@ RECORDED_DIGESTS = {
         "83f0643850f3de3914d58f47418f3e64f887cd27fad2e0e25aef01faeef42030",
     "placebo-panel-auto/placebo_panel_plot.csv":
         "c375b220bc2c6b8012e30fd1cc9a65e2d8d174863115f8ef4bf63f7f51e1c9dd",
+    "placebo-synthetic-subset/placebo_synthetic.json":
+        "25a0763fa91cbdd47618c75cb98b7d6f8b9c80598d5f593f4605a1bea2df8f92",
+    "placebo-synthetic-subset/placebo_synthetic_plot.csv":
+        "dd4eae4bb06bdd8e4496dbbc01ebb40b4aea2823b54eae354cb4b37ce4b2b63a",
 }
 
 
-# The criterion-8 commands, one lasso run and one split run with auto k and the
-# random subset; {panel} is a 20-unit simulated panel and {hpi} a long
+# The criterion-8 commands, one lasso run, one split run with auto k and the
+# random subset, and one leave-one-out run with the random subset, a cluster
+# rule of its own and one clustering per dataset; {panel} is a 20-unit simulated panel and {hpi} a long
 # quarterly file (see the reference_inputs fixture)
 REFERENCE_COMMANDS = {
     "simulate": ["simulate", "--na", "6", "--nb", "6", "--seed", "41"],
@@ -664,6 +669,10 @@ REFERENCE_COMMANDS = {
     "placebo-panel-auto": ["placebo-panel", "--panel", "{panel}", "--t0", "8",
                            "--iterations", "2", "--k", "auto", "--with-random-subset",
                            "--seed", "49"],
+    "placebo-synthetic-subset": ["placebo-synthetic", "--na", "10", "--nb", "10",
+                                 "--datasets", "2", "--cluster-mode", "per_dataset",
+                                 "--with-random-subset", "--rule", "fixed:4",
+                                 "--cluster-rule", "fixed:2", "--k", "2", "--seed", "50"],
 }
 # the same, plus the --hpi path with its window and a label for t0
 CONFIG_COMMANDS = {
@@ -740,15 +749,18 @@ def test_config_echo_as_ini_reruns_the_same_files(label, reference_inputs, tmp_p
 
 
 def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
-    """The criterion-8 commands, one lasso run and one auto-k split run write
-    the recorded bytes.
+    """The criterion-8 commands, one lasso run, one auto-k split run and one
+    leave-one-out run with the random subset write the recorded bytes.
 
     Criterion 8 checks that a rerun repeats itself; this checks that a
     change to the code leaves the outputs as they were. The criterion-8
     commands fit ridge only, so a lasso placebo run is added to cover the
     lasso solver, and their split run uses a fixed k and no random subset,
     so a split run with auto k and the random subset is added to cover the
-    donor pools the split harness shares between targets. A change that is meant to alter an output updates its
+    donor pools the split harness shares between targets. Their
+    leave-one-out run has neither the random subset, nor a cluster rule of
+    its own, nor one clustering per dataset, so a run with all three is
+    added. A change that is meant to alter an output updates its
     digest here and says why.
 
     The digests were recorded with numpy 2.4.6 and scipy 1.17.1 on
@@ -756,7 +768,7 @@ def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
     round differently and change them. So may the same build on another CPU:
     numpy's OpenBLAS is a DYNAMIC_ARCH build that picks its kernels by CPU,
     and these digests were recorded under its SkylakeX (AVX-512) kernels.
-    Under the Haswell or Zen kernels only 6 of the 19 match, and under
+    Under the Haswell or Zen kernels only 6 of the 21 match, and under
     Sandybridge, Nehalem or Prescott only 4, with no code change. Rerun the
     commands on the parent commit, on the same host, to tell such a
     difference from a real change.
