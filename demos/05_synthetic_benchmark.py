@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
-from clustersc.evaluate import MethodVariant, leave_one_out_placebo
+from clustersc.evaluate import PlaceboDesign, leave_one_out_placebo
 from clustersc.linalg import RankRule
 from clustersc.regression import RegressionSpec
 
@@ -28,17 +28,14 @@ def run_grid(label, full_rule, cluster_rule, seed_base):
     for s in (0.1, 0.25, 0.4):
         wins = 0
         pooled = []
-        variants = [
-            MethodVariant("sc_full", RIDGE, full_rule),
-            MethodVariant("cluster_sc", RIDGE, cluster_rule, k=2),
-        ]
+        design = PlaceboDesign(RIDGE, full_rule, k=2, cluster_rule=cluster_rule)
         for d in range(DATASETS):
             dataset = gen_dataset(
                 GROUP_A_SPEC, GROUP_B_SPEC, 100, 100, 10, 8,
                 NoiseSpec.gaussian(s), seed=seed_base + d,
             )
             report = leave_one_out_placebo(
-                dataset, 0.3, variants, np.random.default_rng(1000 + d),
+                dataset, 0.3, design, np.random.default_rng(1000 + d),
                 cluster_mode="per_dataset",
             )
             medians = report.medians

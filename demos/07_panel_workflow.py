@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
-from clustersc.evaluate import MethodVariant, split_placebo
-from clustersc.linalg import RankRule
+from clustersc.evaluate import PlaceboDesign, split_placebo
+from clustersc.linalg import RankRule, rule_tag
 from clustersc.panel import load_panel_csv, save_panel_csv
 from clustersc.regression import RegressionSpec
 from clustersc.reporting import placebo_plot_rows, write_report
@@ -41,16 +41,17 @@ def run(work: Path):
     print(f"wrote and re-read {csv_path}")
     print(f"round trip exact: {np.array_equal(panel.values, dataset.panel.values)}")
 
-    reg = RegressionSpec("ridge", lam=0.05)
-    rule = RankRule.fixed(3)
-    variants = [
-        MethodVariant("sc_full", reg, RankRule.fixed(6)),
-        MethodVariant("cluster_sc", reg, rule, k=2),
-        MethodVariant("sc_random_subset", reg, rule),
-    ]
-    report = split_placebo(panel, 0.8, 5, variants, np.random.default_rng(21))
+    # the pool mixes two rank-3 groups, so sc_full and the random subset
+    # keep rank 6 and the target's cluster rank 3
+    design = PlaceboDesign(
+        RegressionSpec("ridge", lam=0.05), RankRule.fixed(6), k=2,
+        cluster_rule=RankRule.fixed(3), with_random_subset=True,
+    )
+    report = split_placebo(panel, 0.8, 5, design, np.random.default_rng(21))
 
     print(f"\n5 iterations, 80/20 split, {len(report.rows)} placebo fits")
+    print(f"  rank rules: {rule_tag(design.rule)} for sc_full and sc_random_subset, "
+          f"{rule_tag(design.cluster_rule)} for cluster_sc")
     for name in ("sc_full", "cluster_sc", "sc_random_subset"):
         print(f"  {name:>16}: median post MSE {report.medians[name]['post_mse']:.4f}")
     print(f"  median improvement (full vs clustered): "

@@ -39,7 +39,7 @@ from .engine import (
 from .errors import ClusterScError
 from .evaluate import (
     GapExperimentResult,
-    MethodVariant,
+    PlaceboDesign,
     PlaceboReport,
     PlaceboRow,
     RecoveryResult,
@@ -84,7 +84,7 @@ __all__ = [
     "sc_learn",
     "ClusterScError",
     "GapExperimentResult",
-    "MethodVariant",
+    "PlaceboDesign",
     "PlaceboReport",
     "PlaceboRow",
     "RecoveryResult",

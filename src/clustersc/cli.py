@@ -57,7 +57,7 @@ from .datagen import (
 )
 from .errors import ClusterScError, ConfigError, InvalidParamsError, PanelFormatError
 from .evaluate import (
-    MethodVariant,
+    PlaceboDesign,
     SEED_CEILING,
     cluster_recovery_experiment,
     leave_one_out_placebo,
@@ -298,16 +298,9 @@ def resolve_out_dir(out) -> Path:
     return Path(env) if env else Path(".")
 
 
-def _variants(args) -> list[MethodVariant]:
+def _placebo_design(args) -> PlaceboDesign:
     reg = RegressionSpec(args.method, lam=args.lam)
-    cluster_rule = args.cluster_rule if args.cluster_rule is not None else args.rule
-    variants = [
-        MethodVariant("sc_full", reg, args.rule),
-        MethodVariant("cluster_sc", reg, cluster_rule, k=args.k),
-    ]
-    if args.with_random_subset:
-        variants.append(MethodVariant("sc_random_subset", reg, args.rule))
-    return variants
+    return PlaceboDesign(reg, args.rule, args.k, args.cluster_rule, args.with_random_subset)
 
 
 # flags naming files rather than choosing the experiment; never echoed
@@ -377,7 +370,7 @@ def cmd_simulate(args) -> int:
 def cmd_placebo_synthetic(args) -> int:
     if args.datasets < 1:
         raise InvalidParamsError(f"--datasets must be >= 1, got {args.datasets}")
-    variants = _variants(args)
+    design = _placebo_design(args)
     rng = np.random.default_rng(args.seed)
     dataset_seeds = rng.integers(0, SEED_CEILING, size=args.datasets)
     harness_seeds = rng.integers(0, SEED_CEILING, size=args.datasets)
@@ -393,7 +386,7 @@ def cmd_placebo_synthetic(args) -> int:
             args.noise, seed=int(dataset_seeds[di]),
         )
         report = leave_one_out_placebo(
-            dataset, args.target_fraction, variants,
+            dataset, args.target_fraction, design,
             np.random.default_rng(harness_seeds[di]),
             cluster_mode=args.cluster_mode,
         )
@@ -436,7 +429,7 @@ def cmd_placebo_panel(args) -> int:
         }
 
     report = split_placebo(
-        panel, args.train_fraction, args.iterations, _variants(args),
+        panel, args.train_fraction, args.iterations, _placebo_design(args),
         np.random.default_rng(args.seed),
     )
     facts = _panel_facts(path, panel)

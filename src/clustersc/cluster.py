@@ -89,6 +89,7 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.square(diff, out=diff).sum(axis=2)
 
 
+@np.errstate(over="ignore")  # the guard below diagnoses an overflowing total
 def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     """The D^2 draws of kmeans_pp_init on points that passed _check_k, one
     restart per generator in rngs, all restarts in lockstep: (runs, k, r).

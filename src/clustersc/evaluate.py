@@ -10,10 +10,11 @@ to compare with). The report records which reference was used.
 
 Both harnesses hand each target to one per-target core. Given a donor set,
 the target's series, its (pre, post) reference series and a cluster source,
-the core fits every variant (full pool, the target's cluster, a size-matched
-random subset), records the skipped cells with their reason, and builds the
-placebo rows. Each fit is the engine's two steps: denoise the variant's pool
-(sc_denoise), then fit the target's weights on it (sc_fit_weights). The
+the core fits the one PlaceboDesign: SC on the full pool (sc_full), on the
+target's cluster (cluster_sc) and optionally on a random donor subset of
+the cluster's size (sc_random_subset). It records the skipped cells with
+their reason and builds the placebo rows. Each fit is the engine's two
+steps: sc_denoise the pool, then sc_fit_weights the target on it. The
 harnesses keep the rest: which units are targets, which reference the errors
 are measured against, where the target's cluster comes from (a fresh
 clustering of each donor pool, the dataset's pool model with the target
@@ -79,8 +80,7 @@ from .panel import TimePanel
 from .regression import RegressionSpec, active_positions
 
 __all__ = [
-    "VARIANT_NAMES",
-    "MethodVariant",
+    "PlaceboDesign",
     "PlaceboRow",
     "PlaceboReport",
     "GapExperimentResult",
@@ -96,9 +96,6 @@ __all__ = [
     "singular_gap_experiment",
     "cluster_recovery_experiment",
 ]
-
-VARIANT_NAMES = ("sc_full", "sc_random_subset", "cluster_sc")
-
 
 def mse(predicted, reference) -> float:
     """Mean squared difference between two equal-length vectors."""
@@ -131,28 +128,32 @@ def std_error(values) -> float:
 
 
 @dataclass(frozen=True)
-class MethodVariant:
-    """One estimator configuration to run inside a placebo harness.
+class PlaceboDesign:
+    """The estimators a placebo harness fits on every target, in the row
+    order of variants. All of them fit their weights with reg.
 
-    name
-        "sc_full" fits on the whole donor pool, "cluster_sc" on the target's
-        cluster, "sc_random_subset" on a uniform donor sample whose size is
-        copied from the cluster_sc run for the same target (so a
-        sc_random_subset entry requires a cluster_sc entry before it).
+    sc_full fits on the whole donor pool, denoised under rule. cluster_sc
+    fits on the target's cluster among k clusters ("auto" lets the
+    silhouette choose), denoised under cluster_rule (rule when None).
+    sc_random_subset, run only with with_random_subset, fits on a uniform
+    donor sample as large as that target's cluster, denoised under rule.
     """
 
-    name: str
     reg: RegressionSpec
     rule: RankRule
     k: int | str = "auto"
+    cluster_rule: RankRule | None = None
+    with_random_subset: bool = False
 
     def __post_init__(self):
-        if self.name not in VARIANT_NAMES:
-            raise InvalidParamsError(
-                f"variant name must be one of {VARIANT_NAMES}, got {self.name!r}"
-            )
+        if self.cluster_rule is None:
+            object.__setattr__(self, "cluster_rule", self.rule)
         if self.k != "auto" and (not isinstance(self.k, (int, np.integer)) or self.k < 1):
             raise InvalidParamsError(f"k must be 'auto' or a positive integer, got {self.k!r}")
+
+    @property
+    def variants(self) -> tuple[str, ...]:
+        return ("sc_full", "cluster_sc") + ("sc_random_subset",) * self.with_random_subset
 
 
 @dataclass
@@ -179,15 +180,17 @@ class PlaceboRow:
 class PlaceboReport:
     """Placebo rows plus the aggregates the figures are drawn from.
 
-    medians: per variant name, the median pre/post MSE over complete cells
-    (an (iteration, target) cell is complete when no variant was skipped on
-    it, so all variants aggregate over the same targets). improvements holds
-    the per-cell I values (full minus cluster) and their median. skipped
-    lists the cells a variant could not run on, with the reason. reference
-    is "true_signal" or "observed". per_iteration holds the split harness's
-    per-iteration medians and is empty for leave-one-out runs. config holds
-    only what the harness decides: its name, n_targets or n_train, and for
-    leave-one-out the dataset's seed; the caller records its own inputs.
+    rows hold each target's fits in the design's variant order. medians: per
+    variant name, the median pre/post MSE over complete cells (an (iteration,
+    target) cell is complete unless its cluster_sc run, and with it the
+    random subset, was skipped, so all variants aggregate over the same
+    targets). improvements holds the per-cell I values (full minus cluster)
+    and their median. skipped lists the cells a variant could not run on,
+    with the reason. reference is "true_signal" or "observed". per_iteration
+    holds the split harness's per-iteration medians and is empty for
+    leave-one-out runs. config holds only what the harness decides: its
+    name, n_targets or n_train, and for leave-one-out the dataset's seed;
+    the caller records its own inputs.
     """
 
     rows: list[PlaceboRow]
@@ -205,20 +208,6 @@ class PlaceboReport:
             if key in seen:
                 raise InvalidInputError(f"duplicate placebo cell {key}")
             seen.add(key)
-
-
-def _check_variants(variants) -> None:
-    if not variants:
-        raise InvalidParamsError("need at least one variant")
-    names = [v.name for v in variants]
-    if len(set(names)) != len(names):
-        raise InvalidParamsError(f"variant names must be distinct, got {names}")
-    for i, v in enumerate(variants):
-        if v.name == "sc_random_subset" and "cluster_sc" not in names[:i]:
-            raise InvalidParamsError(
-                "sc_random_subset needs a cluster_sc variant before it "
-                "to define the subset size"
-            )
 
 
 def random_subset_variant(pool, subset_size: int, rng) -> list[int]:
@@ -274,10 +263,7 @@ def _aggregates(rows, skipped) -> dict:
             continue
         by_variant.setdefault(row.variant, []).append(row)
         cells.setdefault(cell, {})[row.variant] = row.post_mse
-    values = []
-    for post in cells.values():
-        if "sc_full" in post and "cluster_sc" in post:
-            values.append(pairwise_improvement(post["sc_full"], post["cluster_sc"]))
+    values = [pairwise_improvement(post["sc_full"], post["cluster_sc"]) for post in cells.values()]
     return {
         "medians": {
             name: {
@@ -293,17 +279,10 @@ def _aggregates(rows, skipped) -> dict:
     }
 
 
-def _fit_pool_model(variants, donor_pre, rng):
-    """The cluster_sc variant's model of the whole donor pool.
-
-    Returns None, and draws nothing from rng, when there is no cluster_sc
-    variant (_check_variants allows at most one).
-    """
-    v = next((v for v in variants if v.name == "cluster_sc"), None)
-    if v is None:
-        return None
+def _fit_pool_model(design, donor_pre, rng):
+    """The design's cluster model of the whole donor pool, seeded from rng."""
     model_rng = np.random.default_rng(rng.integers(0, SEED_CEILING))
-    return fit_cluster_model(donor_pre, v.rule, k=v.k, rng=model_rng)
+    return fit_cluster_model(donor_pre, design.cluster_rule, k=design.k, rng=model_rng)
 
 
 def _placebo_target(
@@ -314,21 +293,22 @@ def _placebo_target(
     target_full: np.ndarray,
     split,
     reference: tuple,
-    variants,
+    design: PlaceboDesign,
     seeds,
     cluster_source,
     score_selection=None,
     pools=None,
 ) -> tuple[list[PlaceboRow], list[dict]]:
-    """Fit every variant on one target and score it; returns (rows, skipped).
+    """Fit and score the design's variants on one target; returns (rows, skipped).
 
     reference is the (pre, post) pair the errors are measured against.
-    seeds holds one integer seed per variant; a variant that draws builds its
-    generator from it, and one that does not never pays for one.
-    cluster_source(variant, seed) returns the target's cluster label and its
-    member rows into donors, or raises DegenerateClusterError (see
-    cluster_members) when the cluster has fewer than 2 donors. That skips
-    the cluster_sc variant and, with it, the paired sc_random_subset variant.
+    seeds holds one integer seed per variant: cluster_source gets seeds[1]
+    and the random subset is drawn from seeds[2]. seeds[0] goes unused, as
+    sc_full draws nothing; it keeps every later seed in its place.
+    cluster_source(seed) returns the target's cluster label and its member
+    rows into donors, or raises DegenerateClusterError (see cluster_members)
+    when the cluster has fewer than 2 donors. That skips cluster_sc and,
+    with it, sc_random_subset, whose size the cluster sets.
     score_selection(fit, members), when given, returns the active donors'
     precision and recall against the planted groups; members are the pool's
     rows into donors, ascending, or None for the whole of donors.
@@ -338,43 +318,19 @@ def _placebo_target(
     """
     target_pre = target_full[: split.t0]
     rows: list[PlaceboRow] = []
-    skipped: list[dict] = []
-    cluster_size = None
-    for v, seed in zip(variants, seeds):
-        members, label = None, None
-        try:
-            if v.name == "cluster_sc":
-                label, members = cluster_source(v, seed)
-                cluster_size = len(members)
-            elif v.name == "sc_random_subset":
-                if cluster_size is None:
-                    raise DegenerateClusterError(0, 0)
-                members = np.asarray(random_subset_variant(donors, cluster_size, seed))
-        except DegenerateClusterError as exc:
-            skipped.append(
-                {
-                    "iteration": iteration,
-                    "target_id": target_id,
-                    "variant": v.name,
-                    "reason": str(exc) if v.name == "cluster_sc"
-                    else "paired cluster_sc run was skipped",
-                }
-            )
-            continue
-        key = (v.name, label)
+
+    def add_row(variant, rule, members=None, label=None):
+        key = (variant, label)
         if pools is not None and key in pools:
             pool, ids = pools[key]
+        elif members is None:
+            pool, ids = sc_denoise(donors, rule), donor_ids
         else:
-            if members is None:
-                pool, ids = sc_denoise(donors, v.rule), donor_ids
-            else:
-                pool, ids = sc_denoise(donors[members], v.rule), [donor_ids[i] for i in members]
-            if pools is not None and v.name != "sc_random_subset":
-                pools[key] = pool, ids
-        fit = sc_fit_weights(pool, split, target_pre, v.reg, donor_ids=ids, cluster_label=label)
+            pool, ids = sc_denoise(donors[members], rule), [donor_ids[i] for i in members]
+        if pools is not None and variant != "sc_random_subset":
+            pools[key] = pool, ids
+        fit = sc_fit_weights(pool, split, target_pre, design.reg, donor_ids=ids, cluster_label=label)
         estimate = sc_infer(fit, split, target_full)
-        pre_mse = mse(estimate.pre_fit, reference[0])
-        post_mse = mse(estimate.counterfactual_post, reference[1])
         precision, recall = (
             score_selection(fit, members) if score_selection else (None, None)
         )
@@ -382,16 +338,30 @@ def _placebo_target(
             PlaceboRow(
                 iteration=iteration,
                 target_id=target_id,
-                variant=v.name,
-                pre_mse=pre_mse,
-                post_mse=post_mse,
+                variant=variant,
+                pre_mse=mse(estimate.pre_fit, reference[0]),
+                post_mse=mse(estimate.counterfactual_post, reference[1]),
                 selected_donor_count=len(fit.donor_ids),
                 cluster_label=fit.cluster_label,
                 active_donor_precision=precision,
                 active_donor_recall=recall,
             )
         )
-    return rows, skipped
+
+    add_row("sc_full", design.rule)
+    try:
+        label, members = cluster_source(seeds[1])
+    except DegenerateClusterError as exc:
+        reasons = (str(exc), "paired cluster_sc run was skipped")
+        return rows, [
+            {"iteration": iteration, "target_id": target_id, "variant": name, "reason": reason}
+            for name, reason in zip(design.variants[1:], reasons)
+        ]
+    add_row("cluster_sc", design.cluster_rule, members, label)
+    if design.with_random_subset:
+        subset = np.asarray(random_subset_variant(donors, len(members), seeds[2]))
+        add_row("sc_random_subset", design.rule, subset)
+    return rows, []
 
 
 def _share_count(count: int) -> int:
@@ -487,7 +457,7 @@ def _deal_over_cpus(work, count: int) -> list:
 def leave_one_out_placebo(
     dataset: SyntheticDataset,
     target_fraction: float,
-    variants: list[MethodVariant],
+    design: PlaceboDesign,
     rng,
     *,
     cluster_mode: str = "per_target",
@@ -495,8 +465,9 @@ def leave_one_out_placebo(
     """Placebo test on a synthetic panel with group-A units as targets.
 
     A target_fraction share of group A (at least one unit) is sampled
-    without replacement; each sampled unit is removed from the pool and every
-    variant predicts its post-intervention path from the remaining units.
+    without replacement; each sampled unit is removed from the pool and each
+    of the design's estimators predicts its post-intervention path from the
+    remaining units.
     Errors are measured against the unit's noiseless signal.
 
     cluster_mode "per_target" re-clusters each target's donor pool, which is
@@ -514,7 +485,6 @@ def leave_one_out_placebo(
         )
     if cluster_mode not in ("per_target", "per_dataset"):
         raise InvalidParamsError(f"unknown cluster_mode {cluster_mode!r}")
-    _check_variants(variants)
     rng = np.random.default_rng(rng)
 
     panel = dataset.panel
@@ -527,19 +497,19 @@ def leave_one_out_placebo(
 
     n_targets = max(1, int(round(target_fraction * len(a_rows))))
     target_rows = np.sort(rng.choice(a_rows, size=n_targets, replace=False))
-    seeds = rng.integers(0, SEED_CEILING, size=(n_targets, len(variants)))
+    seeds = rng.integers(0, SEED_CEILING, size=(n_targets, len(design.variants)))
     pool_model = None
     if cluster_mode == "per_dataset":
-        pool_model = _fit_pool_model(variants, panel.pre, rng)
+        pool_model = _fit_pool_model(design, panel.pre, rng)
 
     def run_target(i):
         tr = int(target_rows[i])
         donors = np.delete(values, tr, axis=0)
         donor_ids = panel.unit_ids[:tr] + panel.unit_ids[tr + 1 :]
 
-        def cluster_source(v, seed):
+        def cluster_source(seed):
             if cluster_mode == "per_target":
-                model = fit_cluster_model(donors[:, :t0], v.rule, k=v.k, rng=seed)
+                model = fit_cluster_model(donors[:, :t0], design.cluster_rule, k=design.k, rng=seed)
                 return nearest_cluster(model, values[tr, :t0])
             pool_labels = pool_model.assignments.labels
             label = int(pool_labels[tr])
@@ -559,7 +529,7 @@ def leave_one_out_placebo(
         return _placebo_target(
             0, panel.unit_ids[tr], donors, donor_ids, values[tr], panel.split,
             (dataset.true_signal[tr, :t0], dataset.true_signal[tr, t0:]),
-            variants, seeds[i], cluster_source, score_selection,
+            design, seeds[i], cluster_source, score_selection,
         )
 
     rows: list[PlaceboRow] = []
@@ -583,13 +553,13 @@ def split_placebo(
     panel: TimePanel,
     train_fraction: float,
     iterations: int,
-    variants: list[MethodVariant],
+    design: PlaceboDesign,
     rng,
 ) -> PlaceboReport:
     """Repeated random donor/target splits of an observed panel.
 
     Each iteration assigns round(train_fraction * n) units to the donor pool
-    and the rest to the target set, fits every variant on every target, and
+    and the rest to the target set, fits the design on every target, and
     stores its own median errors next to the pooled ones. With no noiseless
     signal available, errors are measured against the observations.
 
@@ -603,7 +573,6 @@ def split_placebo(
         )
     if iterations < 1:
         raise InvalidParamsError(f"iterations must be >= 1, got {iterations}")
-    _check_variants(variants)
     rng = np.random.default_rng(rng)
 
     t0 = panel.split.t0
@@ -628,8 +597,8 @@ def split_placebo(
         test_rows = np.sort(perm[n_train:])
         donors = values[train_rows]
         donor_ids = [panel.unit_ids[i] for i in train_rows]
-        seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(variants)))
-        model = _fit_pool_model(variants, donors[:, :t0], it_rng)
+        seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(design.variants)))
+        model = _fit_pool_model(design, donors[:, :t0], it_rng)
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
@@ -640,8 +609,8 @@ def split_placebo(
             observed = values[tr]
             cell_rows, cell_skipped = _placebo_target(
                 it, panel.unit_ids[tr], donors, donor_ids, observed, panel.split,
-                (observed[:t0], observed[t0:]), variants, target_seeds,
-                lambda v, seed: nearest_cluster(model, observed[:t0]), pools=pools,
+                (observed[:t0], observed[t0:]), design, target_seeds,
+                lambda seed: nearest_cluster(model, observed[:t0]), pools=pools,
             )
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)
@@ -776,7 +745,7 @@ class RecoveryResult:
     n_b: int
     t_count: int
     t0: int
-    k: int
+    k: int | str
     datasets_per_cell: int
     rule: RankRule
     cells: list[RecoveryCell]
@@ -794,7 +763,7 @@ def cluster_recovery_experiment(
     datasets_per_cell: int,
     rng,
     *,
-    k: int = 2,
+    k: int | str = 2,
 ) -> RecoveryResult:
     """How well clustering the pre block recovers the planted groups.
 

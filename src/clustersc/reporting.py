@@ -176,9 +176,16 @@ def _json_default(obj):
 
 
 def write_json(payload, path) -> Path:
-    """Write sorted, indented JSON with a trailing newline, in one json walk."""
+    """Write sorted, indented JSON with a trailing newline, in one json walk.
+
+    NaN and infinity have no JSON form: they raise InvalidInputError naming
+    the file, and nothing is written.
+    """
     path = Path(path)
-    text = json.dumps(payload, default=_json_default, sort_keys=True, indent=2)
+    try:
+        text = json.dumps(payload, default=_json_default, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     path.write_bytes((text + "\n").encode("utf-8"))
     return path
 

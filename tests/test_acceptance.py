@@ -53,7 +53,7 @@ from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, SignalSpec,
 from clustersc.engine import cluster_sc, sc_infer, sc_learn
 from clustersc.evaluate import (
     SEED_CEILING,
-    MethodVariant,
+    PlaceboDesign,
     cluster_recovery_experiment,
     leave_one_out_placebo,
     mse,
@@ -279,10 +279,7 @@ def test_criterion_4_cluster_beats_full_pool(benchmark_seeds):
     # Expected to fail under the energy-0.95 rule; see the module docstring.
     started = time.monotonic()
     dataset_seeds, harness_seeds = benchmark_seeds
-    variants = [
-        MethodVariant("sc_full", RIDGE, ENERGY),
-        MethodVariant("cluster_sc", RIDGE, ENERGY, k=2),
-    ]
+    design = PlaceboDesign(RIDGE, ENERGY, k=2)
     details = []
     ok = True
     for row, s in enumerate((0.1, 0.25, 0.4)):
@@ -294,7 +291,7 @@ def test_criterion_4_cluster_beats_full_pool(benchmark_seeds):
                 NoiseSpec.gaussian(s), seed=int(dataset_seeds[d]),
             )
             report = leave_one_out_placebo(
-                dataset, 0.3, variants,
+                dataset, 0.3, design,
                 np.random.default_rng(int(harness_seeds[row, d])),
                 cluster_mode="per_dataset",
             )
@@ -315,10 +312,7 @@ def test_criterion_4_cluster_beats_full_pool(benchmark_seeds):
 
 def test_criterion_5_lasso_precision_and_cluster_recovery(benchmark_seeds):
     dataset_seeds, harness_seeds = benchmark_seeds
-    variants = [
-        MethodVariant("sc_full", LASSO, ENERGY),
-        MethodVariant("cluster_sc", LASSO, ENERGY, k=2),
-    ]
+    design = PlaceboDesign(LASSO, ENERGY, k=2)
     precision_wins = 0
     for d in range(50):
         dataset = gen_dataset(
@@ -326,7 +320,7 @@ def test_criterion_5_lasso_precision_and_cluster_recovery(benchmark_seeds):
             NoiseSpec.gaussian(0.4), seed=int(dataset_seeds[d]),
         )
         report = leave_one_out_placebo(
-            dataset, 0.3, variants,
+            dataset, 0.3, design,
             np.random.default_rng(int(harness_seeds[3, d])),
             cluster_mode="per_dataset",
         )
@@ -410,13 +404,9 @@ def test_criterion_7_house_price_panel_placebo():
         RegressionSpec("ridge", lam=0.1),
         RegressionSpec("lasso", lam=0.1),
     )):
-        variants = [
-            MethodVariant("sc_full", reg, rule),
-            MethodVariant("cluster_sc", reg, rule, k=2),
-            MethodVariant("sc_random_subset", reg, rule),
-        ]
+        design = PlaceboDesign(reg, rule, k=2, with_random_subset=True)
         report = split_placebo(
-            panel, 0.8, 20, variants, np.random.default_rng(7000 + i)
+            panel, 0.8, 20, design, np.random.default_rng(7000 + i)
         )
         cluster = report.medians["cluster_sc"]["post_mse"]
         full = report.medians["sc_full"]["post_mse"]

@@ -9,6 +9,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +249,37 @@ class TestExitCodes:
         assert run(command, *argv, "--out", str(out)) == 2
         assert f"--{left_out}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, stem", [
+        pytest.param(["gap-check", "--n", "20", "--na", "10", "--t", "5", "--rank", "2",
+                      "--trials", "2", "--noise", "gaussian:1e160"], "gap_check", id="gap-check"),
+        pytest.param(["placebo-synthetic", "--na", "6", "--nb", "6", "--datasets", "1",
+                      "--k", "1", "--noise", "gaussian:1e200"], "placebo_synthetic",
+                     id="placebo-synthetic"),
+    ])
+    def test_non_finite_report_is_input_error(self, argv, stem, tmp_path, capsys):
+        # noise this large overflows the statistics to inf or nan, which JSON
+        # cannot hold; numpy's warnings on the way are not this test's subject
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            assert run(*argv, "--seed", "3", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert f"cannot write {out / stem}.json: Out of range float" in captured.err
+        assert captured.out == ""
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
+    def test_overflowing_seeding_warns_nothing(self, tmp_path):
+        # the D^2 guard diagnoses the overflow; numpy's own warning must not precede it
+        done = subprocess.run(
+            [sys.executable, "-m", "clustersc", "recovery-check", "--na", "4", "--nb", "4",
+             "--datasets", "1", "--noise-grid", "gaussian:1e200", "--seed", "3",
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+        )
+        assert done.returncode == 1
+        assert "too far apart (overflow) for D^2 seeding" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     def test_gap_rank_beyond_subgroup_is_one(self, tmp_path, capsys):
         assert run("gap-check", "--n", "5", "--na", "3", "--rank", "3", "--trials", "2",

@@ -294,7 +294,7 @@ class TestKmeansPpInit:
         with pytest.raises(DegenerateInputError, match="underflow"):
             best_lloyd(points, 3, 2, seed)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(6))
     def test_overflowing_distances_diagnosed(self, seed):
         points = [[0.0], [1e200], [-1e200]]

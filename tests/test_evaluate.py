@@ -48,8 +48,7 @@ from clustersc.errors import (
 from clustersc import evaluate
 from clustersc.engine import sc_learn
 from clustersc.evaluate import (
-    VARIANT_NAMES,
-    MethodVariant,
+    PlaceboDesign,
     PlaceboReport,
     PlaceboRow,
     _aggregates,
@@ -70,6 +69,7 @@ from clustersc.reporting import write_json
 
 RIDGE = RegressionSpec("ridge", lam=0.01)
 ENERGY = RankRule.energy(0.95)
+VARIANT_NAMES = ("sc_full", "cluster_sc", "sc_random_subset")
 
 # amplitude concentrated near 1 and disjoint frequency bands: the two
 # groups' rows form well-separated clouds, so noiseless clustering is exact
@@ -83,12 +83,8 @@ def small_dataset(seed=11, s=0.1, n_a=20, n_b=20):
     )
 
 
-def standard_variants(reg=RIDGE, rule=ENERGY, k=2):
-    return [
-        MethodVariant("sc_full", reg, rule),
-        MethodVariant("cluster_sc", reg, rule, k=k),
-        MethodVariant("sc_random_subset", reg, rule),
-    ]
+def standard_design(reg=RIDGE, rule=ENERGY, k=2):
+    return PlaceboDesign(reg, rule, k, with_random_subset=True)
 
 
 def oracle_medians(rows, skipped) -> dict:
@@ -192,17 +188,23 @@ class TestStdError:
         assert std_error([2.0, 2.0, 2.0]) == 0.0
 
 
-class TestMethodVariant:
-    def test_unknown_name(self):
-        with pytest.raises(InvalidParamsError):
-            MethodVariant("sc_other", RIDGE, ENERGY)
-
+class TestPlaceboDesign:
     def test_bad_k(self):
-        with pytest.raises(InvalidParamsError):
-            MethodVariant("cluster_sc", RIDGE, ENERGY, k=0)
+        for k in (0, -1, 1.5, "two"):
+            with pytest.raises(InvalidParamsError):
+                PlaceboDesign(RIDGE, ENERGY, k=k)
 
     def test_auto_k(self):
-        assert MethodVariant("cluster_sc", RIDGE, ENERGY).k == "auto"
+        assert PlaceboDesign(RIDGE, ENERGY).k == "auto"
+
+    def test_cluster_rule_defaults_to_rule(self):
+        assert PlaceboDesign(RIDGE, ENERGY).cluster_rule == ENERGY
+        fixed = RankRule.fixed(3)
+        assert PlaceboDesign(RIDGE, ENERGY, cluster_rule=fixed).cluster_rule == fixed
+
+    def test_variants_in_row_order(self):
+        assert PlaceboDesign(RIDGE, ENERGY).variants == ("sc_full", "cluster_sc")
+        assert standard_design().variants == VARIANT_NAMES
 
 
 class TestRandomSubsetVariant:
@@ -324,7 +326,7 @@ class TestLeaveOneOutPlacebo:
     def test_single_target_row_count(self):
         ds = small_dataset()
         report = leave_one_out_placebo(
-            ds, 0.01, standard_variants(), np.random.default_rng(0)
+            ds, 0.01, standard_design(), np.random.default_rng(0)
         )
         assert len(report.rows) == 3
         assert {r.target_id for r in report.rows} == {report.rows[0].target_id}
@@ -332,15 +334,17 @@ class TestLeaveOneOutPlacebo:
 
     def test_noiseless_cluster_sc_recovers_exactly(self):
         ds = small_dataset(seed=11, s=0.0)
-        variants = [MethodVariant("cluster_sc", RegressionSpec("ols"), RankRule.fixed(3), k=2)]
-        report = leave_one_out_placebo(ds, 0.25, variants, np.random.default_rng(3))
+        design = PlaceboDesign(RegressionSpec("ols"), RankRule.fixed(3), k=2)
+        report = leave_one_out_placebo(ds, 0.25, design, np.random.default_rng(3))
         assert report.skipped == []
-        assert all(r.post_mse <= 1e-10 for r in report.rows)
-        assert all(r.pre_mse <= 1e-10 for r in report.rows)
+        rows = [r for r in report.rows if r.variant == "cluster_sc"]
+        assert rows
+        assert all(r.post_mse <= 1e-10 for r in rows)
+        assert all(r.pre_mse <= 1e-10 for r in rows)
 
     def test_reference_label(self):
         report = leave_one_out_placebo(
-            small_dataset(), 0.1, standard_variants(), np.random.default_rng(1)
+            small_dataset(), 0.1, standard_design(), np.random.default_rng(1)
         )
         assert report.reference == "true_signal"
         assert all(r.iteration == 0 for r in report.rows)
@@ -350,19 +354,16 @@ class TestLeaveOneOutPlacebo:
         # exactly n - 1 donors; in per_dataset mode the model covers all n
         # units and the target has to be dropped from its own cluster
         ds = small_dataset(n_a=10, n_b=10)
-        variants = [
-            MethodVariant("sc_full", RIDGE, ENERGY),
-            MethodVariant("cluster_sc", RIDGE, ENERGY, k=1),
-        ]
+        design = PlaceboDesign(RIDGE, ENERGY, k=1)
         for mode in ("per_target", "per_dataset"):
             report = leave_one_out_placebo(
-                ds, 0.5, variants, np.random.default_rng(2), cluster_mode=mode
+                ds, 0.5, design, np.random.default_rng(2), cluster_mode=mode
             )
             assert all(r.selected_donor_count == 19 for r in report.rows)
 
     def test_subset_size_paired_with_cluster(self):
         report = leave_one_out_placebo(
-            small_dataset(), 0.3, standard_variants(), np.random.default_rng(5)
+            small_dataset(), 0.3, standard_design(), np.random.default_rng(5)
         )
         by_cell = {}
         for row in report.rows:
@@ -375,22 +376,23 @@ class TestLeaveOneOutPlacebo:
 
     def test_medians_and_improvements_consistent(self):
         report = leave_one_out_placebo(
-            small_dataset(), 0.3, standard_variants(), np.random.default_rng(5)
+            small_dataset(), 0.3, standard_design(), np.random.default_rng(5)
         )
         assert_aggregates_match_oracles(report)
 
     def test_deterministic_given_seed(self):
         ds = small_dataset()
-        a = leave_one_out_placebo(ds, 0.2, standard_variants(), np.random.default_rng(9))
-        b = leave_one_out_placebo(ds, 0.2, standard_variants(), np.random.default_rng(9))
+        a = leave_one_out_placebo(ds, 0.2, standard_design(), np.random.default_rng(9))
+        b = leave_one_out_placebo(ds, 0.2, standard_design(), np.random.default_rng(9))
         assert asdict(a) == asdict(b)
 
     def test_active_donor_precision_filled(self):
-        variants = [MethodVariant("cluster_sc", RegressionSpec("lasso", 0.01), ENERGY, k=2)]
+        design = PlaceboDesign(RegressionSpec("lasso", 0.01), ENERGY, k=2)
         report = leave_one_out_placebo(
-            small_dataset(), 0.2, variants, np.random.default_rng(4)
+            small_dataset(), 0.2, design, np.random.default_rng(4)
         )
-        filled = [r for r in report.rows if r.active_donor_precision is not None]
+        filled = [r for r in report.rows
+                  if r.variant == "cluster_sc" and r.active_donor_precision is not None]
         assert filled
         for row in filled:
             assert 0.0 <= row.active_donor_precision <= 1.0
@@ -399,10 +401,7 @@ class TestLeaveOneOutPlacebo:
     def test_known_rank_improvement_is_positive(self):
         # with the group ranks given (pool 6, cluster 3) the clustered run
         # wins decisively at moderate noise
-        variants = [
-            MethodVariant("sc_full", RIDGE, RankRule.fixed(6)),
-            MethodVariant("cluster_sc", RIDGE, RankRule.fixed(3), k=2),
-        ]
+        design = PlaceboDesign(RIDGE, RankRule.fixed(6), k=2, cluster_rule=RankRule.fixed(3))
         medians = []
         for seed in range(4):
             ds = gen_dataset(
@@ -410,55 +409,25 @@ class TestLeaveOneOutPlacebo:
                 NoiseSpec.gaussian(0.25), seed=100 + seed,
             )
             report = leave_one_out_placebo(
-                ds, 0.2, variants, np.random.default_rng(1000 + seed),
+                ds, 0.2, design, np.random.default_rng(1000 + seed),
                 cluster_mode="per_dataset",
             )
             medians.append(report.improvements["median"])
         assert sum(m > 0 for m in medians) >= 3
         assert np.median(medians) > 0
 
-    def test_subset_without_cluster_rejected(self):
-        variants = [
-            MethodVariant("sc_full", RIDGE, ENERGY),
-            MethodVariant("sc_random_subset", RIDGE, ENERGY),
-        ]
-        with pytest.raises(InvalidParamsError):
-            leave_one_out_placebo(
-                small_dataset(), 0.2, variants, np.random.default_rng(0)
-            )
-
-    def test_subset_before_cluster_rejected(self):
-        variants = [
-            MethodVariant("sc_random_subset", RIDGE, ENERGY),
-            MethodVariant("cluster_sc", RIDGE, ENERGY, k=2),
-        ]
-        with pytest.raises(InvalidParamsError):
-            leave_one_out_placebo(
-                small_dataset(), 0.2, variants, np.random.default_rng(0)
-            )
-
-    def test_duplicate_variant_names_rejected(self):
-        variants = [
-            MethodVariant("sc_full", RIDGE, ENERGY),
-            MethodVariant("sc_full", RIDGE, RankRule.fixed(3)),
-        ]
-        with pytest.raises(InvalidParamsError):
-            leave_one_out_placebo(
-                small_dataset(), 0.2, variants, np.random.default_rng(0)
-            )
-
     def test_bad_target_fraction(self):
         for fraction in (0.0, 1.2, -0.5):
             with pytest.raises(InvalidParamsError):
                 leave_one_out_placebo(
-                    small_dataset(), fraction, standard_variants(),
+                    small_dataset(), fraction, standard_design(),
                     np.random.default_rng(0),
                 )
 
     def test_bad_cluster_mode(self):
         with pytest.raises(InvalidParamsError):
             leave_one_out_placebo(
-                small_dataset(), 0.2, standard_variants(),
+                small_dataset(), 0.2, standard_design(),
                 np.random.default_rng(0), cluster_mode="per_panel",
             )
 
@@ -467,7 +436,7 @@ class TestSplitPlacebo:
     def test_shape_and_reference(self):
         ds = small_dataset(seed=21, s=0.2, n_a=15, n_b=15)
         report = split_placebo(
-            ds.panel, 0.8, 3, standard_variants(reg=RegressionSpec("ridge", 0.1)),
+            ds.panel, 0.8, 3, standard_design(reg=RegressionSpec("ridge", 0.1)),
             np.random.default_rng(7),
         )
         assert report.reference == "observed"
@@ -478,14 +447,14 @@ class TestSplitPlacebo:
 
     def test_deterministic_given_seed(self):
         ds = small_dataset(seed=21, n_a=12, n_b=12)
-        a = split_placebo(ds.panel, 0.75, 2, standard_variants(), np.random.default_rng(3))
-        b = split_placebo(ds.panel, 0.75, 2, standard_variants(), np.random.default_rng(3))
+        a = split_placebo(ds.panel, 0.75, 2, standard_design(), np.random.default_rng(3))
+        b = split_placebo(ds.panel, 0.75, 2, standard_design(), np.random.default_rng(3))
         assert asdict(a) == asdict(b)
 
     def test_per_iteration_medians_match_rows(self):
         ds = small_dataset(seed=22, n_a=12, n_b=12)
         report = split_placebo(
-            ds.panel, 0.75, 3, standard_variants(), np.random.default_rng(4)
+            ds.panel, 0.75, 3, standard_design(), np.random.default_rng(4)
         )
         for entry in report.per_iteration:
             it_rows = [r for r in report.rows if r.iteration == entry["iteration"]]
@@ -503,7 +472,7 @@ class TestSplitPlacebo:
     def test_single_target_median_is_that_target(self):
         ds = small_dataset(seed=23, n_a=10, n_b=10)
         report = split_placebo(
-            ds.panel, 19 / 20, 2, standard_variants(), np.random.default_rng(5)
+            ds.panel, 19 / 20, 2, standard_design(), np.random.default_rng(5)
         )
         for entry in report.per_iteration:
             assert entry["n_targets"] == 1
@@ -514,14 +483,14 @@ class TestSplitPlacebo:
     def test_overall_consistency(self):
         ds = small_dataset(seed=24, n_a=12, n_b=12)
         report = split_placebo(
-            ds.panel, 0.75, 2, standard_variants(), np.random.default_rng(6)
+            ds.panel, 0.75, 2, standard_design(), np.random.default_rng(6)
         )
         assert_aggregates_match_oracles(report)
 
     def test_no_precision_without_labels(self):
         ds = small_dataset(seed=25, n_a=10, n_b=10)
         report = split_placebo(
-            ds.panel, 0.8, 2, standard_variants(), np.random.default_rng(8)
+            ds.panel, 0.8, 2, standard_design(), np.random.default_rng(8)
         )
         assert all(r.active_donor_precision is None for r in report.rows)
 
@@ -530,7 +499,7 @@ class TestSplitPlacebo:
         for fraction in (0.0, 1.0):
             with pytest.raises(InvalidParamsError):
                 split_placebo(
-                    ds.panel, fraction, 2, standard_variants(),
+                    ds.panel, fraction, 2, standard_design(),
                     np.random.default_rng(0),
                 )
 
@@ -538,14 +507,14 @@ class TestSplitPlacebo:
         ds = small_dataset(n_a=10, n_b=10)
         with pytest.raises(InvalidParamsError):
             split_placebo(
-                ds.panel, 0.01, 2, standard_variants(), np.random.default_rng(0)
+                ds.panel, 0.01, 2, standard_design(), np.random.default_rng(0)
             )
 
     def test_bad_iterations(self):
         ds = small_dataset(n_a=10, n_b=10)
         with pytest.raises(InvalidParamsError):
             split_placebo(
-                ds.panel, 0.8, 0, standard_variants(), np.random.default_rng(0)
+                ds.panel, 0.8, 0, standard_design(), np.random.default_rng(0)
             )
 
 
@@ -588,7 +557,7 @@ class TestSelectionScoringOracle:
         dataset = small_dataset(seed=seed, s=0.2)
         fits = record_fits(monkeypatch)
         report = leave_one_out_placebo(
-            dataset, 0.3, standard_variants(reg=reg), np.random.default_rng(seed),
+            dataset, 0.3, standard_design(reg=reg), np.random.default_rng(seed),
             cluster_mode=mode,
         )
         assert len(fits) == len(report.rows)
@@ -624,7 +593,7 @@ class TestSplitSharedPools:
 
     def test_rows_equal_fresh_fits_and_svds_are_shared(self, monkeypatch):
         panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
-        variants = standard_variants(k="auto")
+        design = standard_design(k="auto")
         svd_calls = []
         numpy_svd = np.linalg.svd
 
@@ -645,18 +614,18 @@ class TestSplitSharedPools:
         fits = record_fits(monkeypatch)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(evaluate, "fit_cluster_model", recording_model)
-        report = split_placebo(panel, 0.6, 2, variants, np.random.default_rng(52))
+        report = split_placebo(panel, 0.6, 2, design, np.random.default_rng(52))
         monkeypatch.undo()
 
         assert len(fits) == len(report.rows)
         assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
         id_to_row = {u: i for i, u in enumerate(panel.unit_ids)}
         split, t0 = panel.split, panel.split.t0
-        variant_of = {v.name: v for v in variants}
+        rule_of = {"sc_full": design.rule, "cluster_sc": design.cluster_rule,
+                   "sc_random_subset": design.rule}
         full_ids = {r.iteration: f.donor_ids for f, r in zip(fits, report.rows)
                     if r.variant == "sc_full"}
         for fit, row in zip(fits, report.rows):
-            v = variant_of[row.variant]
             if row.variant == "cluster_sc":
                 labels = models[row.iteration - 1][1].assignments.labels
                 assert fit.donor_ids == [
@@ -666,7 +635,8 @@ class TestSplitSharedPools:
             observed = panel.values[id_to_row[row.target_id]]
             pool = panel.values[[id_to_row[u] for u in fit.donor_ids]]
             fresh = sc_learn(
-                pool, split, observed[:t0], v.rule, v.reg, donor_ids=fit.donor_ids,
+                pool, split, observed[:t0], rule_of[row.variant], design.reg,
+                donor_ids=fit.donor_ids,
                 cluster_label=row.cluster_label,
             )
             assert np.array_equal(fresh.denoised_donors, fit.denoised_donors)
@@ -712,7 +682,7 @@ def outlier_pair_dataset():
 class TestSkipPath:
     """A target whose cluster has fewer than 2 donors, in both harnesses."""
 
-    VARIANTS = standard_variants(rule=RankRule.fixed(2), k=2)
+    DESIGN = standard_design(rule=RankRule.fixed(2), k=2)
     CLUSTER_REASONS = {
         str(DegenerateClusterError(label, size)) for label in (1, 2) for size in (0, 1)
     }
@@ -742,7 +712,7 @@ class TestSkipPath:
 
     def test_leave_one_out_per_dataset(self):
         report = leave_one_out_placebo(
-            outlier_pair_dataset(), 1.0, self.VARIANTS, np.random.default_rng(0),
+            outlier_pair_dataset(), 1.0, self.DESIGN, np.random.default_rng(0),
             cluster_mode="per_dataset",
         )
         assert self.check_skips(report) == {(0, "u00"), (0, "u01")}
@@ -750,7 +720,7 @@ class TestSkipPath:
 
     def test_split(self):
         report = split_placebo(
-            outlier_pair_dataset().panel, 0.5, 6, self.VARIANTS, np.random.default_rng(0)
+            outlier_pair_dataset().panel, 0.5, 6, self.DESIGN, np.random.default_rng(0)
         )
         cells = self.check_skips(report)
         for entry in report.per_iteration:
@@ -806,14 +776,14 @@ class TestDealtTargets:
     def test_report_bytes_do_not_depend_on_cpus(self, case, monkeypatch, tmp_path):
         make_dataset, fraction, mode = self.CASES[case]
         dataset = make_dataset()
-        variants = TestSkipPath.VARIANTS if case.startswith("skipped") else standard_variants()
+        design = TestSkipPath.DESIGN if case.startswith("skipped") else standard_design()
         forks = count_forks(monkeypatch)
         written = []
         for cpus in (1, 2, 4):
             use_cpus(monkeypatch, cpus)
             del forks[:]
             report = leave_one_out_placebo(
-                dataset, fraction, variants, np.random.default_rng(62), cluster_mode=mode
+                dataset, fraction, design, np.random.default_rng(62), cluster_mode=mode
             )
             assert_no_children()
             assert len(forks) == cpus - 1
@@ -829,9 +799,9 @@ class TestDealtTargets:
     @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_first_error_in_target_order_is_raised(self, cpus, failing, picklable, monkeypatch):
         dataset = small_dataset(seed=63)
-        variants = standard_variants()
+        design = standard_design()
         use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, variants, np.random.default_rng(64))
+        serial = leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
         assert len(target_ids) == 8
         bad = {target_ids[i] for i in failing}
@@ -851,14 +821,14 @@ class TestDealtTargets:
         monkeypatch.setattr(evaluate, "_placebo_target", failing_target)
         use_cpus(monkeypatch, cpus)
         with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
-            leave_one_out_placebo(dataset, 0.4, variants, np.random.default_rng(64))
+            leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         assert_no_children()
 
     @pytest.mark.parametrize("reason", ["no_fork", "no_affinity", "second_thread"])
     def test_runs_in_process_when_forking_is_unsafe(self, reason, monkeypatch):
         dataset = small_dataset(seed=69)
         use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, standard_variants(), 70)
+        serial = leave_one_out_placebo(dataset, 0.4, standard_design(), 70)
         use_cpus(monkeypatch, 4)
         forks = count_forks(monkeypatch)
         release = threading.Event()
@@ -870,7 +840,7 @@ class TestDealtTargets:
         else:
             thread.start()
         try:
-            report = leave_one_out_placebo(dataset, 0.4, standard_variants(), 70)
+            report = leave_one_out_placebo(dataset, 0.4, standard_design(), 70)
         finally:
             release.set()
             if reason == "second_thread":
@@ -882,14 +852,14 @@ class TestDealtTargets:
     def test_share_runs_here_when_fork_fails(self, monkeypatch, tmp_path):
         dataset = small_dataset(seed=65)
         use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+        serial = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
 
         def failing_fork():
             raise BlockingIOError("no process slot")
 
         use_cpus(monkeypatch, 4)
         monkeypatch.setattr(evaluate.os, "fork", failing_fork)
-        report = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+        report = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
         assert_no_children()
         assert write_json(report, tmp_path / "4.json").read_bytes() == write_json(
             serial, tmp_path / "1.json"
@@ -898,7 +868,7 @@ class TestDealtTargets:
     def test_runs_here_when_no_pipe_can_be_made(self, monkeypatch, tmp_path):
         dataset = small_dataset(seed=65)
         use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+        serial = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
 
         def failing_pipe():
             raise OSError(errno.EMFILE, "too many open files")
@@ -906,7 +876,7 @@ class TestDealtTargets:
         use_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
         monkeypatch.setattr(evaluate.os, "pipe", failing_pipe)
-        report = leave_one_out_placebo(dataset, 0.4, standard_variants(), 66)
+        report = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
         assert forks == []
         assert_no_children()
         assert write_json(report, tmp_path / "2.json").read_bytes() == write_json(
@@ -926,7 +896,7 @@ class TestDealtTargets:
 
         monkeypatch.setattr(evaluate, "_placebo_target", counting_target)
         use_cpus(monkeypatch, cpus)
-        report = leave_one_out_placebo(small_dataset(seed=63), 0.4, standard_variants(), 64)
+        report = leave_one_out_placebo(small_dataset(seed=63), 0.4, standard_design(), 64)
         target_ids = list(dict.fromkeys(r.target_id for r in report.rows))
         assert len(target_ids) == 8
         # share 0 is targets 0, cpus, 2 * cpus, ...: ceil(8 / cpus) calls
@@ -947,7 +917,7 @@ class TestDealtTargets:
         forks = count_forks(monkeypatch)
         use_cpus(monkeypatch, 4)
         with pytest.raises(KeyboardInterrupt):
-            leave_one_out_placebo(small_dataset(seed=67), 0.4, standard_variants(), 68)
+            leave_one_out_placebo(small_dataset(seed=67), 0.4, standard_design(), 68)
         assert len(forks) == 3
         assert_no_children()
 
@@ -957,7 +927,7 @@ class TestDealtTargets:
         script = textwrap.dedent('''
             import os, sys
             from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
-            from clustersc.evaluate import MethodVariant, leave_one_out_placebo
+            from clustersc.evaluate import PlaceboDesign, leave_one_out_placebo
             from clustersc.linalg import RankRule
             from clustersc.regression import RegressionSpec
 
@@ -965,11 +935,9 @@ class TestDealtTargets:
             dataset = gen_dataset(
                 GROUP_A_SPEC, GROUP_B_SPEC, 10, 10, 10, 8, NoiseSpec.gaussian(0.1), seed=1
             )
-            variants = [MethodVariant(name, RegressionSpec("ridge", lam=0.01),
-                                      RankRule.energy(0.95), k=2)
-                        for name in ("sc_full", "cluster_sc")]
+            design = PlaceboDesign(RegressionSpec("ridge", lam=0.01), RankRule.energy(0.95), k=2)
             sys.stdout.write("written once\\n")
-            report = leave_one_out_placebo(dataset, 0.4, variants, 2)
+            report = leave_one_out_placebo(dataset, 0.4, design, 2)
             sys.stderr.write(str(len(report.rows)))
         ''')
         env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}

@@ -95,6 +95,14 @@ class TestToJsonable:
         with pytest.raises(InvalidInputError):
             write_json({"x": object()}, tmp_path / "payload.json")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_rejected(self, value, tmp_path):
+        # NaN and Infinity are not JSON; the file is named and never written
+        path = tmp_path / "payload.json"
+        with pytest.raises(InvalidInputError, match=f"cannot write {path}: Out of range float"):
+            write_json({"gaps": [1.0, np.float64(value)]}, path)
+        assert not path.exists()
+
     def test_rank_rule(self, tmp_path):
         # written by its tag, in the grammar of the --rule flag
         assert written(RankRule.fixed(3), tmp_path) == "fixed:3"
