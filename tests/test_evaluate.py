@@ -361,6 +361,21 @@ class TestLeaveOneOutPlacebo:
             )
             assert all(r.selected_donor_count == 19 for r in report.rows)
 
+    @pytest.mark.parametrize("mode", ["per_target", "per_dataset"])
+    def test_each_variant_denoised_under_its_rule(self, monkeypatch, mode):
+        # the cluster runs under cluster_rule; the full pool and the random
+        # subset run under rule
+        design = PlaceboDesign(RIDGE, RankRule.fixed(3), k=2, cluster_rule=RankRule.fixed(2),
+                               with_random_subset=True)
+        fits = record_fits(monkeypatch)
+        report = leave_one_out_placebo(
+            small_dataset(), 0.3, design, np.random.default_rng(5), cluster_mode=mode
+        )
+        assert report.skipped == []
+        ranks = {"sc_full": 3, "cluster_sc": 2, "sc_random_subset": 3}
+        assert [fit.rank_used for fit in fits] == [ranks[r.variant] for r in report.rows]
+        assert [r.variant for r in report.rows] == list(VARIANT_NAMES) * 6
+
     def test_subset_size_paired_with_cluster(self):
         report = leave_one_out_placebo(
             small_dataset(), 0.3, standard_design(), np.random.default_rng(5)
