@@ -14,16 +14,21 @@ mean silhouette over AUTO_K_RANGE. A target enters the picture only later:
 its series is projected onto the same right singular basis and sent to the
 nearest center, whose cluster becomes its donor pool (nearest_cluster).
 
+scipy loads on first use, through _scipy: cdist at the first k-means or
+silhouette call, linear_sum_assignment at the first partition matching.
+Loading it is most of `import clustersc`, so code that never clusters
+(simulating, spectra, the gap check) never pays for it.
+
 Labels are 1-based everywhere: a Partition over k clusters uses labels 1..k,
 and centers row i belongs to label i + 1.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .errors import DegenerateClusterError, DegenerateInputError, InvalidParamsError, ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
@@ -55,6 +60,11 @@ class Partition:
                 f"labels must lie in 1..{self.k}, got range "
                 f"{self.labels.min()}..{self.labels.max()}"
             )
+
+
+def _scipy(module: str, name: str):
+    """scipy.<module>.<name>, importing the module on the first call."""
+    return getattr(importlib.import_module(f"scipy.{module}"), name)
 
 
 def _check_k(points: np.ndarray, k: int) -> None:
@@ -196,6 +206,7 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
     once its labels repeat. Every run ends exactly as lloyd alone would
     leave it. Returns 0-based labels (runs, m) and the runs' inertias.
     """
+    cdist = _scipy("spatial.distance", "cdist")
     m, r = points.shape
     runs, k = centers.shape[:2]
     labels = np.full((runs, m), -1)
@@ -229,7 +240,9 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
     # one reduction over each run's m * r residuals, as .sum() of each alone
     residuals = centers[np.arange(runs)[:, None], labels]
     np.subtract(points, residuals, out=residuals)
-    inertias = np.square(residuals, out=residuals).reshape(runs, -1).sum(axis=1).tolist()
+    # an inertia past the float range is inf, which the report refuses to write
+    with np.errstate(over="ignore"):
+        inertias = np.square(residuals, out=residuals).reshape(runs, -1).sum(axis=1).tolist()
     return labels, inertias
 
 
@@ -292,7 +305,7 @@ def silhouette(points, partition: Partition, dists: np.ndarray | None = None) ->
     if np.any(sizes == 0):
         raise DegenerateInputError("every cluster must be nonempty")
     if dists is None:
-        dists = cdist(points, points)
+        dists = _scipy("spatial.distance", "cdist")(points, points)
     m = points.shape[0]
     # sums[i, c] = total distance from point i to cluster c
     sums = np.stack([dists[:, labels0 == c].sum(axis=1) for c in range(k)], axis=1)
@@ -324,7 +337,7 @@ def choose_k(points, k_min: int, k_max: int, restarts: int, rng):
             f"k_max={k_max} needs at least {k_max + 1} points, got {m}"
         )
     rng = np.random.default_rng(rng)
-    dists = cdist(points, points)
+    dists = _scipy("spatial.distance", "cdist")(points, points)
     best = None
     for k in range(k_min, k_max + 1):
         centers, part, inertia = best_lloyd(points, k, restarts, rng)
@@ -397,7 +410,9 @@ def assign_target(model: ClusterModel, target_pre) -> int:
             f"{model.v_basis.shape[0]}"
         )
     u = target_pre @ model.v_basis
-    d2 = ((model.centers - u) ** 2).sum(axis=1)
+    # distances past the float range tie at inf; the lowest label wins
+    with np.errstate(over="ignore"):
+        d2 = ((model.centers - u) ** 2).sum(axis=1)
     return int(np.argmin(d2)) + 1
 
 
@@ -425,14 +440,11 @@ def partition_symmetric_difference(p: Partition, q: Partition) -> int:
     equals 2n - 2 * (best total overlap); the best overlap is found by
     assignment matching on the p.k x q.k contingency table.
     """
-    # imported here: only recovery checks need it, and it slows every import
-    from scipy.optimize import linear_sum_assignment
-
     if p.labels.shape[0] != q.labels.shape[0]:
         raise ShapeError(
             f"partitions cover {p.labels.shape[0]} and {q.labels.shape[0]} points"
         )
     table = np.zeros((p.k, q.k), dtype=int)
     np.add.at(table, (p.labels - 1, q.labels - 1), 1)
-    rows, cols = linear_sum_assignment(-table)
+    rows, cols = _scipy("optimize", "linear_sum_assignment")(-table)
     return int(2 * p.labels.shape[0] - 2 * table[rows, cols].sum())

@@ -124,7 +124,9 @@ def std_error(values) -> float:
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         return 0.0
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+    # a spread past the float range is inf, which the report refuses to write
+    with np.errstate(over="ignore"):
+        return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
 @dataclass(frozen=True)

@@ -134,12 +134,15 @@ def _ridge(design, target, lam):
     if lam == 0.0:
         return np.linalg.lstsq(design, target, rcond=None)[0]
     t0, n = design.shape
-    if n <= t0:
-        return np.linalg.solve(design.T @ design + lam * np.eye(n), design.T @ target)
-    # dual form, identical solution but a T0 x T0 system when donors outnumber
-    # pre-intervention periods
-    dual = np.linalg.solve(design @ design.T + lam * np.eye(t0), target)
-    return design.T @ dual
+    # products past the float range give non-finite weights, which the
+    # report refuses to write
+    with np.errstate(over="ignore"):
+        if n <= t0:
+            return np.linalg.solve(design.T @ design + lam * np.eye(n), design.T @ target)
+        # dual form, identical solution but a T0 x T0 system when donors
+        # outnumber pre-intervention periods
+        dual = np.linalg.solve(design @ design.T + lam * np.eye(t0), target)
+        return design.T @ dual
 
 
 def _path_step_bound(t0, n):

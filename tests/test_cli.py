@@ -32,6 +32,14 @@ def run(*argv):
     return main(list(argv))
 
 
+def run_fresh(*argv):
+    """`python -m clustersc argv` in a fresh interpreter, output captured."""
+    return subprocess.run(
+        [sys.executable, "-m", "clustersc", *argv], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+    )
+
+
 def write_hpi(path):
     """A long quarterly file: 10 units over 1997Q1..1999Q4."""
     rng = np.random.default_rng(37)
@@ -270,16 +278,31 @@ class TestExitCodes:
 
     def test_overflowing_seeding_warns_nothing(self, tmp_path):
         # the D^2 guard diagnoses the overflow; numpy's own warning must not precede it
-        done = subprocess.run(
-            [sys.executable, "-m", "clustersc", "recovery-check", "--na", "4", "--nb", "4",
-             "--datasets", "1", "--noise-grid", "gaussian:1e200", "--seed", "3",
-             "--out", str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
-        )
+        done = run_fresh("recovery-check", "--na", "4", "--nb", "4", "--datasets", "1",
+                         "--noise-grid", "gaussian:1e200", "--seed", "3",
+                         "--out", str(tmp_path / "out"))
         assert done.returncode == 1
         assert "too far apart (overflow) for D^2 seeding" in done.stderr
         assert "RuntimeWarning" not in done.stderr
+
+    @pytest.mark.parametrize("argv, stem", [
+        pytest.param(["gap-check", "--n", "20", "--na", "10", "--t", "5", "--rank", "2",
+                      "--trials", "2", "--noise", "gaussian:1e160"], "gap_check", id="gap-check"),
+        pytest.param(["placebo-synthetic", "--na", "6", "--nb", "6", "--datasets", "1",
+                      "--k", "1", "--noise", "gaussian:1e200"], "placebo_synthetic",
+                     id="placebo-synthetic"),
+    ])
+    def test_overflowing_report_warns_nothing(self, argv, stem, tmp_path):
+        # the refusal of the non-finite report diagnoses the overflow (k-means
+        # inertia, target assignment, ridge and the standard error on the
+        # way); numpy's own warnings must not precede it, from this process
+        # or from a dealt child
+        out = tmp_path / "out"
+        done = run_fresh(*argv, "--seed", "3", "--out", str(out))
+        assert done.returncode == 1
+        assert f"cannot write {out / stem}.json: Out of range float" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert not [path for path in out.rglob("*") if path.is_file()]
 
     def test_gap_rank_beyond_subgroup_is_one(self, tmp_path, capsys):
         assert run("gap-check", "--n", "5", "--na", "3", "--rank", "3", "--trials", "2",
@@ -826,3 +849,26 @@ def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
             os.sched_setaffinity(0, mask)
         capsys.readouterr()
         assert digests == RECORDED_DIGESTS, f"{len(cpus)} CPU(s)"
+
+
+def test_fresh_interpreter_outputs_match_recorded_digests(tmp_path):
+    """The placebo-synthetic reference commands, each run by a fresh
+    `python -m clustersc` at this process's whole affinity mask, write the
+    recorded bytes.
+
+    A fresh process has loaded no scipy when it starts its first k-means
+    run, so on more than one CPU the first dealt child of a per_target run
+    loads scipy itself, after the fork. The test above never sees that
+    path: it runs in this process, where scipy is already loaded.
+    """
+    labels = [label for label in REFERENCE_COMMANDS if label.startswith("placebo-synthetic")]
+    digests = {}
+    for label in labels:
+        out = tmp_path / label
+        done = run_fresh(*REFERENCE_COMMANDS[label], "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        for path in sorted(out.iterdir()):
+            digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {
+        key: digest for key, digest in RECORDED_DIGESTS.items() if key.split("/")[0] in labels
+    }

@@ -11,6 +11,7 @@ Known values used below:
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -45,6 +46,35 @@ from clustersc.errors import (
     ShapeError,
 )
 from clustersc.linalg import RankRule, as_matrix, svd
+
+
+# Run by a fresh interpreter with an output directory as its argument: the
+# scipy modules loaded after each stage, an import or an in-process CLI call,
+# written to stages.json there
+SCIPY_STAGES = """
+import json, sys
+from pathlib import Path
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.partition(".")[0] == "scipy")
+
+out = Path(sys.argv[1])
+stages = {}
+import clustersc
+stages["import clustersc"] = scipy_modules()
+import clustersc.cli
+stages["import clustersc.cli"] = scipy_modules()
+panel = str(out / "simulate" / "simulate_panel.csv")
+for argv in (
+    ["simulate", "--na", "6", "--nb", "6", "--seed", "1"],
+    ["spectrum", "--panel", panel, "--t0", "8"],
+    ["gap-check", "--n", "20", "--na", "10", "--trials", "2", "--seed", "1"],
+    ["cluster", "--panel", panel, "--t0", "8", "--k", "2", "--seed", "1"],
+):
+    assert clustersc.cli.main(argv + ["--out", str(out / argv[0])]) == 0, argv
+    stages[argv[0]] = scipy_modules()
+(out / "stages.json").write_text(json.dumps(stages))
+"""
 
 
 def exhaustive_bipartition_inertia(points: np.ndarray) -> float:
@@ -822,14 +852,21 @@ class TestPartitionSymmetricDifference:
         q = Partition(np.array([1, 1, 2, 3]), 3)
         assert partition_symmetric_difference(p, q) == 2
 
-    def test_cli_import_leaves_assignment_solver_unloaded(self):
+    def test_cli_import_leaves_assignment_solver_unloaded(self, tmp_path):
+        """A fresh process loads no scipy module until a command clusters,
+        and then scipy.spatial only: the assignment solver (scipy.optimize)
+        waits for the first partition matching."""
         src = Path(__file__).resolve().parent.parent / "src"
-        code = "import sys, clustersc.cli; print('scipy.optimize' in sys.modules)"
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
+        subprocess.run(
+            [sys.executable, "-c", SCIPY_STAGES, str(tmp_path)], capture_output=True,
+            text=True, check=True, env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert done.stdout.strip() == "False"
+        stages = json.loads((tmp_path / "stages.json").read_text())
+        for stage in ("import clustersc", "import clustersc.cli", "simulate", "spectrum",
+                      "gap-check"):
+            assert stages[stage] == [], stage
+        assert "scipy.spatial" in stages["cluster"]
+        assert "scipy.optimize" not in stages["cluster"]
 
     def test_partition_label_validation(self):
         with pytest.raises(InvalidParamsError):
