@@ -14,10 +14,8 @@ mean silhouette over AUTO_K_RANGE. A target enters the picture only later:
 its series is projected onto the same right singular basis and sent to the
 nearest center, whose cluster becomes its donor pool (nearest_cluster).
 
-scipy loads on first use, through _scipy: cdist at the first k-means or
-silhouette call, linear_sum_assignment at the first partition matching.
-Loading it is most of `import clustersc`, so code that never clusters
-(simulating, spectra, the gap check) never pays for it.
+scipy loads at the first clustering call, through _scipy, so code that never
+clusters (simulating, spectra, the gap check) never pays for its import.
 
 Labels are 1-based everywhere: a Partition over k clusters uses labels 1..k,
 and centers row i belongs to label i + 1.
@@ -240,8 +238,7 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
     # one reduction over each run's m * r residuals, as .sum() of each alone
     residuals = centers[np.arange(runs)[:, None], labels]
     np.subtract(points, residuals, out=residuals)
-    # an inertia past the float range is inf, which the report refuses to write
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the report refuses an infinite inertia
         inertias = np.square(residuals, out=residuals).reshape(runs, -1).sum(axis=1).tolist()
     return labels, inertias
 
@@ -410,8 +407,7 @@ def assign_target(model: ClusterModel, target_pre) -> int:
             f"{model.v_basis.shape[0]}"
         )
     u = target_pre @ model.v_basis
-    # distances past the float range tie at inf; the lowest label wins
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # infinite distances tie; the lowest label wins
         d2 = ((model.centers - u) ** 2).sum(axis=1)
     return int(np.argmin(d2)) + 1
 

@@ -124,8 +124,7 @@ def std_error(values) -> float:
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         return 0.0
-    # a spread past the float range is inf, which the report refuses to write
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the report refuses an infinite spread
         return float(values.std(ddof=1) / math.sqrt(values.size))
 
 

@@ -134,15 +134,11 @@ def _ridge(design, target, lam):
     if lam == 0.0:
         return np.linalg.lstsq(design, target, rcond=None)[0]
     t0, n = design.shape
-    # products past the float range give non-finite weights, which the
-    # report refuses to write
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # the report refuses the non-finite weights
         if n <= t0:
             return np.linalg.solve(design.T @ design + lam * np.eye(n), design.T @ target)
-        # dual form, identical solution but a T0 x T0 system when donors
-        # outnumber pre-intervention periods
-        dual = np.linalg.solve(design @ design.T + lam * np.eye(t0), target)
-        return design.T @ dual
+        # dual form: the same solution from a T0 x T0 system when donors outnumber periods
+        return design.T @ np.linalg.solve(design @ design.T + lam * np.eye(t0), target)
 
 
 def _path_step_bound(t0, n):
