@@ -26,6 +26,15 @@ from clustersc.panel import load_panel_csv
 
 
 UNIFORM_BOUND = "uniform needs 0 <= half_width <= 8.988465674311579e+307 (a finite range)"
+# commands whose noise overflows the report's statistics to inf or nan, and
+# the stem of the report they must not write
+NON_FINITE_REPORTS = [
+    pytest.param(["gap-check", "--n", "20", "--na", "10", "--t", "5", "--rank", "2",
+                  "--trials", "2", "--noise", "gaussian:1e160"], "gap_check", id="gap-check"),
+    pytest.param(["placebo-synthetic", "--na", "6", "--nb", "6", "--datasets", "1",
+                  "--k", "1", "--noise", "gaussian:1e200"], "placebo_synthetic",
+                 id="placebo-synthetic"),
+]
 
 
 def run(*argv):
@@ -258,13 +267,7 @@ class TestExitCodes:
         assert f"--{left_out}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, stem", [
-        pytest.param(["gap-check", "--n", "20", "--na", "10", "--t", "5", "--rank", "2",
-                      "--trials", "2", "--noise", "gaussian:1e160"], "gap_check", id="gap-check"),
-        pytest.param(["placebo-synthetic", "--na", "6", "--nb", "6", "--datasets", "1",
-                      "--k", "1", "--noise", "gaussian:1e200"], "placebo_synthetic",
-                     id="placebo-synthetic"),
-    ])
+    @pytest.mark.parametrize("argv, stem", NON_FINITE_REPORTS)
     def test_non_finite_report_is_input_error(self, argv, stem, tmp_path, capsys):
         # noise this large overflows the statistics to inf or nan, which JSON
         # cannot hold; numpy's warnings on the way are not this test's subject
@@ -285,13 +288,7 @@ class TestExitCodes:
         assert "too far apart (overflow) for D^2 seeding" in done.stderr
         assert "RuntimeWarning" not in done.stderr
 
-    @pytest.mark.parametrize("argv, stem", [
-        pytest.param(["gap-check", "--n", "20", "--na", "10", "--t", "5", "--rank", "2",
-                      "--trials", "2", "--noise", "gaussian:1e160"], "gap_check", id="gap-check"),
-        pytest.param(["placebo-synthetic", "--na", "6", "--nb", "6", "--datasets", "1",
-                      "--k", "1", "--noise", "gaussian:1e200"], "placebo_synthetic",
-                     id="placebo-synthetic"),
-    ])
+    @pytest.mark.parametrize("argv, stem", NON_FINITE_REPORTS)
     def test_overflowing_report_warns_nothing(self, argv, stem, tmp_path):
         # the refusal of the non-finite report diagnoses the overflow (k-means
         # inertia, target assignment, ridge and the standard error on the
@@ -859,7 +856,8 @@ def test_fresh_interpreter_outputs_match_recorded_digests(tmp_path):
     A fresh process has loaded no scipy when it starts its first k-means
     run, so on more than one CPU the first dealt child of a per_target run
     loads scipy itself, after the fork. The test above never sees that
-    path: it runs in this process, where scipy is already loaded.
+    path: test_outputs_match_recorded_digests runs the commands in the test
+    process, where the test modules have loaded scipy already.
     """
     labels = [label for label in REFERENCE_COMMANDS if label.startswith("placebo-synthetic")]
     digests = {}
