@@ -51,12 +51,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .cluster import AUTO_K_RANGE, KMEANS_RESTARTS, fit_cluster_model
+from .cluster import AUTO_K_RANGE, KMEANS_RESTARTS, fit_cluster_model, validate_k
 from .datagen import (
     GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset, noise_tag, parse_noise,
 )
 from .errors import ClusterScError, ConfigError, InvalidParamsError, PanelFormatError
 from .evaluate import (
+    CLUSTER_MODES,
     PlaceboDesign,
     SEED_CEILING,
     cluster_recovery_experiment,
@@ -66,7 +67,7 @@ from .evaluate import (
 )
 from .linalg import parse_rule, spectrum_report
 from .panel import TimePanel, load_panel_csv, parse_period, preprocess_hpi, save_panel_csv
-from .regression import RegressionSpec
+from .regression import REGRESSION_METHODS, RegressionSpec
 from .reporting import (
     cluster_plot_rows,
     gap_plot_rows,
@@ -91,17 +92,16 @@ def parse_noise_grid(text: str) -> list[NoiseSpec]:
 
 
 def parse_k(text: str):
-    """'auto' or a positive integer."""
-    text = text.strip().lower()
-    if text == "auto":
-        return "auto"
+    """'auto' or a positive integer, by the library's rule (validate_k)."""
+    k = text.strip().lower()
     try:
-        k = int(text)
+        k = int(k)
     except ValueError:
-        raise ConfigError(f"k {text!r}: expected 'auto' or an integer") from None
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-    return k
+        pass  # "auto", or a word validate_k refuses
+    try:
+        return validate_k(k)
+    except InvalidParamsError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_range(text: str) -> str:
@@ -143,7 +143,7 @@ def _add_design_flags(sub, default_units: int) -> None:
 
 
 def _add_estimator_flags(sub, default_lam: float) -> None:
-    sub.add_argument("--method", choices=("ols", "ridge", "lasso"), default="ridge",
+    sub.add_argument("--method", choices=REGRESSION_METHODS, default="ridge",
                      help="regression flavor for the weights")
     sub.add_argument("--lam", type=float, default=default_lam,
                      help="regularization strength for ridge/lasso")
@@ -182,8 +182,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub.add_argument("--datasets", type=int, default=5, help="datasets to generate")
     sub.add_argument("--target-fraction", type=float, default=0.3,
                      help="share of group A used as placebo targets")
-    sub.add_argument("--cluster-mode", choices=("per_target", "per_dataset"),
-                     default="per_target",
+    sub.add_argument("--cluster-mode", choices=CLUSTER_MODES, default="per_target",
                      help="re-cluster per target (faithful) or once per dataset (fast)")
     _add_estimator_flags(sub, default_lam=0.01)
     _add_seed(sub)

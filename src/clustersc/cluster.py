@@ -9,10 +9,12 @@ update per center step over every restart, each drawing from its own
 generator with the rule of Generator.choice), then advances them in lockstep
 too, one cdist call per Lloyd round over the centers of every run still
 moving; each run makes the same draws, breaks ties the same way, ends where it
-would alone and raises what it would alone. With k="auto", k is chosen by
-mean silhouette over AUTO_K_RANGE. A target enters the picture only later:
-its series is projected onto the same right singular basis and sent to the
-nearest center, whose cluster becomes its donor pool (nearest_cluster).
+would alone and raises what it would alone. k is a positive integer or "auto",
+which chooses k by mean silhouette over AUTO_K_RANGE; validate_k owns that
+rule for every caller, the placebo design and the CLI's --k too. A target
+enters the picture only later: its series is projected onto the same right
+singular basis and sent to the nearest center, whose cluster becomes its
+donor pool (nearest_cluster).
 
 scipy loads at the first clustering call, through _scipy, so code that never
 clusters (simulating, spectra, the gap check) never pays for its import.
@@ -38,6 +40,17 @@ AUTO_K_RANGE = (2, 8)
 # child seeds are drawn upfront so results do not depend on execution order
 # or on the process that uses them
 SEED_CEILING = 2**63 - 1
+
+
+def validate_k(k):
+    """k as an int, or "auto"; InvalidParamsError for anything else, bools too."""
+    if k == "auto":
+        return k
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise InvalidParamsError(f"k must be 'auto' or a positive integer, got {k!r}")
+    if k < 1:
+        raise InvalidParamsError(f"k must be >= 1, got {k}")
+    return int(k)
 
 
 @dataclass
@@ -368,6 +381,7 @@ def fit_cluster_model(donor_pre, rule: RankRule, k="auto", rng=None) -> ClusterM
     at n - 1) by silhouette. Each candidate k keeps the best of
     KMEANS_RESTARTS seeded Lloyd runs.
     """
+    k = validate_k(k)
     donor_pre = as_matrix(donor_pre)
     n = donor_pre.shape[0]
     if n < 2:
@@ -386,7 +400,6 @@ def fit_cluster_model(donor_pre, rule: RankRule, k="auto", rng=None) -> ClusterM
             )
         k, centers, part, inertia = choose_k(embedding, k_min, k_max, KMEANS_RESTARTS, rng)
     else:
-        k = int(k)
         centers, part, inertia = best_lloyd(embedding, k, KMEANS_RESTARTS, rng)
     return ClusterModel(
         k=k,

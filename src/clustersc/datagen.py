@@ -54,6 +54,7 @@ GROUP_B_SPEC = SignalSpec(3, (2.0, 5.0), (3.0, 6.0), (0.0, 1.0))
 @dataclass(frozen=True)
 class NoiseSpec:
     """i.i.d. noise: gaussian(sd), uniform(half_width), or student_t(dof, scale).
+    A spec checks its own kind and parameter count, naming the grammar.
     Every parameter is finite, as is a uniform's range 2 * half_width; scales
     may be zero (noiseless), and dof must be >= 3 so the variance exists."""
 
@@ -61,25 +62,23 @@ class NoiseSpec:
     params: tuple[float, ...]
 
     def __post_init__(self):
+        arity = {"gaussian": 1, "uniform": 1, "student_t": 2}.get(self.kind)
+        if len(self.params) != arity:
+            raise InvalidParamsError(
+                "expected gaussian:SD, uniform:HALF_WIDTH or student_t:DOF:SCALE, "
+                f"got kind {self.kind!r} with {len(self.params)} parameter(s)"
+            )
         if not np.isfinite(self.params).all():
             raise InvalidParamsError(f"{self.kind} parameters must be finite, got {self.params}")
-        if self.kind == "gaussian":
-            if len(self.params) != 1 or self.params[0] < 0:
-                raise InvalidParamsError(f"gaussian needs sd >= 0, got {self.params}")
-        elif self.kind == "uniform":
-            widest = float(np.finfo(float).max) / 2  # the range 2 * half_width stays finite
-            if len(self.params) != 1 or not 0 <= self.params[0] <= widest:
-                raise InvalidParamsError(
-                    f"uniform needs 0 <= half_width <= {widest!r} (a finite range), "
-                    f"got {self.params}"
-                )
-        elif self.kind == "student_t":
-            if len(self.params) != 2 or self.params[0] < 3 or self.params[1] < 0:
-                raise InvalidParamsError(
-                    f"student_t needs dof >= 3 and scale >= 0, got {self.params}"
-                )
-        else:
-            raise InvalidParamsError(f"unknown noise kind {self.kind!r}")
+        widest = float(np.finfo(float).max) / 2  # the range 2 * half_width stays finite
+        if self.kind == "gaussian" and self.params[0] < 0:
+            raise InvalidParamsError(f"gaussian needs sd >= 0, got {self.params}")
+        if self.kind == "uniform" and not 0 <= self.params[0] <= widest:
+            raise InvalidParamsError(
+                f"uniform needs 0 <= half_width <= {widest!r} (a finite range), got {self.params}"
+            )
+        if self.kind == "student_t" and (self.params[0] < 3 or self.params[1] < 0):
+            raise InvalidParamsError(f"student_t needs dof >= 3 and scale >= 0, got {self.params}")
 
     @classmethod
     def gaussian(cls, sd: float) -> "NoiseSpec":
@@ -104,30 +103,19 @@ class NoiseSpec:
             h = self.params[0]
             return rng.uniform(-h, h, size=shape) if h else np.zeros(shape)
         dof, scale = self.params
-        return scale * rng.standard_t(dof, size=shape)
+        with np.errstate(over="ignore"):  # the panel and the gap check refuse infinite draws
+            return scale * rng.standard_t(dof, size=shape)
 
 
 def parse_noise(text: str) -> NoiseSpec:
     """Parse the noise grammar kind:params, e.g. gaussian:0.3 or student_t:4:0.3."""
-    parts = text.split(":")
-    kind = parts[0].strip().lower()
+    kind, *params = text.split(":")
     try:
-        params = tuple(float(p) for p in parts[1:])
+        return NoiseSpec(kind.strip().lower(), tuple(float(p) for p in params))
     except ValueError:
         raise ConfigError(f"noise {text!r}: parameters must be numbers") from None
-    try:
-        if kind == "gaussian" and len(params) == 1:
-            return NoiseSpec.gaussian(params[0])
-        if kind == "uniform" and len(params) == 1:
-            return NoiseSpec.uniform(params[0])
-        if kind == "student_t" and len(params) == 2:
-            return NoiseSpec.student_t(*params)
     except ClusterScError as exc:
         raise ConfigError(f"noise {text!r}: {exc}") from None
-    raise ConfigError(
-        f"noise {text!r}: expected gaussian:SD, uniform:HALF_WIDTH, "
-        f"or student_t:DOF:SCALE"
-    )
 
 
 def noise_tag(noise: NoiseSpec) -> str:

@@ -61,10 +61,12 @@ import numpy as np
 from .cluster import (
     SEED_CEILING,
     Partition,
+    _scipy,
     cluster_members,
     fit_cluster_model,
     nearest_cluster,
     partition_symmetric_difference,
+    validate_k,
 )
 from .datagen import NoiseSpec, SignalSpec, SyntheticDataset, gen_dataset, gen_group
 from .engine import sc_denoise, sc_fit_weights, sc_infer
@@ -75,11 +77,12 @@ from .errors import (
     ShapeError,
     UndefinedPrecisionError,
 )
-from .linalg import RankRule
+from .linalg import RankRule, as_matrix
 from .panel import TimePanel
 from .regression import RegressionSpec, active_positions
 
 __all__ = [
+    "CLUSTER_MODES",
     "PlaceboDesign",
     "PlaceboRow",
     "PlaceboReport",
@@ -96,6 +99,7 @@ __all__ = [
     "singular_gap_experiment",
     "cluster_recovery_experiment",
 ]
+CLUSTER_MODES = ("per_target", "per_dataset")  # see leave_one_out_placebo
 
 def mse(predicted, reference) -> float:
     """Mean squared difference between two equal-length vectors."""
@@ -149,8 +153,7 @@ class PlaceboDesign:
     def __post_init__(self):
         if self.cluster_rule is None:
             object.__setattr__(self, "cluster_rule", self.rule)
-        if self.k != "auto" and (not isinstance(self.k, (int, np.integer)) or self.k < 1):
-            raise InvalidParamsError(f"k must be 'auto' or a positive integer, got {self.k!r}")
+        object.__setattr__(self, "k", validate_k(self.k))
 
     @property
     def variants(self) -> tuple[str, ...]:
@@ -484,7 +487,7 @@ def leave_one_out_placebo(
         raise InvalidParamsError(
             f"target_fraction must be in (0, 1], got {target_fraction}"
         )
-    if cluster_mode not in ("per_target", "per_dataset"):
+    if cluster_mode not in CLUSTER_MODES:
         raise InvalidParamsError(f"unknown cluster_mode {cluster_mode!r}")
     rng = np.random.default_rng(rng)
 
@@ -535,6 +538,7 @@ def leave_one_out_placebo(
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
+    _scipy("spatial.distance", "cdist")  # every target clusters: children inherit the import
     for cell_rows, cell_skipped in _deal_over_cpus(run_target, n_targets):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
@@ -691,7 +695,7 @@ def singular_gap_experiment(
     for seed in trial_seeds:
         trial_rng = np.random.default_rng(seed)
         signal = gen_group(spec, n, t_count, trial_rng)
-        observed = signal + noise.sample(signal.shape, trial_rng)
+        observed = as_matrix(signal + noise.sample(signal.shape, trial_rng))
         sigma_full = np.linalg.svd(observed, compute_uv=False)
         sigma_sub = np.linalg.svd(observed[:n_a], compute_uv=False)
         gaps.append(float(sigma_full[rank_r] - sigma_sub[rank_r]))
@@ -784,6 +788,7 @@ def cluster_recovery_experiment(
         )
     if min(n_a, n_b) < 2:
         raise InvalidParamsError("each group needs at least 2 units")
+    k = validate_k(k)
     rng = np.random.default_rng(rng)
 
     n = n_a + n_b

@@ -5,12 +5,13 @@ thresholding (HSVT): keep the top r singular triplets and drop the rest. The
 rank r either comes from a fixed request or from an energy rule on the
 cumulative singular value mass. Flags, config files and reports write a
 rule one way, fixed:R, energy:T or energy:T:squared: parse_rule reads that
-grammar and rule_tag writes it.
+grammar and rule_tag writes it. RankRule checks itself, however it is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -93,6 +94,8 @@ class RankRule:
     smallest r whose cumulative singular value ratio reaches the threshold.
     By default the ratio is over plain singular values, matching a cumulative
     singular value plot; squared=True uses squared values instead.
+    InvalidRankError unless r is a positive integer (kept as an int), or the
+    threshold lies in (0, 1] (kept as a float).
     """
 
     kind: str
@@ -100,19 +103,27 @@ class RankRule:
     threshold: float | None = None
     squared: bool = False
 
+    def __post_init__(self):
+        if self.kind == "fixed":
+            if isinstance(self.r, bool) or not isinstance(self.r, (int, np.integer)) or self.r < 1:
+                raise InvalidRankError(f"fixed rank must be a positive integer, got {self.r!r}")
+            object.__setattr__(self, "r", int(self.r))
+        elif self.kind == "energy":
+            if not isinstance(self.threshold, Real) or not 0.0 < self.threshold <= 1.0:
+                raise InvalidRankError(
+                    f"energy threshold must be in (0, 1], got {self.threshold!r}"
+                )
+            object.__setattr__(self, "threshold", float(self.threshold))
+        else:
+            raise InvalidRankError(f"unknown rank rule kind {self.kind!r}")
+
     @classmethod
     def fixed(cls, r: int) -> "RankRule":
-        if not isinstance(r, (int, np.integer)) or r < 1:
-            raise InvalidRankError(f"fixed rank must be a positive integer, got {r!r}")
-        return cls(kind="fixed", r=int(r))
+        return cls("fixed", r=r)
 
     @classmethod
     def energy(cls, threshold: float, squared: bool = False) -> "RankRule":
-        if not 0.0 < threshold <= 1.0:
-            raise InvalidRankError(
-                f"energy threshold must be in (0, 1], got {threshold!r}"
-            )
-        return cls(kind="energy", threshold=float(threshold), squared=squared)
+        return cls("energy", threshold=threshold, squared=squared)
 
 
 def parse_rule(text: str) -> RankRule:
@@ -150,16 +161,12 @@ def select_rank(sigma, rule: RankRule) -> int:
                 f"fixed rank {rule.r} exceeds spectrum length {sigma.size}"
             )
         return rule.r
-    if rule.kind == "energy":
-        vals = sigma**2 if rule.squared else sigma
-        total = vals.sum()
-        if total <= 0:
-            raise DegenerateSpectrumError(
-                "all singular values are zero; energy rule undefined"
-            )
-        ratios = np.cumsum(vals) / total
-        return int(np.argmax(ratios >= rule.threshold - ENERGY_TIE_TOL)) + 1
-    raise InvalidRankError(f"unknown rank rule kind {rule.kind!r}")
+    vals = sigma**2 if rule.squared else sigma
+    total = vals.sum()
+    if total <= 0:
+        raise DegenerateSpectrumError("all singular values are zero; energy rule undefined")
+    ratios = np.cumsum(vals) / total
+    return int(np.argmax(ratios >= rule.threshold - ENERGY_TIE_TOL)) + 1
 
 
 def spectrum_report(x) -> list[tuple[int, float, float]]:

@@ -91,47 +91,52 @@ def _resolve_t0(time_labels: list[str], t0) -> int:
     return val
 
 
-def load_panel_csv(path, t0) -> TimePanel:
-    """Read the wide panel format; t0 is a pre-period count or a column label."""
+def _read_csv(path, what: str) -> tuple[Path, list[str], list[list[str]]]:
+    """A CSV file's path, header and other rows; PanelFormatError if missing or empty."""
     path = Path(path)
     if not path.exists():
-        raise PanelFormatError(f"panel file not found: {path}")
+        raise PanelFormatError(f"{what} file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path} is empty") from None
-        if len(header) < 3 or header[0] != "unit":
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise PanelFormatError(f"{path} is empty")
+    return path, rows[0], rows[1:]
+
+
+def _cell_value(cell: str, path, lineno: int, unit: str, period: str) -> float:
+    """A cell as a float; MissingValueError if blank, PanelFormatError if non-numeric."""
+    try:
+        return float(cell)
+    except ValueError:
+        blank = not cell.strip()
+        problem = "blank value" if blank else f"non-numeric value {cell!r}"
+        raise (MissingValueError if blank else PanelFormatError)(
+            f"{path} line {lineno}: {problem} for unit {unit!r} at period {period!r}"
+        ) from None
+
+
+def load_panel_csv(path, t0) -> TimePanel:
+    """Read the wide panel format; t0 is a pre-period count or a column label."""
+    path, header, lines = _read_csv(path, "panel")
+    if len(header) < 3 or header[0] != "unit":
+        raise PanelFormatError(
+            f"{path}: header must be 'unit,<label>,...' with at least two periods"
+        )
+    time_labels = header[1:]
+    unit_ids: list[str] = []
+    rows: list[list[float]] = []
+    for lineno, row in enumerate(lines, start=2):
+        if not row:
+            continue
+        if len(row) != len(header):
             raise PanelFormatError(
-                f"{path}: header must be 'unit,<label>,...' with at least two periods"
+                f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
-        time_labels = header[1:]
-        unit_ids: list[str] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise PanelFormatError(
-                    f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
-                )
-            unit_ids.append(row[0])
-            vals = []
-            for col_label, cell in zip(time_labels, row[1:]):
-                if cell.strip() == "":
-                    raise MissingValueError(
-                        f"{path} line {lineno}: blank value for unit "
-                        f"{row[0]!r} at period {col_label!r}"
-                    )
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise PanelFormatError(
-                        f"{path} line {lineno}: non-numeric value {cell!r} for unit "
-                        f"{row[0]!r} at period {col_label!r}"
-                    ) from None
-            rows.append(vals)
+        unit_ids.append(row[0])
+        rows.append([
+            _cell_value(cell, path, lineno, row[0], label)
+            for label, cell in zip(time_labels, row[1:])
+        ])
     if not rows:
         raise PanelFormatError(f"{path} has a header but no data rows")
     if len(set(unit_ids)) != len(unit_ids):
@@ -230,57 +235,42 @@ def preprocess_hpi(path, date_range: tuple[str, str], t0=None) -> PreprocessResu
     year the post-intervention block; pass an int or a period label to
     override.
     """
-    path = Path(path)
-    if not path.exists():
-        raise PanelFormatError(f"raw file not found: {path}")
+    path, header, lines = _read_csv(path, "raw")
     labels = _period_range(*date_range)
     if len(labels) < 2:
         raise InvalidParamsError("date range must cover at least two periods")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise PanelFormatError(f"{path} is empty") from None
-        unit_col = _find_column(header, UNIT_ALIASES)
-        value_col = _find_column(header, VALUE_ALIASES)
-        period_col = _find_column(header, PERIOD_ALIASES)
-        year_col = _find_column(header, YEAR_ALIASES)
-        quarter_col = _find_column(header, QUARTER_ALIASES)
-        if unit_col is None or value_col is None:
-            raise PanelFormatError(
-                f"{path}: need a unit column ({'/'.join(UNIT_ALIASES)}) and a value "
-                f"column ({'/'.join(VALUE_ALIASES)})"
-            )
-        if period_col is None and (year_col is None or quarter_col is None):
-            raise PanelFormatError(
-                f"{path}: need either a period column or year and quarter columns"
-            )
-        cells: dict[str, dict[str, float]] = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            unit = row[unit_col].strip()
-            if period_col is not None:
-                label = _period_label(*parse_period(row[period_col]))
-            else:
-                try:
-                    label = _period_label(int(row[year_col]), int(row[quarter_col]))
-                except ValueError:
-                    raise PanelFormatError(
-                        f"{path} line {lineno}: non-integer year/quarter"
-                    ) from None
-            cell = row[value_col].strip()
-            if cell in ("", ".", "NA"):
-                continue  # treated as missing; complete-case filter drops the unit
+    unit_col = _find_column(header, UNIT_ALIASES)
+    value_col = _find_column(header, VALUE_ALIASES)
+    period_col = _find_column(header, PERIOD_ALIASES)
+    year_col = _find_column(header, YEAR_ALIASES)
+    quarter_col = _find_column(header, QUARTER_ALIASES)
+    if unit_col is None or value_col is None:
+        raise PanelFormatError(
+            f"{path}: need a unit column ({'/'.join(UNIT_ALIASES)}) and a value "
+            f"column ({'/'.join(VALUE_ALIASES)})"
+        )
+    if period_col is None and (year_col is None or quarter_col is None):
+        raise PanelFormatError(
+            f"{path}: need either a period column or year and quarter columns"
+        )
+    cells: dict[str, dict[str, float]] = {}
+    for lineno, row in enumerate(lines, start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        unit = row[unit_col].strip()
+        if period_col is not None:
+            label = _period_label(*parse_period(row[period_col]))
+        else:
             try:
-                value = float(cell)
+                label = _period_label(int(row[year_col]), int(row[quarter_col]))
             except ValueError:
                 raise PanelFormatError(
-                    f"{path} line {lineno}: non-numeric value {cell!r} for unit "
-                    f"{unit!r} at {label}"
+                    f"{path} line {lineno}: non-integer year/quarter"
                 ) from None
-            cells.setdefault(unit, {})[label] = value
+        cell = row[value_col].strip()
+        if cell in ("", ".", "NA"):
+            continue  # treated as missing; complete-case filter drops the unit
+        cells.setdefault(unit, {})[label] = _cell_value(cell, path, lineno, unit, label)
     kept_ids = []
     dropped = []
     for unit in sorted(cells):

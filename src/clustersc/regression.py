@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError, InvalidParamsError, ShapeError, SolverStepLimitError
+from .linalg import as_matrix
 
 REGRESSION_METHODS = ("ols", "ridge", "lasso")
 ACTIVE_SET_TOL = 1e-10
@@ -65,8 +66,8 @@ class RegressionSpec:
             )
         if not np.isfinite(self.lam) or self.lam < 0:
             raise InvalidParamsError(f"lam must be >= 0, got {self.lam!r}")
-        if self.lasso_tol <= 0:
-            raise InvalidParamsError(f"lasso_tol must be > 0, got {self.lasso_tol!r}")
+        if not np.isfinite(self.lasso_tol) or self.lasso_tol <= 0:
+            raise InvalidParamsError(f"lasso_tol must be finite and > 0, got {self.lasso_tol!r}")
 
 
 @dataclass
@@ -89,18 +90,14 @@ class WeightVector:
 
 
 def _validate(design, target, donor_ids):
-    design = np.asarray(design, dtype=float)
+    design = as_matrix(design)
     target = np.asarray(target, dtype=float)
-    if design.ndim != 2 or design.shape[0] == 0 or design.shape[1] == 0:
-        raise ShapeError(f"design must be a nonempty 2-d matrix, got {design.shape}")
     if target.ndim != 1:
         raise ShapeError(f"target must be 1-d, got shape {target.shape}")
     if target.shape[0] != design.shape[0]:
         raise ShapeError(
             f"design has {design.shape[0]} rows but target has {target.shape[0]}"
         )
-    if not np.all(np.isfinite(design)):
-        raise InvalidInputError("design contains NaN or infinite entries")
     if not np.all(np.isfinite(target)):
         raise InvalidInputError("target contains NaN or infinite entries")
     if donor_ids is None:

@@ -21,8 +21,10 @@ from clustersc.cluster import AUTO_K_RANGE
 from clustersc.cli import build_parser, main, parse_k, parse_noise_grid, resolve_out_dir
 from clustersc.datagen import NoiseSpec, noise_tag, parse_noise
 from clustersc.errors import ConfigError
+from clustersc.evaluate import CLUSTER_MODES
 from clustersc.linalg import RankRule, parse_rule, rule_tag
 from clustersc.panel import load_panel_csv
+from clustersc.regression import REGRESSION_METHODS
 
 
 UNIFORM_BOUND = "uniform needs 0 <= half_width <= 8.988465674311579e+307 (a finite range)"
@@ -122,6 +124,19 @@ class TestParsers:
         assert parse_k("4") == 4
         with pytest.raises(ConfigError):
             parse_k("0")
+
+    @pytest.mark.parametrize("text", ["2.7", "2.9", "true", "two"])
+    def test_bad_k_has_the_library_diagnosis(self, text):
+        # the library's k rule (cluster.validate_k) words the refusal
+        with pytest.raises(ConfigError,
+                           match=f"^k must be 'auto' or a positive integer, got '{text}'$"):
+            parse_k(text)
+
+    def test_flag_choices_are_the_library_constants(self):
+        _, subs = build_parser()
+        choices = {action.dest: action.choices for action in subs["placebo-synthetic"]._actions}
+        assert choices["method"] == REGRESSION_METHODS
+        assert choices["cluster_mode"] == CLUSTER_MODES
 
 
 class TestOutDir:
@@ -299,6 +314,24 @@ class TestExitCodes:
         assert done.returncode == 1
         assert f"cannot write {out / stem}.json: Out of range float" in done.stderr
         assert "RuntimeWarning" not in done.stderr
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
+    @pytest.mark.parametrize("argv, diagnosis", [
+        pytest.param(["simulate", "--na", "20", "--nb", "20", "--seed", "1"],
+                     "panel values contain NaN or infinities", id="simulate"),
+        pytest.param(["gap-check", "--n", "20", "--na", "10", "--t", "5", "--rank", "2",
+                      "--trials", "2", "--seed", "3"],
+                     "matrix contains NaN or infinite entries", id="gap-check"),
+    ])
+    def test_overflowing_draws_warn_nothing(self, argv, diagnosis, tmp_path):
+        # student_t's scale * t overflows to inf; the panel and the gap check
+        # refuse such draws before numpy warns or LAPACK complains of them
+        out = tmp_path / "out"
+        done = run_fresh(*argv, "--noise", "student_t:3:1e308", "--out", str(out))
+        assert done.returncode == 1
+        assert diagnosis in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert "DLASCL" not in done.stdout + done.stderr
         assert not [path for path in out.rglob("*") if path.is_file()]
 
     def test_gap_rank_beyond_subgroup_is_one(self, tmp_path, capsys):

@@ -37,6 +37,7 @@ from clustersc.cluster import (
     nearest_cluster,
     partition_symmetric_difference,
     silhouette,
+    validate_k,
 )
 from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
 from clustersc.errors import (
@@ -607,6 +608,34 @@ class TestChooseK:
             choose_k(points, 1, 3, 5, np.random.default_rng(0))
         with pytest.raises(InvalidParamsError):
             choose_k(points, 2, 5, 5, np.random.default_rng(0))
+
+
+# k values that once ran as another k (2.7 as 2, True as 1) or escaped as a
+# raw ValueError ("two"), with the start of the diagnosis each now gets
+BAD_K = [
+    (2.7, "k must be 'auto' or a positive integer, got 2.7"),
+    (2.9, "k must be 'auto' or a positive integer, got 2.9"),
+    (True, "k must be 'auto' or a positive integer, got True"),
+    ("two", "k must be 'auto' or a positive integer, got 'two'"),
+    (0, "k must be >= 1, got 0"),
+]
+
+
+class TestValidateK:
+    @pytest.mark.parametrize("k, kept", [(2, 2), (np.int64(3), 3), ("auto", "auto")])
+    def test_valid_k_is_kept(self, k, kept):
+        assert validate_k(k) == kept and type(validate_k(k)) is type(kept)
+
+    @pytest.mark.parametrize("k, message", BAD_K)
+    def test_bad_k_is_diagnosed(self, k, message):
+        with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+            validate_k(k)
+
+    @pytest.mark.parametrize("k, message", BAD_K)
+    def test_fit_cluster_model_refuses_bad_k(self, k, message):
+        points = np.random.default_rng(5).normal(size=(12, 6))
+        with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+            fit_cluster_model(points, RankRule.fixed(3), k=k, rng=1)
 
 
 class TestFitClusterModel:

@@ -9,6 +9,8 @@ Known values used below:
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -21,9 +23,10 @@ from clustersc.datagen import (
     gen_dataset,
     gen_group,
     gen_sinusoid_basis,
+    parse_noise,
     sinusoid_rows,
 )
-from clustersc.errors import InvalidParamsError
+from clustersc.errors import ConfigError, InvalidParamsError
 
 
 class TestSinusoidRows:
@@ -102,6 +105,30 @@ class TestNoise:
             NoiseSpec.student_t(5, -0.3)
         with pytest.raises(InvalidParamsError):
             NoiseSpec("triangular", (1.0,))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("gaussian", (1.0, 2.0)), ("uniform", ()), ("student_t", (4.0,)), ("laplace", (1.0,)),
+    ])
+    def test_kind_and_arity_name_the_grammar(self, kind, params):
+        with pytest.raises(InvalidParamsError, match=(
+            r"^expected gaussian:SD, uniform:HALF_WIDTH or student_t:DOF:SCALE, "
+            rf"got kind '{kind}' with {len(params)} parameter\(s\)$"
+        )):
+            NoiseSpec(kind, params)
+
+    def test_parse_noise_reports_the_spec_diagnosis(self):
+        with pytest.raises(ConfigError, match=(
+            r"^noise 'gaussian:1:2': expected gaussian:SD, uniform:HALF_WIDTH or "
+            r"student_t:DOF:SCALE, got kind 'gaussian' with 2 parameter\(s\)$"
+        )):
+            parse_noise("gaussian:1:2")
+
+    def test_overflowing_student_t_draws_warn_nothing(self):
+        # scale * t overflows to inf; the panel or the gap check refuses the draws
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = NoiseSpec.student_t(3, 1e308).sample(1000, np.random.default_rng(1))
+        assert np.isinf(draws).any()
 
     def test_uniform_range_must_be_finite(self):
         # Generator.uniform draws from [-h, h) only while 2 * h is finite

@@ -21,7 +21,7 @@ from clustersc.engine import (
     sc_infer,
     sc_learn,
 )
-from clustersc.errors import DegenerateClusterError, ShapeError
+from clustersc.errors import DegenerateClusterError, InvalidParamsError, ShapeError
 from clustersc.linalg import RankRule
 from clustersc.regression import RegressionSpec
 
@@ -168,6 +168,14 @@ class TestScProjectInfer:
 
 
 class TestClusterSc:
+    @pytest.mark.parametrize("k", [2.7, 2.9, True, "two"])
+    def test_bad_k_is_diagnosed(self, k):
+        # fit_cluster_model's k rule (validate_k), not a silently truncated k
+        donors = np.random.default_rng(7).normal(size=(12, 10))
+        with pytest.raises(InvalidParamsError, match="k must be 'auto' or a positive integer"):
+            cluster_sc(donors, InterventionSplit(8, 10), donors[0], RankRule.fixed(3),
+                       RegressionSpec("ridge", lam=0.1), k=k, rng=1)
+
     def test_noiseless_disjoint_groups_exact(self):
         rng = np.random.default_rng(419)
         donors, target_pre_full, basis_a, _ = disjoint_groups(rng)

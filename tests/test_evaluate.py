@@ -194,6 +194,11 @@ class TestPlaceboDesign:
             with pytest.raises(InvalidParamsError):
                 PlaceboDesign(RIDGE, ENERGY, k=k)
 
+    @pytest.mark.parametrize("k", [2.7, 2.9, True, "two"])
+    def test_bad_k_has_the_library_diagnosis(self, k):
+        with pytest.raises(InvalidParamsError, match="k must be 'auto' or a positive integer"):
+            PlaceboDesign(RIDGE, ENERGY, k=k)
+
     def test_auto_k(self):
         assert PlaceboDesign(RIDGE, ENERGY).k == "auto"
 
@@ -965,6 +970,24 @@ class TestDealtTargets:
         assert done.stdout == "written once\n"
         assert done.stderr == "8"
 
+    def test_children_inherit_the_clustering_import(self, tmp_path):
+        # the harness loads k-means' scipy before it deals the targets, so no
+        # dealt child imports it again; -X importtime lists every import made
+        # by the parent and by its forked children on the shared stderr
+        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("one CPU in the affinity mask: no target is dealt to a child")
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "clustersc", "placebo-synthetic",
+             "--na", "10", "--nb", "10", "--datasets", "1", "--rule", "fixed:3", "--k", "2",
+             "--seed", "42", "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).resolve().parent.parent)},
+        )
+        assert done.returncode == 0, done.stderr
+        imports = [line for line in done.stderr.splitlines()
+                   if line.split("|")[-1].strip() == "scipy.spatial.distance"]
+        assert len(imports) == 1, imports
+
 
 class TestSingularGapExperiment:
     def test_noiseless_gaps_vanish(self):
@@ -1081,6 +1104,14 @@ class TestClusterRecoveryExperiment:
         for cell in result.cells:
             assert all(0.0 <= f <= 1.0 for f in cell.fractions)
             assert all(0.0 <= p <= 1.0 for p in cell.median_precisions)
+
+    @pytest.mark.parametrize("k", [2.7, 2.9, True, "two"])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(InvalidParamsError, match="k must be 'auto' or a positive integer"):
+            cluster_recovery_experiment(
+                GROUP_A_SPEC, GROUP_B_SPEC, 10, 10, 10, 8, ENERGY,
+                [NoiseSpec.gaussian(0.1)], 1, np.random.default_rng(0), k=k,
+            )
 
     def test_empty_grid_rejected(self):
         with pytest.raises(InvalidParamsError):

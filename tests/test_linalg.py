@@ -8,6 +8,8 @@ Known values used below:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -251,6 +253,33 @@ class TestSelectRank:
             RankRule.energy(0.0)
         with pytest.raises(InvalidRankError):
             RankRule.energy(1.5)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"kind": "energy", "threshold": 2.0},
+                     "energy threshold must be in (0, 1], got 2.0", id="threshold-above-one"),
+        pytest.param({"kind": "energy", "threshold": float("nan")},
+                     "energy threshold must be in (0, 1], got nan", id="threshold-nan"),
+        pytest.param({"kind": "energy"}, "energy threshold must be in (0, 1], got None",
+                     id="threshold-missing"),
+        pytest.param({"kind": "fixed", "r": -2},
+                     "fixed rank must be a positive integer, got -2", id="negative-r"),
+        pytest.param({"kind": "fixed", "r": 2.5},
+                     "fixed rank must be a positive integer, got 2.5", id="fractional-r"),
+        pytest.param({"kind": "fixed", "r": True},
+                     "fixed rank must be a positive integer, got True", id="bool-r"),
+        pytest.param({"kind": "median", "r": 2}, "unknown rank rule kind 'median'",
+                     id="unknown-kind"),
+    ])
+    def test_rule_validates_itself(self, kwargs, message):
+        # built directly, not through fixed() or energy(): the rule still checks itself
+        with pytest.raises(InvalidRankError, match=f"^{re.escape(message)}$"):
+            RankRule(**kwargs)
+
+    def test_rule_normalises_its_numbers(self):
+        fixed = RankRule("fixed", r=np.int64(3))
+        assert fixed == RankRule.fixed(3) and type(fixed.r) is int
+        energy = RankRule("energy", threshold=np.float32(0.5))
+        assert energy == RankRule.energy(0.5) and type(energy.threshold) is float
 
     def test_squared_variant(self):
         # plain: 3/(3+1+1) = 0.6 < 0.8 so r=2; squared: 9/11 = 0.818 >= 0.8 so r=1

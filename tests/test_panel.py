@@ -6,6 +6,8 @@ by save_panel_csv parses back to the identical bit pattern.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -262,3 +264,24 @@ class TestPreprocessHpi:
     def test_missing_file(self, tmp_path):
         with pytest.raises(PanelFormatError, match="not found"):
             preprocess_hpi(tmp_path / "nope.csv", ("1997Q1", "1997Q4"))
+
+
+class TestSharedReaders:
+    """Both file readers open files and parse cells through one helper each."""
+
+    def test_empty_raw_file(self, tmp_path):
+        path = tmp_path / "raw.csv"
+        path.write_text("")
+        with pytest.raises(PanelFormatError, match="empty"):
+            preprocess_hpi(path, ("1997Q1", "1997Q4"))
+
+    def test_non_numeric_cell_is_named_alike(self, tmp_path):
+        wide = tmp_path / "wide.csv"
+        wide.write_text("unit,1998Q1,1998Q2\nm1,1.0,2.0\nm2,abc,2.0\n")
+        raw = tmp_path / "raw.csv"
+        raw.write_text("unit,period,value\nm1,1998Q1,1.0\nm2,1998Q1,abc\n")
+        where = "line 3: non-numeric value 'abc' for unit 'm2' at period '1998Q1'"
+        with pytest.raises(PanelFormatError, match=re.escape(f"{wide} {where}") + "$"):
+            load_panel_csv(wide, 1)
+        with pytest.raises(PanelFormatError, match=re.escape(f"{raw} {where}") + "$"):
+            preprocess_hpi(raw, ("1998Q1", "1998Q2"))

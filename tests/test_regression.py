@@ -398,6 +398,21 @@ class TestValidation:
         with pytest.raises(InvalidParamsError):
             RegressionSpec("lasso", lasso_tol=-1e-8)
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+    def test_lasso_tol_must_be_finite(self, tol):
+        # nan would read every certified fit as unconverged, inf every fit as converged
+        with pytest.raises(InvalidParamsError, match="lasso_tol must be finite and > 0"):
+            RegressionSpec("lasso", lasso_tol=tol)
+
+    @pytest.mark.parametrize("design, error", [
+        (np.ones(3), ShapeError), (np.ones((0, 2)), ShapeError),
+        (np.array([[1.0, np.inf], [0.0, 1.0]]), InvalidInputError),
+    ])
+    def test_design_is_checked_as_a_matrix(self, design, error):
+        # the design goes through linalg.as_matrix, the one finite-matrix check
+        with pytest.raises(error, match="matrix"):
+            fit(design, np.ones(len(design)), RegressionSpec("ols"))
+
     def test_id_length_mismatch(self):
         with pytest.raises(ShapeError):
             fit(np.eye(2), np.ones(2), RegressionSpec("ols"), donor_ids=["a"])

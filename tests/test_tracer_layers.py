@@ -9,6 +9,7 @@ as text here, not imported, and is never changed.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -46,6 +47,13 @@ def first_parameters(module: str, fn: str, count: int) -> list[str]:
 def test_fit_parameters_the_tracer_reads():
     # the lasso duality-gap counter binds fit's arguments by these names
     assert first_parameters("regression", "fit", 3) == ["design", "target", "spec"]
+
+
+def test_regression_spec_fields_the_tracer_reads():
+    # the fit counter names spans by spec.method and recomputes the lasso gap
+    # from spec.lam, checking it against spec.lasso_tol
+    spec = importlib.import_module("clustersc.regression").RegressionSpec
+    assert {"method", "lam", "lasso_tol"} <= {field.name for field in dataclasses.fields(spec)}
 
 
 def test_select_rank_parameter_the_tracer_reads():
