@@ -377,9 +377,9 @@ class ClusterModel:
 def fit_cluster_model(donor_pre, rule: RankRule, k="auto", rng=None) -> ClusterModel:
     """Embed the pre-intervention donor block and k-means it.
 
-    k may be an integer or "auto", which picks k from AUTO_K_RANGE (capped
-    at n - 1) by silhouette. Each candidate k keeps the best of
-    KMEANS_RESTARTS seeded Lloyd runs.
+    k may be an integer or "auto" (see validate_k), which picks k from
+    AUTO_K_RANGE (capped at n - 1) by silhouette. Each candidate k keeps
+    the best of KMEANS_RESTARTS seeded Lloyd runs.
     """
     k = validate_k(k)
     donor_pre = as_matrix(donor_pre)
