@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -66,7 +67,7 @@ from .evaluate import (
     split_placebo,
 )
 from .linalg import parse_rule, spectrum_report
-from .panel import TimePanel, load_panel_csv, parse_period, preprocess_hpi, save_panel_csv
+from .panel import load_panel_csv, parse_period, preprocess_hpi, save_panel_csv
 from .regression import REGRESSION_METHODS, RegressionSpec
 from .reporting import (
     cluster_plot_rows,
@@ -117,12 +118,10 @@ def parse_range(text: str) -> str:
 
 
 def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
-    if lowered in ("1", "true", "yes", "on"):
-        return True
-    if lowered in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(text).strip().lower()]
+    except KeyError:
+        raise ConfigError(f"expected a boolean, got {text!r}") from None
 
 
 def _add_out_and_config(sub, command: str) -> None:
@@ -348,12 +347,7 @@ def cmd_simulate(args) -> int:
         args.noise, seed=args.seed,
     )
     panel_path = save_panel_csv(dataset.panel, out / f"{args.stem}_panel.csv")
-    signal_panel = TimePanel(
-        unit_ids=dataset.panel.unit_ids,
-        time_labels=dataset.panel.time_labels,
-        values=dataset.true_signal,
-        split=dataset.panel.split,
-    )
+    signal_panel = dataclasses.replace(dataset.panel, values=dataset.true_signal)
     signal_path = save_panel_csv(signal_panel, out / f"{args.stem}_signal.csv")
     meta = {
         "config": _run_config(args),

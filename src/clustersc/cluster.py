@@ -3,18 +3,18 @@
 Donors are embedded as rows of U Sigma_r from the SVD of the pre-intervention
 block, then grouped by k-means. The protocol is fixed: KMEANS_RESTARTS
 D^2-weighted (k-means++) seedings, each refined by at most LLOYD_MAX_ITER
-Lloyd rounds, keeping the lowest-inertia run. best_lloyd checks once that
-there are at least k distinct points, seeds all restarts in lockstep (one D^2
-update per center step over every restart, each drawing from its own
-generator with the rule of Generator.choice), then advances them in lockstep
-too, one cdist call per Lloyd round over the centers of every run still
-moving; each run makes the same draws, breaks ties the same way, ends where it
-would alone and raises what it would alone. k is a positive integer or "auto",
-which chooses k by mean silhouette over AUTO_K_RANGE; validate_k owns that
-rule for every caller, the placebo design and the CLI's --k too. A target
-enters the picture only later: its series is projected onto the same right
-singular basis and sent to the nearest center, whose cluster becomes its
-donor pool (nearest_cluster).
+Lloyd rounds, keeping the lowest-inertia run. best_lloyd seeds all restarts in
+lockstep (one D^2 update per center step over every restart, each drawing from
+its own generator with the rule of Generator.choice; the seeding guard
+diagnoses k above the distinct points), then advances them in lockstep too,
+one cdist call per Lloyd round over the centers of every run still moving;
+each run makes the same draws, breaks ties the same way, ends where it would
+alone and raises what it would alone. k is a positive integer or "auto", which
+chooses k by mean silhouette over AUTO_K_RANGE; validate_k owns that rule for
+every caller, the placebo design and the CLI's --k too. A target enters the
+picture only later: its series is projected onto the same right singular basis
+and sent to the nearest center, whose cluster becomes its donor pool
+(nearest_cluster).
 
 scipy loads at the first clustering call, through _scipy, so code that never
 clusters (simulating, spectra, the gap check) never pays for its import.
@@ -78,29 +78,11 @@ def _scipy(module: str, name: str):
     return getattr(importlib.import_module(f"scipy.{module}"), name)
 
 
-def _check_k(points: np.ndarray, k: int) -> None:
-    """k must be at least 1 and at most the number of distinct points.
-
-    Picks distinct rows greedily, one comparison with every row per pick,
-    until k are found; when the rows run out first, the picks made are the
-    exact count of distinct rows.
-    """
-    if k < 1:
-        raise InvalidParamsError(f"k must be >= 1, got {k}")
-    # each row as one opaque value; adding 0.0 turns -0.0 into 0.0, so rows
-    # of finite points are equal as bytes exactly when equal as numbers
-    row = np.dtype((np.void, points.itemsize * points.shape[1]))
-    rows = np.add(points, 0.0, order="C").view(row)
-    left = np.ones(points.shape[0], dtype=bool)  # rows equal to no pick yet
-    distinct = pick = 0
-    while distinct < k and left[pick]:
-        left &= rows[:, 0] != rows[pick, 0]
-        distinct += 1
-        pick = int(left.argmax())
+def _check_distinct(points: np.ndarray, k: int) -> None:
+    """DegenerateInputError when k exceeds the distinct points, as np.unique counts them."""
+    distinct = np.unique(points, axis=0).shape[0]
     if k > distinct:
-        raise DegenerateInputError(
-            f"k={k} exceeds the {distinct} distinct point(s)"
-        )
+        raise DegenerateInputError(f"k={k} exceeds the {distinct} distinct point(s)")
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -112,8 +94,8 @@ def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore")  # the guard below diagnoses an overflowing total
 def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
-    """The D^2 draws of kmeans_pp_init on points that passed _check_k, one
-    restart per generator in rngs, all restarts in lockstep: (runs, k, r).
+    """The D^2 draws of kmeans_pp_init, one restart per generator in rngs,
+    all restarts in lockstep: (runs, k, r).
 
     Each restart draws integers(m) for its first center and then one
     random() per further center, u, taking the index that
@@ -123,8 +105,12 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     (no entry below 0, a sum within sqrt(eps) of 1), since d2 >= 0. A
     restart that fails the guard would have raised before the restarts
     after it were seeded, so those are dropped and the error raised at the
-    end is that of the first failing restart.
+    end is that of the first failing restart. A draw never lands on a chosen
+    point, so with k above the distinct points every restart fails the guard;
+    only then are the distinct points counted, and that error comes first.
     """
+    if k < 1:
+        raise InvalidParamsError(f"k must be >= 1, got {k}")
     m = points.shape[0]
     first = [int(rng.integers(m)) for rng in rngs]
     centers = np.empty((len(rngs), k, points.shape[1]))
@@ -147,6 +133,7 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
         centers[:, j] = points[idx]
         d2 = np.minimum(d2, _squared_distances(points, centers[:, j : j + 1]))
     if failure is not None:
+        _check_distinct(points, k)
         j, total = failure
         raise DegenerateInputError(
             f"the squared distances to the first {j} center(s) sum to "
@@ -169,7 +156,6 @@ def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
     squared distances of distinct points underflow to 0 or overflow.
     """
     points = as_matrix(points)
-    _check_k(points, k)
     return _draw_centers(points, k, [np.random.default_rng(rng)])[0]
 
 
@@ -263,18 +249,18 @@ def lloyd(points, init_centers):
     reseeded at the point currently farthest from its own center (lowest
     point index on ties), processed in label order. Stops when assignments
     repeat or after LLOYD_MAX_ITER rounds. DegenerateInputError when there
-    are more centers than distinct points.
+    are more centers than distinct points. The caller's centers stay as given.
 
     Returns (centers, Partition, inertia).
     """
     points = as_matrix(points)
-    centers = np.array(init_centers, dtype=float)
-    if centers.ndim != 2 or centers.shape[1] != points.shape[1]:
+    centers = as_matrix(init_centers).copy()
+    if centers.shape[1] != points.shape[1]:
         raise ShapeError(
             f"init centers shape {centers.shape} does not match points "
             f"{points.shape}"
         )
-    _check_k(points, centers.shape[0])
+    _check_distinct(points, centers.shape[0])
     labels, inertias = _lloyd_runs(points, centers[None])
     return centers, Partition(labels[0] + 1, centers.shape[0]), inertias[0]
 
@@ -284,16 +270,15 @@ def best_lloyd(points, k: int, restarts: int, rng):
 
     Every restart is seeded first, all in lockstep (kmeans_pp_init's draws,
     each restart from its own child generator, drawn from rng in order),
-    then all of them run one Lloyd loop in lockstep. The distinct points
-    are checked once, before any draw. The draws, ties, results and errors
-    are those of seeding and running each restart alone, in order.
+    then all of them run one Lloyd loop in lockstep. The draws, ties,
+    results and errors are those of seeding and running each restart alone,
+    in order.
     """
     if restarts < 1:
         raise InvalidParamsError(f"restarts must be >= 1, got {restarts}")
     rng = np.random.default_rng(rng)
     seeds = rng.integers(0, SEED_CEILING, size=restarts)
     points = as_matrix(points)
-    _check_k(points, k)
     centers = _draw_centers(points, k, [np.random.default_rng(int(seed)) for seed in seeds])
     labels, inertias = _lloyd_runs(points, centers)
     best = min(range(restarts), key=inertias.__getitem__)  # first of equals

@@ -1,6 +1,6 @@
 """Synthetic two-group panels built from shared sinusoid bases.
 
-Each group draws one basis of n_components sinusoid rows
+Each group draws one basis of n_components sinusoid rows (gen_group)
 
     v_i(j) = alpha_i * sin(2 pi omega_i * j / T + phi_i),   j = 1..T
 
@@ -123,30 +123,17 @@ def noise_tag(noise: NoiseSpec) -> str:
     return ":".join([noise.kind] + [repr(float(p)) for p in noise.params])
 
 
-def sinusoid_rows(alphas, omegas, phis, t_count: int) -> np.ndarray:
-    """Evaluate sinusoid rows at normalized times 1/T .. T/T."""
-    alphas = np.asarray(alphas, dtype=float)[:, None]
-    omegas = np.asarray(omegas, dtype=float)[:, None]
-    phis = np.asarray(phis, dtype=float)[:, None]
-    t = np.arange(1, t_count + 1) / t_count
-    return alphas * np.sin(2.0 * np.pi * omegas * t + phis)
-
-
-def gen_sinusoid_basis(spec: SignalSpec, t_count: int, rng) -> np.ndarray:
-    """Draw one (n_components, t_count) basis for a group."""
+def gen_group(spec: SignalSpec, n_units: int, t_count: int, rng) -> np.ndarray:
+    """One shared basis of n_components sinusoid rows at times 1/T .. T/T (alpha,
+    omega, phi drawn in that order), then fresh Uniform[0,1] weights per unit."""
     rng = np.random.default_rng(rng)
     r = spec.n_components
-    alphas = rng.beta(*spec.alpha, size=r)
-    omegas = rng.uniform(*spec.omega, size=r)
-    phis = rng.normal(*spec.phi, size=r)
-    return sinusoid_rows(alphas, omegas, phis, t_count)
-
-
-def gen_group(spec: SignalSpec, n_units: int, t_count: int, rng) -> np.ndarray:
-    """One shared basis, fresh Uniform[0,1] mixing weights per unit."""
-    rng = np.random.default_rng(rng)
-    basis = gen_sinusoid_basis(spec, t_count, rng)
-    weights = rng.uniform(0.0, 1.0, size=(n_units, spec.n_components))
+    alphas = rng.beta(*spec.alpha, size=r)[:, None]
+    omegas = rng.uniform(*spec.omega, size=r)[:, None]
+    phis = rng.normal(*spec.phi, size=r)[:, None]
+    t = np.arange(1, t_count + 1) / t_count
+    basis = alphas * np.sin(2.0 * np.pi * omegas * t + phis)
+    weights = rng.uniform(0.0, 1.0, size=(n_units, r))
     return weights @ basis
 
 

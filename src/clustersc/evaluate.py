@@ -54,7 +54,7 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -68,7 +68,9 @@ from .cluster import (
     partition_symmetric_difference,
     validate_k,
 )
-from .datagen import NoiseSpec, SignalSpec, SyntheticDataset, gen_dataset, gen_group
+from .datagen import (
+    GROUP_A_SPEC, NoiseSpec, SignalSpec, SyntheticDataset, add_noise, gen_dataset, gen_group,
+)
 from .engine import sc_denoise, sc_fit_weights, sc_infer
 from .errors import (
     DegenerateClusterError,
@@ -153,6 +155,10 @@ class PlaceboDesign:
     def __post_init__(self):
         if self.cluster_rule is None:
             object.__setattr__(self, "cluster_rule", self.rule)
+        for name, kind in (("reg", RegressionSpec), ("rule", RankRule), ("cluster_rule", RankRule)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InvalidParamsError(f"{name} must be a {kind.__name__}, got {value!r}")
         object.__setattr__(self, "k", validate_k(self.k))
 
     @property
@@ -689,13 +695,13 @@ def singular_gap_experiment(
         raise InvalidParamsError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(rng)
 
-    spec = SignalSpec(rank_r, (2.0, 2.0), (1.0, 3.0), (0.0, 1.0))
+    spec = replace(GROUP_A_SPEC, n_components=rank_r)
     trial_seeds = rng.integers(0, SEED_CEILING, size=trials)
     gaps = []
     for seed in trial_seeds:
         trial_rng = np.random.default_rng(seed)
         signal = gen_group(spec, n, t_count, trial_rng)
-        observed = as_matrix(signal + noise.sample(signal.shape, trial_rng))
+        observed = as_matrix(add_noise(signal, noise, trial_rng))
         sigma_full = np.linalg.svd(observed, compute_uv=False)
         sigma_sub = np.linalg.svd(observed[:n_a], compute_uv=False)
         gaps.append(float(sigma_full[rank_r] - sigma_sub[rank_r]))

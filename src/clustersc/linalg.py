@@ -95,7 +95,8 @@ class RankRule:
     By default the ratio is over plain singular values, matching a cumulative
     singular value plot; squared=True uses squared values instead.
     InvalidRankError unless r is a positive integer (kept as an int), or the
-    threshold lies in (0, 1] (kept as a float).
+    threshold lies in (0, 1] (kept as a float), or when a field the kind does
+    not use is set (a fixed rule's threshold or squared, an energy rule's r).
     """
 
     kind: str
@@ -107,12 +108,16 @@ class RankRule:
         if self.kind == "fixed":
             if isinstance(self.r, bool) or not isinstance(self.r, (int, np.integer)) or self.r < 1:
                 raise InvalidRankError(f"fixed rank must be a positive integer, got {self.r!r}")
+            if self.threshold is not None or self.squared:
+                raise InvalidRankError(f"a fixed rule takes no threshold or squared, got {self!r}")
             object.__setattr__(self, "r", int(self.r))
         elif self.kind == "energy":
             if not isinstance(self.threshold, Real) or not 0.0 < self.threshold <= 1.0:
                 raise InvalidRankError(
                     f"energy threshold must be in (0, 1], got {self.threshold!r}"
                 )
+            if self.r is not None:
+                raise InvalidRankError(f"an energy rule takes no r, got {self!r}")
             object.__setattr__(self, "threshold", float(self.threshold))
         else:
             raise InvalidRankError(f"unknown rank rule kind {self.kind!r}")

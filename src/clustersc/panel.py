@@ -55,6 +55,8 @@ class TimePanel:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
+        if self.values.ndim != 2:
+            raise ShapeError(f"panel values must be 2-d, got {self.values.ndim} dimension(s)")
         n, t = self.values.shape
         if len(self.unit_ids) != n:
             raise ShapeError(f"{len(self.unit_ids)} unit ids for {n} rows")
@@ -204,18 +206,11 @@ def _period_label(year: int, quarter: int) -> str:
 
 
 def _period_range(first: str, last: str) -> list[str]:
-    y0, q0 = parse_period(first)
-    y1, q1 = parse_period(last)
-    if (y0, q0) > (y1, q1):
+    """The labels from first to last inclusive; quarter q of year y is number 4y + q - 1."""
+    start, stop = (4 * year + quarter - 1 for year, quarter in map(parse_period, (first, last)))
+    if start > stop:
         raise InvalidParamsError(f"period range {first!r}..{last!r} is reversed")
-    labels = []
-    y, q = y0, q0
-    while (y, q) <= (y1, q1):
-        labels.append(_period_label(y, q))
-        q += 1
-        if q == 5:
-            y, q = y + 1, 1
-    return labels
+    return [_period_label(i // 4, i % 4 + 1) for i in range(start, stop + 1)]
 
 
 @dataclass

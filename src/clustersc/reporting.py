@@ -66,16 +66,9 @@ def placebo_plot_rows(report: PlaceboReport, dataset: str = "", noise: str = "")
     """
     rows = []
     for r in report.rows:
-        rows.append((dataset, noise, r.variant, "pre_mse", r.pre_mse))
-        rows.append((dataset, noise, r.variant, "post_mse", r.post_mse))
-        if r.active_donor_precision is not None:
-            rows.append(
-                (dataset, noise, r.variant, "active_donor_precision", r.active_donor_precision)
-            )
-        if r.active_donor_recall is not None:
-            rows.append(
-                (dataset, noise, r.variant, "active_donor_recall", r.active_donor_recall)
-            )
+        for metric in ("pre_mse", "post_mse", "active_donor_precision", "active_donor_recall"):
+            if (value := getattr(r, metric)) is not None:
+                rows.append((dataset, noise, r.variant, metric, value))
     for value in report.improvements.get("values", []):
         rows.append((dataset, noise, "cluster_sc_vs_sc_full", "improvement", value))
     return rows

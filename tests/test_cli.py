@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -772,11 +773,14 @@ CONFIG_COMMANDS = {
 PATH_FLAGS = {"out", "config", "stem", "panel", "hpi"}
 
 
+# writes the 20-unit panel the reference commands read as {panel}
+PANEL_COMMAND = ["simulate", "--na", "10", "--nb", "10", "--seed", "40"]
+
+
 @pytest.fixture()
 def reference_inputs(tmp_path):
     src = tmp_path / "panel_src"
-    assert run("simulate", "--na", "10", "--nb", "10", "--seed", "40",
-               "--out", str(src)) == 0
+    assert run(*PANEL_COMMAND, "--out", str(src)) == 0
     return {
         "panel": str(src / "simulate_panel.csv"),
         "hpi": str(write_hpi(src / "hpi.csv")),
@@ -903,3 +907,108 @@ def test_fresh_interpreter_outputs_match_recorded_digests(tmp_path):
     assert digests == {
         key: digest for key, digest in RECORDED_DIGESTS.items() if key.split("/")[0] in labels
     }
+
+
+# SHA-256 of the same files, written under OpenBLAS's Prescott kernels
+PRESCOTT_DIGESTS = {
+    "simulate/simulate_meta.json":
+        "a9949117ec744548c6dad9043b3c85528871668262874211beb909cb84bea8aa",
+    "simulate/simulate_panel.csv":
+        "cca71470ed9ab4e9dcecc8b403642babfaa2c841275f50f96d51686fe1e6e062",
+    "simulate/simulate_signal.csv":
+        "b49574322f261fe762db715bf3f9eecfecc6e3122a0739c3b6cf09d7204d5cf6",
+    "placebo-synthetic/placebo_synthetic.json":
+        "819b7933c66faafc53904890df21bb2b2370e3a787fa002d99cac15720615331",
+    "placebo-synthetic/placebo_synthetic_plot.csv":
+        "d20a3ddd14c22bb4fa4d36525ca54b77ce10afa94f86e6bfac11313cedf8ea3a",
+    "placebo-panel/placebo_panel.json":
+        "e861a19c4e2b19d0ab456bb27add2aef50f4adb98307b7daca21c54141688fdd",
+    "placebo-panel/placebo_panel_plot.csv":
+        "071c3fc38da5b981eba168edf7ed93235b4366453d51004ac8f4dca8808bee26",
+    "cluster/cluster.json":
+        "8c3824807d78f8a8797f6f0969fce83b289765d71227fb3aa83dedc3c303f4ec",
+    "cluster/cluster_plot.csv":
+        "cc211e595ed9c2fa650b3fe13a562328f85380fc96e072f953aeac84824e6f24",
+    "spectrum/spectrum.json":
+        "518b732a8dc6ec1e83ebd0278254f6acb1ea283e56c44c822a21be2fc263c39d",
+    "spectrum/spectrum_plot.csv":
+        "556d12ede29a4df1ca8a012e11d6dc8c4d1afd0f28d6259f343f1eb60477cca0",
+    "gap-check/gap_check.json":
+        "62c9ff7c54ddebe6317d6b203cc4a2a2ca3320a1137bb67d51c605ccba8d7b07",
+    "gap-check/gap_check_plot.csv":
+        "3e37e088a94ae73cb272c10af5b918ee40291586b0b345754a5353c8621457a9",
+    "recovery-check/recovery_check.json":
+        "c515d29cbf32615fb7bf83153e5269a3802aa7deedb683b04f4e37c834194fa3",
+    "recovery-check/recovery_check_plot.csv":
+        "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
+    "placebo-synthetic-lasso/placebo_synthetic.json":
+        "8ac93f205c34ffb832b182d7fd30e1ab723daebea9635100c6dfe4ac13f3885b",
+    "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
+        "2cb4ce4c782d14d5c5d1a8b639c992f0097a562ac3b319c2698d701082474708",
+    "placebo-panel-auto/placebo_panel.json":
+        "8a5cb3e838bb9309c9193e84007edb4373fbf0d41891291538283941467834b9",
+    "placebo-panel-auto/placebo_panel_plot.csv":
+        "89c8e8b9d9df0845f4db5fc8d1152185636587e77999fc8aad121ffd7ae8e16b",
+    "placebo-synthetic-subset/placebo_synthetic.json":
+        "36d3ee1d9d83cd1ca9425e53170e7976809c9a6b391d7093305751590763e267",
+    "placebo-synthetic-subset/placebo_synthetic_plot.csv":
+        "0dfb67537d6eddd9012d4244661dc790ec4b286c1d11fb89eb4167d808c703d0",
+}
+
+# run by a fresh interpreter: argv[1] is the output directory, argv[2] the
+# JSON of [PANEL_COMMAND, REFERENCE_COMMANDS]; prints the digests as JSON
+PRESCOTT_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from pathlib import Path
+from clustersc.cli import main
+out = Path(sys.argv[1])
+panel_command, commands = json.loads(sys.argv[2])
+panel = str(out / "panel_src" / "simulate_panel.csv")
+digests = {}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(panel_command + ["--out", str(out / "panel_src")]) == 0
+    for label, argv in commands.items():
+        assert main([arg.format(panel=panel) for arg in argv] + ["--out", str(out / label)]) == 0, label
+        for path in sorted((out / label).iterdir()):
+            digests[f"{label}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def numpy_blas() -> str | None:
+    """The name of the BLAS numpy was built against, when numpy says."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return None
+
+
+def test_outputs_match_prescott_digests(tmp_path):
+    """The reference commands, and the simulate run that writes their panel,
+    write the recorded bytes under OpenBLAS's Prescott kernels, on any
+    x86-64 host.
+
+    test_outputs_match_recorded_digests holds only where numpy's OpenBLAS
+    picks the kernels the digests were recorded under (SkylakeX). This
+    check pins the kernels instead: one fresh interpreter runs every
+    command with OPENBLAS_CORETYPE=Prescott, a baseline kernel that any
+    x86-64 CPU runs, so it fails only when the code changes bytes. The
+    environment variable is honoured by the DYNAMIC_ARCH scipy-openblas
+    build numpy ships with; with another BLAS, or on another architecture,
+    the check is skipped and says why. A change meant to alter an output
+    updates both digest sets.
+    """
+    blas = numpy_blas()
+    if blas != "scipy-openblas":
+        pytest.skip(f"numpy's BLAS is {blas!r}, not scipy-openblas: OPENBLAS_CORETYPE pins nothing")
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip(f"the Prescott kernels are x86-64 kernels; this host is {platform.machine()}")
+    done = subprocess.run(
+        [sys.executable, "-c", PRESCOTT_SCRIPT, str(tmp_path),
+         json.dumps([PANEL_COMMAND, REFERENCE_COMMANDS])],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+             "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == PRESCOTT_DIGESTS

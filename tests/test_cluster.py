@@ -43,6 +43,7 @@ from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
 from clustersc.errors import (
     DegenerateClusterError,
     DegenerateInputError,
+    InvalidInputError,
     InvalidParamsError,
     ShapeError,
 )
@@ -325,6 +326,17 @@ class TestKmeansPpInit:
         with pytest.raises(DegenerateInputError, match="underflow"):
             best_lloyd(points, 3, 2, seed)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_distinct_count_comes_before_underflow(self, seed):
+        # two distinct points, and 1e-200 squared underflows to 0 so the
+        # first D^2 step already fails: k above the distinct points is named
+        points = [[0.0], [0.0], [1e-200]]
+        message = "^k=3 exceeds the 2 distinct point\\(s\\)$"
+        with pytest.raises(DegenerateInputError, match=message):
+            kmeans_pp_init(points, 3, seed)
+        with pytest.raises(DegenerateInputError, match=message):
+            best_lloyd(points, 3, 2, seed)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(6))
     def test_overflowing_distances_diagnosed(self, seed):
@@ -385,6 +397,21 @@ class TestLloyd:
         points = rng.normal(size=(12, 2))
         _, part, _ = best_lloyd(points, 4, restarts=5, rng=rng)
         assert part.labels.min() >= 1 and part.labels.max() <= 4
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_start_center_rejected(self, bad):
+        # a NaN start center used to run and return a result
+        points = [[0.0], [1.0], [2.0], [10.0]]
+        with pytest.raises(InvalidInputError, match="NaN or infinite"):
+            lloyd(points, [[bad], [5.0]])
+
+    def test_given_centers_left_unchanged(self):
+        points = np.array([[0.0], [1.0], [2.0], [10.0]])
+        init = np.array([[0.5], [5.0]])
+        centers, part, _ = lloyd(points, init)
+        assert init.tolist() == [[0.5], [5.0]]
+        assert centers.tolist() == [[1.0], [10.0]] and part.labels.tolist() == [1, 1, 1, 2]
 
 
 class TestLockstepMatchesSerialOracle:

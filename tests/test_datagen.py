@@ -22,11 +22,27 @@ from clustersc.datagen import (
     add_noise,
     gen_dataset,
     gen_group,
-    gen_sinusoid_basis,
     parse_noise,
-    sinusoid_rows,
 )
 from clustersc.errors import ConfigError, InvalidParamsError
+
+
+def sinusoid_rows(alphas, omegas, phis, t_count):
+    """The oracle's basis rows, alpha * sin(2 pi omega t + phi) at t = 1/T .. T/T."""
+    alphas, omegas, phis = (np.asarray(v, dtype=float)[:, None] for v in (alphas, omegas, phis))
+    t = np.arange(1, t_count + 1) / t_count
+    return alphas * np.sin(2.0 * np.pi * omegas * t + phis)
+
+
+def oracle_group(spec, n_units, t_count, rng):
+    """gen_group redrawn in its order (beta alphas, uniform omegas, normal
+    phis, uniform weights); returns the basis and the group's signal."""
+    r = spec.n_components
+    alphas = rng.beta(*spec.alpha, size=r)
+    omegas = rng.uniform(*spec.omega, size=r)
+    phis = rng.normal(*spec.phi, size=r)
+    basis = sinusoid_rows(alphas, omegas, phis, t_count)
+    return basis, rng.uniform(0.0, 1.0, size=(n_units, r)) @ basis
 
 
 class TestSinusoidRows:
@@ -47,10 +63,21 @@ class TestSinusoidRows:
 
 class TestBasisAndGroup:
     def test_basis_shape_and_determinism(self):
-        b1 = gen_sinusoid_basis(GROUP_A_SPEC, 10, np.random.default_rng(5))
-        b2 = gen_sinusoid_basis(GROUP_A_SPEC, 10, np.random.default_rng(5))
-        assert b1.shape == (3, 10)
-        assert np.array_equal(b1, b2)
+        basis, signal = oracle_group(GROUP_A_SPEC, 7, 10, np.random.default_rng(5))
+        assert basis.shape == (3, 10)
+        assert np.array_equal(gen_group(GROUP_A_SPEC, 7, 10, np.random.default_rng(5)), signal)
+        assert np.array_equal(gen_group(GROUP_A_SPEC, 7, 10, 5), signal)
+
+    @pytest.mark.parametrize(
+        "spec", [GROUP_A_SPEC, GROUP_B_SPEC, SignalSpec(1, (0.5, 0.5), (0.0, 9.0), (2.0, 0.0))]
+    )
+    @pytest.mark.parametrize("n_units, t_count", [(1, 2), (5, 13), (40, 100)])
+    def test_group_matches_oracle_bit_for_bit(self, spec, n_units, t_count):
+        # the same signal, and the generator left where the oracle leaves it
+        ours, theirs = np.random.default_rng(17), np.random.default_rng(17)
+        signal = gen_group(spec, n_units, t_count, ours)
+        assert np.array_equal(signal, oracle_group(spec, n_units, t_count, theirs)[1])
+        assert ours.random() == theirs.random()
 
     def test_group_rank_bounded_by_components(self):
         rng = np.random.default_rng(7)

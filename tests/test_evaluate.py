@@ -17,6 +17,7 @@ from __future__ import annotations
 import errno
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -198,6 +199,18 @@ class TestPlaceboDesign:
     def test_bad_k_has_the_library_diagnosis(self, k):
         with pytest.raises(InvalidParamsError, match="k must be 'auto' or a positive integer"):
             PlaceboDesign(RIDGE, ENERGY, k=k)
+
+    @pytest.mark.parametrize("args, message", [
+        pytest.param((RIDGE, "fixed:3"), "rule must be a RankRule, got 'fixed:3'", id="rule-tag"),
+        pytest.param((RIDGE, ENERGY, 2, "fixed:2"), "cluster_rule must be a RankRule, got 'fixed:2'",
+                     id="cluster-rule-tag"),
+        pytest.param(("ridge", ENERGY), "reg must be a RegressionSpec, got 'ridge'", id="reg-name"),
+        pytest.param((ENERGY, RIDGE), "reg must be a RegressionSpec, got RankRule(", id="swapped"),
+    ])
+    def test_parts_must_have_their_types(self, args, message):
+        # before, these built and leave_one_out_placebo died with a raw AttributeError
+        with pytest.raises(InvalidParamsError, match=re.escape(message)):
+            PlaceboDesign(*args)
 
     def test_auto_k(self):
         assert PlaceboDesign(RIDGE, ENERGY).k == "auto"

@@ -22,7 +22,9 @@ from clustersc.errors import (
     InvalidRankError,
     ShapeError,
 )
-from clustersc.linalg import RankRule, hsvt, select_rank, spectrum_report, svd
+from clustersc.linalg import (
+    RankRule, hsvt, parse_rule, rule_tag, select_rank, spectrum_report, svd,
+)
 
 
 def numerical_rank(sigma) -> int:
@@ -269,11 +271,30 @@ class TestSelectRank:
                      "fixed rank must be a positive integer, got True", id="bool-r"),
         pytest.param({"kind": "median", "r": 2}, "unknown rank rule kind 'median'",
                      id="unknown-kind"),
+        pytest.param({"kind": "fixed", "r": 3, "threshold": 0.5, "squared": True},
+                     "a fixed rule takes no threshold or squared, got RankRule(kind='fixed', r=3, "
+                     "threshold=0.5, squared=True)", id="fixed-with-threshold"),
+        pytest.param({"kind": "fixed", "r": 3, "squared": True},
+                     "a fixed rule takes no threshold or squared, got RankRule(kind='fixed', r=3, "
+                     "threshold=None, squared=True)", id="fixed-squared"),
+        pytest.param({"kind": "energy", "r": 3, "threshold": 0.5},
+                     "an energy rule takes no r, got RankRule(kind='energy', r=3, threshold=0.5, "
+                     "squared=False)", id="energy-with-r"),
     ])
     def test_rule_validates_itself(self, kwargs, message):
         # built directly, not through fixed() or energy(): the rule still checks itself
         with pytest.raises(InvalidRankError, match=f"^{re.escape(message)}$"):
             RankRule(**kwargs)
+
+    @pytest.mark.parametrize("rule", [
+        *(RankRule.fixed(r) for r in (1, 3, 10**6)),
+        *(RankRule.energy(t, squared) for t in (1e-9, 0.1, 0.9, 0.95, 1 / 3, 1.0)
+          for squared in (False, True)),
+        RankRule("fixed", r=np.int64(7)),
+        RankRule("energy", threshold=np.float32(0.3)),
+    ], ids=repr)
+    def test_tag_round_trips_to_an_equal_rule(self, rule):
+        assert parse_rule(rule_tag(rule)) == rule
 
     def test_rule_normalises_its_numbers(self):
         fixed = RankRule("fixed", r=np.int64(3))

@@ -74,6 +74,12 @@ class TestTimePanel:
         with pytest.raises(ShapeError):
             TimePanel(["a", "b"], ["t1", "t2"], np.ones((2, 2)), InterventionSplit(1, 3))
 
+    @pytest.mark.parametrize("values", [np.ones(3), np.float64(1.0), np.ones((3, 1, 1))])
+    def test_values_must_be_a_matrix(self, values):
+        # a 1-d array raised a raw "not enough values to unpack"
+        with pytest.raises(ShapeError, match=r"panel values must be 2-d, got \d dimension"):
+            TimePanel(["a", "b", "c"], ["t1"], values, InterventionSplit(1, 2))
+
 
 class TestCsvRoundTrip:
     def test_bit_equal_values(self, tmp_path):
@@ -255,6 +261,13 @@ class TestPreprocessHpi:
         path.write_text("name,score\nx,1\n")
         with pytest.raises(PanelFormatError, match="column"):
             preprocess_hpi(path, ("1997Q1", "1997Q4"))
+
+    def test_range_crosses_years(self, tmp_path):
+        rows = self.long_rows("m1", 1997, 12) + self.long_rows("m2", 1997, 12)
+        panel = preprocess_hpi(self.write(tmp_path, rows), ("1997Q3", "1999Q2")).panel
+        assert panel.time_labels == [
+            "1997Q3", "1997Q4", "1998Q1", "1998Q2", "1998Q3", "1998Q4", "1999Q1", "1999Q2"
+        ]
 
     def test_reversed_range(self, tmp_path):
         rows = self.long_rows("m1", 1997, 8) + self.long_rows("m2", 1997, 8)
