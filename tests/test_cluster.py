@@ -401,7 +401,7 @@ class TestLloyd:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_start_center_rejected(self, bad):
-        # a NaN start center used to run and return a result
+        # start centers pass the same finiteness check as the points
         points = [[0.0], [1.0], [2.0], [10.0]]
         with pytest.raises(InvalidInputError, match="NaN or infinite"):
             lloyd(points, [[bad], [5.0]])

@@ -208,7 +208,7 @@ class TestPlaceboDesign:
         pytest.param((ENERGY, RIDGE), "reg must be a RegressionSpec, got RankRule(", id="swapped"),
     ])
     def test_parts_must_have_their_types(self, args, message):
-        # before, these built and leave_one_out_placebo died with a raw AttributeError
+        # refused when built, not as a raw AttributeError inside a harness
         with pytest.raises(InvalidParamsError, match=re.escape(message)):
             PlaceboDesign(*args)
 

@@ -76,7 +76,7 @@ class TestTimePanel:
 
     @pytest.mark.parametrize("values", [np.ones(3), np.float64(1.0), np.ones((3, 1, 1))])
     def test_values_must_be_a_matrix(self, values):
-        # a 1-d array raised a raw "not enough values to unpack"
+        # diagnosed before the shape is unpacked into (units, periods)
         with pytest.raises(ShapeError, match=r"panel values must be 2-d, got \d dimension"):
             TimePanel(["a", "b", "c"], ["t1"], values, InterventionSplit(1, 2))
 
