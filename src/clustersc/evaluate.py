@@ -155,7 +155,10 @@ class PlaceboDesign:
     def __post_init__(self):
         if self.cluster_rule is None:
             object.__setattr__(self, "cluster_rule", self.rule)
-        for name, kind in (("reg", RegressionSpec), ("rule", RankRule), ("cluster_rule", RankRule)):
+        for name, kind in (
+            ("reg", RegressionSpec), ("rule", RankRule), ("cluster_rule", RankRule),
+            ("with_random_subset", bool),
+        ):
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise InvalidParamsError(f"{name} must be a {kind.__name__}, got {value!r}")
@@ -299,7 +302,6 @@ def _placebo_target(
     iteration: int,
     target_id: str,
     donors: np.ndarray,
-    donor_ids: list,
     target_full: np.ndarray,
     split,
     reference: tuple,
@@ -332,14 +334,12 @@ def _placebo_target(
     def add_row(variant, rule, members=None, label=None):
         key = (variant, label)
         if pools is not None and key in pools:
-            pool, ids = pools[key]
-        elif members is None:
-            pool, ids = sc_denoise(donors, rule), donor_ids
+            pool = pools[key]
         else:
-            pool, ids = sc_denoise(donors[members], rule), [donor_ids[i] for i in members]
+            pool = sc_denoise(donors if members is None else donors[members], rule)
         if pools is not None and variant != "sc_random_subset":
-            pools[key] = pool, ids
-        fit = sc_fit_weights(pool, split, target_pre, design.reg, donor_ids=ids, cluster_label=label)
+            pools[key] = pool
+        fit = sc_fit_weights(pool, split, target_pre, design.reg, cluster_label=label)
         estimate = sc_infer(fit, split, target_full)
         precision, recall = (
             score_selection(fit, members) if score_selection else (None, None)
@@ -351,7 +351,7 @@ def _placebo_target(
                 variant=variant,
                 pre_mse=mse(estimate.pre_fit, reference[0]),
                 post_mse=mse(estimate.counterfactual_post, reference[1]),
-                selected_donor_count=len(fit.donor_ids),
+                selected_donor_count=pool.values.shape[0],
                 cluster_label=fit.cluster_label,
                 active_donor_precision=precision,
                 active_donor_recall=recall,
@@ -515,7 +515,6 @@ def leave_one_out_placebo(
     def run_target(i):
         tr = int(target_rows[i])
         donors = np.delete(values, tr, axis=0)
-        donor_ids = panel.unit_ids[:tr] + panel.unit_ids[tr + 1 :]
 
         def cluster_source(seed):
             if cluster_mode == "per_target":
@@ -537,7 +536,7 @@ def leave_one_out_placebo(
                 return None, None
 
         return _placebo_target(
-            0, panel.unit_ids[tr], donors, donor_ids, values[tr], panel.split,
+            0, panel.unit_ids[tr], donors, values[tr], panel.split,
             (dataset.true_signal[tr, :t0], dataset.true_signal[tr, t0:]),
             design, seeds[i], cluster_source, score_selection,
         )
@@ -607,7 +606,6 @@ def split_placebo(
         train_rows = np.sort(perm[:n_train])
         test_rows = np.sort(perm[n_train:])
         donors = values[train_rows]
-        donor_ids = [panel.unit_ids[i] for i in train_rows]
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(design.variants)))
         model = _fit_pool_model(design, donors[:, :t0], it_rng)
 
@@ -619,7 +617,7 @@ def split_placebo(
         for tr, target_seeds in zip(test_rows, seeds):
             observed = values[tr]
             cell_rows, cell_skipped = _placebo_target(
-                it, panel.unit_ids[tr], donors, donor_ids, observed, panel.split,
+                it, panel.unit_ids[tr], donors, observed, panel.split,
                 (observed[:t0], observed[t0:]), design, target_seeds,
                 lambda seed: nearest_cluster(model, observed[:t0]), pools=pools,
             )

@@ -95,8 +95,9 @@ class RankRule:
     By default the ratio is over plain singular values, matching a cumulative
     singular value plot; squared=True uses squared values instead.
     InvalidRankError unless r is a positive integer (kept as an int), or the
-    threshold lies in (0, 1] (kept as a float), or when a field the kind does
-    not use is set (a fixed rule's threshold or squared, an energy rule's r).
+    threshold lies in (0, 1] (kept as a float), or squared is a bool, or when
+    a field the kind does not use is set (a fixed rule's threshold or squared,
+    an energy rule's r).
     """
 
     kind: str
@@ -105,6 +106,8 @@ class RankRule:
     squared: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.squared, bool):
+            raise InvalidRankError(f"squared must be a bool, got {self.squared!r}")
         if self.kind == "fixed":
             if isinstance(self.r, bool) or not isinstance(self.r, (int, np.integer)) or self.r < 1:
                 raise InvalidRankError(f"fixed rank must be a positive integer, got {self.r!r}")

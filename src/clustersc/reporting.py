@@ -18,10 +18,19 @@ for commands that cluster the k-means protocol (restarts, k_range). An INI
 section built from the flag keys that are not null, rerun with --config and
 the same input path, rewrites the same files.
 
-JSON is written in one walk of the payload. json's default hook converts,
-one level at a time, what json cannot encode: a dataclass to its fields, a
-numpy value to Python, a path to text, and a rank rule or noise spec to its
-tag in the grammar its flag takes (energy:0.95, gaussian:0.3).
+JSON is written byte for byte as json.dumps(payload, sort_keys=True,
+indent=2, allow_nan=False) would write it, but at the speed of json's C
+encoder, which cannot indent. A Python walk visits only the containers that
+hold other containers; every dict or list whose values are all str, int,
+float, bool or None goes to the C encoder in one call, with ",\n" plus its
+level's indent as the item separator, and gets the indented brackets
+swapped in. Values json cannot encode pass through one hook, applied where
+json applies it, and its result is walked again: a dataclass becomes its
+fields, a numpy value Python, a path text, and a rank rule or noise spec
+its tag in the grammar its flag takes (energy:0.95, gaussian:0.3). The plot
+CSV hands a row whose fields are exactly str, int or float to csv unchanged,
+since csv writes str(float), the shortest round-trip repr; any other row is
+formatted field by field first.
 
 Writing is byte-deterministic: JSON keys are sorted, floats keep Python's
 shortest round-trip repr, newlines are fixed to "\n", and nothing
@@ -33,8 +42,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +138,11 @@ def cluster_plot_rows(unit_ids, labels, dataset: str = "") -> list[tuple]:
     ]
 
 
+# field types csv writes as _format_value would: str as is, str(int), and
+# str(float), which is repr(float); bool and numpy scalars are not among them
+_CSV_NATIVE = frozenset({str, int, float})
+
+
 def _format_value(value) -> str:
     if isinstance(value, str):
         return value
@@ -148,9 +164,22 @@ def write_plot_csv(rows, path) -> Path:
             raise InvalidInputError(
                 f"plot rows need {len(PLOT_COLUMNS)} fields, got {len(row)}"
             )
-        writer.writerow([_format_value(field) for field in row])
+        if not _CSV_NATIVE.issuperset(map(type, row)):
+            row = [_format_value(field) for field in row]
+        writer.writerow(row)
     path.write_bytes(text.getvalue().encode("utf-8"))
     return path
+
+
+# value types json writes without its default hook, so the C encoder may too
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_INDENT = "  "
+
+
+@functools.cache
+def _field_names(cls) -> tuple[str, ...] | None:
+    """A dataclass's field names, found once per class; None for any other type."""
+    return tuple(f.name for f in dataclasses.fields(cls)) if dataclasses.is_dataclass(cls) else None
 
 
 def _json_default(obj):
@@ -159,8 +188,9 @@ def _json_default(obj):
         return rule_tag(obj)
     if isinstance(obj, NoiseSpec):
         return noise_tag(obj)
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    names = _field_names(type(obj))
+    if names is not None:
+        return {name: getattr(obj, name) for name in names}
     if isinstance(obj, (np.ndarray, np.generic)):
         return obj.tolist()
     if isinstance(obj, Path):
@@ -168,15 +198,65 @@ def _json_default(obj):
     raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
 
 
-def write_json(payload, path) -> Path:
-    """Write sorted, indented JSON with a trailing newline, in one json walk.
+@functools.cache
+def _scalar_encoder(depth: int):
+    """json's C encoder for an all-scalar container at depth, one item per line."""
+    separator = ",\n" + _INDENT * (depth + 1)
+    return c_make_encoder(None, None, encode_basestring_ascii, None, ": ", separator,
+                          True, False, False)
 
-    NaN and infinity have no JSON form: they raise InvalidInputError naming
-    the file, and nothing is written.
+
+def _key(key) -> str:
+    """A dict key as json writes it: numbers and constants become text."""
+    if isinstance(key, (float, bool)) or key is None:
+        key = "".join(_scalar_encoder(0)(key, 0))
+    elif isinstance(key, int):
+        key = int.__repr__(key)
+    elif not isinstance(key, str):
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return encode_basestring_ascii(key)
+
+
+def _encode(obj, depth: int) -> str:
+    """obj as json.dumps(obj, default=_json_default, sort_keys=True, indent=2,
+    allow_nan=False) writes it at depth."""
+    while not isinstance(obj, (str, int, float, list, tuple, dict)) and obj is not None:
+        obj = _json_default(obj)
+    if isinstance(obj, dict):
+        values = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        values = obj
+    else:
+        return "".join(_scalar_encoder(0)(obj, 0))
+    inner = "\n" + _INDENT * (depth + 1)
+    outer = "\n" + _INDENT * depth
+    if _SCALARS.issuperset(map(type, values)):
+        text = "".join(_scalar_encoder(depth)(obj, 0))
+        # the encoder cannot indent: open and close the items on their own lines
+        return text if len(text) == 2 else text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(obj, dict):
+        items = [_key(key) + ": " + _encode(value, depth + 1) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + outer + "}"
+    items = [_encode(value, depth + 1) for value in obj]
+    return "[" + inner + ("," + inner).join(items) + outer + "]"
+
+
+def write_json(payload, path) -> Path:
+    """Write sorted, indented JSON with a trailing newline.
+
+    The bytes are json.dumps's with sort_keys=True and indent=2. NaN and
+    infinity have no JSON form: they raise InvalidInputError naming the
+    file and the value, and nothing is written. On any error the payload
+    goes through json.dumps itself, so the error is json's own.
     """
     path = Path(path)
     try:
-        text = json.dumps(payload, default=_json_default, sort_keys=True, indent=2, allow_nan=False)
+        try:
+            text = _encode(payload, 0)
+        except (TypeError, ValueError, RecursionError):
+            text = json.dumps(
+                payload, default=_json_default, sort_keys=True, indent=2, allow_nan=False
+            )
     except ValueError as exc:
         raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     path.write_bytes((text + "\n").encode("utf-8"))

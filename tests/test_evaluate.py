@@ -46,7 +46,7 @@ from clustersc.errors import (
     ShapeError,
     UndefinedPrecisionError,
 )
-from clustersc import evaluate
+from clustersc import engine, evaluate
 from clustersc.engine import sc_learn
 from clustersc.evaluate import (
     PlaceboDesign,
@@ -206,6 +206,12 @@ class TestPlaceboDesign:
                      id="cluster-rule-tag"),
         pytest.param(("ridge", ENERGY), "reg must be a RegressionSpec, got 'ridge'", id="reg-name"),
         pytest.param((ENERGY, RIDGE), "reg must be a RegressionSpec, got RankRule(", id="swapped"),
+        pytest.param((RIDGE, ENERGY, 2, None, "yes"), "with_random_subset must be a bool, got 'yes'",
+                     id="subset-text"),
+        pytest.param((RIDGE, ENERGY, 2, None, 2), "with_random_subset must be a bool, got 2",
+                     id="subset-int"),
+        pytest.param((RIDGE, ENERGY, 2, None, None), "with_random_subset must be a bool, got None",
+                     id="subset-none"),
     ])
     def test_parts_must_have_their_types(self, args, message):
         # refused when built, not as a raw AttributeError inside a harness
@@ -551,12 +557,17 @@ class TestSplitPlacebo:
             )
 
 
-def record_fits(monkeypatch) -> list:
+def record_fits(monkeypatch, panel=None) -> list:
     """Every fit the harnesses push through sc_infer, in the order of their rows.
 
     A wrapper sees only the fits made in this process, so the harness is
     held to one CPU; TestDealtTargets checks that the rows do not depend on
     the CPU count.
+
+    The harnesses fit on donor rows alone, so a fit's donor_ids are its
+    positions in the pool. Given the panel, whose rows must be distinct, each
+    fit carries the unit ids of its donors instead: every matrix the harness
+    denoises is matched back to the panel row by row.
     """
     use_cpus(monkeypatch, 1)
     fits = []
@@ -567,6 +578,26 @@ def record_fits(monkeypatch) -> list:
 
     sc_infer = evaluate.sc_infer
     monkeypatch.setattr(evaluate, "sc_infer", recording)
+    if panel is None:
+        return fits
+    unit_of = {row.tobytes(): uid for row, uid in zip(panel.values, panel.unit_ids)}
+    assert len(unit_of) == len(panel.unit_ids)
+    # id(pool) -> (pool, unit ids of its rows); holding the pool keeps its id unique
+    pool_units = {}
+
+    def denoising(donors, rule):
+        pool = sc_denoise(donors, rule)
+        pool_units[id(pool)] = pool, [unit_of[row.tobytes()] for row in donors]
+        return pool
+
+    def fitting(pool, split, target_pre, reg, donor_ids=None, cluster_label=None):
+        assert donor_ids is None
+        return sc_fit_weights(pool, split, target_pre, reg, pool_units[id(pool)][1], cluster_label)
+
+    # the engine's own functions: a second call must not wrap the first one's wrappers
+    sc_denoise, sc_fit_weights = engine.sc_denoise, engine.sc_fit_weights
+    monkeypatch.setattr(evaluate, "sc_denoise", denoising)
+    monkeypatch.setattr(evaluate, "sc_fit_weights", fitting)
     return fits
 
 
@@ -588,7 +619,7 @@ class TestSelectionScoringOracle:
 
     def scored_rows(self, monkeypatch, reg, mode, seed):
         dataset = small_dataset(seed=seed, s=0.2)
-        fits = record_fits(monkeypatch)
+        fits = record_fits(monkeypatch, dataset.panel)
         report = leave_one_out_placebo(
             dataset, 0.3, standard_design(reg=reg), np.random.default_rng(seed),
             cluster_mode=mode,
@@ -644,7 +675,7 @@ class TestSplitSharedPools:
             models.append((before, model))
             return model
 
-        fits = record_fits(monkeypatch)
+        fits = record_fits(monkeypatch, panel)
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
         monkeypatch.setattr(evaluate, "fit_cluster_model", recording_model)
         report = split_placebo(panel, 0.6, 2, design, np.random.default_rng(52))

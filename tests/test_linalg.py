@@ -280,6 +280,14 @@ class TestSelectRank:
         pytest.param({"kind": "energy", "r": 3, "threshold": 0.5},
                      "an energy rule takes no r, got RankRule(kind='energy', r=3, threshold=0.5, "
                      "squared=False)", id="energy-with-r"),
+        pytest.param({"kind": "energy", "threshold": 0.5, "squared": "no"},
+                     "squared must be a bool, got 'no'", id="squared-text"),
+        pytest.param({"kind": "energy", "threshold": 0.5, "squared": 1},
+                     "squared must be a bool, got 1", id="squared-int"),
+        pytest.param({"kind": "energy", "threshold": 0.5, "squared": None},
+                     "squared must be a bool, got None", id="squared-none"),
+        pytest.param({"kind": "fixed", "r": 3, "squared": 0},
+                     "squared must be a bool, got 0", id="fixed-squared-zero"),
     ])
     def test_rule_validates_itself(self, kwargs, message):
         # built directly, not through fixed() or energy(): the rule still checks itself

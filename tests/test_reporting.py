@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
+import io
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from clustersc.datagen import NoiseSpec, noise_tag
 from clustersc.errors import InvalidInputError
@@ -17,7 +23,7 @@ from clustersc.evaluate import (
     RecoveryCell,
     RecoveryResult,
 )
-from clustersc.linalg import RankRule
+from clustersc.linalg import RankRule, rule_tag
 from clustersc.reporting import (
     PLOT_COLUMNS,
     cluster_plot_rows,
@@ -231,3 +237,164 @@ class TestWriteReport:
             parsed = list(csv.reader(fh))
         assert [row[2] for row in parsed[1:]] == ["Abilene, TX", "Akron"]
         assert all(len(row) == len(PLOT_COLUMNS) for row in parsed)
+
+
+# -- the writers as json.dumps and csv wrote reports before the C-encoder walk -
+
+def oracle_default(obj):
+    """The JSON hook as it was: dataclasses.fields on every dataclass met."""
+    if isinstance(obj, RankRule):
+        return rule_tag(obj)
+    if isinstance(obj, NoiseSpec):
+        return noise_tag(obj)
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    if isinstance(obj, Path):
+        return str(obj)
+    raise InvalidInputError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def oracle_json(payload) -> bytes:
+    text = json.dumps(payload, default=oracle_default, sort_keys=True, indent=2, allow_nan=False)
+    return (text + "\n").encode("utf-8")
+
+
+def oracle_format(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def oracle_csv(rows) -> bytes:
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(PLOT_COLUMNS)
+    for row in rows:
+        writer.writerow([oracle_format(field) for field in row])
+    return text.getvalue().encode("utf-8")
+
+
+texts = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(["", "a,b", 'say "hi"', "line\nbreak", "cr\r\n", "Zürich", "東京", "\u2028", "\x00"]),
+)
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e16, 5e-324, 0.1, 1e22, 1.7976931348623157e308]),
+)
+placebo_rows = st.builds(
+    PlaceboRow, st.integers(0, 3), texts, texts, finite_floats, finite_floats,
+    st.integers(0, 400), st.none() | st.integers(1, 4), st.none() | finite_floats,
+    st.none() | finite_floats,
+)
+json_leaves = st.one_of(
+    texts, st.integers(), st.booleans(), finite_floats, st.none(),
+    finite_floats.map(np.float64), st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans().map(np.bool_),
+    st.lists(finite_floats, max_size=3).map(np.array),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=2).map(lambda v: np.array([v, v])),
+    placebo_rows,
+    st.sampled_from([RankRule.fixed(3), RankRule.energy(0.95), RankRule.energy(0.5, squared=True)]),
+    st.sampled_from([NoiseSpec.gaussian(0.3), NoiseSpec.student_t(4, 0.3)]),
+    texts.map(Path),
+)
+# keys of one kind per dict, so json can sort them; ints, floats and bools compare
+KEY_KINDS = (
+    texts, st.integers(), finite_floats, st.booleans(), st.none(),
+    st.one_of(st.integers(), finite_floats, st.booleans()),
+)
+payloads = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        *(st.dictionaries(keys, children, max_size=4) for keys in KEY_KINDS),
+    ),
+    max_leaves=24,
+)
+
+csv_rows = st.lists(st.one_of(
+    texts, st.integers(), st.booleans(), finite_floats,
+    finite_floats.map(np.float64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64), st.booleans().map(np.bool_),
+), min_size=5, max_size=5)
+
+
+class TestWriterMatchesJsonDumps:
+    """write_json and write_plot_csv write what json.dumps and per-field csv wrote."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+    @given(payload=payloads)
+    def test_json_bytes(self, payload, tmp_path):
+        path = tmp_path / "payload.json"
+        assert write_json(payload, path).read_bytes() == oracle_json(payload)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(payload=st.dictionaries(st.one_of(*KEY_KINDS), st.lists(json_leaves, max_size=3), max_size=4)
+           | st.dictionaries(st.one_of(texts, st.integers()), json_leaves, max_size=4))
+    def test_unsortable_keys_raise_what_json_raises(self, payload, tmp_path):
+        # mixed key kinds that do not compare fail as json.dumps fails
+        path = tmp_path / "payload.json"
+        path.unlink(missing_ok=True)  # tmp_path is shared by the examples
+        try:
+            expected = oracle_json(payload)
+        except TypeError as exc:
+            with pytest.raises(TypeError) as info:
+                write_json(payload, path)
+            assert str(info.value) == str(exc)
+            assert not path.exists()
+        else:
+            assert write_json(payload, path).read_bytes() == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.one_of(csv_rows, csv_rows.map(tuple)), max_size=6))
+    def test_csv_bytes(self, rows, tmp_path):
+        path = tmp_path / "plot.csv"
+        assert write_plot_csv(rows, path).read_bytes() == oracle_csv(rows)
+
+    @pytest.mark.parametrize("payload, shown", [
+        ({"gaps": [1.0, math.nan]}, "nan"),
+        ({"a": {"b": [[1.0, math.inf]], "c": [{}]}}, "inf"),
+        ([np.float64(-math.inf), "x", [1]], "np.float64(-inf)"),
+        ({math.nan: 1.0}, "nan"),
+        ({"rows": [PlaceboRow(0, "u", "sc_full", math.nan, 0.1, 3)]}, "nan"),
+        (math.inf, "inf"),
+    ])
+    def test_non_finite_message(self, payload, shown, tmp_path):
+        path = tmp_path / "payload.json"
+        with pytest.raises(InvalidInputError) as info:
+            write_json(payload, path)
+        assert str(info.value) == (
+            f"cannot write {path}: Out of range float values are not JSON compliant: {shown}"
+        )
+        assert not path.exists()
+
+    def test_circular_payload_is_refused_as_json_refuses_it(self, tmp_path):
+        loop = [1.0]
+        loop.append({"again": loop})
+        path = tmp_path / "payload.json"
+        with pytest.raises(InvalidInputError) as info:
+            write_json({"loop": loop}, path)
+        assert str(info.value) == f"cannot write {path}: Circular reference detected"
+        assert not path.exists()
+
+    def test_wrong_arity_after_good_rows_writes_nothing(self, tmp_path):
+        path = tmp_path / "plot.csv"
+        with pytest.raises(InvalidInputError, match="plot rows need 5 fields, got 6"):
+            write_plot_csv([("d", "n", "v", "m", 1.5), ("d", "n", "v", "m", 1.5, 2)], path)
+        assert not path.exists()
+
+    def test_bool_and_numpy_fields_keep_their_format(self, tmp_path):
+        rows = [("d", "n", "v", True, np.float64(0.1)), ("d", "", np.int64(3), np.bool_(False), 2)]
+        path = write_plot_csv(rows, tmp_path / "plot.csv")
+        assert path.read_text().splitlines()[1:] == ["d,n,v,true,0.1", "d,,3,false,2"]
