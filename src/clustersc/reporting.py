@@ -207,13 +207,11 @@ def _scalar_encoder(depth: int):
 
 
 def _key(key) -> str:
-    """A dict key as json writes it: numbers and constants become text."""
-    if isinstance(key, (float, bool)) or key is None:
+    """A dict key as json writes it: a number, bool or None becomes its JSON text."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:
+            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
         key = "".join(_scalar_encoder(0)(key, 0))
-    elif isinstance(key, int):
-        key = int.__repr__(key)
-    elif not isinstance(key, str):
-        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
     return encode_basestring_ascii(key)
 
 
@@ -251,14 +249,15 @@ def write_json(payload, path) -> Path:
     """
     path = Path(path)
     try:
+        text = _encode(payload, 0)
+    except (TypeError, ValueError, RecursionError):
+        # json's own walk raises json's own error, with the value in its text
         try:
-            text = _encode(payload, 0)
-        except (TypeError, ValueError, RecursionError):
             text = json.dumps(
                 payload, default=_json_default, sort_keys=True, indent=2, allow_nan=False
             )
-    except ValueError as exc:
-        raise InvalidInputError(f"cannot write {path}: {exc}") from exc
+        except ValueError as exc:
+            raise InvalidInputError(f"cannot write {path}: {exc}") from exc
     path.write_bytes((text + "\n").encode("utf-8"))
     return path
 

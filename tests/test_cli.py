@@ -848,7 +848,7 @@ def openblas_kernel() -> str | None:
         for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename"):
             corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
             if corename is not None:
-                corename.restype = ctypes.c_char_p
+                corename.argtypes, corename.restype = [], ctypes.c_char_p
                 return corename().decode()
     return None
 

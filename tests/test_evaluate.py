@@ -206,8 +206,8 @@ class TestPlaceboDesign:
                      id="cluster-rule-tag"),
         pytest.param(("ridge", ENERGY), "reg must be a RegressionSpec, got 'ridge'", id="reg-name"),
         pytest.param((ENERGY, RIDGE), "reg must be a RegressionSpec, got RankRule(", id="swapped"),
-        pytest.param((RIDGE, ENERGY, 2, None, "yes"), "with_random_subset must be a bool, got 'yes'",
-                     id="subset-text"),
+        pytest.param((RIDGE, ENERGY, 2, None, "yes"),
+                     "with_random_subset must be a bool, got 'yes'", id="subset-text"),
         pytest.param((RIDGE, ENERGY, 2, None, 2), "with_random_subset must be a bool, got 2",
                      id="subset-int"),
         pytest.param((RIDGE, ENERGY, 2, None, None), "with_random_subset must be a bool, got None",

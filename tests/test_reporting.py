@@ -282,7 +282,9 @@ def oracle_csv(rows) -> bytes:
 
 texts = st.one_of(
     st.text(max_size=6),
-    st.sampled_from(["", "a,b", 'say "hi"', "line\nbreak", "cr\r\n", "Zürich", "東京", "\u2028", "\x00"]),
+    st.sampled_from(
+        ["", "a,b", 'say "hi"', "line\nbreak", "cr\r\n", "Zürich", "東京", "\u2028", "\x00"]
+    ),
 )
 finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
@@ -339,8 +341,10 @@ class TestWriterMatchesJsonDumps:
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(payload=st.dictionaries(st.one_of(*KEY_KINDS), st.lists(json_leaves, max_size=3), max_size=4)
-           | st.dictionaries(st.one_of(texts, st.integers()), json_leaves, max_size=4))
+    @given(payload=st.one_of(
+        st.dictionaries(st.one_of(*KEY_KINDS), st.lists(json_leaves, max_size=3), max_size=4),
+        st.dictionaries(st.one_of(texts, st.integers()), json_leaves, max_size=4),
+    ))
     def test_unsortable_keys_raise_what_json_raises(self, payload, tmp_path):
         # mixed key kinds that do not compare fail as json.dumps fails
         path = tmp_path / "payload.json"
