@@ -16,6 +16,7 @@ noise_tag writes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -55,8 +56,9 @@ GROUP_B_SPEC = SignalSpec(3, (2.0, 5.0), (3.0, 6.0), (0.0, 1.0))
 class NoiseSpec:
     """i.i.d. noise: gaussian(sd), uniform(half_width), or student_t(dof, scale).
     A spec checks its own kind and parameter count, naming the grammar.
-    Every parameter is finite, as is a uniform's range 2 * half_width; scales
-    may be zero (noiseless), and dof must be >= 3 so the variance exists."""
+    Every parameter is a finite number (a bool is not one), as is a
+    uniform's range 2 * half_width; scales may be zero (noiseless), and dof
+    must be >= 3 so the variance exists."""
 
     kind: str
     params: tuple[float, ...]
@@ -68,6 +70,8 @@ class NoiseSpec:
                 "expected gaussian:SD, uniform:HALF_WIDTH or student_t:DOF:SCALE, "
                 f"got kind {self.kind!r} with {len(self.params)} parameter(s)"
             )
+        if not all(isinstance(p, Real) and not isinstance(p, bool) for p in self.params):
+            raise InvalidParamsError(f"{self.kind} parameters must be numbers, got {self.params}")
         if not np.isfinite(self.params).all():
             raise InvalidParamsError(f"{self.kind} parameters must be finite, got {self.params}")
         widest = float(np.finfo(float).max) / 2  # the range 2 * half_width stays finite

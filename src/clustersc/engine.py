@@ -14,6 +14,15 @@ the same pool, as the split placebo harness does, denoises it once and fits
 each target on the result. sc_infer returns the pre-period fit with its
 residual, so scoring it against another reference needs no second product.
 
+The three steps also take stacks: equally shaped pools (B, n, T) with one
+target each, or one pool with a stack of targets. A stack is one SVD call,
+one ridge solve (regression.fit_stack) and one product per step, and each
+pool's numbers are the ones it gets alone, bit for bit, because every
+stacked product is a matmul, which makes the same BLAS call per pool as for
+a pool alone. A single pool goes through the same code as a stack of one.
+The rank rule still reads one spectrum at a time (select_rank), and the
+pools of a stack may keep different ranks.
+
 A note on rank selection. The engine benefits from clustering through the
 rank: a cluster's matrix has lower signal rank than the pool's, so its HSVT
 keeps fewer, cleaner directions. That only happens when the rank rule can
@@ -35,7 +44,7 @@ from .cluster import fit_cluster_model, nearest_cluster
 from .errors import ShapeError
 from .linalg import RankRule, as_matrix, select_rank, svd
 from .panel import InterventionSplit
-from .regression import RegressionSpec, WeightVector, fit
+from .regression import RegressionSpec, WeightVector, fit_stack
 
 __all__ = [
     "InterventionSplit",
@@ -52,18 +61,23 @@ __all__ = [
 
 @dataclass
 class ScFit:
-    """A learned synthetic control: weights plus the denoised donor window."""
+    """A learned synthetic control: weights plus the denoised donor window.
+
+    A fit of a stack of targets (see sc_fit_weights) holds one row of weights
+    per target, and the pool or stack of pools it was fitted on.
+    """
 
     weights: WeightVector
     donor_ids: list
     denoised_donors: np.ndarray
-    rank_used: int
+    rank_used: int | tuple[int, ...]
     cluster_label: int | None = None
 
 
 @dataclass
 class EffectEstimate:
-    """Post-intervention comparison of observation and counterfactual."""
+    """Post-intervention comparison of observation and counterfactual; for a
+    stack of fits, every array has one row per target."""
 
     counterfactual_post: np.ndarray
     observed_post: np.ndarray
@@ -74,17 +88,27 @@ class EffectEstimate:
 
 @dataclass(frozen=True)
 class DenoisedPool:
-    """A donor window after HSVT at the rank the rule selected."""
+    """A donor window after HSVT at the rank the rule selected; a stack of
+    windows has the stack's leading axis and one rank per window."""
 
     values: np.ndarray
-    rank_used: int
+    rank_used: int | tuple[int, ...]
 
 
 def sc_denoise(donors, rule: RankRule) -> DenoisedPool:
-    """The target-free step of sc_learn: SVD, rank selection, HSVT."""
+    """The target-free step of sc_learn: SVD, rank selection, HSVT.
+
+    donors is one window (n, T) or a stack of equally shaped windows
+    (B, n, T). The stack takes one SVD call, a rank per window and one HSVT
+    product per distinct rank, and each window's result is the one it gets
+    alone, bit for bit.
+    """
     factors = svd(donors)
-    rank_used = select_rank(factors.sigma, rule)
-    return DenoisedPool(factors.low_rank(rank_used), rank_used)
+    if factors.sigma.ndim == 1:
+        rank = select_rank(factors.sigma, rule)
+        return DenoisedPool(factors.low_rank(rank), rank)
+    ranks = tuple([select_rank(sigma, rule) for sigma in factors.sigma])
+    return DenoisedPool(factors.low_rank(ranks), ranks)
 
 
 def sc_fit_weights(
@@ -95,20 +119,30 @@ def sc_fit_weights(
     donor_ids=None,
     cluster_label: int | None = None,
 ) -> ScFit:
-    """The per-target step of sc_learn: fit the weights on a denoised pool."""
-    periods = pool.values.shape[1]
+    """The per-target step of sc_learn: fit the weights on a denoised pool.
+
+    Either argument may carry a leading stack axis: a stack of pools with one
+    target each, or one pool with a stack of targets (B, t0). Then the
+    weights hold one row per target, fitted by regression.fit_stack.
+    """
+    values = pool.values
+    periods = values.shape[-1]
     if periods != split.t_total:
         raise ShapeError(f"donors have {periods} periods, split expects {split.t_total}")
     target_pre = np.asarray(target_pre, dtype=float)
-    if target_pre.ndim != 1 or target_pre.shape[0] != split.t0:
+    if target_pre.ndim not in (1, 2) or target_pre.shape[-1] != split.t0:
         raise ShapeError(
             f"target_pre must have length t0={split.t0}, got {target_pre.shape}"
         )
-    weights = fit(pool.values[:, : split.t0].T, target_pre, reg, donor_ids)
+    single = values.ndim == 2 and target_pre.ndim == 1
+    design = values[..., : split.t0].swapaxes(-1, -2)
+    weights = fit_stack(design, target_pre[None] if single else target_pre, reg, donor_ids)
+    if single:
+        weights.values = weights.values[0]
     return ScFit(
         weights=weights,
         donor_ids=weights.donor_ids,
-        denoised_donors=pool.values,
+        denoised_donors=values,
         rank_used=pool.rank_used,
         cluster_label=cluster_label,
     )
@@ -131,24 +165,31 @@ def sc_learn(
 
 def sc_infer(sc_fit: ScFit, split: InterventionSplit, target_full) -> EffectEstimate:
     """The counterfactual (the denoised post block through the weights), the
-    effect (observed post minus it), and the pre-period fit with its residual."""
+    effect (observed post minus it), and the pre-period fit with its residual.
+
+    A stack of fits takes a stack of targets (B, T) and returns one row of
+    each per target, every product one matmul over the stack.
+    """
     target_full = np.asarray(target_full, dtype=float)
-    if target_full.ndim != 1 or target_full.shape[0] != split.t_total:
+    if target_full.ndim not in (1, 2) or target_full.shape[-1] != split.t_total:
         raise ShapeError(
             f"target_full must have length {split.t_total}, got {target_full.shape}"
         )
-    periods = sc_fit.denoised_donors.shape[1]
+    donors = sc_fit.denoised_donors
+    periods = donors.shape[-1]
     if periods != split.t_total:
         raise ShapeError(f"fit covers {periods} periods, split expects {split.t_total}")
-    counterfactual = sc_fit.denoised_donors[:, split.t0 :].T @ sc_fit.weights.values
-    observed_post = target_full[split.t0 :]
-    pre_fit = sc_fit.denoised_donors[:, : split.t0].T @ sc_fit.weights.values
+    # matmul broadcasts a pool over a stack of weights
+    weights = sc_fit.weights.values[..., None]
+    counterfactual = (donors[..., split.t0 :].swapaxes(-1, -2) @ weights)[..., 0]
+    observed_post = target_full[..., split.t0 :]
+    pre_fit = (donors[..., : split.t0].swapaxes(-1, -2) @ weights)[..., 0]
     return EffectEstimate(
         counterfactual_post=counterfactual,
         observed_post=observed_post,
         effect=observed_post - counterfactual,
         pre_fit=pre_fit,
-        pre_fit_residual=target_full[: split.t0] - pre_fit,
+        pre_fit_residual=target_full[..., : split.t0] - pre_fit,
     )
 
 

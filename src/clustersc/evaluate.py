@@ -8,14 +8,19 @@ observed panels: units are repeatedly split into donors and targets, and
 errors are measured against the observations themselves (there is no signal
 to compare with). The report records which reference was used.
 
-Both harnesses hand each target to one per-target core. Given a donor set,
-the target's series, its (pre, post) reference series and a cluster source,
-the core fits the one PlaceboDesign: SC on the full pool (sc_full), on the
-target's cluster (cluster_sc) and optionally on a random donor subset of
-the cluster's size (sc_random_subset). It records the skipped cells with
-their reason and builds the placebo rows. Each fit is the engine's two
-steps: sc_denoise the pool, then sc_fit_weights the target on it. The
-harnesses keep the rest: which units are targets, which reference the errors
+Both harnesses hand their targets to one placebo core, a chunk of
+TARGET_CHUNK targets at a time. Given each target's donor set, series,
+(pre, post) reference series and cluster source, the core fits the one
+PlaceboDesign: SC on the full pool (sc_full), on the target's cluster
+(cluster_sc) and optionally on a random donor subset of the cluster's size
+(sc_random_subset). It records the skipped cells with their reason and
+builds the placebo rows. Each fit is the engine's steps: sc_denoise the
+pool, sc_fit_weights the target on it, sc_infer the counterfactual. The
+chunk's pools of one variant that share a shape are stacked along a leading
+axis, so each step, the MSEs and the selection scores run once per stack,
+not once per pool; every number is the one the target gets alone, bit for
+bit. A chunk that raises is fitted again one target at a time, so the
+error raised is the first in target order. The harnesses keep the rest: which units are targets, which reference the errors
 are measured against, where the target's cluster comes from (a fresh
 clustering of each donor pool, the dataset's pool model with the target
 removed, or the split iteration's donor model), and, for the split harness,
@@ -33,10 +38,11 @@ member rows to a donor row, and past the target's row to a panel row.
 Leave-one-out targets share nothing once their seeds are drawn (and, in
 per_dataset mode, the pool model is fitted), so the harness deals them
 round-robin over the CPUs in the process's affinity mask: one forked child
-per extra CPU sends its share's rows back through a pipe, and the parent
-puts every target's rows back in target order. After any failure every
-target runs again here, in order, so the report is the same for any CPU
-count and the error raised is the one a serial run raises first.
+per extra CPU fits its share in chunks and sends the rows back through a
+pipe, and the parent puts every target's rows back in target order. After
+any failure every target runs again here, in order and in chunks, so the
+report is the same for any CPU count and the error raised is the one a
+serial run raises first.
 With one CPU or one target, without os.fork or os.sched_getaffinity, or
 while another Python thread runs, the same loop runs in this process alone
 (`taskset -c 0` pins a run to it). The split harness stays in one process:
@@ -81,7 +87,7 @@ from .errors import (
 )
 from .linalg import RankRule, as_matrix
 from .panel import TimePanel
-from .regression import RegressionSpec, active_positions
+from .regression import ACTIVE_SET_TOL, RegressionSpec
 
 __all__ = [
     "CLUSTER_MODES",
@@ -102,6 +108,9 @@ __all__ = [
     "cluster_recovery_experiment",
 ]
 CLUSTER_MODES = ("per_target", "per_dataset")  # see leave_one_out_placebo
+# targets fitted as one stack (see the module docstring): enough to share
+# each NumPy and LAPACK call's fixed cost, few enough to keep stacks small
+TARGET_CHUNK = 8
 
 def mse(predicted, reference) -> float:
     """Mean squared difference between two equal-length vectors."""
@@ -114,8 +123,17 @@ def mse(predicted, reference) -> float:
         )
     if predicted.size == 0:
         raise ShapeError("mse needs at least one entry")
-    diff = predicted - reference
-    return float(diff @ diff / diff.size)
+    return float(_mean_squares(predicted - reference))
+
+
+def _mean_squares(diff) -> np.ndarray:
+    """The mean square of each row of diff (a vector or a stack of them).
+
+    A row times its column is one dot product per row, the call a vector
+    alone makes, so a stack changes no bit.
+    """
+    row = diff[..., None, :]
+    return (row @ row.swapaxes(-1, -2))[..., 0, 0] / diff.shape[-1]
 
 
 def pairwise_improvement(post_mse_full: float, post_mse_cluster: float) -> float:
@@ -300,7 +318,8 @@ def _fit_pool_model(design, donor_pre, rng):
 
 def _placebo_target(
     iteration: int,
-    target_id: str,
+    targets: list,
+    target_ids: list,
     donors: np.ndarray,
     target_full: np.ndarray,
     split,
@@ -310,68 +329,125 @@ def _placebo_target(
     cluster_source,
     score_selection=None,
     pools=None,
-) -> tuple[list[PlaceboRow], list[dict]]:
-    """Fit and score the design's variants on one target; returns (rows, skipped).
+) -> list[tuple[list[PlaceboRow], list[dict]]]:
+    """Fit and score the design's variants on a chunk of targets; returns
+    (rows, skipped) per target.
 
-    reference is the (pre, post) pair the errors are measured against.
-    seeds holds one integer seed per variant: cluster_source gets seeds[1]
-    and the random subset is drawn from seeds[2]. seeds[0] goes unused, as
-    sc_full draws nothing; it keeps every later seed in its place.
-    cluster_source(seed) returns the target's cluster label and its member
-    rows into donors, or raises DegenerateClusterError (see cluster_members)
-    when the cluster has fewer than 2 donors. That skips cluster_sc and,
-    with it, sc_random_subset, whose size the cluster sets.
-    score_selection(fit, members), when given, returns the active donors'
-    precision and recall against the planted groups; members are the pool's
-    rows into donors, ascending, or None for the whole of donors.
+    targets holds the harness's indices of the chunk's B targets. Every array
+    argument has one entry per target along its first axis: target_ids,
+    donors (B, n, T), target_full (B, T), both series of reference, the
+    (pre, post) pair the errors are measured against, and seeds, one integer
+    seed per variant. cluster_source gets seeds[:, 1] and the random subset
+    is drawn from seeds[:, 2]. seeds[:, 0] goes unused, as sc_full draws
+    nothing; it keeps every later seed in its place.
+    cluster_source(i, seed) returns target i's cluster label and its member
+    rows into its donors, or raises DegenerateClusterError (see
+    cluster_members) when the cluster has fewer than 2 donors. That skips
+    cluster_sc and, with it, sc_random_subset, whose size the cluster sets.
+    score_selection(targets, weights, members), when given, returns the
+    active donors' precision and recall against the planted groups for each
+    fit of a stack: weights is (G, m) and members holds the pools' rows into
+    donors (G, m), ascending, or None for the whole of donors.
     pools, when given, keeps the denoised full pool and cluster pools under
     (variant name, cluster label) for later targets; pass it only when every
-    target sees the same donors and clusters. Random subsets are never kept.
+    target sees the same donors (donors may then be a broadcast view) and
+    clusters. Random subsets are never kept.
+
+    A variant's pools that share a shape (with pools, a key) are fitted as
+    one stack: one denoise, one fit, one infer and one scoring. Every
+    number is the one the target gets alone, bit for bit.
     """
-    target_pre = target_full[: split.t0]
-    rows: list[PlaceboRow] = []
+    rows: list[list[PlaceboRow]] = [[] for _ in targets]
+    skipped: list[list[dict]] = [[] for _ in targets]
 
-    def add_row(variant, rule, members=None, label=None):
-        key = (variant, label)
-        if pools is not None and key in pools:
-            pool = pools[key]
-        else:
-            pool = sc_denoise(donors if members is None else donors[members], rule)
-        if pools is not None and variant != "sc_random_subset":
-            pools[key] = pool
-        fit = sc_fit_weights(pool, split, target_pre, design.reg, cluster_label=label)
-        estimate = sc_infer(fit, split, target_full)
-        precision, recall = (
-            score_selection(fit, members) if score_selection else (None, None)
-        )
-        rows.append(
-            PlaceboRow(
-                iteration=iteration,
-                target_id=target_id,
-                variant=variant,
-                pre_mse=mse(estimate.pre_fit, reference[0]),
-                post_mse=mse(estimate.counterfactual_post, reference[1]),
-                selected_donor_count=pool.values.shape[0],
-                cluster_label=fit.cluster_label,
-                active_donor_precision=precision,
-                active_donor_recall=recall,
+    def add_rows(variant, rule, fits):
+        # fits: (position in the chunk, cluster label, member rows or None)
+        shared = pools is not None and variant != "sc_random_subset"
+        groups: dict = {}
+        for fit in fits:
+            key = fit[1] if shared else None if fit[2] is None else len(fit[2])
+            groups.setdefault(key, []).append(fit)
+        for group in groups.values():
+            at = [j for j, _, _ in group]
+            members = None if group[0][2] is None else np.stack([m for _, _, m in group])
+            # a group of every target, in order, needs no copy of their series
+            pick = (lambda a: a) if len(at) == len(targets) else (lambda a: a[at])
+            if shared:
+                key = (variant, group[0][1])
+                if key not in pools:
+                    pools[key] = sc_denoise(
+                        donors[0] if members is None else donors[0][members[0]], rule
+                    )
+                pool = pools[key]
+            elif members is None:
+                pool = sc_denoise(pick(donors), rule)
+            else:
+                pool = sc_denoise(donors[np.array(at)[:, None], members], rule)
+            series = pick(target_full)
+            fit = sc_fit_weights(pool, split, series[:, : split.t0], design.reg)
+            estimate = sc_infer(fit, split, series)
+            pre_mse = _mean_squares(estimate.pre_fit - pick(reference[0])).tolist()
+            post_mse = _mean_squares(estimate.counterfactual_post - pick(reference[1])).tolist()
+            scores = (
+                score_selection([targets[j] for j in at], fit.weights.values, members)
+                if score_selection else [(None, None)] * len(group)
             )
-        )
+            for (j, label, _), pre, post, (precision, recall) in zip(group, pre_mse, post_mse, scores):
+                rows[j].append(
+                    PlaceboRow(
+                        iteration=iteration,
+                        target_id=target_ids[j],
+                        variant=variant,
+                        pre_mse=pre,
+                        post_mse=post,
+                        selected_donor_count=pool.values.shape[-2],
+                        cluster_label=label,
+                        active_donor_precision=precision,
+                        active_donor_recall=recall,
+                    )
+                )
 
-    add_row("sc_full", design.rule)
-    try:
-        label, members = cluster_source(seeds[1])
-    except DegenerateClusterError as exc:
-        reasons = (str(exc), "paired cluster_sc run was skipped")
-        return rows, [
-            {"iteration": iteration, "target_id": target_id, "variant": name, "reason": reason}
-            for name, reason in zip(design.variants[1:], reasons)
-        ]
-    add_row("cluster_sc", design.cluster_rule, members, label)
+    add_rows("sc_full", design.rule, [(j, None, None) for j in range(len(targets))])
+    clustered = []
+    for j, i in enumerate(targets):
+        try:
+            label, members = cluster_source(i, seeds[j][1])
+        except DegenerateClusterError as exc:
+            reasons = (str(exc), "paired cluster_sc run was skipped")
+            skipped[j] = [
+                {"iteration": iteration, "target_id": target_ids[j], "variant": name, "reason": reason}
+                for name, reason in zip(design.variants[1:], reasons)
+            ]
+            continue
+        clustered.append((j, label, members))
+    add_rows("cluster_sc", design.cluster_rule, clustered)
     if design.with_random_subset:
-        subset = np.asarray(random_subset_variant(donors, len(members), seeds[2]))
-        add_row("sc_random_subset", design.rule, subset)
-    return rows, []
+        add_rows("sc_random_subset", design.rule, [
+            (j, None, np.asarray(random_subset_variant(donors[j], len(members), seeds[j][2])))
+            for j, _, members in clustered
+        ])
+    return list(zip(rows, skipped))
+
+
+def _fit_in_chunks(fit_chunk, indices) -> list:
+    """fit_chunk(chunk) over indices in order, TARGET_CHUNK at a time; one
+    result per index.
+
+    A chunk that raises is fitted again one index at a time, so the error
+    raised is the first in index order, whatever the chunk size.
+    """
+    indices = list(indices)
+    results = []
+    for start in range(0, len(indices), TARGET_CHUNK):
+        chunk = indices[start : start + TARGET_CHUNK]
+        try:
+            results.extend(fit_chunk(chunk))
+        except Exception:
+            if len(chunk) == 1:
+                raise
+            for i in chunk:
+                results.extend(fit_chunk([i]))
+    return results
 
 
 def _share_count(count: int) -> int:
@@ -389,11 +465,10 @@ def _share_count(count: int) -> int:
     return min(count, len(os.sched_getaffinity(0)))
 
 
-def _fork_share(work, count: int, share: int, shares: int):
-    """Run one share in a forked child; returns (pid, read end of its pipe).
+def _fork_share(work, indices):
+    """Run work(indices) in a forked child; returns (pid, read end of its pipe).
 
-    The child runs work(i) for i = share, share + shares, ... below count,
-    writes the pickled list of results to the pipe and leaves through
+    The child writes the pickled list of results to the pipe and leaves through
     os._exit, so it runs no exit handler and never flushes the stdio buffers
     it inherited. Its exit status is 0 only when the whole list was written.
     Raises OSError when no pipe or no child can be made.
@@ -409,7 +484,7 @@ def _fork_share(work, count: int, share: int, shares: int):
         status = 1
         try:
             os.close(read_fd)
-            results = [work(i) for i in range(share, count, shares)]
+            results = work(indices)
             payload = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
@@ -434,22 +509,23 @@ def _collect_share(child) -> list:
 
 
 def _deal_over_cpus(work, count: int) -> list:
-    """[work(i) for i in range(count)], with the indices dealt over the CPUs.
+    """work(range(count)), with the indices dealt over the CPUs.
 
-    Index i goes to share i % shares; share 0 runs here, every other share in
-    a forked child (see _share_count). If anything fails (a pipe or a child
-    cannot be made, a child delivers nothing, or this process's share
-    raises), the children still running are killed and reaped, and the
-    serial loop runs here from the start: its results, and the first error
-    in index order, are what the call returns or raises.
+    work(indices) returns one result per index, in order, and raises the
+    first error in index order. Index i goes to share i % shares; share 0
+    runs here, every other share in a forked child (see _share_count). If
+    anything fails (a pipe or a child cannot be made, a child delivers
+    nothing, or this process's share raises), the children still running are
+    killed and reaped, and work(range(count)) runs here: its results, or its
+    error, are what the call returns or raises.
     """
     shares = _share_count(count)
     children = []
     try:
         if shares > 1:
             for share in range(1, shares):
-                children.append(_fork_share(work, count, share, shares))
-            dealt = [[work(i) for i in range(0, count, shares)]]
+                children.append(_fork_share(work, range(share, count, shares)))
+            dealt = [work(range(0, count, shares))]
             while children:
                 dealt.append(_collect_share(children.pop(0)))
             return [dealt[i % shares][i // shares] for i in range(count)]
@@ -461,7 +537,7 @@ def _deal_over_cpus(work, count: int) -> list:
             os.close(read_fd)
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    return [work(i) for i in range(count)]
+    return work(range(count))
 
 
 def leave_one_out_placebo(
@@ -512,39 +588,45 @@ def leave_one_out_placebo(
     if cluster_mode == "per_dataset":
         pool_model = _fit_pool_model(design, panel.pre, rng)
 
-    def run_target(i):
+    in_a = labels == "A"  # every target is a group-A unit
+    donor_row = np.arange(values.shape[0] - 1)
+
+    def cluster_source(i, seed):
         tr = int(target_rows[i])
-        donors = np.delete(values, tr, axis=0)
+        if cluster_mode == "per_target":
+            donor_pre = np.delete(values, tr, axis=0)[:, :t0]
+            model = fit_cluster_model(donor_pre, design.cluster_rule, k=design.k, rng=seed)
+            return nearest_cluster(model, values[tr, :t0])
+        pool_labels = pool_model.assignments.labels
+        label = int(pool_labels[tr])
+        return label, cluster_members(np.delete(pool_labels, tr), label)
 
-        def cluster_source(seed):
-            if cluster_mode == "per_target":
-                model = fit_cluster_model(donors[:, :t0], design.cluster_rule, k=design.k, rng=seed)
-                return nearest_cluster(model, values[tr, :t0])
-            pool_labels = pool_model.assignments.labels
-            label = int(pool_labels[tr])
-            return label, cluster_members(np.delete(pool_labels, tr), label)
+    def score_selection(chunk, weights, members):
+        # pool position -> donor row -> panel row, ascending throughout
+        rows = donor_row if members is None else members
+        rows = rows + (rows >= target_rows[chunk][:, None])
+        active = np.abs(weights) > ACTIVE_SET_TOL
+        hits = np.count_nonzero(active & in_a[rows], axis=1).tolist()
+        chosen = np.count_nonzero(active, axis=1).tolist()
+        # an empty selection has no precision
+        return [(h / c, h / len(a_rows)) if c else (None, None) for h, c in zip(hits, chosen)]
 
-        def score_selection(fit, members):
-            # pool position -> donor row -> panel row, ascending throughout
-            positions = active_positions(fit.weights)
-            if members is not None:
-                positions = members[positions]
-            positions += positions >= tr
-            try:
-                return donor_selection_scores(positions, labels, labels[tr])
-            except UndefinedPrecisionError:
-                return None, None
-
+    def fit_chunk(chunk):
+        tr = target_rows[chunk]
+        # each target's donors are the panel rows other than its own
+        donors = values[donor_row + (donor_row >= tr[:, None])]
         return _placebo_target(
-            0, panel.unit_ids[tr], donors, values[tr], panel.split,
-            (dataset.true_signal[tr, :t0], dataset.true_signal[tr, t0:]),
-            design, seeds[i], cluster_source, score_selection,
+            0, chunk, [panel.unit_ids[t] for t in tr.tolist()], donors, values[tr],
+            panel.split, (dataset.true_signal[tr, :t0], dataset.true_signal[tr, t0:]),
+            design, seeds[chunk], cluster_source, score_selection,
         )
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
     _scipy("spatial.distance", "cdist")  # every target clusters: children inherit the import
-    for cell_rows, cell_skipped in _deal_over_cpus(run_target, n_targets):
+    for cell_rows, cell_skipped in _deal_over_cpus(
+        lambda indices: _fit_in_chunks(fit_chunk, indices), n_targets
+    ):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
 
@@ -609,18 +691,23 @@ def split_placebo(
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(design.variants)))
         model = _fit_pool_model(design, donors[:, :t0], it_rng)
 
-        it_rows: list[PlaceboRow] = []
-        it_skipped: list[dict] = []
         # every target of the iteration shares the donors and the model's
         # clusters, so each of those pools is denoised once, on first use
         pools: dict = {}
-        for tr, target_seeds in zip(test_rows, seeds):
+
+        def fit_chunk(chunk):
+            tr = test_rows[chunk]
             observed = values[tr]
-            cell_rows, cell_skipped = _placebo_target(
-                it, panel.unit_ids[tr], donors, observed, panel.split,
-                (observed[:t0], observed[t0:]), design, target_seeds,
-                lambda seed: nearest_cluster(model, observed[:t0]), pools=pools,
+            return _placebo_target(
+                it, chunk, [panel.unit_ids[t] for t in tr.tolist()],
+                np.broadcast_to(donors, (len(chunk),) + donors.shape), observed, panel.split,
+                (observed[:, :t0], observed[:, t0:]), design, seeds[chunk],
+                lambda i, seed: nearest_cluster(model, values[test_rows[i], :t0]), pools=pools,
             )
+
+        it_rows: list[PlaceboRow] = []
+        it_skipped: list[dict] = []
+        for cell_rows, cell_skipped in _fit_in_chunks(fit_chunk, range(test_rows.size)):
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)
 

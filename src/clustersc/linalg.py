@@ -29,12 +29,16 @@ from .errors import (
 ENERGY_TIE_TOL = 1e-12
 
 
-def as_matrix(x) -> np.ndarray:
-    """Validate and return a finite, nonempty 2-d float array."""
+def as_matrix(x, stacked: bool = False) -> np.ndarray:
+    """Validate and return a finite, nonempty 2-d float array.
+
+    With stacked, a 3-d array passes too, read as a stack of equally shaped
+    matrices along its first axis; it is checked once, as a whole.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
+    if x.ndim != 2 and not (stacked and x.ndim == 3):
         raise ShapeError(f"expected a 2-d matrix, got {x.ndim} dimension(s)")
-    if x.shape[0] == 0 or x.shape[1] == 0:
+    if 0 in x.shape:
         raise ShapeError(f"matrix must be nonempty, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise InvalidInputError("matrix contains NaN or infinite entries")
@@ -48,34 +52,52 @@ class SvdFactors:
     u is (n, p), sigma is (p,) nonincreasing and nonnegative, v is (T, p),
     with p = min(n, T). Each column of v has a nonnegative first nonzero
     coordinate; the matching column of u is flipped jointly so the product is
-    unchanged.
+    unchanged. The factors of a stack of matrices carry the stack's leading
+    axis, one set of factors per matrix.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
 
-    def low_rank(self, r: int) -> np.ndarray:
-        """Reconstruction from the leading r singular triplets."""
-        if not 1 <= r <= self.sigma.size:
-            raise InvalidRankError(
-                f"rank must be in 1..{self.sigma.size}, got {r}"
-            )
-        return (self.u[:, :r] * self.sigma[:r]) @ self.v[:, :r].T
+    def low_rank(self, r) -> np.ndarray:
+        """Reconstruction from the leading r singular triplets.
+
+        For a stack, r is one rank for every matrix or a sequence of one rank
+        per matrix; the matrices that share a rank are rebuilt in one product.
+        """
+        p = self.sigma.shape[-1]
+        if not isinstance(r, (int, np.integer)):
+            if self.sigma.ndim != 2 or len(r) != len(self.sigma):
+                raise ShapeError(f"{len(r)} ranks for factors of shape {self.sigma.shape}")
+            if len(set(r)) > 1:
+                return self._low_rank_each(np.asarray(r))
+            r = r[0]
+        if not 1 <= r <= p:
+            raise InvalidRankError(f"rank must be in 1..{p}, got {r}")
+        return (self.u[..., :r] * self.sigma[..., None, :r]) @ self.v[..., :r].swapaxes(-1, -2)
+
+    def _low_rank_each(self, ranks) -> np.ndarray:
+        """low_rank of a stack with one rank per matrix, one product per rank."""
+        out = np.empty(self.u.shape[:-1] + self.v.shape[-2:-1])
+        for rank in np.unique(ranks):
+            at = ranks == rank
+            out[at] = SvdFactors(self.u[at], self.sigma[at], self.v[at]).low_rank(rank)
+        return out
 
 
 def svd(x) -> SvdFactors:
-    """Thin SVD of a finite matrix, signs fixed for reproducibility."""
-    x = as_matrix(x)
+    """Thin SVD of a finite matrix, or of each matrix of a stack (B, n, T) in
+    one LAPACK call, signs fixed for reproducibility."""
+    x = as_matrix(x, stacked=True)
     u, sigma, vh = np.linalg.svd(x, full_matrices=False)
-    v = vh.T
+    v = vh.swapaxes(-1, -2)
     # each column's first entry above 1e-12 in magnitude; v columns are unit
     # vectors, so a column has none only if it is near 0, which LAPACK does
     # not produce, and such a column keeps its sign
     big = np.abs(v) > 1e-12
-    first = big.argmax(axis=0)
-    cols = np.arange(v.shape[1])
-    signs = np.where(big[first, cols] & (v[first, cols] < 0), -1.0, 1.0)
+    first = big & (big.cumsum(axis=-2) == 1)
+    signs = np.where((first & (v < 0)).any(axis=-2, keepdims=True), -1.0, 1.0)
     u *= signs
     v *= signs
     return SvdFactors(u=u, sigma=sigma, v=v)
@@ -95,7 +117,8 @@ class RankRule:
     By default the ratio is over plain singular values, matching a cumulative
     singular value plot; squared=True uses squared values instead.
     InvalidRankError unless r is a positive integer (kept as an int), or the
-    threshold lies in (0, 1] (kept as a float), or squared is a bool, or when
+    threshold is a number in (0, 1] (kept as a float; a bool is refused, as
+    it is for r), or squared is a bool, or when
     a field the kind does not use is set (a fixed rule's threshold or squared,
     an energy rule's r).
     """
@@ -115,7 +138,11 @@ class RankRule:
                 raise InvalidRankError(f"a fixed rule takes no threshold or squared, got {self!r}")
             object.__setattr__(self, "r", int(self.r))
         elif self.kind == "energy":
-            if not isinstance(self.threshold, Real) or not 0.0 < self.threshold <= 1.0:
+            if (
+                isinstance(self.threshold, bool)
+                or not isinstance(self.threshold, Real)
+                or not 0.0 < self.threshold <= 1.0
+            ):
                 raise InvalidRankError(
                     f"energy threshold must be in (0, 1], got {self.threshold!r}"
                 )
@@ -184,7 +211,7 @@ def spectrum_report(x) -> list[tuple[int, float, float]]:
     all-zero matrix has no meaningful ratios and raises
     DegenerateSpectrumError.
     """
-    sigma = svd(x).sigma
+    sigma = svd(as_matrix(x)).sigma
     cum = np.cumsum(sigma)
     total = cum[-1]
     if total <= 0:

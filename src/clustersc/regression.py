@@ -26,6 +26,7 @@ zero column never does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -52,7 +53,8 @@ class RegressionSpec:
     converged: the path solver is exact, and its answer is certified when
     its Gap Safe gap is at most lasso_tol * (y'y) / (2 T0). That scale is the
     objective at zero weights, which bounds the optimum, so the test reads
-    the same whatever the units of the data.
+    the same whatever the units of the data. Both are numbers; a bool is
+    refused.
     """
 
     method: str
@@ -64,10 +66,20 @@ class RegressionSpec:
             raise InvalidParamsError(
                 f"method must be one of {REGRESSION_METHODS}, got {self.method!r}"
             )
+        for name in ("lam", "lasso_tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real):
+                raise InvalidParamsError(f"{name} must be a number, got {value!r}")
         if not np.isfinite(self.lam) or self.lam < 0:
             raise InvalidParamsError(f"lam must be >= 0, got {self.lam!r}")
         if not np.isfinite(self.lasso_tol) or self.lasso_tol <= 0:
             raise InvalidParamsError(f"lasso_tol must be finite and > 0, got {self.lasso_tol!r}")
+
+    @property
+    def fits_stacks(self) -> bool:
+        """Whether fit solves a stack of designs in one call: ridge with lam > 0.
+        At lam = 0 ridge is OLS's least squares, which fits one design a call."""
+        return self.method == "ridge" and self.lam > 0
 
 
 @dataclass
@@ -77,7 +89,9 @@ class WeightVector:
     gap is the lasso fit's Gap Safe duality gap, on the scale of the
     objective in the module docstring, and None for OLS and ridge; converged
     is gap <= RegressionSpec.lasso_tol * (y'y) / (2 T0) for lasso and always
-    true otherwise.
+    true otherwise. The weights of a stack of fits (see fit_stack) hold one
+    row of values per fit, converged only if every fit converged, and the
+    largest gap.
     The certificate needs a penalty above the rounding noise of X'r: at
     lam = 0 the gap is ||r||^2 / (2 T0), so a least squares fit that does not
     interpolate reads unconverged.
@@ -89,31 +103,39 @@ class WeightVector:
     gap: float | None = None
 
 
-def _validate(design, target, donor_ids):
-    design = as_matrix(design)
+def _validate(design, target, donor_ids, stacked):
+    design = as_matrix(design, stacked)
     target = np.asarray(target, dtype=float)
-    if target.ndim != 1:
+    if target.ndim not in ((1, 2) if stacked else (1,)):
         raise ShapeError(f"target must be 1-d, got shape {target.shape}")
-    if target.shape[0] != design.shape[0]:
+    if target.shape[-1] != design.shape[-2]:
         raise ShapeError(
-            f"design has {design.shape[0]} rows but target has {target.shape[0]}"
+            f"design has {design.shape[-2]} rows but target has {target.shape[-1]}"
         )
+    if design.ndim == 3 and target.ndim == 2 and len(design) != len(target):
+        raise ShapeError(f"a stack of {len(design)} designs with {len(target)} targets")
     if not np.all(np.isfinite(target)):
         raise InvalidInputError("target contains NaN or infinite entries")
     if donor_ids is None:
-        donor_ids = list(range(design.shape[1]))
+        donor_ids = list(range(design.shape[-1]))
     else:
         donor_ids = list(donor_ids)
-        if len(donor_ids) != design.shape[1]:
+        if len(donor_ids) != design.shape[-1]:
             raise ShapeError(
-                f"{len(donor_ids)} donor ids for {design.shape[1]} design columns"
+                f"{len(donor_ids)} donor ids for {design.shape[-1]} design columns"
             )
     return design, target, donor_ids
 
 
 def fit(design, target, spec: RegressionSpec, donor_ids=None) -> WeightVector:
-    """Solve for donor weights; design is (T0, n) with one column per donor."""
-    design, target, donor_ids = _validate(design, target, donor_ids)
+    """Solve for donor weights; design is (T0, n) with one column per donor.
+
+    When spec.fits_stacks, design and target may also carry a leading stack
+    axis: a stack of designs (B, T0, n) with one target each (B, T0), or one
+    design with a stack of targets. The stack is checked once and solved in
+    one call, and the weights hold one row per target.
+    """
+    design, target, donor_ids = _validate(design, target, donor_ids, spec.fits_stacks)
     if spec.method == "ols":
         values = np.linalg.lstsq(design, target, rcond=None)[0]
     elif spec.method == "ridge":
@@ -127,15 +149,44 @@ def fit(design, target, spec: RegressionSpec, donor_ids=None) -> WeightVector:
     return WeightVector(values=values, donor_ids=donor_ids)
 
 
+def fit_stack(design, target, spec: RegressionSpec, donor_ids=None) -> WeightVector:
+    """Weights for a stack of targets (B, T0), on a stack of designs
+    (B, T0, n), one per target, or on one design (T0, n).
+
+    A spec that fits stacks makes one fit call for the whole stack; OLS and
+    lasso make one per target. Either way the weights are those each target
+    gets alone, bit for bit.
+    """
+    if spec.fits_stacks:
+        return fit(design, target, spec, donor_ids)
+    designs = design if np.ndim(design) == 3 else [design] * len(target)
+    fits = [fit(d, t, spec, donor_ids) for d, t in zip(designs, target)]
+    return WeightVector(
+        np.stack([w.values for w in fits]),
+        fits[0].donor_ids,
+        converged=all(w.converged for w in fits),
+        gap=max((w.gap for w in fits if w.gap is not None), default=None),
+    )
+
+
 def _ridge(design, target, lam):
+    """Ridge weights of a design (T0, n) and its target, or of stacks of them
+    (see fit).
+
+    Every product is a matmul, which runs the same BLAS call per design of a
+    stack as for a design alone, and broadcasts one design over a stack of
+    targets; np.linalg.solve does the same. So a stack changes no bit.
+    """
     if lam == 0.0:
         return np.linalg.lstsq(design, target, rcond=None)[0]
-    t0, n = design.shape
+    t0, n = design.shape[-2:]
+    design_t = design.swapaxes(-1, -2)
+    target = target[..., None]
     with np.errstate(over="ignore"):  # the report refuses the non-finite weights
         if n <= t0:
-            return np.linalg.solve(design.T @ design + lam * np.eye(n), design.T @ target)
+            return np.linalg.solve(design_t @ design + lam * np.eye(n), design_t @ target)[..., 0]
         # dual form: the same solution from a T0 x T0 system when donors outnumber periods
-        return design.T @ np.linalg.solve(design @ design.T + lam * np.eye(t0), target)
+        return (design_t @ np.linalg.solve(design @ design_t + lam * np.eye(t0), target))[..., 0]
 
 
 def _path_step_bound(t0, n):

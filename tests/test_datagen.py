@@ -133,6 +133,16 @@ class TestNoise:
         with pytest.raises(InvalidParamsError):
             NoiseSpec("triangular", (1.0,))
 
+    @pytest.mark.parametrize("params, shown", [
+        pytest.param(("0.3",), r"\('0\.3',\)", id="text"),
+        pytest.param((True,), r"\(True,\)", id="bool"),
+    ])
+    def test_params_must_be_numbers(self, params, shown):
+        # numpy's isfinite would raise a raw TypeError for text and take a
+        # bool for a number
+        with pytest.raises(InvalidParamsError, match=f"^gaussian parameters must be numbers, got {shown}$"):
+            NoiseSpec("gaussian", params)
+
     @pytest.mark.parametrize("kind, params", [
         ("gaussian", (1.0, 2.0)), ("uniform", ()), ("student_t", (4.0,)), ("laplace", (1.0,)),
     ])

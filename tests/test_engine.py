@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
 from clustersc.engine import (
@@ -18,10 +20,13 @@ from clustersc.engine import (
     InterventionSplit,
     ScFit,
     cluster_sc,
+    sc_denoise,
+    sc_fit_weights,
     sc_infer,
     sc_learn,
 )
-from clustersc.errors import DegenerateClusterError, InvalidParamsError, ShapeError
+from clustersc.errors import ClusterScError, DegenerateClusterError, InvalidParamsError, ShapeError
+from clustersc.evaluate import _mean_squares
 from clustersc.linalg import RankRule
 from clustersc.regression import RegressionSpec
 
@@ -283,3 +288,106 @@ class TestClusterSc:
                 full_mses.append(np.mean((proj_f - truth_post) ** 2))
             wins += np.median(cluster_mses) < np.median(full_mses)
         assert wins >= datasets - 2
+
+
+class TestStackedCore:
+    """A stack of pools runs denoise -> fit -> infer -> MSE in one call per
+    stage; every pool's numbers must be the ones it gets alone, bit for bit,
+    and a bad pool must raise in a stack what it raises alone."""
+
+    SPLIT = InterventionSplit(8, 10)
+    RULES = (RankRule.fixed(2), RankRule.energy(0.9), RankRule.energy(0.8, squared=True))
+    REGS = (RegressionSpec("ridge", lam=0.05), RegressionSpec("ridge"), RegressionSpec("lasso", 0.01))
+
+    @staticmethod
+    def pools(rng, count, n):
+        """count noisy pools (n, 10) of planted ranks 1..min(n, 10), mixed."""
+        ranks = rng.integers(1, min(n, 10) + 1, size=count)
+        return np.stack([
+            rng.normal(size=(n, r)) @ rng.normal(size=(r, 10)) + 0.05 * rng.normal(size=(n, 10))
+            for r in ranks
+        ])
+
+    def run(self, donors, targets, rule, reg):
+        """Ranks, weights, counterfactual, pre fit and both MSEs, stacked or not."""
+        t0 = self.SPLIT.t0
+        pool = sc_denoise(donors, rule)
+        fit = sc_fit_weights(pool, self.SPLIT, targets[..., :t0], reg)
+        estimate = sc_infer(fit, self.SPLIT, targets)
+        return (
+            pool.values, np.asarray(pool.rank_used), fit.weights.values,
+            estimate.counterfactual_post, estimate.pre_fit,
+            _mean_squares(estimate.pre_fit - targets[..., :t0]),
+            _mean_squares(estimate.counterfactual_post - targets[..., t0:]),
+        )
+
+    @given(
+        count=st.integers(1, 9),
+        # n <= t0 solves ridge's primal system, n > t0 its dual
+        n=st.sampled_from([3, 6, 8, 9, 13, 40]),
+        rule=st.sampled_from(RULES),
+        reg=st.sampled_from(REGS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    def test_stack_matches_pool_by_pool(self, count, n, rule, reg, seed):
+        rng = np.random.default_rng(seed)
+        donors = self.pools(rng, count, n)
+        targets = rng.normal(size=(count, 10))
+        stacked = self.run(donors, targets, rule, reg)
+        for b in range(count):
+            alone = self.run(donors[b], targets[b], rule, reg)
+            for got, want in zip(stacked, alone):
+                assert np.array_equal(got[b], want)
+
+    @given(
+        count=st.integers(1, 9),
+        n=st.sampled_from([3, 8, 13, 40]),
+        reg=st.sampled_from(REGS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, derandomize=True, database=None, deadline=None)
+    def test_one_pool_with_a_stack_of_targets(self, count, n, reg, seed):
+        # the split harness fits every target of a shared pool as one stack
+        rng = np.random.default_rng(seed)
+        donors = self.pools(rng, 1, n)[0]
+        targets = rng.normal(size=(count, 10))
+        stacked = self.run(donors, targets, self.RULES[1], reg)
+        for b in range(count):
+            alone = self.run(donors, targets[b], self.RULES[1], reg)
+            assert all(np.array_equal(got[b], want) for got, want in zip(stacked[2:], alone[2:]))
+
+    @pytest.mark.parametrize("rule", RULES, ids=["fixed", "energy", "energy_squared"])
+    def test_one_stack_holds_mixed_ranks(self, rule):
+        rng = np.random.default_rng(5)
+        donors = self.pools(rng, 9, 40)
+        targets = rng.normal(size=(9, 10))
+        stacked = self.run(donors, targets, rule, self.REGS[0])
+        ranks = set(stacked[1].tolist())
+        assert ranks == {2} if rule.kind == "fixed" else len(ranks) > 1, ranks
+        for b in range(9):
+            alone = self.run(donors[b], targets[b], rule, self.REGS[0])
+            assert all(np.array_equal(got[b], want) for got, want in zip(stacked, alone))
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "zeros"])
+    @pytest.mark.parametrize("rule", RULES, ids=["fixed", "energy", "energy_squared"])
+    def test_bad_pool_raises_in_a_stack_what_it_raises_alone(self, bad, rule):
+        rng = np.random.default_rng(7)
+        donors = self.pools(rng, 5, 12)
+        targets = rng.normal(size=(5, 10))
+        donors[3] = 0.0
+        if bad != "zeros":
+            donors[3, 4, 2] = float(bad)
+
+        def outcome(*args):
+            try:
+                return self.run(*args, rule, self.REGS[0])
+            except ClusterScError as exc:
+                return type(exc), str(exc)
+
+        alone = outcome(donors[3], targets[3])
+        stacked = outcome(donors, targets)
+        if isinstance(alone[0], type):
+            assert stacked == alone
+        else:  # a fixed rule denoises an all-zero pool to zeros
+            assert all(np.array_equal(got[3], want) for got, want in zip(stacked, alone))

@@ -22,7 +22,7 @@ import subprocess
 import sys
 import textwrap
 import threading
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -557,12 +557,26 @@ class TestSplitPlacebo:
             )
 
 
+def single_fit(fit):
+    """A stack of one target's fit, as sc_learn returns that fit alone."""
+    (values,) = fit.weights.values
+    donors, rank = fit.denoised_donors, fit.rank_used
+    if donors.ndim == 3:
+        (donors,), (rank,) = donors, rank
+    return replace(
+        fit, weights=replace(fit.weights, values=values), denoised_donors=donors, rank_used=rank
+    )
+
+
 def record_fits(monkeypatch, panel=None) -> list:
     """Every fit the harnesses push through sc_infer, in the order of their rows.
 
     A wrapper sees only the fits made in this process, so the harness is
     held to one CPU; TestDealtTargets checks that the rows do not depend on
-    the CPU count.
+    the CPU count. The harness fits a chunk of targets as stacks, so it is
+    also held to chunks of one target: every sc_infer call is then one row's
+    fit, a stack of one, recorded as that fit alone. TestDealtTargets checks
+    that the rows do not depend on the chunk size either.
 
     The harnesses fit on donor rows alone, so a fit's donor_ids are its
     positions in the pool. Given the panel, whose rows must be distinct, each
@@ -570,10 +584,11 @@ def record_fits(monkeypatch, panel=None) -> list:
     denoises is matched back to the panel row by row.
     """
     use_cpus(monkeypatch, 1)
+    monkeypatch.setattr(evaluate, "TARGET_CHUNK", 1)
     fits = []
 
     def recording(fit, split, target_full):
-        fits.append(fit)
+        fits.append(single_fit(fit))
         return sc_infer(fit, split, target_full)
 
     sc_infer = evaluate.sc_infer
@@ -586,8 +601,10 @@ def record_fits(monkeypatch, panel=None) -> list:
     pool_units = {}
 
     def denoising(donors, rule):
+        # a window, or a stack of one window
         pool = sc_denoise(donors, rule)
-        pool_units[id(pool)] = pool, [unit_of[row.tobytes()] for row in donors]
+        rows = donors.reshape(-1, donors.shape[-1])
+        pool_units[id(pool)] = pool, [unit_of[row.tobytes()] for row in rows]
         return pool
 
     def fitting(pool, split, target_pre, reg, donor_ids=None, cluster_label=None):
@@ -725,6 +742,19 @@ class TestSplitSharedPools:
             assert calls == 2 + len(clusters) + subsets
             assert len(clusters) < n_targets  # some cluster served two targets
 
+    def test_rows_do_not_depend_on_chunk_size(self, monkeypatch):
+        # at chunks of 8, a chunk stacks targets that share a pool and the
+        # random subsets of one size
+        panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
+        reports = []
+        for chunk in (1, 3, evaluate.TARGET_CHUNK):
+            monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
+            reports.append(asdict(
+                split_placebo(panel, 0.6, 2, standard_design(k="auto"), np.random.default_rng(52))
+            ))
+        assert reports[1] == reports[0]
+        assert reports[2] == reports[0]
+
 
 def outlier_pair_dataset():
     """Twelve units: ten noise series near zero and a far pair u00, u01.
@@ -823,6 +853,23 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+def failing_core(bad, error, calls=None):
+    """The placebo core, except that a chunk holding a target of bad raises
+    error. A chunk names its last bad target, so only a rerun one target at a
+    time raises the first. calls, when given, gets each chunk's target ids."""
+    placebo_target = evaluate._placebo_target
+
+    def core(iteration, targets, target_ids, *args, **kwargs):
+        if calls is not None:
+            calls.append(list(target_ids))
+        failed = [t for t in target_ids if t in bad]
+        if failed:
+            raise error(f"target {failed[-1]} failed")
+        return placebo_target(iteration, targets, target_ids, *args, **kwargs)
+
+    return core
+
+
 class TestDealtTargets:
     """The leave-one-out harness deals its targets over the CPUs in the
     affinity mask; the report and the error raised must not depend on how
@@ -875,18 +922,80 @@ class TestDealtTargets:
             that meets it exits without sending its results."""
 
         error = InvalidInputError if picklable else LocalError
-        placebo_target = evaluate._placebo_target
-
-        def failing_target(iteration, target_id, *args):
-            if target_id in bad:
-                raise error(f"target {target_id} failed")
-            return placebo_target(iteration, target_id, *args)
-
-        monkeypatch.setattr(evaluate, "_placebo_target", failing_target)
+        monkeypatch.setattr(evaluate, "_placebo_target", failing_core(bad, error))
         use_cpus(monkeypatch, cpus)
         with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         assert_no_children()
+
+    # with chunks of 3, the 8 targets form chunks [0 1 2] [3 4 5] [6 7] on one
+    # CPU, [0 2 4] [6] and [1 3 5] [7] on two, and one partial chunk per
+    # share on four
+    @pytest.mark.parametrize("picklable", [True, False])
+    @pytest.mark.parametrize("failing", [(4,), (4, 5), (7,), (6, 7)],
+                             ids=["mid_chunk", "two_mid_chunk", "last_chunk", "two_last_chunk"])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
+    def test_first_error_in_target_order_is_raised_from_chunks(
+        self, cpus, failing, picklable, monkeypatch
+    ):
+        dataset = small_dataset(seed=63)
+        design = standard_design()
+        use_cpus(monkeypatch, 1)
+        serial = leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
+        target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
+        assert len(target_ids) == 8
+        monkeypatch.setattr(evaluate, "TARGET_CHUNK", 3)
+        calls = []
+        # a class made here cannot be pickled, so a child that meets it
+        # exits without sending its results
+        error = InvalidInputError if picklable else type("LocalError", (Exception,), {})
+        core = failing_core({target_ids[i] for i in failing}, error, calls)
+        monkeypatch.setattr(evaluate, "_placebo_target", core)
+        use_cpus(monkeypatch, cpus)
+        with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
+            leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
+        assert_no_children()
+        # the last chunk fitted here failed and was fitted again one target
+        # at a time, up to the first bad one
+        chunk = [c for c in calls if len(c) > 1][-1]
+        stop = chunk.index(target_ids[failing[0]]) + 1
+        assert calls[-stop:] == [[t] for t in chunk[:stop]]
+
+    def test_chunk_stacks_the_pools_of_one_shape(self, monkeypatch):
+        # 8 targets form one chunk: one stack of full pools, and one stack of
+        # cluster pools and one of random subsets per cluster size (each target
+        # clusters its own pool, so the sizes differ), none rerun
+        use_cpus(monkeypatch, 1)
+        shapes = []
+        denoise = evaluate.sc_denoise
+
+        def recording(donors, rule):
+            shapes.append(donors.shape)
+            return denoise(donors, rule)
+
+        monkeypatch.setattr(evaluate, "sc_denoise", recording)
+        report = leave_one_out_placebo(small_dataset(seed=61, s=0.2), 0.4, standard_design(), 64)
+        sizes = {r.selected_donor_count for r in report.rows if r.variant == "cluster_sc"}
+        assert len(report.rows) == 24
+        assert 1 < len(sizes) < 8
+        assert len(shapes) == 1 + 2 * len(sizes)
+        assert sum(shape[0] for shape in shapes) == len(report.rows)
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_report_bytes_do_not_depend_on_chunk_size(self, case, monkeypatch, tmp_path):
+        make_dataset, fraction, mode = self.CASES[case]
+        dataset = make_dataset()
+        design = TestSkipPath.DESIGN if case.startswith("skipped") else standard_design()
+        use_cpus(monkeypatch, 1)
+        written = []
+        for chunk in (1, 3, evaluate.TARGET_CHUNK):
+            monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
+            report = leave_one_out_placebo(
+                dataset, fraction, design, np.random.default_rng(62), cluster_mode=mode
+            )
+            written.append(write_json(report, tmp_path / f"{chunk}.json").read_bytes())
+        assert written[1] == written[0]
+        assert written[2] == written[0]
 
     @pytest.mark.parametrize("reason", ["no_fork", "no_affinity", "second_thread"])
     def test_runs_in_process_when_forking_is_unsafe(self, reason, monkeypatch):
@@ -953,17 +1062,17 @@ class TestDealtTargets:
         placebo_target = evaluate._placebo_target
         here = []
 
-        def counting_target(iteration, target_id, *args):
+        def counting_target(iteration, targets, target_ids, *args):
             if os.getpid() == parent:
-                here.append(target_id)
-            return placebo_target(iteration, target_id, *args)
+                here.extend(target_ids)
+            return placebo_target(iteration, targets, target_ids, *args)
 
         monkeypatch.setattr(evaluate, "_placebo_target", counting_target)
         use_cpus(monkeypatch, cpus)
         report = leave_one_out_placebo(small_dataset(seed=63), 0.4, standard_design(), 64)
         target_ids = list(dict.fromkeys(r.target_id for r in report.rows))
         assert len(target_ids) == 8
-        # share 0 is targets 0, cpus, 2 * cpus, ...: ceil(8 / cpus) calls
+        # share 0 is targets 0, cpus, 2 * cpus, ...: ceil(8 / cpus) targets
         assert here == target_ids[::cpus]
         assert len(here) == math.ceil(8 / cpus)
         assert_no_children()

@@ -263,6 +263,8 @@ class TestSelectRank:
                      "energy threshold must be in (0, 1], got nan", id="threshold-nan"),
         pytest.param({"kind": "energy"}, "energy threshold must be in (0, 1], got None",
                      id="threshold-missing"),
+        pytest.param({"kind": "energy", "threshold": True},
+                     "energy threshold must be in (0, 1], got True", id="bool-threshold"),
         pytest.param({"kind": "fixed", "r": -2},
                      "fixed rank must be a positive integer, got -2", id="negative-r"),
         pytest.param({"kind": "fixed", "r": 2.5},

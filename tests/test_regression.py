@@ -390,6 +390,19 @@ class TestValidation:
         with pytest.raises(InvalidInputError):
             fit(np.eye(2), np.array([1.0, np.inf]), RegressionSpec("ols"))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        pytest.param({"lam": "0.1"}, "lam must be a number, got '0.1'", id="text-lam"),
+        pytest.param({"lam": None}, "lam must be a number, got None", id="none-lam"),
+        pytest.param({"lam": True}, "lam must be a number, got True", id="bool-lam"),
+        pytest.param({"lasso_tol": True}, "lasso_tol must be a number, got True", id="bool-tol"),
+    ])
+    def test_params_must_be_numbers(self, kwargs, message):
+        # numpy's isfinite would raise a raw TypeError for text or None, and
+        # take a bool for a number
+        method = "lasso" if "lasso_tol" in kwargs else "ridge"
+        with pytest.raises(InvalidParamsError, match=f"^{message}$"):
+            RegressionSpec(method, **kwargs)
+
     def test_bad_params(self):
         with pytest.raises(InvalidParamsError):
             RegressionSpec("banana")
