@@ -9,12 +9,15 @@ its own generator with the rule of Generator.choice; the seeding guard
 diagnoses k above the distinct points), then advances them in lockstep too,
 one cdist call per Lloyd round over the centers of every run still moving;
 each run makes the same draws, breaks ties the same way, ends where it would
-alone and raises what it would alone. k is a positive integer or "auto", which
-chooses k by mean silhouette over AUTO_K_RANGE; validate_k owns that rule for
-every caller, the placebo design and the CLI's --k too. A target enters the
-picture only later: its series is projected onto the same right singular basis
-and sent to the nearest center, whose cluster becomes its donor pool
-(nearest_cluster).
+alone and raises what it would alone. The inner kernels keep numpy's bits in
+a faster order: the seeding distances are squared one coordinate at a time
+and summed the way numpy sums a row, and the Lloyd center sums add each
+cluster's members in point order with the runs interleaved. k is a positive
+integer or "auto", which chooses k by mean silhouette over AUTO_K_RANGE;
+validate_k owns that rule for every caller, the placebo design and the CLI's
+--k too. A target enters the picture only later: its series is projected
+onto the same right singular basis and sent to the nearest center, whose
+cluster becomes its donor pool (nearest_cluster).
 
 scipy loads at the first clustering call, through _scipy, so code that never
 clusters (simulating, spectra, the gap check) never pays for its import.
@@ -85,11 +88,36 @@ def _check_distinct(points: np.ndarray, k: int) -> None:
         raise DegenerateInputError(f"k={k} exceeds the {distinct} distinct point(s)")
 
 
-def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances (runs, m) from the points to one center per run,
-    centers (runs, 1, r), squared in place to keep one (runs, m, r) buffer."""
-    diff = points - centers
-    return np.square(diff, out=diff).sum(axis=2)
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """terms (n, ...) summed over the first axis, bit-equal to numpy's sum of
+    each length-n row: in order below 8 terms, as 8 running sums folded
+    pairwise up to 128, and as the sums of two halves, split at a multiple
+    of 8, above that. Overwrites terms."""
+    n = terms.shape[0]
+    if n < 8:
+        return terms.sum(axis=0)  # over the outer axis numpy adds in order
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(terms[:half]) + _row_sums(terms[half:])
+    acc = terms[:8]
+    tail = n - n % 8
+    for i in range(8, tail, 8):
+        acc += terms[i : i + 8]
+    acc = acc[0::2] + acc[1::2]
+    total = (acc[0] + acc[1]) + (acc[2] + acc[3])
+    for i in range(tail, n):
+        total += terms[i]
+    return total
+
+
+def _squared_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Squared distances (runs, m) from the points, given as columns (r, m),
+    to one center per run, centers (runs, r), bit-equal to
+    ((points - center) ** 2).sum(axis=1): the squares are formed one
+    coordinate at a time, (r, runs, m), and summed as numpy sums a row."""
+    # in C order, so each coordinate's squares are one contiguous block
+    squares = np.subtract(columns[:, None, :], centers.T[:, :, None], order="C")
+    return _row_sums(np.square(squares, out=squares))
 
 
 @np.errstate(over="ignore")  # the guard below diagnoses an overflowing total
@@ -115,9 +143,12 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     first = [int(rng.integers(m)) for rng in rngs]
     centers = np.empty((len(rngs), k, points.shape[1]))
     centers[:, 0] = points[first]
-    d2 = _squared_distances(points, centers[:, :1])
+    columns = np.ascontiguousarray(points.T)
     failure = None
     for j in range(1, k):
+        # each point's squared distance to the nearest center drawn so far
+        latest = _squared_distances(columns, centers[:, j - 1])
+        d2 = latest if j == 1 else np.minimum(d2, latest, out=latest)
         total = d2.sum(axis=1)
         bad = np.flatnonzero(~((0.0 < total) & (total < np.inf)))
         if bad.size:
@@ -131,7 +162,6 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
         u = np.array([rng.random() for rng in rngs])
         idx = np.count_nonzero(cdf <= u[:, None], axis=1)
         centers[:, j] = points[idx]
-        d2 = np.minimum(d2, _squared_distances(points, centers[:, j : j + 1]))
     if failure is not None:
         _check_distinct(points, k)
         j, total = failure
@@ -159,21 +189,24 @@ def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
     return _draw_centers(points, k, [np.random.default_rng(rng)])[0]
 
 
-def _center_means(points, columns, labels, counts) -> np.ndarray:
+def _center_means(points, weights, labels, counts) -> np.ndarray:
     """Member means of every run's clusters, (runs, k, r), bit-equal to
     points[labels[run] == c].mean(axis=0).
 
-    columns holds each coordinate of the points repeated once per run. A
-    bincount adds each cluster's members in point order, as numpy's
-    reduction over rows does. A single column is summed pairwise by numpy,
-    so at r = 1 only .mean itself gives the same bits.
+    weights (r, m, runs) holds each coordinate of the points once per run,
+    the run index varying fastest. One bincount per coordinate walks the
+    points in order, so each cluster adds its members in point order, as
+    numpy's reduction over rows does, while consecutive adds land in
+    different runs' bins and need not wait on each other. A single column
+    is summed pairwise by numpy, so at r = 1 only .mean itself gives the
+    same bits.
     """
     runs, k = counts.shape
     if points.shape[1] == 1:
         return np.array([[points[run == c].mean(axis=0) for c in range(k)] for run in labels])
-    bins = (labels + k * np.arange(runs)[:, None]).ravel()
-    sums = [np.bincount(bins, weights=col[: bins.size], minlength=runs * k) for col in columns]
-    return np.stack(sums, axis=-1).reshape(runs, k, -1) / counts[:, :, None]
+    bins = (labels.T + k * np.arange(runs)).ravel()
+    sums = [np.bincount(bins, weights=col.ravel(), minlength=runs * k) for col in weights]
+    return np.array(sums).T.reshape(runs, k, -1) / counts[:, :, None]
 
 
 def _nearest_centers(dist2: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -184,11 +217,13 @@ def _nearest_centers(dist2: np.ndarray, centers: np.ndarray) -> np.ndarray:
     only a NaN center gives one (the points are finite), so a run with a
     NaN center sends every point to its first NaN center.
     """
-    best = dist2[0].copy()
+    k = dist2.shape[0]
+    best = dist2[0]
     labels = np.zeros(best.shape, dtype=np.intp)
-    for c in range(1, dist2.shape[0]):
+    for c in range(1, k):
         np.putmask(labels, dist2[c] < best, c)
-        np.minimum(best, dist2[c], out=best)
+        if c < k - 1:
+            best = np.minimum(best, dist2[c])
     nan = np.isnan(centers).any(axis=2)
     for j in np.flatnonzero(nan.any(axis=1)):
         labels[j] = np.argmax(nan[j])
@@ -200,15 +235,19 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
 
     centers is (runs, k, r) and is refined in place. Each round makes one
     cdist call over the centers of every run still moving; a run is frozen
-    once its labels repeat. Every run ends exactly as lloyd alone would
-    leave it. Returns 0-based labels (runs, m) and the runs' inertias.
+    once its labels repeat. The moving runs' new centers come from
+    _center_means, whose point-major weights are rebuilt for the runs still
+    moving only when a run freezes. Every run ends exactly as lloyd alone
+    would leave it. Returns 0-based labels (runs, m) and the runs'
+    inertias.
     """
     cdist = _scipy("spatial.distance", "cdist")
     m, r = points.shape
     runs, k = centers.shape[:2]
     labels = np.full((runs, m), -1)
     active = np.arange(runs)
-    columns = np.tile(points.T, runs)
+    columns = np.ascontiguousarray(points.T)
+    weights = np.repeat(columns[:, :, None], runs, axis=2)
     for _ in range(LLOYD_MAX_ITER):
         a = active.size
         moving_centers = centers[active]
@@ -219,23 +258,28 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
         new = _nearest_centers(dist2, moving_centers)
         bins = (new + k * np.arange(a)[:, None]).ravel()
         counts = np.bincount(bins, minlength=a * k).reshape(a, k)
-        for j in np.flatnonzero((counts == 0).any(axis=1)):
-            own = dist2[new[j], j, np.arange(m)]
-            for c in np.flatnonzero(counts[j] == 0):
-                far = int(np.argmax(own))
-                centers[active[j], c] = points[far]
-                counts[j, new[j, far]] -= 1
-                counts[j, c] += 1
-                new[j, far] = c
-                own[far] = -1.0  # not reusable for another empty cluster
+        if not counts.all():
+            for j in np.flatnonzero((counts == 0).any(axis=1)):
+                own = dist2[new[j], j, np.arange(m)]
+                for c in np.flatnonzero(counts[j] == 0):
+                    far = int(np.argmax(own))
+                    centers[active[j], c] = points[far]
+                    counts[j, new[j, far]] -= 1
+                    counts[j, c] += 1
+                    new[j, far] = c
+                    own[far] = -1.0  # not reusable for another empty cluster
         moving = (new != labels[active]).any(axis=1)
-        active, new = active[moving], new[moving]
-        if not active.size:
-            break
+        if not moving.all():
+            if not moving.any():
+                break
+            active, new, counts = active[moving], new[moving], counts[moving]
+            weights = np.repeat(columns[:, :, None], active.size, axis=2)
         labels[active] = new
-        centers[active] = _center_means(points, columns, new, counts[moving])
+        centers[active] = _center_means(points, weights, new, counts)
     # one reduction over each run's m * r residuals, as .sum() of each alone
-    residuals = centers[np.arange(runs)[:, None], labels]
+    # (np.take gathers the rows about twice as fast as fancy indexing)
+    rows = labels + k * np.arange(runs)[:, None]
+    residuals = np.take(centers.reshape(runs * k, r), rows, axis=0)
     np.subtract(points, residuals, out=residuals)
     with np.errstate(over="ignore"):  # the report refuses an infinite inertia
         inertias = np.square(residuals, out=residuals).reshape(runs, -1).sum(axis=1).tolist()

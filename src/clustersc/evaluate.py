@@ -20,11 +20,12 @@ chunk's pools of one variant that share a shape are stacked along a leading
 axis, so each step, the MSEs and the selection scores run once per stack,
 not once per pool; every number is the one the target gets alone, bit for
 bit. A chunk that raises is fitted again one target at a time, so the
-error raised is the first in target order. The harnesses keep the rest: which units are targets, which reference the errors
-are measured against, where the target's cluster comes from (a fresh
-clustering of each donor pool, the dataset's pool model with the target
-removed, or the split iteration's donor model), and, for the split harness,
-the per-iteration aggregates.
+error raised is the first in target order. The harnesses keep the rest:
+which units are targets, which reference the errors are measured against,
+where the target's cluster comes from (a fresh clustering of each donor
+pool, the dataset's pool model with the target removed, or the split
+iteration's donor model), and, for the split harness, the per-iteration
+aggregates.
 
 What the harnesses share between targets follows from where the pools come
 from. In a leave-one-out run every target removes itself from the pool, so

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
 import clustersc.cluster as cluster_module
@@ -563,6 +565,22 @@ class TestLockstepMatchesSerialOracle:
         assert oracle.reseeds > 100
         assert raised > 20
 
+    # numpy sums a row in order below 8 coordinates, by an 8-way pairwise
+    # tree from 8 to 128 and by splitting it in two above that; the seeding
+    # kernel emulates all three, so the draws must not move at any of them
+    @pytest.mark.parametrize("r", [7, 8, 9, 16, 17, 130])
+    def test_best_lloyd_wide_embeddings(self, r):
+        oracle = SerialOracle()
+        rng = np.random.default_rng(1000 + r)
+        for case in range(50):
+            points = oracle_points(rng, int(rng.integers(2, 41)), r)
+            seed = int(rng.integers(2**32))
+            k = int(rng.integers(1, min(8, len(points)) + 1))
+            restarts = int(rng.choice([1, 3, 10]))
+            want = outcome(lambda: oracle.best_lloyd(points, k, restarts, np.random.default_rng(seed)))
+            got = outcome(lambda: best_lloyd(points, k, restarts, np.random.default_rng(seed)))
+            assert got == want, f"case {case}"
+
     def test_round_cap(self, monkeypatch):
         oracle = SerialOracle()
         rng = np.random.default_rng(829)
@@ -574,6 +592,58 @@ class TestLockstepMatchesSerialOracle:
             got = outcome(lambda: best_lloyd(points, k, 5, np.random.default_rng(seed)))
             assert got == want, f"case {case}"
         assert oracle.capped > 300
+
+
+def signed_points(rng, m, r, scale):
+    """Gaussian points at scale with about a fifth of the coordinates set to
+    0.0 or -0.0."""
+    points = rng.normal(size=(m, r)) * scale
+    zeros = rng.random(size=(m, r)) < 0.2
+    points[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return points
+
+
+class TestKernelsMatchNumpy:
+    """The k-means kernels against the numpy expressions they replace, bit
+    for bit, across numpy's three ways of summing a row (r = 1..140), signed
+    zeros and magnitudes near 1e+-150."""
+
+    @given(
+        m=st.integers(1, 30),
+        r=st.integers(1, 140),
+        runs=st.integers(1, 4),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    def test_squared_distances(self, m, r, runs, scale, seed):
+        rng = np.random.default_rng(seed)
+        points = signed_points(rng, m, r, scale)
+        centers = np.vstack([points[rng.integers(m, size=runs)], signed_points(rng, runs, r, scale)])
+        got = cluster_module._squared_distances(np.ascontiguousarray(points.T), centers)
+        want = np.stack([((points - c) ** 2).sum(axis=-1) for c in centers])
+        assert got.tobytes() == want.tobytes()
+
+    @given(
+        m=st.integers(1, 30),
+        r=st.integers(1, 140),
+        runs=st.integers(1, 4),
+        k=st.integers(1, 5),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    def test_center_means(self, m, r, runs, k, scale, seed):
+        rng = np.random.default_rng(seed)
+        k = min(k, m)
+        points = signed_points(rng, m, r, scale)
+        # every cluster keeps a member, as Lloyd's reseeding ensures
+        labels = np.stack([rng.permutation(np.resize(np.arange(k), m)) for _ in range(runs)])
+        counts = np.stack([np.bincount(run, minlength=k) for run in labels])
+        weights = np.repeat(points.T[:, :, None], runs, axis=2)
+        got = cluster_module._center_means(points, weights, labels, counts)
+        want = np.array([[points[run == c].mean(axis=0) for c in range(k)] for run in labels])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSilhouette:
