@@ -38,6 +38,8 @@ import tempfile
 from pathlib import Path
 from time import perf_counter_ns
 
+import numpy as np
+
 from bench_pairs import ROOT, export_commit, git
 
 LOO_UNITS = 399  # a 200 + 200 panel less the target
@@ -65,10 +67,8 @@ def load_package(alias: str, source: Path):
     return package
 
 
-def embeddings(pkg) -> dict[str, "np.ndarray"]:
+def embeddings(pkg) -> dict[str, np.ndarray]:
     """The two workload-shaped embeddings, built with one side's package."""
-    import numpy as np
-
     datagen = importlib.import_module(f"{pkg.__name__}.datagen")
     linalg = importlib.import_module(f"{pkg.__name__}.linalg")
     data = datagen.gen_dataset(datagen.GROUP_A_SPEC, datagen.GROUP_B_SPEC, 200, 200, 10, 8,
@@ -87,7 +87,6 @@ def embeddings(pkg) -> dict[str, "np.ndarray"]:
 def layer_calls(cluster, points, k: int, seeds, dists):
     """The three timed calls of one side on one case, each as (prepare, call):
     prepare builds the arguments outside the timing."""
-    import numpy as np
 
     def rngs():
         return [np.random.default_rng(int(s)) for s in seeds]
@@ -104,13 +103,10 @@ def layer_calls(cluster, points, k: int, seeds, dists):
 
 
 def as_bytes(value) -> bytes:
-    import numpy as np
-
+    """A call's result as bytes: arrays by their buffer, anything else by repr."""
     if isinstance(value, tuple):
         return b"|".join(as_bytes(v) for v in value)
-    if isinstance(value, list):
-        return repr(value).encode()
-    return np.asarray(value).tobytes() if not isinstance(value, float) else repr(value).encode()
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
 
 
 def quartiles(values: list[float]) -> dict:
@@ -149,8 +145,6 @@ def main(argv=None) -> int:
                 "change": load_package("change_clustersc", ROOT / "src" / "clustersc")}
         sides = {side: importlib.import_module(f"{pkg.__name__}.cluster")
                  for side, pkg in pkgs.items()}
-        import numpy as np
-
         restarts = sides["change"].KMEANS_RESTARTS
         seeds = np.random.default_rng(DATA_SEED).integers(0, 2**63 - 1, size=restarts)
         cdist = sides["change"]._scipy("spatial.distance", "cdist")
