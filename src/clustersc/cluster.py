@@ -9,9 +9,9 @@ its own generator with the rule of Generator.choice; the seeding guard
 diagnoses k above the distinct points), then advances them in lockstep too,
 one cdist call per Lloyd round over the centers of every run still moving;
 each run makes the same draws, breaks ties the same way, ends where it would
-alone and raises what it would alone. The inner kernels keep numpy's bits in
-a faster order: the seeding distances are squared one coordinate at a time
-and summed the way numpy sums a row, and the Lloyd center sums add each
+alone and raises what it would alone. Seeding and Lloyd read their squared
+distances from the same cdist call, once per center step or round over every
+run; the Lloyd center sums keep numpy's bits in a faster order, adding each
 cluster's members in point order with the runs interleaved. k is a positive
 integer or "auto", which chooses k by mean silhouette over AUTO_K_RANGE;
 validate_k owns that rule for every caller, the placebo design and the CLI's
@@ -88,38 +88,6 @@ def _check_distinct(points: np.ndarray, k: int) -> None:
         raise DegenerateInputError(f"k={k} exceeds the {distinct} distinct point(s)")
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
-    """terms (n, ...) summed over the first axis, bit-equal to numpy's sum of
-    each length-n row: in order below 8 terms, as 8 running sums folded
-    pairwise up to 128, and as the sums of two halves, split at a multiple
-    of 8, above that. Overwrites terms."""
-    n = terms.shape[0]
-    if n < 8:
-        return terms.sum(axis=0)  # over the outer axis numpy adds in order
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(terms[:half]) + _row_sums(terms[half:])
-    acc = terms[:8]
-    tail = n - n % 8
-    for i in range(8, tail, 8):
-        acc += terms[i : i + 8]
-    acc = acc[0::2] + acc[1::2]
-    total = (acc[0] + acc[1]) + (acc[2] + acc[3])
-    for i in range(tail, n):
-        total += terms[i]
-    return total
-
-
-def _squared_distances(columns: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Squared distances (runs, m) from the points, given as columns (r, m),
-    to one center per run, centers (runs, r), bit-equal to
-    ((points - center) ** 2).sum(axis=1): the squares are formed one
-    coordinate at a time, (r, runs, m), and summed as numpy sums a row."""
-    # in C order, so each coordinate's squares are one contiguous block
-    squares = np.subtract(columns[:, None, :], centers.T[:, :, None], order="C")
-    return _row_sums(np.square(squares, out=squares))
-
-
 @np.errstate(over="ignore")  # the guard below diagnoses an overflowing total
 def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     """The D^2 draws of kmeans_pp_init, one restart per generator in rngs,
@@ -129,7 +97,9 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     random() per further center, u, taking the index that
     Generator.choice(m, p=d2 / total) takes with that draw: the count of
     cdf <= u, where cdf is the cumulative sum of p divided by its last
-    entry. The guard 0 < total < inf implies the checks choice makes on p
+    entry. d2 holds each point's least cdist squared distance to the
+    centers drawn so far, exactly 0 at a chosen point and its duplicates.
+    The guard 0 < total < inf implies the checks choice makes on p
     (no entry below 0, a sum within sqrt(eps) of 1), since d2 >= 0. A
     restart that fails the guard would have raised before the restarts
     after it were seeded, so those are dropped and the error raised at the
@@ -139,15 +109,15 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     """
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
+    cdist = _scipy("spatial.distance", "cdist")
     m = points.shape[0]
     first = [int(rng.integers(m)) for rng in rngs]
     centers = np.empty((len(rngs), k, points.shape[1]))
     centers[:, 0] = points[first]
-    columns = np.ascontiguousarray(points.T)
     failure = None
     for j in range(1, k):
         # each point's squared distance to the nearest center drawn so far
-        latest = _squared_distances(columns, centers[:, j - 1])
+        latest = cdist(centers[:, j - 1], points, "sqeuclidean")
         d2 = latest if j == 1 else np.minimum(d2, latest, out=latest)
         total = d2.sum(axis=1)
         bad = np.flatnonzero(~((0.0 < total) & (total < np.inf)))
@@ -178,9 +148,11 @@ def kmeans_pp_init(points, k: int, rng) -> np.ndarray:
     probability proportional to its squared distance from the chosen ones.
 
     The draw is that of Generator.choice(m, p=d2 / d2.sum()), one random()
-    per center after the first. It never lands on a chosen point: a point
-    of weight 0 adds exactly 0 to the cumulative sum, so the cdf does not
-    rise there, and the index drawn is always one where it rises.
+    per center after the first, where d2 holds each point's least squared
+    distance to the chosen centers as scipy's cdist computes it. It never
+    lands on a chosen point: a point of weight 0 adds exactly 0 to the
+    cumulative sum, so the cdf does not rise there, and the index drawn is
+    always one where it rises.
 
     DegenerateInputError when k exceeds the distinct points, or when the
     squared distances of distinct points underflow to 0 or overflow.

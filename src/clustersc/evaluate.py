@@ -134,7 +134,8 @@ def _mean_squares(diff) -> np.ndarray:
     alone makes, so a stack changes no bit.
     """
     row = diff[..., None, :]
-    return (row @ row.swapaxes(-1, -2))[..., 0, 0] / diff.shape[-1]
+    with np.errstate(over="ignore"):  # the report refuses an infinite mean square
+        return (row @ row.swapaxes(-1, -2))[..., 0, 0] / diff.shape[-1]
 
 
 def pairwise_improvement(post_mse_full: float, post_mse_cluster: float) -> float:
@@ -577,9 +578,9 @@ def leave_one_out_placebo(
     panel = dataset.panel
     t0 = panel.split.t0
     values = panel.values
-    labels = np.asarray(dataset.group_labels)
-    a_rows = [i for i, g in enumerate(labels) if g == "A"]
-    if not a_rows:
+    in_a = np.asarray(dataset.group_labels) == "A"  # every target is a group-A unit
+    a_rows = np.flatnonzero(in_a)
+    if not a_rows.size:
         raise InvalidInputError("dataset has no group-A units to target")
 
     n_targets = max(1, int(round(target_fraction * len(a_rows))))
@@ -589,7 +590,6 @@ def leave_one_out_placebo(
     if cluster_mode == "per_dataset":
         pool_model = _fit_pool_model(design, panel.pre, rng)
 
-    in_a = labels == "A"  # every target is a group-A unit
     donor_row = np.arange(values.shape[0] - 1)
 
     def cluster_source(i, seed):

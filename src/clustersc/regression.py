@@ -133,20 +133,28 @@ def fit(design, target, spec: RegressionSpec, donor_ids=None) -> WeightVector:
     When spec.fits_stacks, design and target may also carry a leading stack
     axis: a stack of designs (B, T0, n) with one target each (B, T0), or one
     design with a stack of targets. The stack is checked once and solved in
-    one call, and the weights hold one row per target.
+    one call, and the weights hold one row per target. A lasso fit whose
+    duality gap is not finite, since its products overflowed, raises
+    InvalidInputError instead of returning uncertified weights.
     """
     design, target, donor_ids = _validate(design, target, donor_ids, spec.fits_stacks)
-    if spec.method == "ols":
-        values = np.linalg.lstsq(design, target, rcond=None)[0]
-    elif spec.method == "ridge":
-        values = _ridge(design, target, spec.lam)
-    else:
+    # products that overflow leave non-finite numbers, which the report
+    # refuses for OLS and ridge and the lasso's own check refuses below
+    with np.errstate(over="ignore", invalid="ignore"):
+        if spec.method == "ols":
+            return WeightVector(np.linalg.lstsq(design, target, rcond=None)[0], donor_ids)
+        if spec.method == "ridge":
+            return WeightVector(_ridge(design, target, spec.lam), donor_ids)
         values, gap = _lasso_lars(design, target, spec.lam)
         zero_objective = float(target @ target) / (2 * design.shape[0])
-        return WeightVector(
-            values, donor_ids, converged=gap <= spec.lasso_tol * zero_objective, gap=gap
+    if not np.isfinite(gap):
+        raise InvalidInputError(
+            f"the lasso duality gap is {gap}: the path's products overflow "
+            f"on this {design.shape[0]} x {design.shape[1]} design and its target"
         )
-    return WeightVector(values=values, donor_ids=donor_ids)
+    return WeightVector(
+        values, donor_ids, converged=gap <= spec.lasso_tol * zero_objective, gap=gap
+    )
 
 
 def fit_stack(design, target, spec: RegressionSpec, donor_ids=None) -> WeightVector:
@@ -182,11 +190,10 @@ def _ridge(design, target, lam):
     t0, n = design.shape[-2:]
     design_t = design.swapaxes(-1, -2)
     target = target[..., None]
-    with np.errstate(over="ignore"):  # the report refuses the non-finite weights
-        if n <= t0:
-            return np.linalg.solve(design_t @ design + lam * np.eye(n), design_t @ target)[..., 0]
-        # dual form: the same solution from a T0 x T0 system when donors outnumber periods
-        return (design_t @ np.linalg.solve(design @ design_t + lam * np.eye(t0), target))[..., 0]
+    if n <= t0:
+        return np.linalg.solve(design_t @ design + lam * np.eye(n), design_t @ target)[..., 0]
+    # dual form: the same solution from a T0 x T0 system when donors outnumber periods
+    return (design_t @ np.linalg.solve(design @ design_t + lam * np.eye(t0), target))[..., 0]
 
 
 def _path_step_bound(t0, n):

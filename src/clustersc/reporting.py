@@ -206,15 +206,6 @@ def _scalar_encoder(depth: int):
                           True, False, False)
 
 
-def _key(key) -> str:
-    """A dict key as json writes it: a number, bool or None becomes its JSON text."""
-    if not isinstance(key, str):
-        if not isinstance(key, (int, float)) and key is not None:
-            raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
-        key = "".join(_scalar_encoder(0)(key, 0))
-    return encode_basestring_ascii(key)
-
-
 def _encode(obj, depth: int) -> str:
     """obj as json.dumps(obj, default=_json_default, sort_keys=True, indent=2,
     allow_nan=False) writes it at depth."""
@@ -233,7 +224,8 @@ def _encode(obj, depth: int) -> str:
         # the encoder cannot indent: open and close the items on their own lines
         return text if len(text) == 2 else text[0] + inner + text[1:-1] + outer + text[-1]
     if isinstance(obj, dict):
-        items = [_key(key) + ": " + _encode(value, depth + 1) for key, value in sorted(obj.items())]
+        # a key that is not a str raises TypeError here, and json.dumps takes over
+        items = [encode_basestring_ascii(k) + ": " + _encode(v, depth + 1) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + outer + "}"
     items = [_encode(value, depth + 1) for value in obj]
     return "[" + inner + ("," + inner).join(items) + outer + "]"

@@ -45,11 +45,12 @@ def run(*argv):
     return main(list(argv))
 
 
-def run_fresh(*argv):
-    """`python -m clustersc argv` in a fresh interpreter, output captured."""
+def run_fresh(*argv, **env):
+    """`python -m clustersc argv` in a fresh interpreter, output captured,
+    with env added to its environment."""
     return subprocess.run(
         [sys.executable, "-m", "clustersc", *argv], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)},
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent), **env},
     )
 
 
@@ -315,6 +316,33 @@ class TestExitCodes:
         done = run_fresh(*argv, "--seed", "3", "--out", str(out))
         assert done.returncode == 1
         assert f"cannot write {out / stem}.json: Out of range float" in done.stderr
+        assert "RuntimeWarning" not in done.stderr
+        assert not [path for path in out.rglob("*") if path.is_file()]
+
+    @pytest.mark.parametrize("argv, diagnosis", [
+        pytest.param(["--na", "4", "--nb", "4", "--method", "ols"], "for D^2 seeding", id="ols"),
+        pytest.param(["--na", "4", "--nb", "4", "--method", "ridge"], "for D^2 seeding",
+                     id="ridge-primal"),
+        pytest.param(["--na", "100", "--nb", "100", "--method", "ridge"], "for D^2 seeding",
+                     id="ridge-dual"),
+        pytest.param(["--na", "4", "--nb", "4", "--method", "lasso"], "lasso duality gap is nan",
+                     id="lasso"),
+        pytest.param(["--na", "6", "--nb", "6", "--k", "1", "--method", "lasso"],
+                     "lasso duality gap is nan", id="lasso-k1"),
+    ])
+    def test_overflowing_fits_warn_nothing(self, argv, diagnosis, tmp_path):
+        # the sc_full fits' products overflow before the clustering or the
+        # lasso's own check diagnoses the data; numpy's warnings must not
+        # precede that, and the lasso must not report zero weights instead.
+        # Under OpenBLAS's Prescott kernel the dual ridge form's overflowing
+        # Gram entries come out NaN (inf under SkylakeX), so its products
+        # raise "invalid" too; other BLAS builds ignore the variable
+        out = tmp_path / "out"
+        done = run_fresh("placebo-synthetic", *argv, "--datasets", "1",
+                         "--noise", "uniform:1e300", "--seed", "1", "--out", str(out),
+                         OPENBLAS_CORETYPE="Prescott")
+        assert done.returncode == 1
+        assert diagnosis in done.stderr
         assert "RuntimeWarning" not in done.stderr
         assert not [path for path in out.rglob("*") if path.is_file()]
 

@@ -258,6 +258,15 @@ def oracle_points(rng, m, r):
     return points
 
 
+def signed_points(rng, m, r, scale):
+    """Gaussian points at scale with about a fifth of the coordinates set to
+    0.0 or -0.0."""
+    points = rng.normal(size=(m, r)) * scale
+    zeros = rng.random(size=(m, r)) < 0.2
+    points[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+    return points
+
+
 def two_blobs(rng, m_per=10, sep=10.0, spread=0.2, d=2):
     a = rng.normal(scale=spread, size=(m_per, d))
     b = rng.normal(scale=spread, size=(m_per, d)) + sep
@@ -565,9 +574,10 @@ class TestLockstepMatchesSerialOracle:
         assert oracle.reseeds > 100
         assert raised > 20
 
-    # numpy sums a row in order below 8 coordinates, by an 8-way pairwise
-    # tree from 8 to 128 and by splitting it in two above that; the seeding
-    # kernel emulates all three, so the draws must not move at any of them
+    # the oracle's numpy sums a row in order below 8 coordinates, by an
+    # 8-way pairwise tree from 8 to 128 and by splitting it in two above
+    # that, while seeding reads cdist's squared distances; the draws must
+    # not move at any of the three
     @pytest.mark.parametrize("r", [7, 8, 9, 16, 17, 130])
     def test_best_lloyd_wide_embeddings(self, r):
         oracle = SerialOracle()
@@ -580,6 +590,28 @@ class TestLockstepMatchesSerialOracle:
             want = outcome(lambda: oracle.best_lloyd(points, k, restarts, np.random.default_rng(seed)))
             got = outcome(lambda: best_lloyd(points, k, restarts, np.random.default_rng(seed)))
             assert got == want, f"case {case}"
+
+    # the draws alone, and through best_lloyd, at every width numpy's
+    # row sums take, with signed zeros and magnitudes near 1e+-150
+    @given(
+        m=st.integers(1, 30),
+        r=st.integers(1, 140),
+        k=st.integers(1, 6),
+        restarts=st.integers(1, 4),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    def test_draws_across_widths_and_scales(self, m, r, k, restarts, scale, seed):
+        oracle = SerialOracle()
+        points = signed_points(np.random.default_rng(seed), m, r, scale)
+        for child in np.random.default_rng(seed).integers(0, 2**63 - 1, size=restarts):
+            want = outcome(lambda: (oracle.kmeans_pp_init(points, k, int(child)),))
+            got = outcome(lambda: (kmeans_pp_init(points, k, int(child)),))
+            assert got == want
+        want = outcome(lambda: oracle.best_lloyd(points, k, restarts, seed))
+        got = outcome(lambda: best_lloyd(points, k, restarts, seed))
+        assert got == want
 
     def test_round_cap(self, monkeypatch):
         oracle = SerialOracle()
@@ -594,35 +626,10 @@ class TestLockstepMatchesSerialOracle:
         assert oracle.capped > 300
 
 
-def signed_points(rng, m, r, scale):
-    """Gaussian points at scale with about a fifth of the coordinates set to
-    0.0 or -0.0."""
-    points = rng.normal(size=(m, r)) * scale
-    zeros = rng.random(size=(m, r)) < 0.2
-    points[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
-    return points
-
-
 class TestKernelsMatchNumpy:
-    """The k-means kernels against the numpy expressions they replace, bit
+    """The Lloyd center sums against the numpy expression they replace, bit
     for bit, across numpy's three ways of summing a row (r = 1..140), signed
     zeros and magnitudes near 1e+-150."""
-
-    @given(
-        m=st.integers(1, 30),
-        r=st.integers(1, 140),
-        runs=st.integers(1, 4),
-        scale=st.sampled_from([1e-150, 1.0, 1e150]),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-    def test_squared_distances(self, m, r, runs, scale, seed):
-        rng = np.random.default_rng(seed)
-        points = signed_points(rng, m, r, scale)
-        centers = np.vstack([points[rng.integers(m, size=runs)], signed_points(rng, runs, r, scale)])
-        got = cluster_module._squared_distances(np.ascontiguousarray(points.T), centers)
-        want = np.stack([((points - c) ** 2).sum(axis=-1) for c in centers])
-        assert got.tobytes() == want.tobytes()
 
     @given(
         m=st.integers(1, 30),

@@ -14,6 +14,8 @@ formula.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -320,6 +322,17 @@ class TestLassoCertificate:
             assert w.gap is None and w.converged
         w = fit(design, y, RegressionSpec("lasso", lam=0.1))
         assert w.gap is not None and w.gap <= 1e-12
+
+    def test_overflowing_products_are_refused(self):
+        # entries near 1e300 overflow X'y and the gap's norms to inf and nan;
+        # the fit used to return all-zero weights with gap nan, silently
+        rng = np.random.default_rng(191)
+        design = rng.uniform(-1e300, 1e300, size=(8, 11))
+        y = rng.uniform(-1e300, 1e300, size=8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(InvalidInputError, match="lasso duality gap is nan"):
+                fit(design, y, RegressionSpec("lasso", lam=0.01))
 
     def test_converged_is_gap_within_tolerance(self):
         # the tolerance is relative to (y'y) / (2 T0), so the same problem in
