@@ -43,11 +43,12 @@ per extra CPU fits its share in chunks and sends the rows back through a
 pipe, and the parent puts every target's rows back in target order. After
 any failure every target runs again here, in order and in chunks, so the
 report is the same for any CPU count and the error raised is the one a
-serial run raises first.
-With one CPU or one target, without os.fork or os.sched_getaffinity, or
-while another Python thread runs, the same loop runs in this process alone
-(`taskset -c 0` pins a run to it). The split harness stays in one process:
-its targets share the pools denoised on first use.
+serial run raises first. One function, _deal_over_cpus, owns that protocol
+from the share count to the last reaped child. With one CPU or one target,
+without os.fork or os.sched_getaffinity, or while another Python thread
+runs, the same loop runs in this process alone (`taskset -c 0` pins a run
+to it). The split harness stays in one process: its targets share the pools
+denoised on first use.
 
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
@@ -452,85 +453,68 @@ def _fit_in_chunks(fit_chunk, indices) -> list:
     return results
 
 
-def _share_count(count: int) -> int:
-    """How many processes split count targets: one per CPU, at most one per target.
-
-    fork is safe only while this process runs no other Python thread.
-    """
-    if (
-        count < 2
-        or not hasattr(os, "fork")
-        or not hasattr(os, "sched_getaffinity")
-        or threading.active_count() > 1
-    ):
-        return 1
-    return min(count, len(os.sched_getaffinity(0)))
-
-
-def _fork_share(work, indices):
-    """Run work(indices) in a forked child; returns (pid, read end of its pipe).
-
-    The child writes the pickled list of results to the pipe and leaves through
-    os._exit, so it runs no exit handler and never flushes the stdio buffers
-    it inherited. Its exit status is 0 only when the whole list was written.
-    Raises OSError when no pipe or no child can be made.
-    """
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            results = work(indices)
-            payload = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _collect_share(child) -> list:
-    """The results a forked share sent, else ChildProcessError; reaps the child."""
-    pid, read_fd = child
-    try:
-        with open(read_fd, "rb") as pipe:
-            payload = pipe.read()
-    finally:
-        _, status = os.waitpid(pid, 0)
-    if os.waitstatus_to_exitcode(status) != 0:
-        raise ChildProcessError(f"share child {pid} delivered nothing")
-    return pickle.loads(payload)
-
-
 def _deal_over_cpus(work, count: int) -> list:
     """work(range(count)), with the indices dealt over the CPUs.
 
-    work(indices) returns one result per index, in order, and raises the
-    first error in index order. Index i goes to share i % shares; share 0
-    runs here, every other share in a forked child (see _share_count). If
-    anything fails (a pipe or a child cannot be made, a child delivers
-    nothing, or this process's share raises), the children still running are
-    killed and reaped, and work(range(count)) runs here: its results, or its
-    error, are what the call returns or raises.
+    This one function owns the dealing protocol: it decides the share count,
+    makes each pipe, forks, collects, reaps and kills. work(indices) returns
+    one result per index, in order, and raises the first error in index
+    order. There is one share per CPU in the affinity mask, at most one per
+    index; with a single share (also without os.fork or os.sched_getaffinity,
+    or while another Python thread runs, since fork is safe only without
+    one) work(range(count)) simply runs here.
+
+    Otherwise index i goes to share i % shares. Every share but 0 is forked
+    into a child, which writes the pickled list of its results to its pipe
+    and leaves through os._exit, so it runs no exit handler and never flushes
+    the stdio buffers it inherited; its exit status is 0 only when the whole
+    list was written. Share 0 then runs here, and the children are read in
+    share order, each reaped right after its read. If anything fails (a pipe
+    or a child cannot be made, a child delivers nothing, or this process's
+    share raises), the children still running are killed and reaped, and
+    work(range(count)) runs here: its results, or its error, are what the
+    call returns or raises.
     """
-    shares = _share_count(count)
-    children = []
+    shares = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        shares = min(count, len(os.sched_getaffinity(0)))
+    if shares < 2:
+        return work(range(count))
+    children = []  # (pid, read end of its pipe), in share order
     try:
-        if shares > 1:
-            for share in range(1, shares):
-                children.append(_fork_share(work, range(share, count, shares)))
-            dealt = [work(range(0, count, shares))]
-            while children:
-                dealt.append(_collect_share(children.pop(0)))
-            return [dealt[i % shares][i // shares] for i in range(count)]
+        for share in range(1, shares):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                status = 1
+                try:
+                    os.close(read_fd)
+                    results = work(range(share, count, shares))
+                    payload = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        dealt = [work(range(0, count, shares))]
+        while children:
+            pid, read_fd = children.pop(0)
+            try:
+                with open(read_fd, "rb") as pipe:
+                    payload = pipe.read()
+            finally:
+                _, status = os.waitpid(pid, 0)
+            if os.waitstatus_to_exitcode(status) != 0:
+                raise ChildProcessError(f"share child {pid} delivered nothing")
+            dealt.append(pickle.loads(payload))
+        return [dealt[i % shares][i // shares] for i in range(count)]
     except Exception:
         pass  # one policy for every failure: the serial loop below
     finally:

@@ -10,6 +10,7 @@ grammar and rule_tag writes it. RankRule checks itself, however it is built.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from numbers import Real
 
@@ -196,7 +197,10 @@ def select_rank(sigma, rule: RankRule) -> int:
                 f"fixed rank {rule.r} exceeds spectrum length {sigma.size}"
             )
         return rule.r
-    vals = sigma**2 if rule.squared else sigma
+    # times 2**-e, e being sigma[0]'s exponent, so no sum overflows; a power
+    # of two scales every sum exactly, so the ratios keep their bits
+    vals = np.ldexp(sigma, -math.frexp(sigma[0])[1])
+    vals = vals**2 if rule.squared else vals
     total = vals.sum()
     if total <= 0:
         raise DegenerateSpectrumError("all singular values are zero; energy rule undefined")
@@ -212,7 +216,7 @@ def spectrum_report(x) -> list[tuple[int, float, float]]:
     DegenerateSpectrumError.
     """
     sigma = svd(as_matrix(x)).sigma
-    cum = np.cumsum(sigma)
+    cum = np.cumsum(np.ldexp(sigma, -math.frexp(sigma[0])[1]))  # as in select_rank
     total = cum[-1]
     if total <= 0:
         raise DegenerateSpectrumError("all singular values are zero")

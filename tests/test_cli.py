@@ -329,6 +329,10 @@ class TestExitCodes:
                      id="lasso"),
         pytest.param(["--na", "6", "--nb", "6", "--k", "1", "--method", "lasso"],
                      "lasso duality gap is nan", id="lasso-k1"),
+        # the pools' singular values reach 1e308, so the energy rule's total
+        # overflows unless select_rank scales the spectrum first
+        pytest.param(["--na", "100", "--nb", "100", "--method", "ridge",
+                      "--noise", "uniform:1e307"], "for D^2 seeding", id="ridge-spectrum"),
     ])
     def test_overflowing_fits_warn_nothing(self, argv, diagnosis, tmp_path):
         # the sc_full fits' products overflow before the clustering or the
@@ -336,10 +340,11 @@ class TestExitCodes:
         # precede that, and the lasso must not report zero weights instead.
         # Under OpenBLAS's Prescott kernel the dual ridge form's overflowing
         # Gram entries come out NaN (inf under SkylakeX), so its products
-        # raise "invalid" too; other BLAS builds ignore the variable
+        # raise "invalid" too; other BLAS builds ignore the variable.
+        # A --noise in argv comes after the default and wins
         out = tmp_path / "out"
-        done = run_fresh("placebo-synthetic", *argv, "--datasets", "1",
-                         "--noise", "uniform:1e300", "--seed", "1", "--out", str(out),
+        done = run_fresh("placebo-synthetic", "--noise", "uniform:1e300", *argv,
+                         "--datasets", "1", "--seed", "1", "--out", str(out),
                          OPENBLAS_CORETYPE="Prescott")
         assert done.returncode == 1
         assert diagnosis in done.stderr

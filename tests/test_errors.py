@@ -1,5 +1,9 @@
-"""Every diagnosed error survives pickle, as an error a forked worker sends
-back to its parent must."""
+"""Every diagnosed error survives pickle.
+
+The package sends no error between processes itself: a dealt child that
+raises sends nothing, and its parent fits every target again. Pickle is how
+a caller's multiprocessing or concurrent.futures pool carries an error back
+to its parent, so each error must round-trip through it."""
 
 from __future__ import annotations
 

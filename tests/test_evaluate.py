@@ -961,6 +961,87 @@ class TestDealtTargets:
         stop = chunk.index(target_ids[failing[0]]) + 1
         assert calls[-stop:] == [[t] for t in chunk[:stop]]
 
+    @pytest.mark.parametrize("failing", [(1,), (4,), (4, 5), (7,)],
+                             ids=["first_chunk", "mid_chunk", "two_mid_chunk", "last_chunk"])
+    def test_one_share_fits_each_chunk_once(self, failing, monkeypatch):
+        # with one share nothing is dealt, so a failure does not rerun the
+        # whole call: every chunk up to the failing one is fitted once, then
+        # that chunk again one target at a time, up to its first bad target
+        dataset = small_dataset(seed=63)
+        design = standard_design()
+        use_cpus(monkeypatch, 1)
+        serial = leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
+        target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
+        assert len(target_ids) == 8
+        monkeypatch.setattr(evaluate, "TARGET_CHUNK", 3)
+        calls = []
+        core = failing_core({target_ids[i] for i in failing}, InvalidInputError, calls)
+        monkeypatch.setattr(evaluate, "_placebo_target", core)
+        with pytest.raises(InvalidInputError, match=f"^target {target_ids[failing[0]]} failed$"):
+            leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
+        chunks = [target_ids[start : start + 3] for start in range(0, 8, 3)]
+        last, stop = divmod(failing[0], 3)
+        assert calls == chunks[: last + 1] + [[t] for t in chunks[last][: stop + 1]]
+
+    @pytest.mark.parametrize("path", [
+        "dealt_2", "dealt_4", "no_pipe", "second_fork_fails", "child_delivers_nothing",
+        "interrupt",
+    ])
+    def test_no_descriptor_or_child_outlives_the_call(self, path, monkeypatch):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to list this process's descriptors")
+        dataset = small_dataset(seed=63)
+        design = standard_design()
+        use_cpus(monkeypatch, 1)
+        # a first call also makes every import and load the dealt call needs
+        serial = leave_one_out_placebo(dataset, 0.4, design, 64)
+        target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
+        assert len(target_ids) == 8
+        use_cpus(monkeypatch, 2 if path == "dealt_2" else 4)
+        forks = count_forks(monkeypatch)
+        raises = None
+        if path == "no_pipe":
+            def failing_pipe():
+                raise OSError(errno.EMFILE, "too many open files")
+
+            monkeypatch.setattr(evaluate.os, "pipe", failing_pipe)
+        elif path == "second_fork_fails":
+            counting_fork = evaluate.os.fork
+
+            def fork_once():
+                if forks:
+                    raise BlockingIOError("no process slot")
+                return counting_fork()
+
+            monkeypatch.setattr(evaluate.os, "fork", fork_once)
+        elif path == "child_delivers_nothing":
+            # target 1 is in share 1, a child's; a class made here cannot be
+            # pickled, and the child that meets it exits without its results
+            raises = type("LocalError", (Exception,), {})
+            monkeypatch.setattr(evaluate, "_placebo_target", failing_core({target_ids[1]}, raises))
+        elif path == "interrupt":
+            parent = os.getpid()
+            placebo_target = evaluate._placebo_target
+
+            def interrupted_target(*args):
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                return placebo_target(*args)
+
+            raises = KeyboardInterrupt
+            monkeypatch.setattr(evaluate, "_placebo_target", interrupted_target)
+        before = sorted(os.listdir("/proc/self/fd"))
+        if raises is None:
+            report = leave_one_out_placebo(dataset, 0.4, design, 64)
+            assert asdict(report) == asdict(serial)
+        else:
+            with pytest.raises(raises):
+                leave_one_out_placebo(dataset, 0.4, design, 64)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert_no_children()
+        expected_forks = {"dealt_2": 1, "no_pipe": 0, "second_fork_fails": 1}
+        assert len(forks) == expected_forks.get(path, 3)
+
     def test_chunk_stacks_the_pools_of_one_shape(self, monkeypatch):
         # 8 targets form one chunk: one stack of full pools, and one stack of
         # cluster pools and one of random subsets per cluster size (each target

@@ -318,6 +318,16 @@ class TestSelectRank:
         assert select_rank(sigma, RankRule.energy(0.8)) == 2
         assert select_rank(sigma, RankRule.energy(0.8, squared=True)) == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma, rule", [
+        pytest.param([1e308, 1e308, 1e300], RankRule.energy(0.95), id="plain"),
+        pytest.param([1e200, 1e200, 1e100], RankRule.energy(0.95, squared=True), id="squared"),
+    ])
+    def test_energy_of_an_overflowing_spectrum(self, sigma, rule):
+        # the total overflows unless the spectrum is scaled first; inf / inf
+        # then made every ratio nan and the rank 1
+        assert select_rank(np.array(sigma), rule) == 2
+
     def test_numerical_rank(self):
         assert numerical_rank(np.array([5.0, 1.0, 1e-15])) == 2
         assert numerical_rank(np.zeros(3)) == 0
@@ -356,3 +366,14 @@ class TestSpectrumReport:
     def test_zero_matrix_degenerate(self):
         with pytest.raises(DegenerateSpectrumError):
             spectrum_report(np.zeros((3, 2)))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_spectrum(self):
+        # cumsum overflowed to inf unless the spectrum is scaled first, which
+        # gave the ratios 0, nan, nan
+        rows = spectrum_report(np.diag([1e308, 1e308, 1e300]))
+        assert [r[1] for r in rows] == [1e308, 1e308, 1e300]
+        ratios = [r[2] for r in rows]
+        assert np.all(np.isfinite(ratios))
+        assert ratios[0] == pytest.approx(0.5) and ratios[1] == pytest.approx(1.0)
+        assert ratios[-1] == 1.0
