@@ -79,7 +79,7 @@ from .reporting import (
     write_report,
 )
 
-__all__ = ["OUT_DIR_ENV", "build_parser", "cli_dispatch", "main"]
+__all__ = ["OUT_DIR_ENV", "build_parser", "main"]
 
 OUT_DIR_ENV = "CLUSTERSC_OUT_DIR"
 
@@ -503,7 +503,7 @@ HANDLERS = {
 }
 
 
-# built by the first cli_dispatch call; no call changes it
+# built by the first main call; no call changes it
 _PARSER = None
 # checked after the parse, like --seed, so that a config file may supply them
 _REQUIRED = {"cluster": ("panel", "t0"), "spectrum": ("panel",)}
@@ -526,10 +526,11 @@ def _usage_problem(command: str, args) -> str | None:
     return None
 
 
-def cli_dispatch(argv) -> int:
-    """Parse argv, run the subcommand, and map failures to exit codes."""
+def main(argv=None) -> int:
+    """Parse argv (sys.argv[1:] when None), run the subcommand, and map
+    failures to exit codes."""
     global _PARSER
-    argv = list(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = _PARSER = _PARSER or build_parser()
 
     command = argv[0] if argv and not argv[0].startswith("-") else None
@@ -561,10 +562,6 @@ def cli_dispatch(argv) -> int:
     except (ClusterScError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return 1
-
-
-def main(argv=None) -> int:
-    return cli_dispatch(sys.argv[1:] if argv is None else argv)
 
 
 if __name__ == "__main__":

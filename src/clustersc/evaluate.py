@@ -10,11 +10,11 @@ to compare with). The report records which reference was used.
 
 Both harnesses hand their targets to one placebo core, a chunk of
 TARGET_CHUNK targets at a time. Given each target's donor set, series,
-(pre, post) reference series and cluster source, the core fits the one
-PlaceboDesign: SC on the full pool (sc_full), on the target's cluster
-(cluster_sc) and optionally on a random donor subset of the cluster's size
-(sc_random_subset). It records the skipped cells with their reason and
-builds the placebo rows. Each fit is the engine's steps: sc_denoise the
+reference series and cluster source, each indexed by the target's position
+in the chunk, the core fits the one PlaceboDesign: SC on the full pool
+(sc_full), on the target's cluster (cluster_sc) and optionally on a random
+donor subset of the cluster's size (sc_random_subset). It records the
+skipped cells with their reason and builds the placebo rows. Each fit is the engine's steps: sc_denoise the
 pool, sc_fit_weights the target on it, sc_infer the counterfactual. The
 chunk's pools of one variant that share a shape are stacked along a leading
 axis, so each step, the MSEs and the selection scores run once per stack,
@@ -32,9 +32,11 @@ from. In a leave-one-out run every target removes itself from the pool, so
 every pool is denoised for its target. In a split iteration every target
 sees the same donors and the same donor model, so the full pool and each
 cluster are denoised once, when a target first uses them; only the random
-subsets are drawn and denoised per target. The leave-one-out harness scores
-selections on row arrays: a weight's position maps through the cluster's
-member rows to a donor row, and past the target's row to a panel row.
+subsets are drawn and denoised per target. The leave-one-out harness maps
+each chunk's targets to their donors' panel rows once, and takes the donor
+pools, the per_dataset clusters and the selection scores from that map: a
+weight's position maps through the cluster's member rows and the map to a
+panel row.
 
 Leave-one-out targets share nothing once their seeds are drawn (and, in
 per_dataset mode, the pool model is fitted), so the harness deals them
@@ -264,16 +266,9 @@ def donor_selection_scores(selected, truth_labels, target_group) -> tuple[float,
     selected holds integer positions into truth_labels; duplicates are
     collapsed. Precision is the share of selected units carrying
     target_group; recall is the share of the group that was selected.
-    Passing truth_labels as an array saves converting them on every call,
-    and passing selected as a strictly increasing array saves sorting it.
     """
     labels = np.asarray(truth_labels)
-    if isinstance(selected, np.ndarray):
-        chosen = selected.astype(int, copy=False)
-    else:
-        chosen = np.fromiter(selected, dtype=int)
-    if not np.all(chosen[1:] > chosen[:-1]):
-        chosen = np.unique(chosen)
+    chosen = np.unique(np.fromiter(selected, dtype=int))
     if not chosen.size:
         raise UndefinedPrecisionError("empty selection has no precision")
     if chosen[0] < 0 or chosen[-1] >= labels.shape[0]:
@@ -321,12 +316,11 @@ def _fit_pool_model(design, donor_pre, rng):
 
 def _placebo_target(
     iteration: int,
-    targets: list,
     target_ids: list,
     donors: np.ndarray,
     target_full: np.ndarray,
     split,
-    reference: tuple,
+    reference: np.ndarray,
     design: PlaceboDesign,
     seeds,
     cluster_source,
@@ -336,21 +330,23 @@ def _placebo_target(
     """Fit and score the design's variants on a chunk of targets; returns
     (rows, skipped) per target.
 
-    targets holds the harness's indices of the chunk's B targets. Every array
-    argument has one entry per target along its first axis: target_ids,
-    donors (B, n, T), target_full (B, T), both series of reference, the
-    (pre, post) pair the errors are measured against, and seeds, one integer
-    seed per variant. cluster_source gets seeds[:, 1] and the random subset
-    is drawn from seeds[:, 2]. seeds[:, 0] goes unused, as sc_full draws
-    nothing; it keeps every later seed in its place.
-    cluster_source(i, seed) returns target i's cluster label and its member
-    rows into its donors, or raises DegenerateClusterError (see
+    Every array argument has one entry per target of the chunk's B targets
+    along its first axis, and the callbacks name a target by its position j
+    in the chunk: target_ids, donors (B, n, T), target_full (B, T), reference
+    (B, T), the series the errors are measured against, split at split.t0
+    like target_full, and seeds, one integer seed per variant.
+    cluster_source gets seeds[:, 1] and the random subset is drawn from
+    seeds[:, 2]. seeds[:, 0] goes unused, as sc_full draws nothing; it keeps
+    every later seed in its place.
+    cluster_source(j, seed) returns target j's cluster label and its member
+    rows into donors[j], or raises DegenerateClusterError (see
     cluster_members) when the cluster has fewer than 2 donors. That skips
     cluster_sc and, with it, sc_random_subset, whose size the cluster sets.
-    score_selection(targets, weights, members), when given, returns the
-    active donors' precision and recall against the planted groups for each
-    fit of a stack: weights is (G, m) and members holds the pools' rows into
-    donors (G, m), ascending, or None for the whole of donors.
+    score_selection(at, weights, members), when given, returns the active
+    donors' precision and recall against the planted groups for each fit of
+    a stack: at holds the G targets' positions, weights is (G, m) and
+    members holds the pools' rows into donors[at] (G, m), ascending, or None
+    for the whole of donors[at].
     pools, when given, keeps the denoised full pool and cluster pools under
     (variant name, cluster label) for later targets; pass it only when every
     target sees the same donors (donors may then be a broadcast view) and
@@ -360,8 +356,8 @@ def _placebo_target(
     one stack: one denoise, one fit, one infer and one scoring. Every
     number is the one the target gets alone, bit for bit.
     """
-    rows: list[list[PlaceboRow]] = [[] for _ in targets]
-    skipped: list[list[dict]] = [[] for _ in targets]
+    rows: list[list[PlaceboRow]] = [[] for _ in target_ids]
+    skipped: list[list[dict]] = [[] for _ in target_ids]
 
     def add_rows(variant, rule, fits):
         # fits: (position in the chunk, cluster label, member rows or None)
@@ -374,7 +370,7 @@ def _placebo_target(
             at = [j for j, _, _ in group]
             members = None if group[0][2] is None else np.stack([m for _, _, m in group])
             # a group of every target, in order, needs no copy of their series
-            pick = (lambda a: a) if len(at) == len(targets) else (lambda a: a[at])
+            pick = (lambda a: a) if len(at) == len(target_ids) else (lambda a: a[at])
             if shared:
                 key = (variant, group[0][1])
                 if key not in pools:
@@ -386,13 +382,13 @@ def _placebo_target(
                 pool = sc_denoise(pick(donors), rule)
             else:
                 pool = sc_denoise(donors[np.array(at)[:, None], members], rule)
-            series = pick(target_full)
+            series, truth = pick(target_full), pick(reference)
             fit = sc_fit_weights(pool, split, series[:, : split.t0], design.reg)
             estimate = sc_infer(fit, split, series)
-            pre_mse = _mean_squares(estimate.pre_fit - pick(reference[0])).tolist()
-            post_mse = _mean_squares(estimate.counterfactual_post - pick(reference[1])).tolist()
+            pre_mse = _mean_squares(estimate.pre_fit - truth[:, : split.t0]).tolist()
+            post_mse = _mean_squares(estimate.counterfactual_post - truth[:, split.t0 :]).tolist()
             scores = (
-                score_selection([targets[j] for j in at], fit.weights.values, members)
+                score_selection(at, fit.weights.values, members)
                 if score_selection else [(None, None)] * len(group)
             )
             for (j, label, _), pre, post, (precision, recall) in zip(group, pre_mse, post_mse, scores):
@@ -410,11 +406,11 @@ def _placebo_target(
                     )
                 )
 
-    add_rows("sc_full", design.rule, [(j, None, None) for j in range(len(targets))])
+    add_rows("sc_full", design.rule, [(j, None, None) for j in range(len(target_ids))])
     clustered = []
-    for j, i in enumerate(targets):
+    for j in range(len(target_ids)):
         try:
-            label, members = cluster_source(i, seeds[j][1])
+            label, members = cluster_source(j, seeds[j][1])
         except DegenerateClusterError as exc:
             reasons = (str(exc), "paired cluster_sc run was skipped")
             skipped[j] = [
@@ -570,40 +566,39 @@ def leave_one_out_placebo(
     n_targets = max(1, int(round(target_fraction * len(a_rows))))
     target_rows = np.sort(rng.choice(a_rows, size=n_targets, replace=False))
     seeds = rng.integers(0, SEED_CEILING, size=(n_targets, len(design.variants)))
-    pool_model = None
+    pool_labels = None
     if cluster_mode == "per_dataset":
-        pool_model = _fit_pool_model(design, panel.pre, rng)
+        pool_labels = _fit_pool_model(design, panel.pre, rng).assignments.labels
 
     donor_row = np.arange(values.shape[0] - 1)
 
-    def cluster_source(i, seed):
-        tr = int(target_rows[i])
-        if cluster_mode == "per_target":
-            donor_pre = np.delete(values, tr, axis=0)[:, :t0]
-            model = fit_cluster_model(donor_pre, design.cluster_rule, k=design.k, rng=seed)
-            return nearest_cluster(model, values[tr, :t0])
-        pool_labels = pool_model.assignments.labels
-        label = int(pool_labels[tr])
-        return label, cluster_members(np.delete(pool_labels, tr), label)
-
-    def score_selection(chunk, weights, members):
-        # pool position -> donor row -> panel row, ascending throughout
-        rows = donor_row if members is None else members
-        rows = rows + (rows >= target_rows[chunk][:, None])
-        active = np.abs(weights) > ACTIVE_SET_TOL
-        hits = np.count_nonzero(active & in_a[rows], axis=1).tolist()
-        chosen = np.count_nonzero(active, axis=1).tolist()
-        # an empty selection has no precision
-        return [(h / c, h / len(a_rows)) if c else (None, None) for h, c in zip(hits, chosen)]
-
     def fit_chunk(chunk):
         tr = target_rows[chunk]
-        # each target's donors are the panel rows other than its own
-        donors = values[donor_row + (donor_row >= tr[:, None])]
+        # each target's donors are the panel rows other than its own, in order
+        rows = donor_row + (donor_row >= tr[:, None])
+        donors = values[rows]
+
+        def cluster_source(j, seed):
+            if pool_labels is None:
+                model = fit_cluster_model(
+                    donors[j, :, :t0], design.cluster_rule, k=design.k, rng=seed
+                )
+                return nearest_cluster(model, values[tr[j], :t0])
+            label = int(pool_labels[tr[j]])
+            return label, cluster_members(pool_labels[rows[j]], label)
+
+        def score_selection(at, weights, members):
+            # pool position -> panel row, ascending throughout
+            picked = rows[at] if members is None else np.take_along_axis(rows[at], members, axis=1)
+            active = np.abs(weights) > ACTIVE_SET_TOL
+            hits = np.count_nonzero(active & in_a[picked], axis=1).tolist()
+            chosen = np.count_nonzero(active, axis=1).tolist()
+            # an empty selection has no precision
+            return [(h / c, h / len(a_rows)) if c else (None, None) for h, c in zip(hits, chosen)]
+
         return _placebo_target(
-            0, chunk, [panel.unit_ids[t] for t in tr.tolist()], donors, values[tr],
-            panel.split, (dataset.true_signal[tr, :t0], dataset.true_signal[tr, t0:]),
-            design, seeds[chunk], cluster_source, score_selection,
+            0, [panel.unit_ids[t] for t in tr.tolist()], donors, values[tr], panel.split,
+            dataset.true_signal[tr], design, seeds[chunk], cluster_source, score_selection,
         )
 
     rows: list[PlaceboRow] = []
@@ -684,10 +679,10 @@ def split_placebo(
             tr = test_rows[chunk]
             observed = values[tr]
             return _placebo_target(
-                it, chunk, [panel.unit_ids[t] for t in tr.tolist()],
+                it, [panel.unit_ids[t] for t in tr.tolist()],
                 np.broadcast_to(donors, (len(chunk),) + donors.shape), observed, panel.split,
-                (observed[:, :t0], observed[:, t0:]), design, seeds[chunk],
-                lambda i, seed: nearest_cluster(model, values[test_rows[i], :t0]), pools=pools,
+                observed, design, seeds[chunk],
+                lambda j, seed: nearest_cluster(model, observed[j, :t0]), pools=pools,
             )
 
         it_rows: list[PlaceboRow] = []

@@ -49,6 +49,7 @@ from clustersc.errors import (
 from clustersc import engine, evaluate
 from clustersc.engine import sc_learn
 from clustersc.evaluate import (
+    CLUSTER_MODES,
     PlaceboDesign,
     PlaceboReport,
     PlaceboRow,
@@ -557,6 +558,68 @@ class TestSplitPlacebo:
             )
 
 
+def scaled_dataset(dataset, j):
+    """dataset with its observations and its signal times 2**j."""
+    panel = replace(dataset.panel, values=np.ldexp(dataset.panel.values, j))
+    return replace(dataset, panel=panel, true_signal=np.ldexp(dataset.true_signal, j))
+
+
+class TestScaleEquivariance:
+    """Scaling a panel by 2**j and the penalty by 4**j is exact in the
+    normal range, so both harnesses select the same donors bit for bit and
+    every MSE scales by exactly 4**j, under every solver and rank rule."""
+
+    REGS = {
+        "ols": RegressionSpec("ols"), "ridge": RIDGE, "lasso": RegressionSpec("lasso", lam=0.01),
+    }
+    RULES = {"energy": ENERGY, "fixed": RankRule.fixed(3)}
+
+    @staticmethod
+    def design(reg, rule, k, j):
+        scaled_reg = replace(reg, lam=math.ldexp(reg.lam, 2 * j))
+        return PlaceboDesign(scaled_reg, rule, k, with_random_subset=True)
+
+    @staticmethod
+    def assert_scaled(base, report, j):
+        assert report.skipped == base.skipped
+        assert len(report.rows) == len(base.rows)
+        for was, row in zip(base.rows, report.rows):
+            kept = ("iteration", "target_id", "variant", "selected_donor_count",
+                    "cluster_label", "active_donor_precision", "active_donor_recall")
+            assert [getattr(row, name) for name in kept] == [getattr(was, name) for name in kept]
+            assert row.pre_mse == math.ldexp(was.pre_mse, 2 * j)
+            assert row.post_mse == math.ldexp(was.post_mse, 2 * j)
+
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("reg", sorted(REGS))
+    def test_leave_one_out(self, reg, rule, mode):
+        dataset = small_dataset(seed=71, s=0.25)
+
+        def run(j):
+            design = self.design(self.REGS[reg], self.RULES[rule], 2, j)
+            return leave_one_out_placebo(
+                scaled_dataset(dataset, j), 0.5, design, 72, cluster_mode=mode
+            )
+
+        base = run(0)
+        for j in (-300, -20, 7, 100, 300):
+            self.assert_scaled(base, run(j), j)
+
+    @pytest.mark.parametrize("rule", sorted(RULES))
+    @pytest.mark.parametrize("reg", sorted(REGS))
+    def test_split(self, reg, rule):
+        panel = small_dataset(seed=73, s=0.25).panel
+
+        def run(j):
+            design = self.design(self.REGS[reg], self.RULES[rule], "auto", j)
+            return split_placebo(replace(panel, values=np.ldexp(panel.values, j)), 0.75, 2, design, 74)
+
+        base = run(0)
+        for j in (-100, 7, 100):
+            self.assert_scaled(base, run(j), j)
+
+
 def single_fit(fit):
     """A stack of one target's fit, as sc_learn returns that fit alone."""
     (values,) = fit.weights.values
@@ -859,13 +922,13 @@ def failing_core(bad, error, calls=None):
     time raises the first. calls, when given, gets each chunk's target ids."""
     placebo_target = evaluate._placebo_target
 
-    def core(iteration, targets, target_ids, *args, **kwargs):
+    def core(iteration, target_ids, *args, **kwargs):
         if calls is not None:
             calls.append(list(target_ids))
         failed = [t for t in target_ids if t in bad]
         if failed:
             raise error(f"target {failed[-1]} failed")
-        return placebo_target(iteration, targets, target_ids, *args, **kwargs)
+        return placebo_target(iteration, target_ids, *args, **kwargs)
 
     return core
 
@@ -1143,10 +1206,10 @@ class TestDealtTargets:
         placebo_target = evaluate._placebo_target
         here = []
 
-        def counting_target(iteration, targets, target_ids, *args):
+        def counting_target(iteration, target_ids, *args):
             if os.getpid() == parent:
                 here.extend(target_ids)
-            return placebo_target(iteration, targets, target_ids, *args)
+            return placebo_target(iteration, target_ids, *args)
 
         monkeypatch.setattr(evaluate, "_placebo_target", counting_target)
         use_cpus(monkeypatch, cpus)
