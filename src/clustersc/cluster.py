@@ -19,8 +19,9 @@ validate_k owns that rule for every caller, the placebo design and the CLI's
 onto the same right singular basis and sent to the nearest center, whose
 cluster becomes its donor pool (nearest_cluster).
 
-scipy loads at the first clustering call, through _scipy, so code that never
-clusters (simulating, spectra, the gap check) never pays for its import.
+scipy loads at the first clustering call: each function that calls it
+imports it in its body, so code that never clusters (simulating, spectra,
+the gap check) never pays for its import.
 
 Labels are 1-based everywhere: a Partition over k clusters uses labels 1..k,
 and centers row i belongs to label i + 1.
@@ -28,7 +29,6 @@ and centers row i belongs to label i + 1.
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,11 +76,6 @@ class Partition:
             )
 
 
-def _scipy(module: str, name: str):
-    """scipy.<module>.<name>, importing the module on the first call."""
-    return getattr(importlib.import_module(f"scipy.{module}"), name)
-
-
 def _check_distinct(points: np.ndarray, k: int) -> None:
     """DegenerateInputError when k exceeds the distinct points, as np.unique counts them."""
     distinct = np.unique(points, axis=0).shape[0]
@@ -109,7 +104,7 @@ def _draw_centers(points: np.ndarray, k: int, rngs: list) -> np.ndarray:
     """
     if k < 1:
         raise InvalidParamsError(f"k must be >= 1, got {k}")
-    cdist = _scipy("spatial.distance", "cdist")
+    from scipy.spatial.distance import cdist
     m = points.shape[0]
     first = [int(rng.integers(m)) for rng in rngs]
     centers = np.empty((len(rngs), k, points.shape[1]))
@@ -213,7 +208,7 @@ def _lloyd_runs(points: np.ndarray, centers: np.ndarray):
     would leave it. Returns 0-based labels (runs, m) and the runs'
     inertias.
     """
-    cdist = _scipy("spatial.distance", "cdist")
+    from scipy.spatial.distance import cdist
     m, r = points.shape
     runs, k = centers.shape[:2]
     labels = np.full((runs, m), -1)
@@ -316,7 +311,8 @@ def silhouette(points, partition: Partition, dists: np.ndarray | None = None) ->
     if np.any(sizes == 0):
         raise DegenerateInputError("every cluster must be nonempty")
     if dists is None:
-        dists = _scipy("spatial.distance", "cdist")(points, points)
+        from scipy.spatial.distance import cdist
+        dists = cdist(points, points)
     m = points.shape[0]
     # sums[i, c] = total distance from point i to cluster c
     sums = np.stack([dists[:, labels0 == c].sum(axis=1) for c in range(k)], axis=1)
@@ -347,8 +343,9 @@ def choose_k(points, k_min: int, k_max: int, restarts: int, rng):
         raise InvalidParamsError(
             f"k_max={k_max} needs at least {k_max + 1} points, got {m}"
         )
+    from scipy.spatial.distance import cdist
     rng = np.random.default_rng(rng)
-    dists = _scipy("spatial.distance", "cdist")(points, points)
+    dists = cdist(points, points)
     best = None
     for k in range(k_min, k_max + 1):
         centers, part, inertia = best_lloyd(points, k, restarts, rng)
@@ -456,5 +453,6 @@ def partition_symmetric_difference(p: Partition, q: Partition) -> int:
         )
     table = np.zeros((p.k, q.k), dtype=int)
     np.add.at(table, (p.labels - 1, q.labels - 1), 1)
-    rows, cols = _scipy("optimize", "linear_sum_assignment")(-table)
+    from scipy.optimize import linear_sum_assignment
+    rows, cols = linear_sum_assignment(-table)
     return int(2 * p.labels.shape[0] - 2 * table[rows, cols].sum())

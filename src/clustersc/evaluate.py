@@ -9,23 +9,26 @@ errors are measured against the observations themselves (there is no signal
 to compare with). The report records which reference was used.
 
 Both harnesses hand their targets to one placebo core, a chunk of
-TARGET_CHUNK targets at a time. Given each target's donor set, series,
-reference series and cluster source, each indexed by the target's position
-in the chunk, the core fits the one PlaceboDesign: SC on the full pool
-(sc_full), on the target's cluster (cluster_sc) and optionally on a random
-donor subset of the cluster's size (sc_random_subset). It records the
-skipped cells with their reason and builds the placebo rows. Each fit is
-the engine's steps: sc_denoise the pool, sc_fit_weights the target on it,
-sc_infer the counterfactual. The chunk's pools of one variant that share a
-shape are stacked along a leading axis, so each step, the MSEs and the
-selection scores run once per stack, not once per pool; every number is
-the one the target gets alone, bit for bit. A chunk that raises is fitted
-again one target at a time, so the error raised is the first in target
-order. The harnesses keep the rest: which units are targets, which
-reference the errors are measured against, where the target's cluster comes
-from (a fresh clustering of each donor pool, the dataset's pool model with
-the target removed, or the split iteration's donor model), and, for the
-split harness, the per-iteration aggregates.
+TARGET_CHUNK targets at a time. Every donor pool is a set of panel rows: the
+core gathers each pool it fits from the panel, and scores its fits'
+selections against a mask of the planted group's rows when the harness has
+one. Given each target's donor rows, series, reference series and cluster
+source, each indexed by the target's position in the chunk, the core fits
+the one PlaceboDesign: SC on the full pool (sc_full), on the target's
+cluster (cluster_sc) and optionally on a random donor subset of the
+cluster's size (sc_random_subset). It records the skipped cells with their
+reason and builds the placebo rows. Each fit is the engine's steps:
+sc_denoise the pool, sc_fit_weights the target on it, sc_infer the
+counterfactual. The chunk's pools of one variant that share a shape are
+stacked along a leading axis, so each step, the MSEs and the selection
+scores run once per stack, not once per pool; every number is the one the
+target gets alone, bit for bit. A chunk that raises is fitted again one
+target at a time, so the error raised is the first in target order. The
+harnesses keep the rest: which units are targets, which reference the errors
+are measured against, where the target's cluster comes from (a fresh
+clustering of each donor pool, the dataset's pool model with the target
+removed, or the split iteration's donor model), and, for the split harness,
+the per-iteration aggregates.
 
 What the harnesses share between targets follows from where the pools come
 from. In a leave-one-out run every target removes itself from the pool, so
@@ -33,10 +36,9 @@ every pool is denoised for its target. In a split iteration every target
 sees the same donors and the same donor model, so the full pool and each
 cluster are denoised once, when a target first uses them; only the random
 subsets are drawn and denoised per target. The leave-one-out harness maps
-each chunk's targets to their donors' panel rows once, and takes the donor
-pools, the per_dataset clusters and the selection scores from that map: a
-weight's position maps through the cluster's member rows and the map to a
-panel row.
+each chunk's targets to their donors' panel rows once; the per_target
+clustering input and the per_dataset clusters come from that map, and
+every cluster source returns its cluster as panel rows.
 
 Leave-one-out targets share nothing once their seeds are drawn (and, in
 per_dataset mode, the pool model is fitted), so the harness deals them
@@ -71,7 +73,6 @@ import numpy as np
 from .cluster import (
     SEED_CEILING,
     Partition,
-    _scipy,
     cluster_members,
     fit_cluster_model,
     nearest_cluster,
@@ -317,80 +318,77 @@ def _fit_pool_model(design, donor_pre, rng):
 def _placebo_target(
     iteration: int,
     target_ids: list,
-    donors: np.ndarray,
+    panel: TimePanel,
+    donor_rows,
     target_full: np.ndarray,
-    split,
     reference: np.ndarray,
     design: PlaceboDesign,
     seeds,
     cluster_source,
-    score_selection=None,
+    in_group=None,
     pools=None,
 ) -> list[tuple[list[PlaceboRow], list[dict]]]:
     """Fit and score the design's variants on a chunk of targets; returns
     (rows, skipped) per target.
 
-    Every array argument has one entry per target of the chunk's B targets
-    along its first axis, and the callbacks name a target by its position j
-    in the chunk: target_ids, donors (B, n, T), target_full (B, T), reference
-    (B, T), the series the errors are measured against, split at split.t0
-    like target_full, and seeds, one integer seed per variant.
+    Every pool is a set of panel rows, ascending, and is fitted on those
+    rows of panel.values. Every other argument has one entry per target of
+    the chunk's B targets along its first axis, and cluster_source names a
+    target by its position j in the chunk: target_ids, donor_rows (B, n),
+    each target's full pool, target_full (B, T), reference (B, T), the series
+    the errors are measured against, split at panel.split.t0 like
+    target_full, and seeds, one integer seed per variant.
     cluster_source gets seeds[:, 1] and the random subset is drawn from
     seeds[:, 2]. seeds[:, 0] goes unused, as sc_full draws nothing; it keeps
     every later seed in its place.
     cluster_source(j, seed) returns target j's cluster label and its member
-    rows into donors[j], or raises DegenerateClusterError (see
+    rows, taken from donor_rows[j], or raises DegenerateClusterError (see
     cluster_members) when the cluster has fewer than 2 donors. That skips
     cluster_sc and, with it, sc_random_subset, whose size the cluster sets.
-    score_selection(at, weights, members), when given, returns the active
-    donors' precision and recall against the planted groups for each fit of
-    a stack: at holds the G targets' positions, weights is (G, m) and
-    members holds the pools' rows into donors[at] (G, m), ascending, or None
-    for the whole of donors[at].
+    in_group, when given, marks the panel rows of the targets' planted
+    group; each fit then records its active donors' precision and recall
+    against it.
     pools, when given, keeps the denoised full pool and cluster pools under
     (variant name, cluster label) for later targets; pass it only when every
-    target sees the same donors (donors may then be a broadcast view) and
-    clusters. Random subsets are never kept.
+    target sees the same donors and clusters. Random subsets are never kept.
 
     A variant's pools that share a shape (with pools, a key) are fitted as
     one stack: one denoise, one fit, one infer and one scoring. Every
     number is the one the target gets alone, bit for bit.
     """
+    split = panel.split
     rows: list[list[PlaceboRow]] = [[] for _ in target_ids]
     skipped: list[list[dict]] = [[] for _ in target_ids]
 
     def add_rows(variant, rule, fits):
-        # fits: (position in the chunk, cluster label, member rows or None)
+        # fits: (position in the chunk, cluster label, pool rows)
         shared = pools is not None and variant != "sc_random_subset"
         groups: dict = {}
         for fit in fits:
-            key = fit[1] if shared else None if fit[2] is None else len(fit[2])
-            groups.setdefault(key, []).append(fit)
+            groups.setdefault(fit[1] if shared else len(fit[2]), []).append(fit)
         for group in groups.values():
             at = [j for j, _, _ in group]
-            members = None if group[0][2] is None else np.stack([m for _, _, m in group])
-            # a group of every target, in order, needs no copy of their series
-            pick = (lambda a: a) if len(at) == len(target_ids) else (lambda a: a[at])
+            pool_rows = np.stack([r for _, _, r in group])
             if shared:
                 key = (variant, group[0][1])
                 if key not in pools:
-                    pools[key] = sc_denoise(
-                        donors[0] if members is None else donors[0][members[0]], rule
-                    )
+                    pools[key] = sc_denoise(panel.values[pool_rows[0]], rule)
                 pool = pools[key]
-            elif members is None:
-                pool = sc_denoise(pick(donors), rule)
             else:
-                pool = sc_denoise(donors[np.array(at)[:, None], members], rule)
-            series, truth = pick(target_full), pick(reference)
+                pool = sc_denoise(panel.values[pool_rows], rule)
+            series, truth = target_full[at], reference[at]
             fit = sc_fit_weights(pool, split, series[:, : split.t0], design.reg)
             estimate = sc_infer(fit, split, series)
             pre_mse = _mean_squares(estimate.pre_fit - truth[:, : split.t0]).tolist()
             post_mse = _mean_squares(estimate.counterfactual_post - truth[:, split.t0 :]).tolist()
-            scores = (
-                score_selection(at, fit.weights.values, members)
-                if score_selection else [(None, None)] * len(group)
-            )
+            scores = [(None, None)] * len(group)
+            if in_group is not None:
+                active = np.abs(fit.weights.values) > ACTIVE_SET_TOL
+                hits = np.count_nonzero(active & in_group[pool_rows], axis=1).tolist()
+                chosen = np.count_nonzero(active, axis=1).tolist()
+                size = np.count_nonzero(in_group)
+                # an empty selection has no precision
+                scores = [(h / c, h / size) if c else (None, None) for h, c in zip(hits, chosen)]
             for (j, label, _), pre, post, (precision, recall) in zip(group, pre_mse, post_mse, scores):
                 rows[j].append(
                     PlaceboRow(
@@ -406,7 +404,7 @@ def _placebo_target(
                     )
                 )
 
-    add_rows("sc_full", design.rule, [(j, None, None) for j in range(len(target_ids))])
+    add_rows("sc_full", design.rule, [(j, None, donor_rows[j]) for j in range(len(target_ids))])
     clustered = []
     for j in range(len(target_ids)):
         try:
@@ -421,8 +419,11 @@ def _placebo_target(
         clustered.append((j, label, members))
     add_rows("cluster_sc", design.cluster_rule, clustered)
     if design.with_random_subset:
+        # the draw reads only the pool's row count, so it is given the rows alone
         add_rows("sc_random_subset", design.rule, [
-            (j, None, np.asarray(random_subset_variant(donors[j], len(members), seeds[j][2])))
+            (j, None, donor_rows[j][
+                random_subset_variant(donor_rows[j][:, None], len(members), seeds[j][2])
+            ])
             for j, _, members in clustered
         ])
     return list(zip(rows, skipped))
@@ -576,34 +577,25 @@ def leave_one_out_placebo(
         tr = target_rows[chunk]
         # each target's donors are the panel rows other than its own, in order
         rows = donor_row + (donor_row >= tr[:, None])
-        donors = values[rows]
 
         def cluster_source(j, seed):
             if pool_labels is None:
                 model = fit_cluster_model(
-                    donors[j, :, :t0], design.cluster_rule, k=design.k, rng=seed
+                    values[rows[j], :t0], design.cluster_rule, k=design.k, rng=seed
                 )
-                return nearest_cluster(model, values[tr[j], :t0])
+                label, members = nearest_cluster(model, values[tr[j], :t0])
+                return label, rows[j][members]
             label = int(pool_labels[tr[j]])
-            return label, cluster_members(pool_labels[rows[j]], label)
-
-        def score_selection(at, weights, members):
-            # pool position -> panel row, ascending throughout
-            picked = rows[at] if members is None else np.take_along_axis(rows[at], members, axis=1)
-            active = np.abs(weights) > ACTIVE_SET_TOL
-            hits = np.count_nonzero(active & in_a[picked], axis=1).tolist()
-            chosen = np.count_nonzero(active, axis=1).tolist()
-            # an empty selection has no precision
-            return [(h / c, h / len(a_rows)) if c else (None, None) for h, c in zip(hits, chosen)]
+            return label, rows[j][cluster_members(pool_labels[rows[j]], label)]
 
         return _placebo_target(
-            0, [panel.unit_ids[t] for t in tr.tolist()], donors, values[tr], panel.split,
-            dataset.true_signal[tr], design, seeds[chunk], cluster_source, score_selection,
+            0, [panel.unit_ids[t] for t in tr.tolist()], panel, rows, values[tr],
+            dataset.true_signal[tr], design, seeds[chunk], cluster_source, in_a,
         )
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
-    _scipy("spatial.distance", "cdist")  # every target clusters: children inherit the import
+    from scipy.spatial import distance  # every target clusters: children inherit the import
     for cell_rows, cell_skipped in _deal_over_cpus(
         lambda indices: _fit_in_chunks(fit_chunk, indices), n_targets
     ):
@@ -667,9 +659,8 @@ def split_placebo(
         perm = it_rng.permutation(n)
         train_rows = np.sort(perm[:n_train])
         test_rows = np.sort(perm[n_train:])
-        donors = values[train_rows]
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(design.variants)))
-        model = _fit_pool_model(design, donors[:, :t0], it_rng)
+        model = _fit_pool_model(design, values[train_rows, :t0], it_rng)
 
         # every target of the iteration shares the donors and the model's
         # clusters, so each of those pools is denoised once, on first use
@@ -678,11 +669,14 @@ def split_placebo(
         def fit_chunk(chunk):
             tr = test_rows[chunk]
             observed = values[tr]
+
+            def cluster_source(j, seed):
+                label, members = nearest_cluster(model, observed[j, :t0])
+                return label, train_rows[members]
+
             return _placebo_target(
-                it, [panel.unit_ids[t] for t in tr.tolist()],
-                np.broadcast_to(donors, (len(chunk),) + donors.shape), observed, panel.split,
-                observed, design, seeds[chunk],
-                lambda j, seed: nearest_cluster(model, observed[j, :t0]), pools=pools,
+                it, [panel.unit_ids[t] for t in tr.tolist()], panel, [train_rows] * len(chunk),
+                observed, observed, design, seeds[chunk], cluster_source, pools=pools,
             )
 
         it_rows: list[PlaceboRow] = []
@@ -883,14 +877,11 @@ def cluster_recovery_experiment(
             fractions.append(distance / (2 * n))
             ks.append(model.k)
 
-            labels = model.assignments.labels
-            purity = {}
-            for label in np.unique(labels):
-                members = labels == label
-                purity[int(label)] = float(members[a_slice].sum() / members.sum())
-            median_precisions.append(
-                float(np.median([purity[int(label)] for label in labels[a_slice]]))
-            )
+            labels = model.assignments.labels - 1
+            # each cluster's group-A share
+            purity = (np.bincount(labels[a_slice], minlength=model.k)
+                      / np.bincount(labels, minlength=model.k))
+            median_precisions.append(float(np.median(purity[labels[a_slice]])))
         cells.append(
             RecoveryCell(
                 noise=noise,

@@ -78,3 +78,22 @@ def test_main_exits_2_before_running(bench_pairs, trees, tmp_path, monkeypatch, 
     assert code == 2
     assert "perfbench/run.py" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_once_keeps_plain_seconds(bench_pairs, tmp_path):
+    # run.py prints its detail record, then its result line
+    detail = {"calls": 3, "outputs_sha256": "ab", "cells_per_s": 120.5, "call_s_p50": 0.04,
+              "ref_s_mean": 0.006, "cells_per_call": 5}
+    result = {"correct": True, "metrics": {"cells_per_ref": {"value": 0.72, "unit": "1/ref"}}}
+    tree = make_tree(tmp_path / "tree")
+    (tree / "perfbench/run.py").write_text(
+        f"import json\nprint('warming up')\nprint(json.dumps({detail!r}))\n"
+        f"print(json.dumps({result!r}))\n"
+    )
+    run = bench_pairs.run_once(tree, "loo-lasso", 1, 1.0)
+    assert run["correct"] is True
+    assert run["metrics"] == {"cells_per_ref": 0.72}
+    assert {key: run["detail"][key] for key in ("cells_per_s", "call_s_p50", "ref_s_mean")} == {
+        "cells_per_s": 120.5, "call_s_p50": 0.04, "ref_s_mean": 0.006,
+    }
+    assert "cells_per_call" not in run["detail"]

@@ -572,7 +572,10 @@ class TestScaleEquivariance:
     REGS = {
         "ols": RegressionSpec("ols"), "ridge": RIDGE, "lasso": RegressionSpec("lasso", lam=0.01),
     }
-    RULES = {"energy": ENERGY, "fixed": RankRule.fixed(3)}
+    RULES = {
+        "energy": ENERGY, "energy_squared": RankRule.energy(0.95, squared=True),
+        "fixed": RankRule.fixed(3),
+    }
 
     @staticmethod
     def design(reg, rule, k, j):
@@ -603,7 +606,7 @@ class TestScaleEquivariance:
             )
 
         base = run(0)
-        for j in (-300, -20, 7, 100, 300):
+        for j in (-400, -300, -20, 7, 100, 300, 400):
             self.assert_scaled(base, run(j), j)
 
     @pytest.mark.parametrize("rule", sorted(RULES))
@@ -616,7 +619,7 @@ class TestScaleEquivariance:
             return split_placebo(replace(panel, values=np.ldexp(panel.values, j)), 0.75, 2, design, 74)
 
         base = run(0)
-        for j in (-100, 7, 100):
+        for j in (-400, -300, -100, 7, 100, 300, 400):
             self.assert_scaled(base, run(j), j)
 
 

@@ -16,7 +16,10 @@ each side's median and quartiles, the pairs each side won (ties count for
 neither), the change/parent ratio of the medians, whether the change is
 within the metric's bound, and whether a gain may be claimed (the change won
 at least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles). Per workload it also counts the
+distance between the parent's quartiles). Each run also keeps run.py's
+plain-seconds fields (cells_per_s, call_s_p50, ref_s_mean), and per workload
+each side's median cells_per_s and call_s_p50 are given as context, with no
+bound and no gate (plain_seconds). Per workload it also counts the
 pairs whose two sides wrote the same outputs_sha256 and first_call_sha256
 (outputs_identical_pairs). --append adds the runs to those already in the
 output file before summarising.
@@ -46,6 +49,10 @@ DIGESTS = ("outputs_sha256", "first_call_sha256")
 BENCHMARK_FILES = ("BENCHMARK.json", "perfbench")
 # directories that running the benchmark writes under perfbench/
 RUN_OUTPUTS = {"__pycache__", "_work"}
+# run.py's throughput and call time in plain seconds, summarised as context
+# with no bound: against cells_per_ref they tell a change in the work from
+# a drift of the reference kernel
+PLAIN_SECONDS = ("cells_per_s", "call_s_p50")
 
 
 def parse_args(argv=None):
@@ -63,6 +70,11 @@ def parse_args(argv=None):
 def git(*args: str) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def working_tree_commit() -> str:
+    """The working tree, named by its HEAD and marked when it has local edits."""
+    return git("rev-parse", "HEAD") + ("+edits" if git("status", "--porcelain") else "")
 
 
 def export_commit(ref: str, dest: Path) -> str:
@@ -110,7 +122,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "detail": {key: detail.get(key) for key in (
             "calls", "outputs_sha256", "first_call_sha256", "cluster_post_mse_p50",
-            "errors", "machine")},
+            "errors", "machine", *PLAIN_SECONDS, "ref_s_mean")},
     }
 
 
@@ -151,6 +163,15 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "gain_claimable": wins >= 0.9 * len(pairs)
                 and abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
             }
+        rows["plain_seconds"] = {}
+        for name in PLAIN_SECONDS:
+            # None for a side with a run recorded before these fields were kept
+            values = {side: [p[side]["detail"].get(name) for p in pairs]
+                      for side in ("parent", "change")}
+            rows["plain_seconds"][name] = {
+                side: statistics.median(v) if v and None not in v else None
+                for side, v in values.items()
+            }
         rows["all_runs_correct"] = all(p[s]["correct"] for p in pairs for s in p)
         rows["outputs_identical_pairs"] = sum(
             all(p["parent"]["detail"][key] == p["change"]["detail"][key] for key in DIGESTS)
@@ -173,8 +194,7 @@ def main(argv=None) -> int:
             print(f"{args.parent} and the working tree run different benchmark code: "
                   + ", ".join(differ), file=sys.stderr)
             return 2
-        # the working tree, named by its HEAD and marked when it has local edits
-        change_commit = git("rev-parse", "HEAD") + ("+edits" if git("status", "--porcelain") else "")
+        change_commit = working_tree_commit()
         order = 0
         for workload in args.workloads:
             for seed in args.seeds:

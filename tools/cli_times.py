@@ -26,7 +26,7 @@ import tempfile
 from pathlib import Path
 from time import perf_counter
 
-from bench_pairs import ROOT, export_commit, git
+from bench_pairs import ROOT, export_commit, working_tree_commit
 
 COMMANDS = {
     "simulate": ["simulate", "--seed", "1"],
@@ -78,7 +78,7 @@ def main(argv=None) -> int:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    change_commit = git("rev-parse", "HEAD") + ("+edits" if git("status", "--porcelain") else "")
+    change_commit = working_tree_commit()
     summary = {
         name: {
             "parent_median_s": statistics.median(t["parent"]),

@@ -32,15 +32,15 @@ import importlib.util
 import json
 import os
 import shutil
-import statistics
 import sys
 import tempfile
 from pathlib import Path
 from time import perf_counter_ns
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from bench_pairs import ROOT, export_commit, git
+from bench_pairs import ROOT, export_commit, quartiles, working_tree_commit
 
 LOO_UNITS = 399  # a 200 + 200 panel less the target
 SPLIT_UNITS = 320  # placebo-panel's 80% training share of 400 units
@@ -109,11 +109,6 @@ def as_bytes(value) -> bytes:
     return value.tobytes() if isinstance(value, np.ndarray) else repr(value).encode()
 
 
-def quartiles(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
-
-
 def time_case(sides: dict, points, k: int, seeds, dists, repeats: int) -> dict:
     calls = {side: layer_calls(cluster, points, k, seeds, dists) for side, cluster in sides.items()}
     results = {}
@@ -147,7 +142,6 @@ def main(argv=None) -> int:
                  for side, pkg in pkgs.items()}
         restarts = sides["change"].KMEANS_RESTARTS
         seeds = np.random.default_rng(DATA_SEED).integers(0, 2**63 - 1, size=restarts)
-        cdist = sides["change"]._scipy("spatial.distance", "cdist")
         cases = [("loo", 2)] + [("split", k) for k in SPLIT_KS]
         points = embeddings(pkgs["change"])
         rows = []
@@ -161,7 +155,7 @@ def main(argv=None) -> int:
                 f" (x{v['ratio']:.3f})" for layer, v in layers.items()), flush=True)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
-    change_commit = git("rev-parse", "HEAD") + ("+edits" if git("status", "--porcelain") else "")
+    change_commit = working_tree_commit()
     record = {
         "parent": args.parent,
         "parent_commit": parent_commit,
