@@ -345,9 +345,8 @@ def _placebo_target(
     rows, taken from donor_rows[j], or raises DegenerateClusterError (see
     cluster_members) when the cluster has fewer than 2 donors. That skips
     cluster_sc and, with it, sc_random_subset, whose size the cluster sets.
-    in_group, when given, marks the panel rows of the targets' planted
-    group; each fit then records its active donors' precision and recall
-    against it.
+    in_group, when given, marks the planted group's panel rows; each fit
+    records its active donors' precision and recall against it.
     pools, when given, keeps the denoised full pool and cluster pools under
     (variant name, cluster label) for later targets; pass it only when every
     target sees the same donors and clusters. Random subsets are never kept.
@@ -375,7 +374,9 @@ def _placebo_target(
                     pools[key] = sc_denoise(panel.values[pool_rows[0]], rule)
                 pool = pools[key]
             else:
-                pool = sc_denoise(panel.values[pool_rows], rule)
+                # held through the fit: freed right after the denoise, page faults rose by half
+                donors = panel.values[pool_rows]
+                pool = sc_denoise(donors, rule)
             series, truth = target_full[at], reference[at]
             fit = sc_fit_weights(pool, split, series[:, : split.t0], design.reg)
             estimate = sc_infer(fit, split, series)
