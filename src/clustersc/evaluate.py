@@ -8,8 +8,9 @@ observed panels: units are repeatedly split into donors and targets, and
 errors are measured against the observations themselves (there is no signal
 to compare with). The report records which reference was used.
 
-Both harnesses hand their targets to one placebo core, a chunk of
-TARGET_CHUNK targets at a time. Every donor pool is a set of panel rows: the
+Both harnesses hand their targets to one placebo core: the leave-one-out
+harness a chunk of TARGET_CHUNK targets at a time, the split harness all of
+an iteration's targets at once. Every donor pool is a set of panel rows: the
 core gathers each pool it fits from the panel, and scores its fits'
 selections against a mask of the planted group's rows when the harness has
 one. Given each target's donor rows, series, reference series and cluster
@@ -19,26 +20,30 @@ cluster (cluster_sc) and optionally on a random donor subset of the
 cluster's size (sc_random_subset). It records the skipped cells with their
 reason and builds the placebo rows. Each fit is the engine's steps:
 sc_denoise the pool, sc_fit_weights the target on it, sc_infer the
-counterfactual. The chunk's pools of one variant that share a shape are
-stacked along a leading axis, so each step, the MSEs and the selection
-scores run once per stack, not once per pool; every number is the one the
-target gets alone, bit for bit. A chunk that raises is fitted again one
-target at a time, so the error raised is the first in target order. The
-harnesses keep the rest: which units are targets, which reference the errors
-are measured against, where the target's cluster comes from (a fresh
-clustering of each donor pool, the dataset's pool model with the target
-removed, or the split iteration's donor model), and, for the split harness,
-the per-iteration aggregates.
+counterfactual. A pool that several targets share is fitted once, with the
+stack of all of them; the chunk's other pools of one variant that share a
+shape are stacked along a leading axis, TARGET_CHUNK at a time, which keeps
+memory flat. So each step, the MSEs and the selection scores run once per
+stack, not once per target; every number is the one the target gets alone,
+bit for bit. A chunk that raises is fitted again one target at a time, so
+the error raised is the first in target order. The harnesses keep the rest:
+which units are targets, which reference the errors are measured against,
+where the target's cluster comes from (a fresh clustering of each donor
+pool, the dataset's pool model with the target removed, or the split
+iteration's donor model), and, for the split harness, the per-iteration
+aggregates.
 
 What the harnesses share between targets follows from where the pools come
 from. In a leave-one-out run every target removes itself from the pool, so
 every pool is denoised for its target. In a split iteration every target
 sees the same donors and the same donor model, so the full pool and each
-cluster are denoised once, when a target first uses them; only the random
-subsets are drawn and denoised per target. The leave-one-out harness maps
-each chunk's targets to their donors' panel rows once; the per_target
-clustering input and the per_dataset clusters come from that map, and
-every cluster source returns its cluster as panel rows.
+cluster are denoised and fitted once, for all the targets that use them;
+only the random subsets are drawn and denoised per target. The denoised
+shared pools are kept through the iteration, so a retry one target at a time
+does not denoise them again. The leave-one-out harness maps each chunk's
+targets to their donors' panel rows once; the per_target clustering input
+and the per_dataset clusters come from that map, and every cluster source
+returns its cluster as panel rows.
 
 Leave-one-out targets share nothing once their seeds are drawn (and, in
 per_dataset mode, the pool model is fitted), so the harness deals them
@@ -50,9 +55,9 @@ report is the same for any CPU count and the error raised is the one a
 serial run raises first. One function, _deal_over_cpus, owns that protocol
 from the share count to the last reaped child. With one CPU or one target,
 without os.fork or os.sched_getaffinity, or while another Python thread
-runs, the same loop runs in this process alone (`taskset -c 0` pins a run
-to it). The split harness stays in one process: its targets share the pools
-denoised on first use.
+runs, the same loop runs in this process alone (`taskset -c 0` pins a run to
+it). The split harness stays in one process: its targets share the pools it
+fits once.
 
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
@@ -248,11 +253,14 @@ class PlaceboReport:
 
 
 def random_subset_variant(pool, subset_size: int, rng) -> list[int]:
-    """Uniform donor sample without replacement; returns sorted row indices."""
-    pool = np.asarray(pool, dtype=float)
-    if pool.ndim != 2:
-        raise ShapeError(f"pool must be a matrix, got shape {pool.shape}")
-    n = pool.shape[0]
+    """Uniform donor sample without replacement; returns sorted row indices.
+
+    Only the pool's shape is read, so any matrix of its rows will do.
+    """
+    shape = np.shape(pool)
+    if len(shape) != 2:
+        raise ShapeError(f"pool must be a matrix, got shape {shape}")
+    n = shape[0]
     if not 1 <= subset_size <= n:
         raise InvalidInputError(
             f"subset_size must be in 1..{n}, got {subset_size}"
@@ -351,9 +359,11 @@ def _placebo_target(
     (variant name, cluster label) for later targets; pass it only when every
     target sees the same donors and clusters. Random subsets are never kept.
 
-    A variant's pools that share a shape (with pools, a key) are fitted as
-    one stack: one denoise, one fit, one infer and one scoring. Every
-    number is the one the target gets alone, bit for bit.
+    With pools, the targets of one key are fitted as one stack, however
+    many: the pool's one denoise, one fit, one infer and one scoring. A
+    variant's other pools that share a shape are fitted in stacks of at most
+    TARGET_CHUNK pools, each with the same four steps. Every number is the
+    one the target gets alone, bit for bit.
     """
     split = panel.split
     rows: list[list[PlaceboRow]] = [[] for _ in target_ids]
@@ -365,15 +375,22 @@ def _placebo_target(
         groups: dict = {}
         for fit in fits:
             groups.setdefault(fit[1] if shared else len(fit[2]), []).append(fit)
+        # a shared pool is one stack of all its targets; distinct pools stack
+        # TARGET_CHUNK at a time, which keeps memory flat
+        stacks = []
         for group in groups.values():
+            step = len(group) if shared else TARGET_CHUNK
+            stacks += [group[start : start + step] for start in range(0, len(group), step)]
+        for group in stacks:
             at = [j for j, _, _ in group]
-            pool_rows = np.stack([r for _, _, r in group])
             if shared:
+                pool_rows = group[0][2]
                 key = (variant, group[0][1])
                 if key not in pools:
-                    pools[key] = sc_denoise(panel.values[pool_rows[0]], rule)
+                    pools[key] = sc_denoise(panel.values[pool_rows], rule)
                 pool = pools[key]
             else:
+                pool_rows = np.stack([r for _, _, r in group])
                 # held through the fit: freed right after the denoise, page faults rose by half
                 donors = panel.values[pool_rows]
                 pool = sc_denoise(donors, rule)
@@ -387,7 +404,8 @@ def _placebo_target(
                 active = np.abs(fit.weights.values) > ACTIVE_SET_TOL
                 hits = np.count_nonzero(active & in_group[pool_rows], axis=1).tolist()
                 chosen = np.count_nonzero(active, axis=1).tolist()
-                size = np.count_nonzero(in_group)
+                # a Python int keeps every recall a float, which the writers' fast paths need
+                size = int(np.count_nonzero(in_group))
                 # an empty selection has no precision
                 scores = [(h / c, h / size) if c else (None, None) for h, c in zip(hits, chosen)]
             for (j, label, _), pre, post, (precision, recall) in zip(group, pre_mse, post_mse, scores):
@@ -430,17 +448,17 @@ def _placebo_target(
     return list(zip(rows, skipped))
 
 
-def _fit_in_chunks(fit_chunk, indices) -> list:
-    """fit_chunk(chunk) over indices in order, TARGET_CHUNK at a time; one
-    result per index.
+def _fit_in_chunks(fit_chunk, indices, size: int) -> list:
+    """fit_chunk(chunk) over indices in order, size at a time; one result
+    per index.
 
     A chunk that raises is fitted again one index at a time, so the error
     raised is the first in index order, whatever the chunk size.
     """
     indices = list(indices)
     results = []
-    for start in range(0, len(indices), TARGET_CHUNK):
-        chunk = indices[start : start + TARGET_CHUNK]
+    for start in range(0, len(indices), size):
+        chunk = indices[start : start + size]
         try:
             results.extend(fit_chunk(chunk))
         except Exception:
@@ -598,7 +616,7 @@ def leave_one_out_placebo(
     skipped: list[dict] = []
     from scipy.spatial import distance  # every target clusters: children inherit the import
     for cell_rows, cell_skipped in _deal_over_cpus(
-        lambda indices: _fit_in_chunks(fit_chunk, indices), n_targets
+        lambda indices: _fit_in_chunks(fit_chunk, indices, TARGET_CHUNK), n_targets
     ):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
@@ -664,7 +682,8 @@ def split_placebo(
         model = _fit_pool_model(design, values[train_rows, :t0], it_rng)
 
         # every target of the iteration shares the donors and the model's
-        # clusters, so each of those pools is denoised once, on first use
+        # clusters, so each of those pools is denoised once and kept for a
+        # retry one target at a time
         pools: dict = {}
 
         def fit_chunk(chunk):
@@ -682,7 +701,9 @@ def split_placebo(
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
-        for cell_rows, cell_skipped in _fit_in_chunks(fit_chunk, range(test_rows.size)):
+        # one chunk, so the core stacks each shared pool's targets at once
+        targets = range(test_rows.size)
+        for cell_rows, cell_skipped in _fit_in_chunks(fit_chunk, targets, len(targets)):
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)
 

@@ -135,10 +135,13 @@ def load_panel_csv(path, t0) -> TimePanel:
                 f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
             )
         unit_ids.append(row[0])
-        rows.append([
-            _cell_value(cell, path, lineno, row[0], label)
-            for label, cell in zip(time_labels, row[1:])
-        ])
+        try:
+            rows.append(list(map(float, row[1:])))
+        except ValueError:  # the first bad cell, diagnosed
+            rows.append([
+                _cell_value(cell, path, lineno, row[0], label)
+                for label, cell in zip(time_labels, row[1:])
+            ])
     if not rows:
         raise PanelFormatError(f"{path} has a header but no data rows")
     if len(set(unit_ids)) != len(unit_ids):

@@ -22,7 +22,8 @@ import subprocess
 import sys
 import textwrap
 import threading
-from dataclasses import asdict, replace
+from collections import Counter
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -259,6 +260,12 @@ class TestRandomSubsetVariant:
     def test_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             random_subset_variant(np.ones((4, 3)), 0, np.random.default_rng(0))
+
+    def test_integer_row_column(self):
+        # the core passes a target's donor rows as a column: only the row count is read
+        rows = np.arange(3, 23)[:, None]
+        drawn = random_subset_variant(rows, 7, np.random.default_rng(42))
+        assert drawn == random_subset_variant(np.ones((20, 4)), 7, np.random.default_rng(42))
 
 
 class TestDonorSelectionScores:
@@ -623,14 +630,14 @@ class TestScaleEquivariance:
             self.assert_scaled(base, run(j), j)
 
 
-def single_fit(fit):
-    """A stack of one target's fit, as sc_learn returns that fit alone."""
-    (values,) = fit.weights.values
+def single_fit(fit, i):
+    """Target i's fit of a stack, as sc_learn returns that fit alone."""
     donors, rank = fit.denoised_donors, fit.rank_used
-    if donors.ndim == 3:
-        (donors,), (rank,) = donors, rank
+    if donors.ndim == 3:  # a stack of pools, one per target
+        donors, rank = donors[i], rank[i]
     return replace(
-        fit, weights=replace(fit.weights, values=values), denoised_donors=donors, rank_used=rank
+        fit, weights=replace(fit.weights, values=fit.weights.values[i]),
+        denoised_donors=donors, rank_used=rank,
     )
 
 
@@ -639,10 +646,13 @@ def record_fits(monkeypatch, panel=None) -> list:
 
     A wrapper sees only the fits made in this process, so the harness is
     held to one CPU; TestDealtTargets checks that the rows do not depend on
-    the CPU count. The harness fits a chunk of targets as stacks, so it is
-    also held to chunks of one target: every sc_infer call is then one row's
-    fit, a stack of one, recorded as that fit alone. TestDealtTargets checks
-    that the rows do not depend on the chunk size either.
+    the CPU count. The core fits stacks: a shared pool with all of its
+    targets, or pools of one shape with one target each. Each sc_infer
+    stack is split into its targets' fits, found by their series, and a core
+    call's fits join the list in row order once it returns. The pools of one
+    stack are held to one, TARGET_CHUNK 1, so each denoised matrix is one
+    window; TestDealtTargets and TestSplitSharedPools check that the rows do
+    not depend on the chunk size.
 
     The harnesses fit on donor rows alone, so a fit's donor_ids are its
     positions in the pool. Given the panel, whose rows must be distinct, each
@@ -652,12 +662,32 @@ def record_fits(monkeypatch, panel=None) -> list:
     use_cpus(monkeypatch, 1)
     monkeypatch.setattr(evaluate, "TARGET_CHUNK", 1)
     fits = []
+    # the core call running: (position of each target by its series, each target's fits)
+    running = []
+
+    def core(iteration, target_ids, core_panel, donor_rows, target_full, *args, **kwargs):
+        position = {series.tobytes(): j for j, series in enumerate(target_full)}
+        assert len(position) == len(target_ids)
+        by_target = [[] for _ in target_ids]
+        running.append((position, by_target))
+        try:
+            result = placebo_target(
+                iteration, target_ids, core_panel, donor_rows, target_full, *args, **kwargs
+            )
+        finally:
+            running.pop()
+        fits.extend(fit for target_fits in by_target for fit in target_fits)
+        return result
 
     def recording(fit, split, target_full):
-        fits.append(single_fit(fit))
+        position, by_target = running[-1]
+        for i, series in enumerate(target_full):
+            by_target[position[series.tobytes()]].append(single_fit(fit, i))
         return sc_infer(fit, split, target_full)
 
-    sc_infer = evaluate.sc_infer
+    # a second call wraps the first one's core, which then records nothing
+    placebo_target, sc_infer = evaluate._placebo_target, engine.sc_infer
+    monkeypatch.setattr(evaluate, "_placebo_target", core)
     monkeypatch.setattr(evaluate, "sc_infer", recording)
     if panel is None:
         return fits
@@ -808,6 +838,39 @@ class TestSplitSharedPools:
             assert calls == 2 + len(clusters) + subsets
             assert len(clusters) < n_targets  # some cluster served two targets
 
+    @pytest.mark.parametrize("chunk", [3, evaluate.TARGET_CHUNK])
+    def test_each_shared_pool_is_fitted_once_per_iteration(self, chunk, monkeypatch):
+        # the core gets all of an iteration's targets: one fit of the full
+        # pool, one per cluster used, and the random subsets of each size
+        # stacked chunk at a time
+        panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
+        monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
+        calls = []  # [iteration, sc_fit_weights calls] per core call
+        placebo_target, sc_fit_weights = evaluate._placebo_target, evaluate.sc_fit_weights
+
+        def core(iteration, *args, **kwargs):
+            calls.append([iteration, 0])
+            return placebo_target(iteration, *args, **kwargs)
+
+        def fitting(*args, **kwargs):
+            calls[-1][1] += 1
+            return sc_fit_weights(*args, **kwargs)
+
+        monkeypatch.setattr(evaluate, "_placebo_target", core)
+        monkeypatch.setattr(evaluate, "sc_fit_weights", fitting)
+        report = split_placebo(panel, 0.6, 2, standard_design(k="auto"), np.random.default_rng(52))
+
+        assert [it for it, _ in calls] == [1, 2]
+        for (it, fits), entry in zip(calls, report.per_iteration):
+            it_rows = [r for r in report.rows if r.iteration == it]
+            clusters = {r.cluster_label for r in it_rows if r.variant == "cluster_sc"}
+            sizes = Counter(r.selected_donor_count for r in it_rows
+                            if r.variant == "sc_random_subset")
+            assert fits == 1 + len(clusters) + sum(-(-count // chunk) for count in sizes.values())
+            assert entry["n_targets"] > evaluate.TARGET_CHUNK
+        if chunk == 3:
+            assert max(sizes.values()) > chunk  # the cap splits a size's subsets
+
     def test_rows_do_not_depend_on_chunk_size(self, monkeypatch):
         # at chunks of 8, a chunk stacks targets that share a pool and the
         # random subsets of one size
@@ -820,6 +883,32 @@ class TestSplitSharedPools:
             ))
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
+
+
+class TestRowFieldTypes:
+    """Every row field is a plain Python value: a NumPy scalar would send each
+    row off the report writers' fast paths and make it pickle bigger."""
+
+    REPORTS = {
+        "per_target": lambda: leave_one_out_placebo(
+            small_dataset(), 0.3, standard_design(), np.random.default_rng(5)),
+        "per_dataset": lambda: leave_one_out_placebo(
+            small_dataset(), 0.3, standard_design(), np.random.default_rng(5),
+            cluster_mode="per_dataset"),
+        "split": lambda: split_placebo(
+            small_dataset().panel, 0.6, 2, standard_design(k="auto"), np.random.default_rng(52)),
+    }
+
+    @pytest.mark.parametrize("harness", sorted(REPORTS))
+    def test_fields_are_python_scalars(self, harness):
+        report = self.REPORTS[harness]()
+        assert report.rows
+        for row in report.rows:
+            for f in fields(row):
+                value = getattr(row, f.name)
+                assert type(value) in (int, float, str, type(None)), (f.name, type(value))
+        if harness != "split":
+            assert any(r.active_donor_recall is not None for r in report.rows)
 
 
 def outlier_pair_dataset():
@@ -1272,21 +1361,31 @@ class TestDealtTargets:
 
     def test_children_inherit_the_clustering_import(self, tmp_path):
         # the harness loads k-means' scipy before it deals the targets, so no
-        # dealt child imports it again; -X importtime lists every import made
-        # by the parent and by its forked children on the shared stderr
+        # dealt child imports it again. -X importtime lists every import made
+        # by the parent and by its forked children on the shared stderr, so a
+        # dealt run must log the module as often as the same run held to one
+        # CPU, which forks no child: the parent's own lines cancel out
         if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
             pytest.skip("one CPU in the affinity mask: no target is dealt to a child")
-        done = subprocess.run(
-            [sys.executable, "-X", "importtime", "-m", "clustersc", "placebo-synthetic",
-             "--na", "10", "--nb", "10", "--datasets", "1", "--rule", "fixed:3", "--k", "2",
-             "--seed", "42", "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120,
-            env={**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).resolve().parent.parent)},
-        )
-        assert done.returncode == 0, done.stderr
-        imports = [line for line in done.stderr.splitlines()
-                   if line.split("|")[-1].strip() == "scipy.spatial.distance"]
-        assert len(imports) == 1, imports
+
+        def imports(preexec_fn=None):
+            done = subprocess.run(
+                [sys.executable, "-X", "importtime", "-m", "clustersc", "placebo-synthetic",
+                 "--na", "10", "--nb", "10", "--datasets", "1", "--rule", "fixed:3", "--k", "2",
+                 "--seed", "42", "--out", str(tmp_path)],
+                capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
+                env={**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).resolve().parent.parent)},
+            )
+            assert done.returncode == 0, done.stderr
+            return [line for line in done.stderr.splitlines()
+                    if line.split("|")[-1].strip() == "scipy.spatial.distance"]
+
+        cpu = min(os.sched_getaffinity(0))
+        # sched_setaffinity(0, ...) acts on the child process alone
+        pinned = imports(lambda: os.sched_setaffinity(0, {cpu}))
+        dealt = imports()
+        assert pinned
+        assert len(dealt) == len(pinned), (dealt, pinned)
 
 
 class TestSingularGapExperiment:
