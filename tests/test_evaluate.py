@@ -649,10 +649,10 @@ def record_fits(monkeypatch, panel=None) -> list:
     the CPU count. The core fits stacks: a shared pool with all of its
     targets, or pools of one shape with one target each. Each sc_infer
     stack is split into its targets' fits, found by their series, and a core
-    call's fits join the list in row order once it returns. The pools of one
-    stack are held to one, TARGET_CHUNK 1, so each denoised matrix is one
-    window; TestDealtTargets and TestSplitSharedPools check that the rows do
-    not depend on the chunk size.
+    call's fits join the list in row order once it returns. Distinct pools
+    are held to stacks of one (TARGET_CHUNK 1), so each denoised matrix is
+    one window; TestDealtTargets and TestSplitSharedPools check that the
+    rows do not depend on the chunk size.
 
     The harnesses fit on donor rows alone, so a fit's donor_ids are its
     positions in the pool. Given the panel, whose rows must be distinct, each
@@ -867,7 +867,7 @@ class TestSplitSharedPools:
             sizes = Counter(r.selected_donor_count for r in it_rows
                             if r.variant == "sc_random_subset")
             assert fits == 1 + len(clusters) + sum(-(-count // chunk) for count in sizes.values())
-            assert entry["n_targets"] > evaluate.TARGET_CHUNK
+            assert entry["n_targets"] > chunk  # more than one chunk's worth
         if chunk == 3:
             assert max(sizes.values()) > chunk  # the cap splits a size's subsets
 
