@@ -8,56 +8,56 @@ observed panels: units are repeatedly split into donors and targets, and
 errors are measured against the observations themselves (there is no signal
 to compare with). The report records which reference was used.
 
-Both harnesses hand their targets to one placebo core: the leave-one-out
-harness a chunk of TARGET_CHUNK targets at a time, the split harness all of
-an iteration's targets at once. Every donor pool is a set of panel rows: the
-core gathers each pool it fits from the panel, and scores its fits'
-selections against a mask of the planted group's rows when the harness has
-one. Given each target's donor rows, series, reference series and cluster
-source, each indexed by the target's position in the chunk, the core fits
-the one PlaceboDesign: SC on the full pool (sc_full), on the target's
-cluster (cluster_sc) and optionally on a random donor subset of the
-cluster's size (sc_random_subset). It records the skipped cells with their
-reason and builds the placebo rows. Each fit is the engine's steps:
-sc_denoise the pool, sc_fit_weights the target on it, sc_infer the
-counterfactual. A pool that several targets share is fitted once, with the
-stack of all of them; the chunk's other pools of one variant that share a
-shape are stacked along a leading axis, TARGET_CHUNK at a time, which keeps
-memory flat. So each step, the MSEs and the selection scores run once per
-stack, not once per target; every number is the one the target gets alone,
-bit for bit. A chunk that raises is fitted again one target at a time, so
-the error raised is the first in target order. The harnesses keep the rest:
-which units are targets, which reference the errors are measured against,
-where the target's cluster comes from (a fresh clustering of each donor
-pool, the dataset's pool model with the target removed, or the split
-iteration's donor model), and, for the split harness, the per-iteration
-aggregates.
+Both harnesses hand their targets to one placebo core, in one call: the
+leave-one-out harness each CPU's share of them, the split harness all of an
+iteration's targets. Every donor pool is a set of panel rows: the core
+gathers each pool it fits from the panel, and scores its fits' selections
+against a mask of the planted group's rows when the harness has one. Given
+the targets' panel rows, the matrix their reference series are read from,
+their donor rows and a cluster source, the core fits the one PlaceboDesign:
+SC on the full pool (sc_full), on the target's cluster (cluster_sc) and
+optionally on a random donor subset of the cluster's size
+(sc_random_subset). It records the skipped cells with their reason and
+builds the placebo rows. Each fit is the engine's steps: sc_denoise the
+pool, sc_fit_weights the target on it, sc_infer the counterfactual. The
+core alone decides how targets are stacked: a pool that several targets
+share is fitted once, with the stack of all of them; a variant's other pools
+that share a shape are stacked along a leading axis, TARGET_CHUNK at a time,
+which keeps memory flat. So each step, the MSEs and the selection scores run
+once per stack, not once per target; every number is the one the target
+gets alone, bit for bit. If the stacked fit raises, every target is fitted
+again alone, in order, so the error raised is the first in target order.
+The harnesses keep the rest: which units are targets, which reference the
+errors are measured against, where the target's cluster comes from (a fresh
+clustering of each donor pool, the dataset's pool model with the target
+removed, or the split iteration's donor model), and, for the split harness,
+the per-iteration aggregates.
 
-What the harnesses share between targets follows from where the pools come
-from. In a leave-one-out run every target removes itself from the pool, so
-every pool is denoised for its target. In a split iteration every target
-sees the same donors and the same donor model, so the full pool and each
-cluster are denoised and fitted once, for all the targets that use them;
-only the random subsets are drawn and denoised per target. The denoised
-shared pools are kept through the iteration, so a retry one target at a time
-does not denoise them again. The leave-one-out harness maps each chunk's
-targets to their donors' panel rows once; the per_target clustering input
-and the per_dataset clusters come from that map, and every cluster source
-returns its cluster as panel rows.
+What the targets of a call share follows from where the pools come from.
+In a leave-one-out run every target removes itself from the pool, so the
+harness gives each target its own donor rows and every pool is denoised for
+its target. In a split iteration every target sees the same donors and the
+same donor model, so the harness gives one set of donor rows, and the full
+pool and each cluster are denoised and fitted once, for all the targets that
+use them; only the random subsets are drawn and denoised per target. The
+denoised shared pools are kept through the call, so a retry one target at a
+time does not denoise them again. The leave-one-out harness maps each
+share's targets to their donors' panel rows once; the per_target clustering
+input and the per_dataset clusters come from that map, and every cluster
+source returns its cluster as panel rows.
 
 Leave-one-out targets share nothing once their seeds are drawn (and, in
 per_dataset mode, the pool model is fitted), so the harness deals them
 round-robin over the CPUs in the process's affinity mask: one forked child
-per extra CPU fits its share in chunks and sends the rows back through a
-pipe, and the parent puts every target's rows back in target order. After
-any failure every target runs again here, in order and in chunks, so the
-report is the same for any CPU count and the error raised is the one a
-serial run raises first. One function, _deal_over_cpus, owns that protocol
-from the share count to the last reaped child. With one CPU or one target,
-without os.fork or os.sched_getaffinity, or while another Python thread
-runs, the same loop runs in this process alone (`taskset -c 0` pins a run to
-it). The split harness stays in one process: its targets share the pools it
-fits once.
+per extra CPU fits its share and sends the rows back through a pipe, and
+the parent puts every target's rows back in target order. After any failure
+every target runs again here, in one call, so the report is the same for
+any CPU count and the error raised is the one a serial run raises first.
+One function, _deal_over_cpus, owns that protocol from the share count to
+the last reaped child. With one CPU or one target, without os.fork or
+os.sched_getaffinity, or while another Python thread runs, the same call
+runs in this process alone (`taskset -c 0` pins a run to it). The split
+harness stays in one process: its targets share the pools it fits once.
 
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
@@ -118,8 +118,9 @@ __all__ = [
     "cluster_recovery_experiment",
 ]
 CLUSTER_MODES = ("per_target", "per_dataset")  # see leave_one_out_placebo
-# targets fitted as one stack (see the module docstring): enough to share
-# each NumPy and LAPACK call's fixed cost, few enough to keep stacks small
+# the core's cap on distinct pools fitted as one stack (see the module
+# docstring): enough to share each NumPy and LAPACK call's fixed cost, few
+# enough to keep stacks small
 TARGET_CHUNK = 8
 
 def mse(predicted, reference) -> float:
@@ -256,11 +257,14 @@ def random_subset_variant(pool, subset_size: int, rng) -> list[int]:
     """Uniform donor sample without replacement; returns sorted row indices.
 
     Only the pool's shape is read, so any matrix of its rows will do.
+    subset_size is an integer (a Python or NumPy one, not a bool).
     """
     shape = np.shape(pool)
     if len(shape) != 2:
         raise ShapeError(f"pool must be a matrix, got shape {shape}")
     n = shape[0]
+    if isinstance(subset_size, bool) or not isinstance(subset_size, (int, np.integer)):
+        raise InvalidInputError(f"subset_size must be an integer, got {subset_size!r}")
     if not 1 <= subset_size <= n:
         raise InvalidInputError(
             f"subset_size must be in 1..{n}, got {subset_size}"
@@ -325,53 +329,58 @@ def _fit_pool_model(design, donor_pre, rng):
 
 def _placebo_target(
     iteration: int,
-    target_ids: list,
     panel: TimePanel,
+    target_rows: np.ndarray,
+    truth: np.ndarray,
     donor_rows,
-    target_full: np.ndarray,
-    reference: np.ndarray,
     design: PlaceboDesign,
     seeds,
     cluster_source,
     in_group=None,
-    pools=None,
 ) -> list[tuple[list[PlaceboRow], list[dict]]]:
-    """Fit and score the design's variants on a chunk of targets; returns
-    (rows, skipped) per target.
+    """Fit and score the design's variants on every target of a call; returns
+    (rows, skipped) per target, in target order.
 
     Every pool is a set of panel rows, ascending, and is fitted on those
-    rows of panel.values. Every other argument has one entry per target of
-    the chunk's B targets along its first axis, and cluster_source names a
-    target by its position j in the chunk: target_ids, donor_rows (B, n),
-    each target's full pool, target_full (B, T), reference (B, T), the series
-    the errors are measured against, split at panel.split.t0 like
-    target_full, and seeds, one integer seed per variant.
-    cluster_source gets seeds[:, 1] and the random subset is drawn from
-    seeds[:, 2]. seeds[:, 0] goes unused, as sc_full draws nothing; it keeps
-    every later seed in its place.
-    cluster_source(j, seed) returns target j's cluster label and its member
-    rows, taken from donor_rows[j], or raises DegenerateClusterError (see
-    cluster_members) when the cluster has fewer than 2 donors. That skips
-    cluster_sc and, with it, sc_random_subset, whose size the cluster sets.
+    rows of panel.values. target_rows holds the B targets' panel rows: a
+    target's id and series are its unit id and its row of panel.values, and
+    its reference, the series the errors are measured against, is its row of
+    truth, a matrix shaped like panel.values; both are split at
+    panel.split.t0. donor_rows is one set of rows that every target shares,
+    or (B, n), each target's own. seeds holds one integer seed per target
+    and variant: cluster_source gets seeds[:, 1] and the random subset is
+    drawn from seeds[:, 2]. seeds[:, 0] goes unused, as sc_full draws
+    nothing; it keeps every later seed in its place.
+    cluster_source(j, seed) returns the label and member rows of the cluster
+    of target j, its position in target_rows, taken from its donor rows, or
+    raises DegenerateClusterError (see cluster_members) when the cluster has
+    fewer than 2 donors. That skips cluster_sc and, with it,
+    sc_random_subset, whose size the cluster sets.
     in_group, when given, marks the planted group's panel rows; each fit
     records its active donors' precision and recall against it.
-    pools, when given, keeps the denoised full pool and cluster pools under
-    (variant name, cluster label) for later targets; pass it only when every
-    target sees the same donors and clusters. Random subsets are never kept.
 
-    With pools, the targets of one key are fitted as one stack, however
-    many: the pool's one denoise, one fit, one infer and one scoring. A
-    variant's other pools that share a shape are fitted in stacks of at most
-    TARGET_CHUNK pools, each with the same four steps. Every number is the
-    one the target gets alone, bit for bit.
+    With shared donor rows, the full pool and each cluster are fitted once,
+    with the stack of all the targets that use them: the pool's one
+    denoise, one fit, one infer and one scoring. Every other pool of a
+    variant (each target's own pools, and the random subsets) is stacked
+    with the variant's pools of its shape, at most TARGET_CHUNK at a time,
+    with the same four steps. Every number is the one the target gets
+    alone, bit for bit. If the stacked fit raises, every target is fitted
+    again alone, in order, so the error raised is the first in target order;
+    the shared pools denoised before it are not denoised again.
     """
     split = panel.split
-    rows: list[list[PlaceboRow]] = [[] for _ in target_ids]
-    skipped: list[list[dict]] = [[] for _ in target_ids]
+    target_ids = [panel.unit_ids[t] for t in target_rows.tolist()]
+    target_full, reference = panel.values[target_rows], truth[target_rows]
+    shared_donors = np.ndim(donor_rows) == 1
+    # one row of donors per target: views of the one set when it is shared
+    donor_rows = np.broadcast_to(donor_rows, (len(target_ids), np.shape(donor_rows)[-1]))
+    # the denoised shared pools, under (variant name, cluster label)
+    pools: dict = {}
 
-    def add_rows(variant, rule, fits):
-        # fits: (position in the chunk, cluster label, pool rows)
-        shared = pools is not None and variant != "sc_random_subset"
+    def add_rows(rows, variant, rule, fits):
+        # fits: (position in target_rows, cluster label, pool rows)
+        shared = shared_donors and variant != "sc_random_subset"
         groups: dict = {}
         for fit in fits:
             groups.setdefault(fit[1] if shared else len(fit[2]), []).append(fit)
@@ -394,11 +403,11 @@ def _placebo_target(
                 # held through the fit: freed right after the denoise, page faults rose by half
                 donors = panel.values[pool_rows]
                 pool = sc_denoise(donors, rule)
-            series, truth = target_full[at], reference[at]
+            series, ref = target_full[at], reference[at]
             fit = sc_fit_weights(pool, split, series[:, : split.t0], design.reg)
             estimate = sc_infer(fit, split, series)
-            pre_mse = _mean_squares(estimate.pre_fit - truth[:, : split.t0]).tolist()
-            post_mse = _mean_squares(estimate.counterfactual_post - truth[:, split.t0 :]).tolist()
+            pre_mse = _mean_squares(estimate.pre_fit - ref[:, : split.t0]).tolist()
+            post_mse = _mean_squares(estimate.counterfactual_post - ref[:, split.t0 :]).tolist()
             scores = [(None, None)] * len(group)
             if in_group is not None:
                 active = np.abs(fit.weights.values) > ACTIVE_SET_TOL
@@ -423,50 +432,40 @@ def _placebo_target(
                     )
                 )
 
-    add_rows("sc_full", design.rule, [(j, None, donor_rows[j]) for j in range(len(target_ids))])
-    clustered = []
-    for j in range(len(target_ids)):
-        try:
-            label, members = cluster_source(j, seeds[j][1])
-        except DegenerateClusterError as exc:
-            reasons = (str(exc), "paired cluster_sc run was skipped")
-            skipped[j] = [
-                {"iteration": iteration, "target_id": target_ids[j], "variant": name, "reason": reason}
-                for name, reason in zip(design.variants[1:], reasons)
-            ]
-            continue
-        clustered.append((j, label, members))
-    add_rows("cluster_sc", design.cluster_rule, clustered)
-    if design.with_random_subset:
-        # the draw reads only the pool's row count, so it is given the rows alone
-        add_rows("sc_random_subset", design.rule, [
-            (j, None, donor_rows[j][
-                random_subset_variant(donor_rows[j][:, None], len(members), seeds[j][2])
+    def fit_targets(targets):
+        # targets: positions in target_rows, ascending
+        rows = {j: [] for j in targets}
+        skipped = {j: [] for j in targets}
+        add_rows(rows, "sc_full", design.rule, [(j, None, donor_rows[j]) for j in targets])
+        clustered = []
+        for j in targets:
+            try:
+                label, members = cluster_source(j, seeds[j][1])
+            except DegenerateClusterError as exc:
+                reasons = (str(exc), "paired cluster_sc run was skipped")
+                skipped[j] = [
+                    {"iteration": iteration, "target_id": target_ids[j], "variant": name, "reason": reason}
+                    for name, reason in zip(design.variants[1:], reasons)
+                ]
+                continue
+            clustered.append((j, label, members))
+        add_rows(rows, "cluster_sc", design.cluster_rule, clustered)
+        if design.with_random_subset:
+            # the draw reads only the pool's row count, so it is given the rows alone
+            add_rows(rows, "sc_random_subset", design.rule, [
+                (j, None, donor_rows[j][
+                    random_subset_variant(donor_rows[j][:, None], len(members), seeds[j][2])
+                ])
+                for j, _, members in clustered
             ])
-            for j, _, members in clustered
-        ])
-    return list(zip(rows, skipped))
+        return [(rows[j], skipped[j]) for j in targets]
 
-
-def _fit_in_chunks(fit_chunk, indices, size: int) -> list:
-    """fit_chunk(chunk) over indices in order, size at a time; one result
-    per index.
-
-    A chunk that raises is fitted again one index at a time, so the error
-    raised is the first in index order, whatever the chunk size.
-    """
-    indices = list(indices)
-    results = []
-    for start in range(0, len(indices), size):
-        chunk = indices[start : start + size]
-        try:
-            results.extend(fit_chunk(chunk))
-        except Exception:
-            if len(chunk) == 1:
-                raise
-            for i in chunk:
-                results.extend(fit_chunk([i]))
-    return results
+    try:
+        return fit_targets(range(len(target_ids)))
+    except Exception:
+        if len(target_ids) == 1:
+            raise
+    return [result for j in range(len(target_ids)) for result in fit_targets([j])]
 
 
 def _deal_over_cpus(work, count: int) -> list:
@@ -592,8 +591,8 @@ def leave_one_out_placebo(
 
     donor_row = np.arange(values.shape[0] - 1)
 
-    def fit_chunk(chunk):
-        tr = target_rows[chunk]
+    def work(indices):
+        tr = target_rows[indices]
         # each target's donors are the panel rows other than its own, in order
         rows = donor_row + (donor_row >= tr[:, None])
 
@@ -608,16 +607,13 @@ def leave_one_out_placebo(
             return label, rows[j][cluster_members(pool_labels[rows[j]], label)]
 
         return _placebo_target(
-            0, [panel.unit_ids[t] for t in tr.tolist()], panel, rows, values[tr],
-            dataset.true_signal[tr], design, seeds[chunk], cluster_source, in_a,
+            0, panel, tr, dataset.true_signal, rows, design, seeds[indices], cluster_source, in_a,
         )
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
     from scipy.spatial import distance  # every target clusters: children inherit the import
-    for cell_rows, cell_skipped in _deal_over_cpus(
-        lambda indices: _fit_in_chunks(fit_chunk, indices, TARGET_CHUNK), n_targets
-    ):
+    for cell_rows, cell_skipped in _deal_over_cpus(work, n_targets):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
 
@@ -681,29 +677,17 @@ def split_placebo(
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(design.variants)))
         model = _fit_pool_model(design, values[train_rows, :t0], it_rng)
 
-        # every target of the iteration shares the donors and the model's
-        # clusters, so each of those pools is denoised once and kept for a
-        # retry one target at a time
-        pools: dict = {}
-
-        def fit_chunk(chunk):
-            tr = test_rows[chunk]
-            observed = values[tr]
-
-            def cluster_source(j, seed):
-                label, members = nearest_cluster(model, observed[j, :t0])
-                return label, train_rows[members]
-
-            return _placebo_target(
-                it, [panel.unit_ids[t] for t in tr.tolist()], panel, [train_rows] * len(chunk),
-                observed, observed, design, seeds[chunk], cluster_source, pools=pools,
-            )
+        def cluster_source(j, seed):
+            label, members = nearest_cluster(model, values[test_rows[j], :t0])
+            return label, train_rows[members]
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
-        # one chunk, so the core stacks each shared pool's targets at once
-        targets = range(test_rows.size)
-        for cell_rows, cell_skipped in _fit_in_chunks(fit_chunk, targets, len(targets)):
+        # every target shares the donors and the model's clusters, so the core
+        # fits each of those pools once
+        for cell_rows, cell_skipped in _placebo_target(
+            it, panel, test_rows, values, train_rows, design, seeds, cluster_source,
+        ):
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)
 

@@ -251,10 +251,17 @@ def preprocess_hpi(path, date_range: tuple[str, str], t0=None) -> PreprocessResu
         raise PanelFormatError(
             f"{path}: need either a period column or year and quarter columns"
         )
+    read = (unit_col, value_col) + (
+        (period_col,) if period_col is not None else (year_col, quarter_col)
+    )
     cells: dict[str, dict[str, float]] = {}
     for lineno, row in enumerate(lines, start=2):
         if not row or all(not c.strip() for c in row):
             continue
+        if len(row) <= max(read):
+            raise PanelFormatError(
+                f"{path} line {lineno}: expected {len(header)} fields, got {len(row)}"
+            )
         unit = row[unit_col].strip()
         if period_col is not None:
             label = _period_label(*parse_period(row[period_col]))

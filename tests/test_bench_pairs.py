@@ -1,4 +1,5 @@
-"""tools/bench_pairs.py refuses to compare two trees whose benchmarks differ."""
+"""tools/bench_pairs.py refuses to compare two trees whose benchmarks differ,
+and summarises the pairs it ran."""
 
 from __future__ import annotations
 
@@ -97,3 +98,30 @@ def test_run_once_keeps_plain_seconds(bench_pairs, tmp_path):
         "cells_per_s": 120.5, "call_s_p50": 0.04, "ref_s_mean": 0.006,
     }
     assert "cells_per_call" not in run["detail"]
+
+
+def summarised_runs(parent: list[float], change: list[float]) -> list[dict]:
+    """Runs of one workload whose setup_s reads parent and change, pair by pair."""
+    detail = {"outputs_sha256": "ab", "first_call_sha256": "cd"}
+    return [
+        {"workload": "loo-lasso", "seed": seed, "side": side, "correct": True,
+         "metrics": {"setup_s": value}, "detail": detail}
+        for seed, pair in enumerate(zip(parent, change))
+        for side, value in zip(("parent", "change"), pair)
+    ]
+
+
+@pytest.mark.parametrize("parent, change, unresolved", [
+    # quartiles 0.9..1.1 of a median 1.0: a spread of 0.2, within the bound 0.25
+    ([0.8, 0.9, 1.0, 1.1, 1.2], [1.0, 1.0, 1.0, 1.0, 1.0], False),
+    # quartiles 0.7..1.3: a spread of 0.6, wider than the bound
+    ([0.4, 0.7, 1.0, 1.3, 1.6], [1.0, 1.0, 1.0, 1.0, 1.0], True),
+    # as wide, but every change run reads lower (better) than every parent run
+    ([0.4, 0.7, 1.0, 1.3, 1.6], [0.3, 0.3, 0.3, 0.3, 0.3], False),
+    # one change run reads no better than the parent's best
+    ([0.4, 0.7, 1.0, 1.3, 1.6], [0.3, 0.3, 0.4, 0.3, 0.3], True),
+])
+def test_wide_parent_spread_is_unresolved(bench_pairs, parent, change, unresolved):
+    bound = [{"name": "setup_s", "better": "lower", "bound": 0.25}]
+    row = bench_pairs.summarise(summarised_runs(parent, change), bound)["loo-lasso"]["setup_s"]
+    assert row["unresolved"] is unresolved

@@ -261,6 +261,15 @@ class TestRandomSubsetVariant:
         with pytest.raises(InvalidInputError):
             random_subset_variant(np.ones((4, 3)), 0, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("size", [2.5, 2.0, True, "2", None])
+    def test_non_integer_size_rejected(self, size):
+        with pytest.raises(InvalidInputError, match="subset_size must be an integer"):
+            random_subset_variant(np.ones((4, 3)), size, np.random.default_rng(0))
+
+    def test_numpy_integer_size(self):
+        drawn = random_subset_variant(np.ones((20, 4)), np.int64(7), np.random.default_rng(42))
+        assert drawn == random_subset_variant(np.ones((20, 4)), 7, np.random.default_rng(42))
+
     def test_integer_row_column(self):
         # the core passes a target's donor rows as a column: only the row count is read
         rows = np.arange(3, 23)[:, None]
@@ -652,7 +661,7 @@ def record_fits(monkeypatch, panel=None) -> list:
     call's fits join the list in row order once it returns. Distinct pools
     are held to stacks of one (TARGET_CHUNK 1), so each denoised matrix is
     one window; TestDealtTargets and TestSplitSharedPools check that the
-    rows do not depend on the chunk size.
+    rows do not depend on the stack cap.
 
     The harnesses fit on donor rows alone, so a fit's donor_ids are its
     positions in the pool. Given the panel, whose rows must be distinct, each
@@ -665,15 +674,13 @@ def record_fits(monkeypatch, panel=None) -> list:
     # the core call running: (position of each target by its series, each target's fits)
     running = []
 
-    def core(iteration, target_ids, core_panel, donor_rows, target_full, *args, **kwargs):
-        position = {series.tobytes(): j for j, series in enumerate(target_full)}
-        assert len(position) == len(target_ids)
-        by_target = [[] for _ in target_ids]
+    def core(iteration, core_panel, target_rows, *args, **kwargs):
+        position = {core_panel.values[t].tobytes(): j for j, t in enumerate(target_rows)}
+        assert len(position) == len(target_rows)
+        by_target = [[] for _ in target_rows]
         running.append((position, by_target))
         try:
-            result = placebo_target(
-                iteration, target_ids, core_panel, donor_rows, target_full, *args, **kwargs
-            )
+            result = placebo_target(iteration, core_panel, target_rows, *args, **kwargs)
         finally:
             running.pop()
         fits.extend(fit for target_fits in by_target for fit in target_fits)
@@ -1008,21 +1015,32 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
-def failing_core(bad, error, calls=None):
-    """The placebo core, except that a chunk holding a target of bad raises
-    error. A chunk names its last bad target, so only a rerun one target at a
-    time raises the first. calls, when given, gets each chunk's target ids."""
-    placebo_target = evaluate._placebo_target
+def failing_infer(panel, bad, error, calls=None):
+    """The engine's sc_infer, except that a stack holding a target of bad
+    raises error. A stack names its last bad target, so only a rerun one
+    target at a time raises the first. Targets are found by their series in
+    panel, whose rows must be distinct; calls, when given, gets each stack's
+    target ids."""
+    unit_of = {row.tobytes(): uid for row, uid in zip(panel.values, panel.unit_ids)}
+    assert len(unit_of) == len(panel.unit_ids)
 
-    def core(iteration, target_ids, *args, **kwargs):
+    def infer(fit, split, target_full):
+        target_ids = [unit_of[series.tobytes()] for series in target_full]
         if calls is not None:
-            calls.append(list(target_ids))
+            calls.append(target_ids)
         failed = [t for t in target_ids if t in bad]
         if failed:
             raise error(f"target {failed[-1]} failed")
-        return placebo_target(iteration, target_ids, *args, **kwargs)
+        return engine.sc_infer(fit, split, target_full)
 
-    return core
+    return infer
+
+
+def alone_up_to(serial, target_ids, first) -> list:
+    """The sc_infer stacks of fitting each target alone, in order, up to the
+    target first, whose sc_full stack raises: a stack per row of serial."""
+    rows = Counter(r.target_id for r in serial.rows)
+    return [[t] for t in target_ids[:first] for _ in range(rows[t])] + [[target_ids[first]]]
 
 
 class TestDealtTargets:
@@ -1077,15 +1095,15 @@ class TestDealtTargets:
             that meets it exits without sending its results."""
 
         error = InvalidInputError if picklable else LocalError
-        monkeypatch.setattr(evaluate, "_placebo_target", failing_core(bad, error))
+        monkeypatch.setattr(evaluate, "sc_infer", failing_infer(dataset.panel, bad, error))
         use_cpus(monkeypatch, cpus)
         with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         assert_no_children()
 
-    # with chunks of 3, the 8 targets form chunks [0 1 2] [3 4 5] [6 7] on one
-    # CPU, [0 2 4] [6] and [1 3 5] [7] on two, and one partial chunk per
-    # share on four
+    # with stacks of 3, the call of all 8 targets fits their full pools as
+    # [0 1 2] [3 4 5] [6 7]; on two or four CPUs a failing share sends every
+    # target to that call here
     @pytest.mark.parametrize("picklable", [True, False])
     @pytest.mark.parametrize("failing", [(4,), (4, 5), (7,), (6, 7)],
                              ids=["mid_chunk", "two_mid_chunk", "last_chunk", "two_last_chunk"])
@@ -1104,24 +1122,25 @@ class TestDealtTargets:
         # a class made here cannot be pickled, so a child that meets it
         # exits without sending its results
         error = InvalidInputError if picklable else type("LocalError", (Exception,), {})
-        core = failing_core({target_ids[i] for i in failing}, error, calls)
-        monkeypatch.setattr(evaluate, "_placebo_target", core)
+        bad = {target_ids[i] for i in failing}
+        monkeypatch.setattr(evaluate, "sc_infer", failing_infer(dataset.panel, bad, error, calls))
         use_cpus(monkeypatch, cpus)
         with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         assert_no_children()
-        # the last chunk fitted here failed and was fitted again one target
-        # at a time, up to the first bad one
-        chunk = [c for c in calls if len(c) > 1][-1]
-        stop = chunk.index(target_ids[failing[0]]) + 1
-        assert calls[-stop:] == [[t] for t in chunk[:stop]]
+        # the last stack fitted here failed, and every target was fitted
+        # again alone, in order, up to the first bad one
+        alone = alone_up_to(serial, target_ids, failing[0])
+        start = failing[0] // 3 * 3
+        assert calls[-len(alone) - 1] == target_ids[start : start + 3]
+        assert calls[-len(alone):] == alone
 
     @pytest.mark.parametrize("failing", [(1,), (4,), (4, 5), (7,)],
                              ids=["first_chunk", "mid_chunk", "two_mid_chunk", "last_chunk"])
     def test_one_share_fits_each_chunk_once(self, failing, monkeypatch):
         # with one share nothing is dealt, so a failure does not rerun the
-        # whole call: every chunk up to the failing one is fitted once, then
-        # that chunk again one target at a time, up to its first bad target
+        # whole call: every stack up to the failing one is fitted once, then
+        # each target alone, in order, up to the first bad one
         dataset = small_dataset(seed=63)
         design = standard_design()
         use_cpus(monkeypatch, 1)
@@ -1130,13 +1149,14 @@ class TestDealtTargets:
         assert len(target_ids) == 8
         monkeypatch.setattr(evaluate, "TARGET_CHUNK", 3)
         calls = []
-        core = failing_core({target_ids[i] for i in failing}, InvalidInputError, calls)
-        monkeypatch.setattr(evaluate, "_placebo_target", core)
+        bad = {target_ids[i] for i in failing}
+        monkeypatch.setattr(
+            evaluate, "sc_infer", failing_infer(dataset.panel, bad, InvalidInputError, calls)
+        )
         with pytest.raises(InvalidInputError, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
-        chunks = [target_ids[start : start + 3] for start in range(0, 8, 3)]
-        last, stop = divmod(failing[0], 3)
-        assert calls == chunks[: last + 1] + [[t] for t in chunks[last][: stop + 1]]
+        stacks = [target_ids[start : start + 3] for start in range(0, failing[0] + 1, 3)]
+        assert calls == stacks + alone_up_to(serial, target_ids, failing[0])
 
     @pytest.mark.parametrize("path", [
         "dealt_2", "dealt_4", "no_pipe", "second_fork_fails", "child_delivers_nothing",
@@ -1173,7 +1193,9 @@ class TestDealtTargets:
             # target 1 is in share 1, a child's; a class made here cannot be
             # pickled, and the child that meets it exits without its results
             raises = type("LocalError", (Exception,), {})
-            monkeypatch.setattr(evaluate, "_placebo_target", failing_core({target_ids[1]}, raises))
+            monkeypatch.setattr(
+                evaluate, "sc_infer", failing_infer(dataset.panel, {target_ids[1]}, raises)
+            )
         elif path == "interrupt":
             parent = os.getpid()
             placebo_target = evaluate._placebo_target
@@ -1197,11 +1219,18 @@ class TestDealtTargets:
         expected_forks = {"dealt_2": 1, "no_pipe": 0, "second_fork_fails": 1}
         assert len(forks) == expected_forks.get(path, 3)
 
-    def test_chunk_stacks_the_pools_of_one_shape(self, monkeypatch):
-        # 8 targets form one chunk: one stack of full pools, and one stack of
-        # cluster pools and one of random subsets per cluster size (each target
-        # clusters its own pool, so the sizes differ), none rerun
+    @pytest.mark.parametrize("mode, fraction, chunk", [
+        ("per_target", 0.4, evaluate.TARGET_CHUNK), ("per_dataset", 1.0, 3),
+    ])
+    def test_chunk_stacks_the_pools_of_one_shape(self, mode, fraction, chunk, monkeypatch):
+        # one core call stacks each variant's pools of one shape, chunk at a
+        # time, none rerun. per_target, 8 targets make one stack of full
+        # pools, and one stack of cluster pools and one of random subsets per
+        # cluster size (each target clusters its own pool, so the sizes
+        # differ). per_dataset, the targets of one cluster have pools of one
+        # size, stacked whatever their place among the share's targets
         use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
         shapes = []
         denoise = evaluate.sc_denoise
 
@@ -1210,12 +1239,18 @@ class TestDealtTargets:
             return denoise(donors, rule)
 
         monkeypatch.setattr(evaluate, "sc_denoise", recording)
-        report = leave_one_out_placebo(small_dataset(seed=61, s=0.2), 0.4, standard_design(), 64)
-        sizes = {r.selected_donor_count for r in report.rows if r.variant == "cluster_sc"}
-        assert len(report.rows) == 24
-        assert 1 < len(sizes) < 8
-        assert len(shapes) == 1 + 2 * len(sizes)
+        report = leave_one_out_placebo(
+            small_dataset(seed=61, s=0.2), fraction, standard_design(), 64, cluster_mode=mode
+        )
+        pools = Counter((r.variant, r.selected_donor_count) for r in report.rows)
+        assert len(shapes) == sum(-(-count // chunk) for count in pools.values())
         assert sum(shape[0] for shape in shapes) == len(report.rows)
+        sizes = {r.selected_donor_count for r in report.rows if r.variant == "cluster_sc"}
+        if mode == "per_target":
+            assert len(report.rows) == 24
+            assert 1 < len(sizes) < 8
+        else:
+            assert len(sizes) > 1
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_report_bytes_do_not_depend_on_chunk_size(self, case, monkeypatch, tmp_path):
@@ -1292,25 +1327,27 @@ class TestDealtTargets:
             serial, tmp_path / "1.json"
         ).read_bytes()
 
-    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("cpus", [1, 2, 4])
     def test_parent_runs_only_its_own_share(self, cpus, monkeypatch):
+        # in one core call, however many stacks its targets make
         parent = os.getpid()
         placebo_target = evaluate._placebo_target
-        here = []
+        here = []  # the target ids of each core call made here
 
-        def counting_target(iteration, target_ids, *args):
+        def counting_target(iteration, panel, target_rows, *args):
             if os.getpid() == parent:
-                here.extend(target_ids)
-            return placebo_target(iteration, target_ids, *args)
+                here.append([panel.unit_ids[t] for t in target_rows])
+            return placebo_target(iteration, panel, target_rows, *args)
 
         monkeypatch.setattr(evaluate, "_placebo_target", counting_target)
+        monkeypatch.setattr(evaluate, "TARGET_CHUNK", 3)
         use_cpus(monkeypatch, cpus)
         report = leave_one_out_placebo(small_dataset(seed=63), 0.4, standard_design(), 64)
         target_ids = list(dict.fromkeys(r.target_id for r in report.rows))
         assert len(target_ids) == 8
         # share 0 is targets 0, cpus, 2 * cpus, ...: ceil(8 / cpus) targets
-        assert here == target_ids[::cpus]
-        assert len(here) == math.ceil(8 / cpus)
+        assert here == [target_ids[::cpus]]
+        assert len(here[0]) == math.ceil(8 / cpus)
         assert_no_children()
 
     def test_interrupt_kills_and_reaps_children(self, monkeypatch):

@@ -251,6 +251,17 @@ class TestPreprocessHpi:
         with pytest.raises(PanelFormatError, match="non-numeric"):
             preprocess_hpi(self.write(tmp_path, rows), ("1997Q1", "1998Q1"))
 
+    @pytest.mark.parametrize("header, short", [
+        ("unit,year,quarter,value", "A,2000"), ("unit,period,value", "A,2000Q1"),
+    ])
+    def test_short_row_names_line_and_field_count(self, tmp_path, header, short):
+        path = tmp_path / "raw.csv"
+        path.write_text(f"{header}\n{short}\n")
+        fields = header.count(",") + 1
+        where = f"{path} line 2: expected {fields} fields, got 2"
+        with pytest.raises(PanelFormatError, match=re.escape(where) + "$"):
+            preprocess_hpi(path, ("2000Q1", "2000Q2"))
+
     def test_too_few_complete_units(self, tmp_path):
         rows = self.long_rows("m1", 1997, 8)
         with pytest.raises(PanelFormatError, match="unit"):

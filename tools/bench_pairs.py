@@ -14,9 +14,11 @@ The output JSON holds every run (its end-to-end metrics, output digests and
 machine facts) and, per workload and end-to-end metric of BENCHMARK.json:
 each side's median and quartiles, the pairs each side won (ties count for
 neither), the change/parent ratio of the medians, whether the change is
-within the metric's bound, and whether a gain may be claimed (the change won
-at least nine tenths of the pairs and the medians differ by more than the
-distance between the parent's quartiles). Each run also keeps run.py's
+within the metric's bound, whether it is unresolved (the distance between
+the parent's quartiles is wider than the bound, relative to the parent's
+median, and not every change run beats every parent run), and whether a gain
+may be claimed (the change won at least nine tenths of the pairs and the
+medians differ by more than the distance between the parent's quartiles). Each run also keeps run.py's
 plain-seconds fields (cells_per_s, call_s_p50, ref_s_mean), and per workload
 each side's median cells_per_s and call_s_p50 are given as context, with no
 bound and no gate (plain_seconds). Per workload it also counts the
@@ -160,6 +162,9 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
                 "ratio": cs["median"] / ps["median"] if ps["median"] else None,
                 "bound": spec["bound"],
                 "within_bound": worse <= spec["bound"],
+                # the parent's own spread is too wide to tell a change within the bound
+                "unresolved": ps["q3"] - ps["q1"] > spec["bound"] * abs(ps["median"])
+                and not min(sign * c for c in change) > max(sign * p for p in parent),
                 "gain_claimable": wins >= 0.9 * len(pairs)
                 and abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
             }
