@@ -18,13 +18,13 @@ within the metric's bound, whether it is unresolved (the distance between
 the parent's quartiles is wider than the bound, relative to the parent's
 median, and not every change run beats every parent run), and whether a gain
 may be claimed (the change won at least nine tenths of the pairs and the
-medians differ by more than the distance between the parent's quartiles). Each run also keeps run.py's
-plain-seconds fields (cells_per_s, call_s_p50, ref_s_mean), and per workload
-each side's median cells_per_s and call_s_p50 are given as context, with no
-bound and no gate (plain_seconds). Per workload it also counts the
-pairs whose two sides wrote the same outputs_sha256 and first_call_sha256
-(outputs_identical_pairs). --append adds the runs to those already in the
-output file before summarising.
+medians differ by more than the distance between the parent's quartiles).
+Each run also keeps run.py's plain-seconds fields (cells_per_s, call_s_p50,
+ref_s_mean), and per workload each side's median cells_per_s and call_s_p50
+are given as context, with no bound and no gate (plain_seconds). Per
+workload it also counts the pairs whose two sides wrote the same
+outputs_sha256 and first_call_sha256 (outputs_identical_pairs). --append
+adds the runs to those already in the output file before summarising.
 
 Both sides must run the same benchmark: when BENCHMARK.json or any file
 under perfbench/ differs between the parent and the working tree, nothing
