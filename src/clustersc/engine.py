@@ -6,22 +6,28 @@ through the denoised post block to get the counterfactual. The clustered
 variant first restricts the donor pool to the cluster nearest the target in
 singular vector space and runs the same engine on that subset.
 
-Learning is two steps. sc_denoise depends on the donor pool alone (SVD, rank
-rule, HSVT); sc_fit_weights fits one target's weights on a denoised pool.
+Learning is two steps. sc_denoise depends on the donor pool alone (spectrum,
+rank rule, HSVT); sc_fit_weights fits one target's weights on a denoised pool.
 sc_learn is the two in sequence; sc_denoise checks the donors and
 sc_fit_weights the target's window. A caller that serves many targets from
 the same pool, as the split placebo harness does, denoises it once and fits
 each target on the result. sc_infer returns the pre-period fit with its
 residual, so scoring it against another reference needs no second product.
 
+sc_denoise takes each pool's spectrum and right singular vectors from its
+T x T Gram matrix (linalg.gram_factors), picks the rank from that spectrum
+(select_rank, as for any spectrum) and returns the pool times its rank-r
+projector in period space (linalg.rank_projection), the HSVT of the pool.
+
 The three steps also take stacks: equally shaped pools (B, n, T) with one
-target each, or one pool with a stack of targets. A stack is one SVD call,
+target each, or one pool with a stack of targets. A stack is one eigh call,
 one ridge solve (regression.fit_stack) and one product per step, and each
 pool's numbers are the ones it gets alone, bit for bit, because every
 stacked product is a matmul, which makes the same BLAS call per pool as for
 a pool alone. A single pool goes through the same code as a stack of one.
-The rank rule still reads one spectrum at a time (select_rank), and the
-pools of a stack may keep different ranks.
+The rank rule still reads one spectrum at a time, and the pools of a stack
+may keep different ranks: the projector masks each pool's directions past
+its rank, so mixed ranks still make one product.
 
 A note on rank selection. The engine benefits from clustering through the
 rank: a cluster's matrix has lower signal rank than the pool's, so its HSVT
@@ -42,7 +48,7 @@ import numpy as np
 
 from .cluster import fit_cluster_model, nearest_cluster
 from .errors import ShapeError
-from .linalg import RankRule, as_matrix, select_rank, svd
+from .linalg import RankRule, as_matrix, gram_factors, rank_projection, select_rank
 from .panel import InterventionSplit
 from .regression import RegressionSpec, WeightVector, fit_stack
 
@@ -96,19 +102,19 @@ class DenoisedPool:
 
 
 def sc_denoise(donors, rule: RankRule) -> DenoisedPool:
-    """The target-free step of sc_learn: SVD, rank selection, HSVT.
+    """The target-free step of sc_learn: spectrum, rank selection, HSVT.
 
     donors is one window (n, T) or a stack of equally shaped windows
-    (B, n, T). The stack takes one SVD call, a rank per window and one HSVT
-    product per distinct rank, and each window's result is the one it gets
-    alone, bit for bit.
+    (B, n, T). The stack takes one eigh call, a rank per window and one HSVT
+    product, and each window's result is the one it gets alone, bit for bit.
     """
-    factors = svd(donors)
-    if factors.sigma.ndim == 1:
-        rank = select_rank(factors.sigma, rule)
-        return DenoisedPool(factors.low_rank(rank), rank)
-    ranks = tuple([select_rank(sigma, rule) for sigma in factors.sigma])
-    return DenoisedPool(factors.low_rank(ranks), ranks)
+    donors = as_matrix(donors, stacked=True)
+    sigma, v = gram_factors(donors)
+    if sigma.ndim == 1:
+        rank = select_rank(sigma, rule)
+    else:
+        rank = tuple([select_rank(s, rule) for s in sigma])
+    return DenoisedPool(rank_projection(donors, v, rank), rank)
 
 
 def sc_fit_weights(
@@ -208,8 +214,10 @@ def cluster_sc(
     The clustering sees only pre-intervention data (see fit_cluster_model
     for k). The target's cluster must hold at least 2 donors, else
     DegenerateClusterError is raised. The rank rule is applied afresh
-    to the selected cluster's matrix. Each step checks its own inputs, so a
-    wrong period count or target length is found after the clustering.
+    to the selected cluster's matrix. donor_ids, when given, holds one id per
+    donor row (ShapeError otherwise, before the clustering). Each step checks
+    its own inputs, so a wrong period count or target length is found after
+    the clustering.
 
     Returns (EffectEstimate, ScFit, ClusterModel). With k=1 the selected
     cluster is the whole pool, reproducing plain SC bit for bit.
@@ -218,6 +226,8 @@ def cluster_sc(
     target_full = np.asarray(target_full, dtype=float)
     if donor_ids is None:
         donor_ids = list(range(donors.shape[0]))
+    elif len(donor_ids) != donors.shape[0]:
+        raise ShapeError(f"{len(donor_ids)} donor ids for {donors.shape[0]} donors")
     model = fit_cluster_model(donors[:, : split.t0], rule, k=k, rng=rng)
     label, selected = nearest_cluster(model, target_full[: split.t0])
     sub_ids = [donor_ids[i] for i in selected]

@@ -9,8 +9,8 @@ errors are measured against the observations themselves (there is no signal
 to compare with). The report records which reference was used.
 
 Both harnesses hand their targets to one placebo core, in one call: the
-leave-one-out harness each CPU's share of them, the split harness all of an
-iteration's targets. Every donor pool is a set of panel rows: the core
+leave-one-out harness all of them, the split harness all of an iteration's
+targets. Every donor pool is a set of panel rows: the core
 gathers each pool it fits from the panel, and scores its fits' selections
 against a mask of the planted group's rows when the harness has one. Given
 the targets' panel rows, the matrix their reference series are read from,
@@ -41,23 +41,11 @@ same donor model, so the harness gives one set of donor rows, and the full
 pool and each cluster are denoised and fitted once, for all the targets that
 use them; only the random subsets are drawn and denoised per target. The
 denoised shared pools are kept through the call, so a retry one target at a
-time does not denoise them again. The leave-one-out harness maps each
-share's targets to their donors' panel rows once; the per_target clustering
-input and the per_dataset clusters come from that map, and every cluster
-source returns its cluster as panel rows.
-
-Leave-one-out targets share nothing once their seeds are drawn (and, in
-per_dataset mode, the pool model is fitted), so the harness deals them
-round-robin over the CPUs in the process's affinity mask: one forked child
-per extra CPU fits its share and sends the rows back through a pipe, and
-the parent puts every target's rows back in target order. After any failure
-every target runs again here, in one call, so the report is the same for
-any CPU count and the error raised is the one a serial run raises first.
-One function, _deal_over_cpus, owns that protocol from the share count to
-the last reaped child. With one CPU or one target, without os.fork or
-os.sched_getaffinity, or while another Python thread runs, the same call
-runs in this process alone (`taskset -c 0` pins a run to it). The split
-harness stays in one process: its targets share the pools it fits once.
+time does not denoise them again. The leave-one-out harness maps its
+targets to their donors' panel rows once; the per_target clustering input
+and the per_dataset clusters come from that map, and every cluster source
+returns its cluster as panel rows. Both harnesses run in the calling
+process and fork nothing.
 
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
@@ -67,10 +55,6 @@ a subgroup, and the recovery rate of the planted two-group structure.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
-import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -468,79 +452,6 @@ def _placebo_target(
     return [result for j in range(len(target_ids)) for result in fit_targets([j])]
 
 
-def _deal_over_cpus(work, count: int) -> list:
-    """work(range(count)), with the indices dealt over the CPUs.
-
-    This one function owns the dealing protocol: it decides the share count,
-    makes each pipe, forks, collects, reaps and kills. work(indices) returns
-    one result per index, in order, and raises the first error in index
-    order. There is one share per CPU in the affinity mask, at most one per
-    index; with a single share (also without os.fork or os.sched_getaffinity,
-    or while another Python thread runs, since fork is safe only without
-    one) work(range(count)) simply runs here.
-
-    Otherwise index i goes to share i % shares. Every share but 0 is forked
-    into a child, which writes the pickled list of its results to its pipe
-    and leaves through os._exit, so it runs no exit handler and never flushes
-    the stdio buffers it inherited; its exit status is 0 only when the whole
-    list was written. Share 0 then runs here, and the children are read in
-    share order, each reaped right after its read. If anything fails (a pipe
-    or a child cannot be made, a child delivers nothing, or this process's
-    share raises), the children still running are killed and reaped, and
-    work(range(count)) runs here: its results, or its error, are what the
-    call returns or raises.
-    """
-    shares = 1
-    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
-        shares = min(count, len(os.sched_getaffinity(0)))
-    if shares < 2:
-        return work(range(count))
-    children = []  # (pid, read end of its pipe), in share order
-    try:
-        for share in range(1, shares):
-            read_fd, write_fd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_fd)
-                os.close(write_fd)
-                raise
-            if pid == 0:
-                status = 1
-                try:
-                    os.close(read_fd)
-                    results = work(range(share, count, shares))
-                    payload = pickle.dumps(results, pickle.HIGHEST_PROTOCOL)
-                    with open(write_fd, "wb") as pipe:
-                        pipe.write(payload)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            children.append((pid, read_fd))
-        dealt = [work(range(0, count, shares))]
-        while children:
-            pid, read_fd = children.pop(0)
-            try:
-                with open(read_fd, "rb") as pipe:
-                    payload = pipe.read()
-            finally:
-                _, status = os.waitpid(pid, 0)
-            if os.waitstatus_to_exitcode(status) != 0:
-                raise ChildProcessError(f"share child {pid} delivered nothing")
-            dealt.append(pickle.loads(payload))
-        return [dealt[i % shares][i // shares] for i in range(count)]
-    except Exception:
-        pass  # one policy for every failure: the serial loop below
-    finally:
-        # children are left here only when the dealt run failed
-        for pid, read_fd in children:
-            os.close(read_fd)
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return work(range(count))
-
-
 def leave_one_out_placebo(
     dataset: SyntheticDataset,
     target_fraction: float,
@@ -589,31 +500,26 @@ def leave_one_out_placebo(
     if cluster_mode == "per_dataset":
         pool_labels = _fit_pool_model(design, panel.pre, rng).assignments.labels
 
+    # each target's donors are the panel rows other than its own, in order
     donor_row = np.arange(values.shape[0] - 1)
+    donor_rows = donor_row + (donor_row >= target_rows[:, None])
 
-    def work(indices):
-        tr = target_rows[indices]
-        # each target's donors are the panel rows other than its own, in order
-        rows = donor_row + (donor_row >= tr[:, None])
-
-        def cluster_source(j, seed):
-            if pool_labels is None:
-                model = fit_cluster_model(
-                    values[rows[j], :t0], design.cluster_rule, k=design.k, rng=seed
-                )
-                label, members = nearest_cluster(model, values[tr[j], :t0])
-                return label, rows[j][members]
-            label = int(pool_labels[tr[j]])
-            return label, rows[j][cluster_members(pool_labels[rows[j]], label)]
-
-        return _placebo_target(
-            0, panel, tr, dataset.true_signal, rows, design, seeds[indices], cluster_source, in_a,
-        )
+    def cluster_source(j, seed):
+        if pool_labels is None:
+            model = fit_cluster_model(
+                values[donor_rows[j], :t0], design.cluster_rule, k=design.k, rng=seed
+            )
+            label, members = nearest_cluster(model, values[target_rows[j], :t0])
+            return label, donor_rows[j][members]
+        label = int(pool_labels[target_rows[j]])
+        return label, donor_rows[j][cluster_members(pool_labels[donor_rows[j]], label)]
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
-    from scipy.spatial import distance  # every target clusters: children inherit the import
-    for cell_rows, cell_skipped in _deal_over_cpus(work, n_targets):
+    for cell_rows, cell_skipped in _placebo_target(
+        0, panel, target_rows, dataset.true_signal, donor_rows, design, seeds, cluster_source,
+        in_a,
+    ):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
 

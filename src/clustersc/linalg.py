@@ -1,11 +1,24 @@
 """Singular value decomposition with fixed signs, hard thresholding, and rank rules.
 
 The denoising step of every estimator in this package is hard singular value
-thresholding (HSVT): keep the top r singular triplets and drop the rest. The
+thresholding (HSVT): keep the top r singular directions and drop the rest. The
 rank r either comes from a fixed request or from an energy rule on the
 cumulative singular value mass. Flags, config files and reports write a
 rule one way, fixed:R, energy:T or energy:T:squared: parse_rule reads that
 grammar and rule_tag writes it. RankRule checks itself, however it is built.
+
+HSVT needs only the right singular vectors, so gram_factors finds them, and
+the singular values, from the eigendecomposition of the T x T Gram matrix
+X'X, one eigh call for a matrix or a whole stack; the donor pools here are
+tall (hundreds of units over about ten periods), so that is much cheaper
+than an SVD of X. Each matrix is first scaled by 2**-e, e being the exponent
+of its largest entry, so its Gram cannot overflow and LAPACK never rescales
+it by a factor that is not a power of two: scaling X by 2**j scales every
+singular value and the HSVT result by exactly 2**j. A Gram squares the
+condition number, so singular values below about 1e-8 times the largest
+lose their relative accuracy (the leading ones, and the directions they
+span, keep it). svd stays the decomposition for the k-means embedding, which
+needs the left factors too, and for spectrum reports.
 """
 
 from __future__ import annotations
@@ -53,60 +66,73 @@ class SvdFactors:
     u is (n, p), sigma is (p,) nonincreasing and nonnegative, v is (T, p),
     with p = min(n, T). Each column of v has a nonnegative first nonzero
     coordinate; the matching column of u is flipped jointly so the product is
-    unchanged. The factors of a stack of matrices carry the stack's leading
-    axis, one set of factors per matrix.
+    unchanged.
     """
 
     u: np.ndarray
     sigma: np.ndarray
     v: np.ndarray
 
-    def low_rank(self, r) -> np.ndarray:
-        """Reconstruction from the leading r singular triplets.
-
-        For a stack, r is one rank for every matrix or a sequence of one rank
-        per matrix; the matrices that share a rank are rebuilt in one product.
-        """
-        p = self.sigma.shape[-1]
-        if not isinstance(r, (int, np.integer)):
-            if self.sigma.ndim != 2 or len(r) != len(self.sigma):
-                raise ShapeError(f"{len(r)} ranks for factors of shape {self.sigma.shape}")
-            if len(set(r)) > 1:
-                return self._low_rank_each(np.asarray(r))
-            r = r[0]
-        if not 1 <= r <= p:
-            raise InvalidRankError(f"rank must be in 1..{p}, got {r}")
-        return (self.u[..., :r] * self.sigma[..., None, :r]) @ self.v[..., :r].swapaxes(-1, -2)
-
-    def _low_rank_each(self, ranks) -> np.ndarray:
-        """low_rank of a stack with one rank per matrix, one product per rank."""
-        out = np.empty(self.u.shape[:-1] + self.v.shape[-2:-1])
-        for rank in np.unique(ranks):
-            at = ranks == rank
-            out[at] = SvdFactors(self.u[at], self.sigma[at], self.v[at]).low_rank(rank)
-        return out
-
 
 def svd(x) -> SvdFactors:
-    """Thin SVD of a finite matrix, or of each matrix of a stack (B, n, T) in
-    one LAPACK call, signs fixed for reproducibility."""
-    x = as_matrix(x, stacked=True)
+    """Thin SVD of a finite matrix, signs fixed for reproducibility."""
+    x = as_matrix(x)
     u, sigma, vh = np.linalg.svd(x, full_matrices=False)
-    v = vh.swapaxes(-1, -2)
+    v = vh.T
     # each column's first entry above 1e-12 in magnitude; v columns are unit
     # vectors, so a column has none only if it is near 0, which LAPACK does
     # not produce, and such a column keeps its sign
     big = np.abs(v) > 1e-12
-    first = big & (big.cumsum(axis=-2) == 1)
-    signs = np.where((first & (v < 0)).any(axis=-2, keepdims=True), -1.0, 1.0)
+    first = big & (big.cumsum(axis=0) == 1)
+    signs = np.where((first & (v < 0)).any(axis=0), -1.0, 1.0)
     u *= signs
     v *= signs
     return SvdFactors(u=u, sigma=sigma, v=v)
 
 
+def gram_factors(x) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values and right singular vectors of a matrix x (n, T),
+    or of each matrix of a stack (B, n, T), from the eigendecomposition of
+    its Gram matrix (see the module docstring).
+
+    x must be finite, as as_matrix returns it. Returns sigma, (p,) or
+    (B, p) with p = min(n, T), nonincreasing and nonnegative, and v, (T, T)
+    or (B, T, T), whose columns are the matching eigenvectors in the same
+    order (the last T - p span x's null space when x is wide). A stack's
+    factors are the ones each matrix gets alone, bit for bit.
+    """
+    exponent = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(x, -exponent[..., None, None])
+    lam, v = np.linalg.eigh(scaled.swapaxes(-1, -2) @ scaled)
+    # descending; rounding can leave a zero eigenvalue slightly negative
+    lam = np.maximum(lam[..., ::-1][..., : min(x.shape[-2:])], 0.0)
+    # contiguous, so the projector's products stay BLAS calls
+    return np.ldexp(np.sqrt(lam), exponent[..., None]), np.ascontiguousarray(v[..., ::-1])
+
+
+def rank_projection(x, v, rank) -> np.ndarray:
+    """x @ V_r V_r', the HSVT of x at rank r, with v from gram_factors(x).
+
+    For a stack, rank holds one rank per matrix. The projector keeps the
+    columns of v below each matrix's rank through a mask, so a stack of
+    mixed ranks is one product, and each matrix's result is the one it gets
+    alone, bit for bit.
+    """
+    keep = np.arange(v.shape[-1]) < np.asarray(rank)[..., None, None]
+    return x @ ((v * keep) @ v.swapaxes(-1, -2))
+
+
 def hsvt(x, r: int) -> np.ndarray:
-    """Hard singular value thresholding: best rank-r approximation of x."""
-    return svd(x).low_rank(r)
+    """Hard singular value thresholding: best rank-r approximation of x.
+
+    InvalidRankError unless r is an integer (a Python or NumPy one, not a
+    bool) in 1..min(n, T).
+    """
+    x = as_matrix(x)
+    p = min(x.shape)
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 1 <= r <= p:
+        raise InvalidRankError(f"rank must be an integer in 1..{p}, got {r!r}")
+    return rank_projection(x, gram_factors(x)[1], r)
 
 
 @dataclass(frozen=True)

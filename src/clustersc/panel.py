@@ -32,12 +32,20 @@ from .errors import (
 
 @dataclass(frozen=True)
 class InterventionSplit:
-    """Pre/post boundary: columns [0, t0) are pre, [t0, t_total) are post."""
+    """Pre/post boundary: columns [0, t0) are pre, [t0, t_total) are post.
+
+    Both are integers (Python or NumPy ones, not bools), kept as Python ints.
+    """
 
     t0: int
     t_total: int
 
     def __post_init__(self):
+        for name in ("t0", "t_total"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidParamsError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.t0 < self.t_total:
             raise InvalidParamsError(
                 f"need 1 <= t0 < t_total, got t0={self.t0}, t_total={self.t_total}"

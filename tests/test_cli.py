@@ -310,8 +310,7 @@ class TestExitCodes:
     def test_overflowing_report_warns_nothing(self, argv, stem, tmp_path):
         # the refusal of the non-finite report diagnoses the overflow (k-means
         # inertia, target assignment, ridge and the standard error on the
-        # way); numpy's own warnings must not precede it, from this process
-        # or from a dealt child
+        # way); numpy's own warnings must not precede it
         out = tmp_path / "out"
         done = run_fresh(*argv, "--seed", "3", "--out", str(out))
         assert done.returncode == 1
@@ -727,13 +726,13 @@ RECORDED_DIGESTS = {
     "simulate/simulate_signal.csv":
         "ed7aac1d175ef1c180f264856a72c443eae6f2de492c99b3556aa98562c12750",
     "placebo-synthetic/placebo_synthetic.json":
-        "7903f7e48919b3787c7127ed63eb4c59ce6c74cf73ffeed448b362400dd6d6d8",
+        "dd9ef3c16f6646b6ec6b508fbe49041023c80d9ea11c5adc5bad0fc85d209b1e",
     "placebo-synthetic/placebo_synthetic_plot.csv":
-        "7bb674f31cd79edbe9032033ff215a9ef6395071ea07209997da1b2f8c8a3ed1",
+        "8f106dbdfe476c5e1688bf8c07632211c48774b19b4290e39c4b0d15cb2e0feb",
     "placebo-panel/placebo_panel.json":
-        "958b14f2af78d944d06d5a688684f0e37939cd68c0959452a4283efb564a4937",
+        "c583de541ed4bebc8929e8661749c1ac261f8614e6a81ef4cce72e9c59d40d7f",
     "placebo-panel/placebo_panel_plot.csv":
-        "73be24eb01313b82fee45804efb9a48badf4251dcb121798e21175faeca92197",
+        "7db6dc07d1ed8f11c1691809612734578fb7cb59831465ce0988564ef2c57967",
     "cluster/cluster.json":
         "1699ef2ff3565d210d49d95eccedb12638cb89272868d723c47a97a581bcb462",
     "cluster/cluster_plot.csv":
@@ -751,17 +750,17 @@ RECORDED_DIGESTS = {
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
     "placebo-synthetic-lasso/placebo_synthetic.json":
-        "29d67569dd9e25467d6e4f800811816e24c5e1f446e703d75ba591113c5ae7ad",
+        "b61845dad98dff70143799e6c3313e5bb3b2ed7c04a30b91064348ceb9f41811",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
-        "4f132e761bbe7da0fc6d0ded986ec4e5e5ec4a9cc57acc9aadf10436c248aa31",
+        "7117f27ebc76a1b0aa15af9cbdf7eeca18643963124b3b63d83321567d7dbfe3",
     "placebo-panel-auto/placebo_panel.json":
-        "83f0643850f3de3914d58f47418f3e64f887cd27fad2e0e25aef01faeef42030",
+        "4865d18616c766bed4a6cd2eeb885ec80cd08f1b3ca9888b29424362f722fb0a",
     "placebo-panel-auto/placebo_panel_plot.csv":
-        "c375b220bc2c6b8012e30fd1cc9a65e2d8d174863115f8ef4bf63f7f51e1c9dd",
+        "cfa039f1e860847db9477ae609f77a139e6f0757453c4c956f202d9e203fe50a",
     "placebo-synthetic-subset/placebo_synthetic.json":
-        "25a0763fa91cbdd47618c75cb98b7d6f8b9c80598d5f593f4605a1bea2df8f92",
+        "9eb356a0414bbb8dbd2a975f3ca69069e776b531f74546aec9421025c5bfdc11",
     "placebo-synthetic-subset/placebo_synthetic_plot.csv":
-        "dd4eae4bb06bdd8e4496dbbc01ebb40b4aea2823b54eae354cb4b37ce4b2b63a",
+        "585bf9aad84b2e62d159d66ed1299051df8c35fcc044757a0064d672eb7cec88",
 }
 
 
@@ -928,9 +927,9 @@ def test_outputs_match_recorded_digests(reference_inputs, tmp_path, capsys):
     names it. Rerun the commands on the parent commit, on the same host, to
     tell such a difference from a real change.
 
-    The commands run twice: with this process's whole affinity mask, where
-    the leave-one-out harness deals its targets over the CPUs, and pinned to
-    one CPU, where it runs them in this process alone.
+    The commands run twice: with this process's whole affinity mask and
+    pinned to one CPU, so the bytes are shown not to depend on how many CPUs
+    the BLAS may use.
     """
     expected = native_digests()
     mask = os.sched_getaffinity(0)
@@ -956,10 +955,10 @@ def test_fresh_interpreter_outputs_match_recorded_digests(tmp_path):
     recorded bytes.
 
     A fresh process has loaded no scipy when it starts its first k-means
-    run, so on more than one CPU the first dealt child of a per_target run
-    loads scipy itself, after the fork. The test above never sees that
-    path: test_outputs_match_recorded_digests runs the commands in the test
-    process, where the test modules have loaded scipy already.
+    run, so it loads scipy in the middle of its first placebo call. The
+    test above never sees that path: test_outputs_match_recorded_digests
+    runs the commands in the test process, where the test modules have
+    loaded scipy already.
     """
     expected = native_digests()
     labels = [label for label in REFERENCE_COMMANDS if label.startswith("placebo-synthetic")]
@@ -984,13 +983,13 @@ PRESCOTT_DIGESTS = {
     "simulate/simulate_signal.csv":
         "b49574322f261fe762db715bf3f9eecfecc6e3122a0739c3b6cf09d7204d5cf6",
     "placebo-synthetic/placebo_synthetic.json":
-        "819b7933c66faafc53904890df21bb2b2370e3a787fa002d99cac15720615331",
+        "54171ef8b7e494aab35819616d8def762d4a9140492ccb8370a342728bbedbc2",
     "placebo-synthetic/placebo_synthetic_plot.csv":
-        "d20a3ddd14c22bb4fa4d36525ca54b77ce10afa94f86e6bfac11313cedf8ea3a",
+        "be1d9064352481f767361a83b8211043583c7c9ac89a71c484fa34c852e609d5",
     "placebo-panel/placebo_panel.json":
-        "e861a19c4e2b19d0ab456bb27add2aef50f4adb98307b7daca21c54141688fdd",
+        "71fcb921727efaaba7a48998128a214219c27bd6161a4f4e4eec4082b74ee316",
     "placebo-panel/placebo_panel_plot.csv":
-        "071c3fc38da5b981eba168edf7ed93235b4366453d51004ac8f4dca8808bee26",
+        "ebc14c27488cc68c546611001e91ae42720de1f9a5a4ebffb38f6275607282b6",
     "cluster/cluster.json":
         "8c3824807d78f8a8797f6f0969fce83b289765d71227fb3aa83dedc3c303f4ec",
     "cluster/cluster_plot.csv":
@@ -1008,17 +1007,17 @@ PRESCOTT_DIGESTS = {
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
     "placebo-synthetic-lasso/placebo_synthetic.json":
-        "8ac93f205c34ffb832b182d7fd30e1ab723daebea9635100c6dfe4ac13f3885b",
+        "9324d568770af149561449d9865dc5882b8c78e95d2bc7453261a9c3f8692235",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
-        "2cb4ce4c782d14d5c5d1a8b639c992f0097a562ac3b319c2698d701082474708",
+        "40a11406eb55b08b54c481ea05b0c2a0a16587e80cd4acf2fd5fa644469c1619",
     "placebo-panel-auto/placebo_panel.json":
-        "8a5cb3e838bb9309c9193e84007edb4373fbf0d41891291538283941467834b9",
+        "35d992168ffa261e27b4f48bb647002c61702bbc440332859fa94bfee64e23be",
     "placebo-panel-auto/placebo_panel_plot.csv":
-        "89c8e8b9d9df0845f4db5fc8d1152185636587e77999fc8aad121ffd7ae8e16b",
+        "c60e4a1b16e5342a1a82f44b4a82a57eff1d42b7f034edcc5aa520efbf9116f9",
     "placebo-synthetic-subset/placebo_synthetic.json":
-        "36d3ee1d9d83cd1ca9425e53170e7976809c9a6b391d7093305751590763e267",
+        "1b91dcd6816f8f629ef04393c1126206b8e2db5d89d97769a38536aae50b9f5f",
     "placebo-synthetic-subset/placebo_synthetic_plot.csv":
-        "0dfb67537d6eddd9012d4244661dc790ec4b286c1d11fb89eb4167d808c703d0",
+        "5cfb27d7abd8fe701cf3616925461810e536c5e3090e5bae8ce3f4dd39785253",
 }
 
 # run by a fresh interpreter: argv[1] is the output directory, argv[2] the

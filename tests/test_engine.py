@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clustersc.cluster import cluster_members, fit_cluster_model
 from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
 from clustersc.engine import (
     EffectEstimate,
@@ -25,9 +26,16 @@ from clustersc.engine import (
     sc_infer,
     sc_learn,
 )
-from clustersc.errors import ClusterScError, DegenerateClusterError, InvalidParamsError, ShapeError
+from clustersc.errors import (
+    ClusterScError,
+    DegenerateClusterError,
+    DegenerateSpectrumError,
+    InvalidParamsError,
+    InvalidRankError,
+    ShapeError,
+)
 from clustersc.evaluate import _mean_squares
-from clustersc.linalg import RankRule
+from clustersc.linalg import RankRule, select_rank, svd
 from clustersc.regression import RegressionSpec
 
 
@@ -218,6 +226,13 @@ class TestClusterSc:
             assert np.array_equal(est.counterfactual_post, plain_est.counterfactual_post)
             assert np.array_equal(est.effect, plain_est.effect)
 
+    def test_donor_ids_must_match_the_donors(self):
+        # a short list raised a raw IndexError after the clustering
+        donors = np.random.default_rng(5).normal(size=(6, 5))
+        with pytest.raises(ShapeError, match="^2 donor ids for 6 donors$"):
+            cluster_sc(donors, InterventionSplit(3, 5), donors[0], RankRule.fixed(2),
+                       RegressionSpec("ols"), k=2, rng=1, donor_ids=[1, 2])
+
     def test_degenerate_cluster_raises(self):
         rng = np.random.default_rng(423)
         base = np.zeros(10)
@@ -391,3 +406,70 @@ class TestStackedCore:
             assert stacked == alone
         else:  # a fixed rule denoises an all-zero pool to zeros
             assert all(np.array_equal(got[3], want) for got, want in zip(stacked, alone))
+
+
+class TestScDenoise:
+    """sc_denoise reads each pool's spectrum from its Gram matrix; the ranks
+    it picks must be the ones the pool's SVD spectrum gives."""
+
+    RULES = (
+        RankRule.energy(0.95), RankRule.energy(0.9),
+        RankRule.energy(0.95, squared=True), RankRule.energy(0.9, squared=True),
+    )
+
+    @staticmethod
+    def criterion_4_pools(noise, seed):
+        """Leave-one-out full pools (399 x 10) and per_dataset clusters
+        (about 200 x 10) of one criterion-4-shaped dataset."""
+        dataset = gen_dataset(
+            GROUP_A_SPEC, GROUP_B_SPEC, 200, 200, 10, 8, NoiseSpec.gaussian(noise), seed=seed
+        )
+        values = dataset.panel.values
+        labels = fit_cluster_model(
+            dataset.panel.pre, RankRule.energy(0.95), k=2, rng=seed
+        ).assignments.labels
+        pools = []
+        for target in (0, 57, 199, 260):
+            rows = np.delete(np.arange(values.shape[0]), target)
+            pools.append(values[rows])
+            label = int(labels[target])
+            pools.append(values[rows[cluster_members(labels[rows], label)]])
+        return pools
+
+    @pytest.mark.parametrize("noise", [0.1, 0.25, 0.4])
+    def test_ranks_match_the_svd_spectrum(self, noise):
+        for seed in (401, 402):
+            for pool in self.criterion_4_pools(noise, seed):
+                want = np.linalg.svd(pool, compute_uv=False)
+                for rule in self.RULES:
+                    assert sc_denoise(pool, rule).rank_used == select_rank(want, rule), (
+                        noise, seed, pool.shape, rule,
+                    )
+
+    def test_matches_the_svd_truncation(self):
+        pool = self.criterion_4_pools(0.25, 403)[0]
+        factors = svd(pool)
+        for r in (1, 3, 6, 9, 10):
+            oracle = (factors.u[:, :r] * factors.sigma[:r]) @ factors.v[:, :r].T
+            got = sc_denoise(pool, RankRule.fixed(r)).values
+            assert np.abs(got - oracle).max() <= 1e-10 * np.linalg.norm(pool)
+
+    def test_wide_pool_keeps_n_values(self):
+        donors = np.random.default_rng(11).normal(size=(4, 10))
+        assert sc_denoise(donors, RankRule.fixed(4)).rank_used == 4
+        with pytest.raises(InvalidRankError):
+            sc_denoise(donors, RankRule.fixed(5))
+
+    @pytest.mark.parametrize("rule", [RankRule.energy(0.9), RankRule.energy(0.9, squared=True)])
+    def test_all_zero_pool_has_no_energy_rank(self, rule):
+        with pytest.raises(DegenerateSpectrumError):
+            sc_denoise(np.zeros((12, 10)), rule)
+
+    @pytest.mark.parametrize("j", [-600, 600])
+    @pytest.mark.parametrize("rule", [RankRule.energy(0.95), RankRule.fixed(3)])
+    def test_power_of_two_scaling_is_exact(self, j, rule):
+        donors = np.random.default_rng(13).normal(size=(3, 40, 10))
+        base = sc_denoise(donors, rule)
+        scaled = sc_denoise(np.ldexp(donors, j), rule)
+        assert scaled.rank_used == base.rank_used
+        assert np.array_equal(scaled.values, np.ldexp(base.values, j))

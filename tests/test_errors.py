@@ -1,8 +1,7 @@
 """Every diagnosed error survives pickle.
 
-The package sends no error between processes itself: a dealt child that
-raises sends nothing, and its parent fits every target again. Pickle is how
-a caller's multiprocessing or concurrent.futures pool carries an error back
+The package sends no error between processes itself. Pickle is how a
+caller's multiprocessing or concurrent.futures pool carries an error back
 to its parent, so each error must round-trip through it."""
 
 from __future__ import annotations

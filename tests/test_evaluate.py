@@ -14,17 +14,10 @@ Hand-computed values used below:
 
 from __future__ import annotations
 
-import errno
 import math
-import os
 import re
-import subprocess
-import sys
-import textwrap
-import threading
 from collections import Counter
 from dataclasses import asdict, fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -653,14 +646,12 @@ def single_fit(fit, i):
 def record_fits(monkeypatch, panel=None) -> list:
     """Every fit the harnesses push through sc_infer, in the order of their rows.
 
-    A wrapper sees only the fits made in this process, so the harness is
-    held to one CPU; TestDealtTargets checks that the rows do not depend on
-    the CPU count. The core fits stacks: a shared pool with all of its
+    The core fits stacks: a shared pool with all of its
     targets, or pools of one shape with one target each. Each sc_infer
     stack is split into its targets' fits, found by their series, and a core
     call's fits join the list in row order once it returns. Distinct pools
     are held to stacks of one (TARGET_CHUNK 1), so each denoised matrix is
-    one window; TestDealtTargets and TestSplitSharedPools check that the
+    one window; TestTargetStacks and TestSplitSharedPools check that the
     rows do not depend on the stack cap.
 
     The harnesses fit on donor rows alone, so a fit's donor_ids are its
@@ -668,7 +659,6 @@ def record_fits(monkeypatch, panel=None) -> list:
     fit carries the unit ids of its donors instead: every matrix the harness
     denoises is matched back to the panel row by row.
     """
-    use_cpus(monkeypatch, 1)
     monkeypatch.setattr(evaluate, "TARGET_CHUNK", 1)
     fits = []
     # the core call running: (position of each target by its series, each target's fits)
@@ -775,28 +765,34 @@ class TestSplitSharedPools:
     """The split harness denoises the full pool once per iteration and each
     cluster once; every row must still be what a fresh sc_learn gives."""
 
-    def test_rows_equal_fresh_fits_and_svds_are_shared(self, monkeypatch):
+    def test_rows_equal_fresh_fits_and_decompositions_are_shared(self, monkeypatch):
         panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
         design = standard_design(k="auto")
-        svd_calls = []
-        numpy_svd = np.linalg.svd
+        # the cluster model's SVDs and the pools' Gram eigendecompositions
+        calls = {"svd": [], "eigh": []}
 
-        def counting_svd(*args, **kwargs):
-            svd_calls.append(None)
-            return numpy_svd(*args, **kwargs)
+        def counting(name):
+            numpy_call = getattr(np.linalg, name)
 
-        # (svd calls made before the model, the model) per iteration
+            def call(*args, **kwargs):
+                calls[name].append(None)
+                return numpy_call(*args, **kwargs)
+
+            return call
+
+        # (svd and eigh calls made before the model, the model) per iteration
         models = []
         fit_cluster_model = evaluate.fit_cluster_model
 
         def recording_model(*args, **kwargs):
-            before = len(svd_calls)
+            before = {name: len(made) for name, made in calls.items()}
             model = fit_cluster_model(*args, **kwargs)
             models.append((before, model))
             return model
 
         fits = record_fits(monkeypatch, panel)
-        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        for name in calls:
+            monkeypatch.setattr(np.linalg, name, counting(name))
         monkeypatch.setattr(evaluate, "fit_cluster_model", recording_model)
         report = split_placebo(panel, 0.6, 2, design, np.random.default_rng(52))
         monkeypatch.undo()
@@ -831,18 +827,20 @@ class TestSplitSharedPools:
             assert row.post_mse == mse(counterfactual, observed[t0:])
             assert row.pre_mse == mse(pre, observed[:t0])
 
-        # one SVD for the cluster model, one for the full pool, one per
-        # cluster used and one per random subset, in each iteration
+        # one SVD for the cluster model, and one eigh for the full pool, one
+        # per cluster used and one per random subset, in each iteration
         assert len(models) == 2
-        bounds = [before for before, _ in models] + [len(svd_calls)]
+        ends = {name: len(made) for name, made in calls.items()}
+        bounds = [before for before, _ in models] + [ends]
         for it, ((_, model), entry) in enumerate(zip(models, report.per_iteration), start=1):
             n_targets = entry["n_targets"]
-            calls = bounds[it] - bounds[it - 1]
-            assert calls <= 1 + 1 + model.k + n_targets
+            made = {name: bounds[it][name] - bounds[it - 1][name] for name in calls}
+            assert made["svd"] == 1
+            assert made["eigh"] <= 1 + model.k + n_targets
             it_rows = [r for r in report.rows if r.iteration == it]
             clusters = {r.cluster_label for r in it_rows if r.variant == "cluster_sc"}
             subsets = sum(r.variant == "sc_random_subset" for r in it_rows)
-            assert calls == 2 + len(clusters) + subsets
+            assert made["eigh"] == 1 + len(clusters) + subsets
             assert len(clusters) < n_targets  # some cluster served two targets
 
     @pytest.mark.parametrize("chunk", [3, evaluate.TARGET_CHUNK])
@@ -990,31 +988,6 @@ class TestSkipPath:
         assert sum(e["n_skipped_cells"] for e in report.per_iteration) == len(cells)
 
 
-def use_cpus(monkeypatch, count):
-    """Make the harness see count CPUs in this process's affinity mask."""
-    monkeypatch.setattr(evaluate.os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-def count_forks(monkeypatch) -> list:
-    """The pids of the children the harness forks from now on."""
-    pids = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    monkeypatch.setattr(evaluate.os, "fork", counting_fork)
-    return pids
-
-
-def assert_no_children():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def failing_infer(panel, bad, error, calls=None):
     """The engine's sc_infer, except that a stack holding a target of bad
     raises error. A stack names its last bad target, so only a rerun one
@@ -1043,10 +1016,11 @@ def alone_up_to(serial, target_ids, first) -> list:
     return [[t] for t in target_ids[:first] for _ in range(rows[t])] + [[target_ids[first]]]
 
 
-class TestDealtTargets:
-    """The leave-one-out harness deals its targets over the CPUs in the
-    affinity mask; the report and the error raised must not depend on how
-    many there are, and no child may outlive the call."""
+class TestTargetStacks:
+    """The leave-one-out harness fits all of its targets in one core call,
+    which stacks each variant's pools of one shape; the report must not
+    depend on the stack cap, and a failing stack is retried one target at a
+    time, so the error raised is the first in target order."""
 
     CASES = {
         "per_target": (lambda: small_dataset(seed=61, s=0.2), 0.5, "per_target"),
@@ -1056,94 +1030,28 @@ class TestDealtTargets:
         "skipped_per_dataset": (outlier_pair_dataset, 1.0, "per_dataset"),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_report_bytes_do_not_depend_on_cpus(self, case, monkeypatch, tmp_path):
-        make_dataset, fraction, mode = self.CASES[case]
-        dataset = make_dataset()
-        design = TestSkipPath.DESIGN if case.startswith("skipped") else standard_design()
-        forks = count_forks(monkeypatch)
-        written = []
-        for cpus in (1, 2, 4):
-            use_cpus(monkeypatch, cpus)
-            del forks[:]
-            report = leave_one_out_placebo(
-                dataset, fraction, design, np.random.default_rng(62), cluster_mode=mode
-            )
-            assert_no_children()
-            assert len(forks) == cpus - 1
-            written.append(write_json(report, tmp_path / f"{cpus}.json").read_bytes())
-        assert written[1] == written[0]
-        assert written[2] == written[0]
-        assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
-        if case.startswith("skipped"):
-            assert {s["target_id"] for s in report.skipped} == {"u00", "u01"}
-
-    @pytest.mark.parametrize("picklable", [True, False])
     @pytest.mark.parametrize("failing", [(1, 2), (2, 3), (3, 5), (6,)])
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_first_error_in_target_order_is_raised(self, cpus, failing, picklable, monkeypatch):
+    def test_first_error_in_target_order_is_raised(self, failing, monkeypatch):
         dataset = small_dataset(seed=63)
         design = standard_design()
-        use_cpus(monkeypatch, 1)
         serial = leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
         assert len(target_ids) == 8
         bad = {target_ids[i] for i in failing}
-
-        class LocalError(Exception):
-            """A class local to a function cannot be pickled, so a child
-            that meets it exits without sending its results."""
-
-        error = InvalidInputError if picklable else LocalError
-        monkeypatch.setattr(evaluate, "sc_infer", failing_infer(dataset.panel, bad, error))
-        use_cpus(monkeypatch, cpus)
-        with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
+        monkeypatch.setattr(
+            evaluate, "sc_infer", failing_infer(dataset.panel, bad, InvalidInputError)
+        )
+        with pytest.raises(InvalidInputError, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
-        assert_no_children()
-
-    # with stacks of 3, the call of all 8 targets fits their full pools as
-    # [0 1 2] [3 4 5] [6 7]; on two or four CPUs a failing share sends every
-    # target to that call here
-    @pytest.mark.parametrize("picklable", [True, False])
-    @pytest.mark.parametrize("failing", [(4,), (4, 5), (7,), (6, 7)],
-                             ids=["mid_chunk", "two_mid_chunk", "last_chunk", "two_last_chunk"])
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_first_error_in_target_order_is_raised_from_chunks(
-        self, cpus, failing, picklable, monkeypatch
-    ):
-        dataset = small_dataset(seed=63)
-        design = standard_design()
-        use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
-        target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
-        assert len(target_ids) == 8
-        monkeypatch.setattr(evaluate, "TARGET_CHUNK", 3)
-        calls = []
-        # a class made here cannot be pickled, so a child that meets it
-        # exits without sending its results
-        error = InvalidInputError if picklable else type("LocalError", (Exception,), {})
-        bad = {target_ids[i] for i in failing}
-        monkeypatch.setattr(evaluate, "sc_infer", failing_infer(dataset.panel, bad, error, calls))
-        use_cpus(monkeypatch, cpus)
-        with pytest.raises(error, match=f"^target {target_ids[failing[0]]} failed$"):
-            leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
-        assert_no_children()
-        # the last stack fitted here failed, and every target was fitted
-        # again alone, in order, up to the first bad one
-        alone = alone_up_to(serial, target_ids, failing[0])
-        start = failing[0] // 3 * 3
-        assert calls[-len(alone) - 1] == target_ids[start : start + 3]
-        assert calls[-len(alone):] == alone
 
     @pytest.mark.parametrize("failing", [(1,), (4,), (4, 5), (7,)],
                              ids=["first_chunk", "mid_chunk", "two_mid_chunk", "last_chunk"])
-    def test_one_share_fits_each_chunk_once(self, failing, monkeypatch):
-        # with one share nothing is dealt, so a failure does not rerun the
-        # whole call: every stack up to the failing one is fitted once, then
-        # each target alone, in order, up to the first bad one
+    def test_one_call_fits_each_chunk_once(self, failing, monkeypatch):
+        # a failure does not rerun the whole call: every stack up to the
+        # failing one is fitted once, then each target alone, in order, up to
+        # the first bad one
         dataset = small_dataset(seed=63)
         design = standard_design()
-        use_cpus(monkeypatch, 1)
         serial = leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
         assert len(target_ids) == 8
@@ -1158,67 +1066,6 @@ class TestDealtTargets:
         stacks = [target_ids[start : start + 3] for start in range(0, failing[0] + 1, 3)]
         assert calls == stacks + alone_up_to(serial, target_ids, failing[0])
 
-    @pytest.mark.parametrize("path", [
-        "dealt_2", "dealt_4", "no_pipe", "second_fork_fails", "child_delivers_nothing",
-        "interrupt",
-    ])
-    def test_no_descriptor_or_child_outlives_the_call(self, path, monkeypatch):
-        if not os.path.isdir("/proc/self/fd"):
-            pytest.skip("no /proc/self/fd to list this process's descriptors")
-        dataset = small_dataset(seed=63)
-        design = standard_design()
-        use_cpus(monkeypatch, 1)
-        # a first call also makes every import and load the dealt call needs
-        serial = leave_one_out_placebo(dataset, 0.4, design, 64)
-        target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
-        assert len(target_ids) == 8
-        use_cpus(monkeypatch, 2 if path == "dealt_2" else 4)
-        forks = count_forks(monkeypatch)
-        raises = None
-        if path == "no_pipe":
-            def failing_pipe():
-                raise OSError(errno.EMFILE, "too many open files")
-
-            monkeypatch.setattr(evaluate.os, "pipe", failing_pipe)
-        elif path == "second_fork_fails":
-            counting_fork = evaluate.os.fork
-
-            def fork_once():
-                if forks:
-                    raise BlockingIOError("no process slot")
-                return counting_fork()
-
-            monkeypatch.setattr(evaluate.os, "fork", fork_once)
-        elif path == "child_delivers_nothing":
-            # target 1 is in share 1, a child's; a class made here cannot be
-            # pickled, and the child that meets it exits without its results
-            raises = type("LocalError", (Exception,), {})
-            monkeypatch.setattr(
-                evaluate, "sc_infer", failing_infer(dataset.panel, {target_ids[1]}, raises)
-            )
-        elif path == "interrupt":
-            parent = os.getpid()
-            placebo_target = evaluate._placebo_target
-
-            def interrupted_target(*args):
-                if os.getpid() == parent:
-                    raise KeyboardInterrupt
-                return placebo_target(*args)
-
-            raises = KeyboardInterrupt
-            monkeypatch.setattr(evaluate, "_placebo_target", interrupted_target)
-        before = sorted(os.listdir("/proc/self/fd"))
-        if raises is None:
-            report = leave_one_out_placebo(dataset, 0.4, design, 64)
-            assert asdict(report) == asdict(serial)
-        else:
-            with pytest.raises(raises):
-                leave_one_out_placebo(dataset, 0.4, design, 64)
-        assert sorted(os.listdir("/proc/self/fd")) == before
-        assert_no_children()
-        expected_forks = {"dealt_2": 1, "no_pipe": 0, "second_fork_fails": 1}
-        assert len(forks) == expected_forks.get(path, 3)
-
     @pytest.mark.parametrize("mode, fraction, chunk", [
         ("per_target", 0.4, evaluate.TARGET_CHUNK), ("per_dataset", 1.0, 3),
     ])
@@ -1228,8 +1075,7 @@ class TestDealtTargets:
         # pools, and one stack of cluster pools and one of random subsets per
         # cluster size (each target clusters its own pool, so the sizes
         # differ). per_dataset, the targets of one cluster have pools of one
-        # size, stacked whatever their place among the share's targets
-        use_cpus(monkeypatch, 1)
+        # size, stacked whatever their place among the call's targets
         monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
         shapes = []
         denoise = evaluate.sc_denoise
@@ -1257,7 +1103,6 @@ class TestDealtTargets:
         make_dataset, fraction, mode = self.CASES[case]
         dataset = make_dataset()
         design = TestSkipPath.DESIGN if case.startswith("skipped") else standard_design()
-        use_cpus(monkeypatch, 1)
         written = []
         for chunk in (1, 3, evaluate.TARGET_CHUNK):
             monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
@@ -1267,162 +1112,9 @@ class TestDealtTargets:
             written.append(write_json(report, tmp_path / f"{chunk}.json").read_bytes())
         assert written[1] == written[0]
         assert written[2] == written[0]
-
-    @pytest.mark.parametrize("reason", ["no_fork", "no_affinity", "second_thread"])
-    def test_runs_in_process_when_forking_is_unsafe(self, reason, monkeypatch):
-        dataset = small_dataset(seed=69)
-        use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, standard_design(), 70)
-        use_cpus(monkeypatch, 4)
-        forks = count_forks(monkeypatch)
-        release = threading.Event()
-        thread = threading.Thread(target=release.wait, args=(60,))
-        if reason == "no_fork":
-            monkeypatch.delattr(evaluate.os, "fork")
-        elif reason == "no_affinity":
-            monkeypatch.delattr(evaluate.os, "sched_getaffinity")
-        else:
-            thread.start()
-        try:
-            report = leave_one_out_placebo(dataset, 0.4, standard_design(), 70)
-        finally:
-            release.set()
-            if reason == "second_thread":
-                thread.join(timeout=60)
-        assert not thread.is_alive()
-        assert forks == []
-        assert asdict(report) == asdict(serial)
-
-    def test_share_runs_here_when_fork_fails(self, monkeypatch, tmp_path):
-        dataset = small_dataset(seed=65)
-        use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
-
-        def failing_fork():
-            raise BlockingIOError("no process slot")
-
-        use_cpus(monkeypatch, 4)
-        monkeypatch.setattr(evaluate.os, "fork", failing_fork)
-        report = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
-        assert_no_children()
-        assert write_json(report, tmp_path / "4.json").read_bytes() == write_json(
-            serial, tmp_path / "1.json"
-        ).read_bytes()
-
-    def test_runs_here_when_no_pipe_can_be_made(self, monkeypatch, tmp_path):
-        dataset = small_dataset(seed=65)
-        use_cpus(monkeypatch, 1)
-        serial = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
-
-        def failing_pipe():
-            raise OSError(errno.EMFILE, "too many open files")
-
-        use_cpus(monkeypatch, 2)
-        forks = count_forks(monkeypatch)
-        monkeypatch.setattr(evaluate.os, "pipe", failing_pipe)
-        report = leave_one_out_placebo(dataset, 0.4, standard_design(), 66)
-        assert forks == []
-        assert_no_children()
-        assert write_json(report, tmp_path / "2.json").read_bytes() == write_json(
-            serial, tmp_path / "1.json"
-        ).read_bytes()
-
-    @pytest.mark.parametrize("cpus", [1, 2, 4])
-    def test_parent_runs_only_its_own_share(self, cpus, monkeypatch):
-        # in one core call, however many stacks its targets make
-        parent = os.getpid()
-        placebo_target = evaluate._placebo_target
-        here = []  # the target ids of each core call made here
-
-        def counting_target(iteration, panel, target_rows, *args):
-            if os.getpid() == parent:
-                here.append([panel.unit_ids[t] for t in target_rows])
-            return placebo_target(iteration, panel, target_rows, *args)
-
-        monkeypatch.setattr(evaluate, "_placebo_target", counting_target)
-        monkeypatch.setattr(evaluate, "TARGET_CHUNK", 3)
-        use_cpus(monkeypatch, cpus)
-        report = leave_one_out_placebo(small_dataset(seed=63), 0.4, standard_design(), 64)
-        target_ids = list(dict.fromkeys(r.target_id for r in report.rows))
-        assert len(target_ids) == 8
-        # share 0 is targets 0, cpus, 2 * cpus, ...: ceil(8 / cpus) targets
-        assert here == [target_ids[::cpus]]
-        assert len(here[0]) == math.ceil(8 / cpus)
-        assert_no_children()
-
-    def test_interrupt_kills_and_reaps_children(self, monkeypatch):
-        parent = os.getpid()
-        placebo_target = evaluate._placebo_target
-
-        def interrupted_target(*args):
-            if os.getpid() == parent:
-                raise KeyboardInterrupt
-            return placebo_target(*args)
-
-        monkeypatch.setattr(evaluate, "_placebo_target", interrupted_target)
-        forks = count_forks(monkeypatch)
-        use_cpus(monkeypatch, 4)
-        with pytest.raises(KeyboardInterrupt):
-            leave_one_out_placebo(small_dataset(seed=67), 0.4, standard_design(), 68)
-        assert len(forks) == 3
-        assert_no_children()
-
-    def test_children_never_flush_inherited_stdio(self):
-        # stdout is a buffered pipe, so the line sits in the buffer the
-        # children inherit
-        script = textwrap.dedent('''
-            import os, sys
-            from clustersc.datagen import GROUP_A_SPEC, GROUP_B_SPEC, NoiseSpec, gen_dataset
-            from clustersc.evaluate import PlaceboDesign, leave_one_out_placebo
-            from clustersc.linalg import RankRule
-            from clustersc.regression import RegressionSpec
-
-            os.sched_getaffinity = lambda pid: {0, 1, 2, 3}
-            dataset = gen_dataset(
-                GROUP_A_SPEC, GROUP_B_SPEC, 10, 10, 10, 8, NoiseSpec.gaussian(0.1), seed=1
-            )
-            design = PlaceboDesign(RegressionSpec("ridge", lam=0.01), RankRule.energy(0.95), k=2)
-            sys.stdout.write("written once\\n")
-            report = leave_one_out_placebo(dataset, 0.4, design, 2)
-            sys.stderr.write(str(len(report.rows)))
-        ''')
-        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-        env["PYTHONPATH"] = str(Path(evaluate.__file__).resolve().parent.parent)
-        done = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-            env=env,
-        )
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "written once\n"
-        assert done.stderr == "8"
-
-    def test_children_inherit_the_clustering_import(self, tmp_path):
-        # the harness loads k-means' scipy before it deals the targets, so no
-        # dealt child imports it again. -X importtime lists every import made
-        # by the parent and by its forked children on the shared stderr, so a
-        # dealt run must log the module as often as the same run held to one
-        # CPU, which forks no child: the parent's own lines cancel out
-        if not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("one CPU in the affinity mask: no target is dealt to a child")
-
-        def imports(preexec_fn=None):
-            done = subprocess.run(
-                [sys.executable, "-X", "importtime", "-m", "clustersc", "placebo-synthetic",
-                 "--na", "10", "--nb", "10", "--datasets", "1", "--rule", "fixed:3", "--k", "2",
-                 "--seed", "42", "--out", str(tmp_path)],
-                capture_output=True, text=True, timeout=120, preexec_fn=preexec_fn,
-                env={**os.environ, "PYTHONPATH": str(Path(evaluate.__file__).resolve().parent.parent)},
-            )
-            assert done.returncode == 0, done.stderr
-            return [line for line in done.stderr.splitlines()
-                    if line.split("|")[-1].strip() == "scipy.spatial.distance"]
-
-        cpu = min(os.sched_getaffinity(0))
-        # sched_setaffinity(0, ...) acts on the child process alone
-        pinned = imports(lambda: os.sched_setaffinity(0, {cpu}))
-        dealt = imports()
-        assert pinned
-        assert len(dealt) == len(pinned), (dealt, pinned)
+        assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
+        if case.startswith("skipped"):
+            assert {s["target_id"] for s in report.skipped} == {"u00", "u01"}
 
 
 class TestSingularGapExperiment:

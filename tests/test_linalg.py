@@ -23,7 +23,8 @@ from clustersc.errors import (
     ShapeError,
 )
 from clustersc.linalg import (
-    RankRule, hsvt, parse_rule, rule_tag, select_rank, spectrum_report, svd,
+    RankRule, gram_factors, hsvt, parse_rule, rank_projection, rule_tag, select_rank,
+    spectrum_report, svd,
 )
 
 
@@ -82,7 +83,7 @@ class TestSvd:
             x = rng.normal(size=(n, t))
             f = svd(x)
             p = min(n, t)
-            np.testing.assert_allclose(f.low_rank(f.sigma.size), x, atol=1e-8)
+            np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, x, atol=1e-8)
             np.testing.assert_allclose(f.u.T @ f.u, np.eye(p), atol=1e-8)
             np.testing.assert_allclose(f.v.T @ f.v, np.eye(p), atol=1e-8)
             assert np.all(np.diff(f.sigma) <= 1e-12)
@@ -99,7 +100,7 @@ class TestSvd:
     def test_reconstruction_property(self, x):
         f = svd(x)
         scale = max(1.0, float(np.abs(x).max()))
-        np.testing.assert_allclose(f.low_rank(f.sigma.size), x, atol=1e-8 * scale)
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, x, atol=1e-8 * scale)
 
     def test_sign_convention(self):
         rng = np.random.default_rng(11)
@@ -158,7 +159,7 @@ class TestSvd:
     def test_zero_matrix(self):
         f = svd(np.zeros((4, 3)))
         np.testing.assert_allclose(f.sigma, 0.0, atol=0)
-        np.testing.assert_allclose(f.low_rank(f.sigma.size), np.zeros((4, 3)), atol=0)
+        np.testing.assert_allclose((f.u * f.sigma) @ f.v.T, np.zeros((4, 3)), atol=0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(InvalidInputError):
@@ -215,6 +216,80 @@ class TestHsvt:
             hsvt(x, 0)
         with pytest.raises(InvalidRankError):
             hsvt(x, 4)
+
+    @pytest.mark.parametrize("r", [2.0, 2.5, True, False, "2", None, np.float64(2.0)], ids=repr)
+    def test_rank_must_be_an_integer(self, r):
+        # 2.0 raised a raw TypeError (len of a float) and True was taken as rank 1
+        with pytest.raises(InvalidRankError, match=r"^rank must be an integer in 1\.\.3, got "):
+            hsvt(np.ones((3, 4)), r)
+
+    def test_numpy_integer_rank(self):
+        x = np.random.default_rng(3).normal(size=(6, 4))
+        assert np.array_equal(hsvt(x, np.int64(2)), hsvt(x, 2))
+
+    def test_matches_svd_oracle(self):
+        # the SVD's own truncation (u_r sigma_r v_r'), tall and wide, every rank
+        rng = np.random.default_rng(43)
+        for _ in range(60):
+            n, t = int(rng.integers(1, 30)), int(rng.integers(1, 14))
+            x = rng.normal(size=(n, t)) * 10.0 ** rng.integers(-3, 4)
+            u, sigma, vh = np.linalg.svd(x, full_matrices=False)
+            for r in range(1, min(n, t) + 1):
+                oracle = (u[:, :r] * sigma[:r]) @ vh[:r]
+                assert np.abs(hsvt(x, r) - oracle).max() <= 1e-10 * np.linalg.norm(x), (n, t, r)
+
+
+class TestGramFactors:
+    def test_spectrum_matches_svd(self):
+        rng = np.random.default_rng(47)
+        for _ in range(60):
+            n, t = int(rng.integers(1, 30)), int(rng.integers(1, 14))
+            x = rng.normal(size=(n, t))
+            sigma, v = gram_factors(x)
+            assert sigma.shape == (min(n, t),) and v.shape == (t, t)
+            want = np.linalg.svd(x, compute_uv=False)
+            # a Gram squares the condition number: small values keep only an
+            # absolute accuracy relative to the largest
+            np.testing.assert_allclose(sigma, want, rtol=0, atol=1e-7 * want[0])
+            np.testing.assert_allclose(v.T @ v, np.eye(t), atol=1e-12)
+            assert np.all(np.diff(sigma) <= 0) and np.all(sigma >= 0)
+
+    def test_wide_matrix_keeps_n_values(self):
+        x = np.random.default_rng(53).normal(size=(3, 8))
+        sigma, v = gram_factors(x)
+        assert sigma.shape == (3,) and v.shape == (8, 8)
+        np.testing.assert_allclose(sigma, np.linalg.svd(x, compute_uv=False), rtol=1e-12)
+        with pytest.raises(InvalidRankError):
+            select_rank(sigma, RankRule.fixed(4))
+
+    def test_zero_matrix(self):
+        sigma, v = gram_factors(np.zeros((5, 3)))
+        assert np.array_equal(sigma, np.zeros(3))
+        with pytest.raises(DegenerateSpectrumError):
+            select_rank(sigma, RankRule.energy(0.9))
+
+    @pytest.mark.parametrize("j", [-600, -400, -1, 1, 400, 600])
+    def test_power_of_two_scaling_is_exact(self, j):
+        # the prescale makes the Gram the same matrix at every scale
+        x = np.random.default_rng(59).normal(size=(40, 10))
+        sigma, v = gram_factors(x)
+        scaled_sigma, scaled_v = gram_factors(np.ldexp(x, j))
+        assert np.array_equal(scaled_sigma, np.ldexp(sigma, j))
+        assert np.array_equal(scaled_v, v)
+        assert np.array_equal(hsvt(np.ldexp(x, j), 4), np.ldexp(hsvt(x, 4), j))
+
+    def test_stack_of_mixed_ranks_matches_each_matrix(self):
+        rng = np.random.default_rng(61)
+        x = rng.normal(size=(6, 25, 10))
+        ranks = (1, 10, 4, 4, 7, 2)
+        sigma, v = gram_factors(x)
+        projected = rank_projection(x, v, ranks)
+        for b, r in enumerate(ranks):
+            alone_sigma, alone_v = gram_factors(x[b])
+            assert np.array_equal(sigma[b], alone_sigma)
+            assert np.array_equal(v[b], alone_v)
+            assert np.array_equal(projected[b], rank_projection(x[b], alone_v, r))
+            assert np.array_equal(projected[b], hsvt(x[b], r))
 
     def test_weyl_perturbation(self):
         rng = np.random.default_rng(29)

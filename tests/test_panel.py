@@ -46,6 +46,21 @@ class TestInterventionSplit:
         with pytest.raises(InvalidParamsError):
             InterventionSplit(0, 5)
 
+    @pytest.mark.parametrize("t0, t_total, message", [
+        (2.5, 5, "t0 must be an integer, got 2.5"),
+        (True, 5, "t0 must be an integer, got True"),
+        (3, 5.0, "t_total must be an integer, got 5.0"),
+        ("3", 5, "t0 must be an integer, got '3'"),
+    ])
+    def test_rejects_non_integers(self, t0, t_total, message):
+        with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
+            InterventionSplit(t0, t_total)
+
+    def test_numpy_integers_are_stored_as_ints(self):
+        split = InterventionSplit(np.int64(3), np.int32(5))
+        assert split == InterventionSplit(3, 5)
+        assert type(split.t0) is int and type(split.t_total) is int
+
 
 class TestTimePanel:
     def test_pre_post_blocks(self):
