@@ -1044,8 +1044,9 @@ class TestTargetStacks:
         with pytest.raises(InvalidInputError, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
 
-    @pytest.mark.parametrize("failing", [(1,), (4,), (4, 5), (7,)],
-                             ids=["first_chunk", "mid_chunk", "two_mid_chunk", "last_chunk"])
+    @pytest.mark.parametrize("failing", [(1,), (4,), (4, 5), (7,), (6, 7)],
+                             ids=["first_chunk", "mid_chunk", "two_mid_chunk", "last_chunk",
+                                  "two_last_chunk"])
     def test_one_call_fits_each_chunk_once(self, failing, monkeypatch):
         # a failure does not rerun the whole call: every stack up to the
         # failing one is fitted once, then each target alone, in order, up to
