@@ -238,6 +238,15 @@ class TestHsvt:
                 oracle = (u[:, :r] * sigma[:r]) @ vh[:r]
                 assert np.abs(hsvt(x, r) - oracle).max() <= 1e-10 * np.linalg.norm(x), (n, t, r)
 
+    def test_weyl_perturbation(self):
+        rng = np.random.default_rng(29)
+        for _ in range(30):
+            a = rng.normal(size=(7, 5))
+            b = a + rng.normal(scale=0.1, size=(7, 5))
+            sa, sb = svd(a).sigma, svd(b).sigma
+            top_diff = svd(a - b).sigma[0]
+            assert np.max(np.abs(sa - sb)) <= top_diff + 1e-8
+
 
 class TestGramFactors:
     def test_spectrum_matches_svd(self):
@@ -290,16 +299,6 @@ class TestGramFactors:
             assert np.array_equal(v[b], alone_v)
             assert np.array_equal(projected[b], rank_projection(x[b], alone_v, r))
             assert np.array_equal(projected[b], hsvt(x[b], r))
-
-    def test_weyl_perturbation(self):
-        rng = np.random.default_rng(29)
-        for _ in range(30):
-            a = rng.normal(size=(7, 5))
-            b = a + rng.normal(scale=0.1, size=(7, 5))
-            sa, sb = svd(a).sigma, svd(b).sigma
-            top_diff = svd(a - b).sigma[0]
-            assert np.max(np.abs(sa - sb)) <= top_diff + 1e-8
-
 
 class TestSelectRank:
     def test_energy_known(self):
