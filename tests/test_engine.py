@@ -233,6 +233,12 @@ class TestClusterSc:
             cluster_sc(donors, InterventionSplit(3, 5), donors[0], RankRule.fixed(2),
                        RegressionSpec("ols"), k=2, rng=1, donor_ids=[1, 2])
 
+    def test_more_donor_ids_than_donors(self):
+        donors = np.random.default_rng(5).normal(size=(6, 5))
+        with pytest.raises(ShapeError, match="^7 donor ids for 6 donors$"):
+            cluster_sc(donors, InterventionSplit(3, 5), donors[0], RankRule.fixed(2),
+                       RegressionSpec("ols"), k=2, rng=1, donor_ids=list(range(7)))
+
     def test_degenerate_cluster_raises(self):
         rng = np.random.default_rng(423)
         base = np.zeros(10)
@@ -459,6 +465,20 @@ class TestScDenoise:
         assert sc_denoise(donors, RankRule.fixed(4)).rank_used == 4
         with pytest.raises(InvalidRankError):
             sc_denoise(donors, RankRule.fixed(5))
+
+    def test_wide_stack_keeps_n_values(self):
+        donors = np.random.default_rng(17).normal(size=(3, 4, 10))
+        assert sc_denoise(donors, RankRule.fixed(4)).rank_used == (4, 4, 4)
+        with pytest.raises(InvalidRankError):
+            sc_denoise(donors, RankRule.fixed(5))
+
+    def test_rank_used_is_an_int_per_pool(self):
+        donors = np.random.default_rng(19).normal(size=(3, 30, 10))
+        alone = sc_denoise(donors[0], RankRule.energy(0.9)).rank_used
+        stacked = sc_denoise(donors, RankRule.energy(0.9)).rank_used
+        assert type(alone) is int
+        assert type(stacked) is tuple and len(stacked) == 3
+        assert all(type(rank) is int for rank in stacked) and stacked[0] == alone
 
     @pytest.mark.parametrize("rule", [RankRule.energy(0.9), RankRule.energy(0.9, squared=True)])
     def test_all_zero_pool_has_no_energy_rank(self, rule):

@@ -15,7 +15,9 @@ Hand-computed values used below:
 from __future__ import annotations
 
 import math
+import os
 import re
+import threading
 from collections import Counter
 from dataclasses import asdict, fields, replace
 
@@ -889,6 +891,37 @@ class TestSplitSharedPools:
         assert reports[1] == reports[0]
         assert reports[2] == reports[0]
 
+    @pytest.mark.parametrize("failing", [(0,), (2, 5), (7, 3), (15,)])
+    def test_first_error_in_target_order_is_raised(self, failing, monkeypatch):
+        # a failing iteration is fitted again one target at a time, in
+        # order, up to the first bad one; the shared pools denoised before
+        # the failure are not denoised again
+        panel = small_dataset(seed=51, s=0.2).panel
+        design = standard_design()
+        serial = split_placebo(panel, 0.6, 2, design, 52)
+        first_iteration = replace(serial, rows=[r for r in serial.rows if r.iteration == 1])
+        target_ids = list(dict.fromkeys(r.target_id for r in first_iteration.rows))
+        assert len(target_ids) == 16
+        calls = []
+        bad = {target_ids[i] for i in failing}
+        monkeypatch.setattr(
+            evaluate, "sc_infer", failing_infer(panel, bad, InvalidInputError, calls)
+        )
+        shared = []  # each 2-d pool denoised; distinct pools are stacks, 3-d
+        denoise = evaluate.sc_denoise
+
+        def recording(donors, rule):
+            if donors.ndim == 2:
+                shared.append((donors.shape, donors.tobytes()))
+            return denoise(donors, rule)
+
+        monkeypatch.setattr(evaluate, "sc_denoise", recording)
+        first = min(failing)
+        with pytest.raises(InvalidInputError, match=f"^target {target_ids[first]} failed$"):
+            split_placebo(panel, 0.6, 2, design, 52)
+        assert calls == [target_ids] + alone_up_to(first_iteration, target_ids, first)
+        assert len(set(shared)) == len(shared)
+
 
 class TestRowFieldTypes:
     """Every row field is a plain Python value: a NumPy scalar would send each
@@ -1066,6 +1099,90 @@ class TestTargetStacks:
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         stacks = [target_ids[start : start + 3] for start in range(0, failing[0] + 1, 3)]
         assert calls == stacks + alone_up_to(serial, target_ids, failing[0])
+
+    @pytest.mark.parametrize("harness", ["leave_one_out", "split"])
+    def test_interrupt_is_not_retried(self, harness, monkeypatch):
+        # the retry one target at a time is for errors: an interrupt ends the
+        # call at the first stack that meets it
+        calls = []
+
+        def interrupted(fit, split, target_full):
+            calls.append(len(target_full))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evaluate, "sc_infer", interrupted)
+        dataset = small_dataset(seed=63)
+        with pytest.raises(KeyboardInterrupt):
+            if harness == "leave_one_out":
+                leave_one_out_placebo(dataset, 0.4, standard_design(), 64)
+            else:
+                split_placebo(dataset.panel, 0.6, 2, standard_design(), 64)
+        assert len(calls) == 1 and calls[0] > 1
+
+    @pytest.mark.parametrize("path", ["returns", "raises", "interrupt"])
+    def test_no_descriptor_or_child_outlives_the_call(self, path, monkeypatch):
+        # the call runs in this process alone, however it ends: it forks
+        # nothing, starts no thread and leaves no descriptor open
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to list this process's descriptors")
+        dataset = small_dataset(seed=63)
+        design = standard_design()
+        # a first call also makes every import and load the checked call needs
+        serial = leave_one_out_placebo(dataset, 0.4, design, 64)
+        target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
+        assert len(target_ids) == 8
+        forks, started = [], []
+        fork, start = os.fork, threading.Thread.start
+
+        def counting_fork():
+            forks.append(None)
+            return fork()
+
+        def counting_start(thread):
+            started.append(thread)
+            return start(thread)
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        raises = {"raises": InvalidInputError, "interrupt": KeyboardInterrupt}.get(path)
+        if raises is not None:
+            monkeypatch.setattr(
+                evaluate, "sc_infer", failing_infer(dataset.panel, {target_ids[3]}, raises)
+            )
+        before = sorted(os.listdir("/proc/self/fd"))
+        threads = threading.enumerate()
+        if raises is None:
+            report = leave_one_out_placebo(dataset, 0.4, design, 64)
+            assert asdict(report) == asdict(serial)
+        else:
+            with pytest.raises(raises):
+                leave_one_out_placebo(dataset, 0.4, design, 64)
+        assert sorted(os.listdir("/proc/self/fd")) == before
+        assert threading.enumerate() == threads
+        assert forks == [] and started == []
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_core_call_over_every_target(self, case, monkeypatch):
+        # the whole leave-one-out call is one core call, over every target,
+        # in panel order
+        make_dataset, fraction, mode = self.CASES[case]
+        design = TestSkipPath.DESIGN if case.startswith("skipped") else standard_design()
+        placebo_target = evaluate._placebo_target
+        calls = []
+
+        def recording(iteration, panel, target_rows, *args):
+            calls.append([panel.unit_ids[t] for t in target_rows])
+            return placebo_target(iteration, panel, target_rows, *args)
+
+        monkeypatch.setattr(evaluate, "_placebo_target", recording)
+        dataset = make_dataset()
+        report = leave_one_out_placebo(
+            dataset, fraction, design, np.random.default_rng(62), cluster_mode=mode
+        )
+        target_ids = list(dict.fromkeys(r.target_id for r in report.rows))
+        assert calls == [target_ids]
+        assert target_ids == sorted(target_ids, key=dataset.panel.unit_ids.index)
+        assert len(target_ids) == report.config["n_targets"]
 
     @pytest.mark.parametrize("mode, fraction, chunk", [
         ("per_target", 0.4, evaluate.TARGET_CHUNK), ("per_dataset", 1.0, 3),

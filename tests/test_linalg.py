@@ -217,10 +217,18 @@ class TestHsvt:
         with pytest.raises(InvalidRankError):
             hsvt(x, 4)
 
-    @pytest.mark.parametrize("r", [2.0, 2.5, True, False, "2", None, np.float64(2.0)], ids=repr)
+    @pytest.mark.parametrize(
+        "r", [2.0, 2.5, True, False, "2", None, np.float64(2.0), np.bool_(True), [2]], ids=repr
+    )
     def test_rank_must_be_an_integer(self, r):
         # 2.0 raised a raw TypeError (len of a float) and True was taken as rank 1
         with pytest.raises(InvalidRankError, match=r"^rank must be an integer in 1\.\.3, got "):
+            hsvt(np.ones((3, 4)), r)
+
+    @pytest.mark.parametrize("r", [-1, np.int64(0), np.int64(4)], ids=repr)
+    def test_rank_out_of_range_names_the_range(self, r):
+        message = f"rank must be an integer in 1..3, got {r!r}"
+        with pytest.raises(InvalidRankError, match=f"^{re.escape(message)}$"):
             hsvt(np.ones((3, 4)), r)
 
     def test_numpy_integer_rank(self):
@@ -263,6 +271,33 @@ class TestGramFactors:
             np.testing.assert_allclose(v.T @ v, np.eye(t), atol=1e-12)
             assert np.all(np.diff(sigma) <= 0) and np.all(sigma >= 0)
 
+    @pytest.mark.parametrize("r", [1, 3, 6])
+    def test_rank_deficient_matrix(self, r):
+        # the Gram's zero eigenvalues can round below 0; they are clipped, so
+        # the tail is small and finite, and HSVT at the true rank returns x
+        x = random_rank_r(np.random.default_rng(71 + r), 30, 10, r)
+        sigma, v = gram_factors(x)
+        assert np.all(np.isfinite(sigma)) and np.all(sigma >= 0)
+        assert np.all(sigma[r:] <= 1e-7 * sigma[0])
+        assert sigma[r - 1] > 1e-3 * sigma[0]
+        assert np.abs(hsvt(x, r) - x).max() <= 1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("shape", [(1, 7), (9, 1)])
+    def test_single_row_or_column(self, shape):
+        x = np.random.default_rng(73).normal(size=shape)
+        sigma, v = gram_factors(x)
+        assert sigma.shape == (1,) and v.shape == (shape[1], shape[1])
+        np.testing.assert_allclose(sigma, [np.linalg.norm(x)], rtol=1e-12)
+        np.testing.assert_allclose(hsvt(x, 1), x, rtol=0, atol=1e-12 * np.linalg.norm(x))
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_spectrum_matches_svd_at_extreme_scales(self, scale):
+        # unscaled, this Gram would underflow to 0 or overflow to inf
+        x = np.random.default_rng(79).normal(size=(40, 10)) * scale
+        sigma, _ = gram_factors(x)
+        assert np.all(np.isfinite(sigma)) and sigma[-1] > 0
+        np.testing.assert_allclose(sigma, np.linalg.svd(x, compute_uv=False), rtol=1e-8)
+
     def test_wide_matrix_keeps_n_values(self):
         x = np.random.default_rng(53).normal(size=(3, 8))
         sigma, v = gram_factors(x)
@@ -270,6 +305,16 @@ class TestGramFactors:
         np.testing.assert_allclose(sigma, np.linalg.svd(x, compute_uv=False), rtol=1e-12)
         with pytest.raises(InvalidRankError):
             select_rank(sigma, RankRule.fixed(4))
+
+    def test_stack_of_wide_matrices_keeps_n_values(self):
+        x = np.random.default_rng(67).normal(size=(3, 4, 9))
+        sigma, v = gram_factors(x)
+        assert sigma.shape == (3, 4) and v.shape == (3, 9, 9)
+        for b in range(3):
+            alone_sigma, alone_v = gram_factors(x[b])
+            assert np.array_equal(sigma[b], alone_sigma)
+            assert np.array_equal(v[b], alone_v)
+            np.testing.assert_allclose(sigma[b], np.linalg.svd(x[b], compute_uv=False), rtol=1e-10)
 
     def test_zero_matrix(self):
         sigma, v = gram_factors(np.zeros((5, 3)))

@@ -51,6 +51,9 @@ class TestInterventionSplit:
         (True, 5, "t0 must be an integer, got True"),
         (3, 5.0, "t_total must be an integer, got 5.0"),
         ("3", 5, "t0 must be an integer, got '3'"),
+        (np.float64(3.0), 5, f"t0 must be an integer, got {np.float64(3.0)!r}"),
+        (np.bool_(True), 5, f"t0 must be an integer, got {np.bool_(True)!r}"),
+        (3, None, "t_total must be an integer, got None"),
     ])
     def test_rejects_non_integers(self, t0, t_total, message):
         with pytest.raises(InvalidParamsError, match=f"^{re.escape(message)}$"):
