@@ -21,7 +21,8 @@ cluster becomes its donor pool (nearest_cluster).
 
 scipy loads at the first clustering call: each function that calls it
 imports it in its body, so code that never clusters (simulating, spectra,
-the gap check) never pays for its import.
+the gap check) never pays for its import. Partition matching needs none:
+max_assignment is an exact Hungarian method on the k x k overlap table.
 
 Labels are 1-based everywhere: a Partition over k clusters uses labels 1..k,
 and centers row i belongs to label i + 1.
@@ -29,6 +30,7 @@ and centers row i belongs to label i + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,6 +455,45 @@ def partition_symmetric_difference(p: Partition, q: Partition) -> int:
         )
     table = np.zeros((p.k, q.k), dtype=int)
     np.add.at(table, (p.labels - 1, q.labels - 1), 1)
-    from scipy.optimize import linear_sum_assignment
-    rows, cols = linear_sum_assignment(-table)
-    return int(2 * p.labels.shape[0] - 2 * table[rows, cols].sum())
+    return int(2 * p.labels.shape[0] - 2 * max_assignment(table.tolist()))
+
+
+def max_assignment(table: list[list[int]]) -> int:
+    """The largest total of a one-to-one matching of rows to columns of an
+    integer table (a list of equally long rows), an unmatched row or column
+    adding 0.
+
+    The Hungarian method with potentials (Kuhn 1955; Jonker & Volgenant
+    1987) on the table zero-padded to square, with costs -table, in O(k^3)
+    integer steps for a k x k square: rows join one at a time, each along a
+    shortest augmenting path.
+    """
+    size = max(len(table), len(table[0]) if table else 0)
+    cost = [[-value for value in row] + [0] * (size - len(row)) for row in table]
+    cost += [[0] * size for _ in range(size - len(cost))]
+    # 1-based potentials; owner[j] is the row matched to column j, column 0 a sentinel
+    u, v, owner, way = [0] * (size + 1), [0] * (size + 1), [0] * (size + 1), [0] * (size + 1)
+    for row in range(1, size + 1):
+        owner[0], col = row, 0
+        slack, used = [math.inf] * (size + 1), [False] * (size + 1)
+        while owner[col]:
+            used[col] = True
+            i, delta, nxt = owner[col], math.inf, 0
+            for j in range(1, size + 1):
+                if not used[j]:
+                    reduced = cost[i - 1][j - 1] - u[i] - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, col
+                    if slack[j] < delta:
+                        delta, nxt = slack[j], j
+            for j in range(size + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nxt
+        while col:
+            owner[col] = owner[way[col]]
+            col = way[col]
+    return -sum(cost[owner[j] - 1][j - 1] for j in range(1, size + 1))

@@ -14,20 +14,32 @@ the same pool, as the split placebo harness does, denoises it once and fits
 each target on the result. sc_infer returns the pre-period fit with its
 residual, so scoring it against another reference needs no second product.
 
-sc_denoise takes each pool's spectrum and right singular vectors from its
-T x T Gram matrix (linalg.gram_factors), picks the rank from that spectrum
-(select_rank, as for any spectrum) and returns the pool times its rank-r
-projector in period space (linalg.rank_projection), the HSVT of the pool.
+Every pool the package fits is tall (hundreds of donors over about ten
+periods), so each step works in period space, in the pool's T x T Gram
+form. sc_denoise takes the pool's spectrum and right singular vectors V from
+one eigh of its prescaled Gram matrix (linalg.gram, linalg.gram_eigen) and
+picks the rank r from that spectrum (select_rank, as for any spectrum). HSVT
+at rank r is X V_r V_r', which is formed only when a caller reads it.
+sc_fit_weights regresses OLS and ridge targets on Z = V_r[:t0] Sigma_r
+(t0 x r) through regression.fit: the coordinates it returns give the pre fit
+Z c and the counterfactual V_r[t0:] Sigma_r c (project), and the donor
+weights X V_r Sigma_r^-1 c (0 for each sigma kept_scale drops), which are
+the solver's weights on the denoised design (X V_r V_r')[:, :t0]'. The lasso
+keeps its primal path on that design. The placebo core runs the same steps
+on stacks of Gram factors: it builds each pool's Gram itself (a
+leave-one-out pool is a downdate of a shared Gram, which agrees with the
+pool's own Gram to rounding), never stacks pools' rows, and forms weights
+only to score them.
 
-The three steps also take stacks: equally shaped pools (B, n, T) with one
-target each, or one pool with a stack of targets. A stack is one eigh call,
-one ridge solve (regression.fit_stack) and one product per step, and each
-pool's numbers are the ones it gets alone, bit for bit, because every
-stacked product is a matmul, which makes the same BLAS call per pool as for
-a pool alone. A single pool goes through the same code as a stack of one.
-The rank rule still reads one spectrum at a time, and the pools of a stack
-may keep different ranks: the projector masks each pool's directions past
-its rank, so mixed ranks still make one product.
+The steps also take stacks: pools of one shape (B, n, T) with one target
+each, or one pool with a stack of targets, and the core's stacks of factors
+(B, T, T). A stack is one eigh call, one ridge solve (regression.fit_stack)
+and one product per step, and each pool's numbers are the ones it gets
+alone, bit for bit, because every stacked product is a matmul, which makes
+the same BLAS call per pool as for a pool alone. The rank rule still reads
+one spectrum at a time, and the pools of a stack may keep different ranks:
+each pool's directions past its rank are zeroed, so mixed ranks still make
+one product.
 
 A note on rank selection. The engine benefits from clustering through the
 rank: a cluster's matrix has lower signal rank than the pool's, so its HSVT
@@ -42,13 +54,14 @@ donor subsetting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cluster import fit_cluster_model, nearest_cluster
 from .errors import ShapeError
-from .linalg import RankRule, as_matrix, gram_factors, rank_projection, select_rank
+from .linalg import RankRule, as_matrix, gram, gram_eigen, rank_projection, select_rank
 from .panel import InterventionSplit
 from .regression import RegressionSpec, WeightVector, fit_stack
 
@@ -65,19 +78,55 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
+class DenoisedPool:
+    """A donor window X (n, T) and its HSVT in factor form.
+
+    v holds X's right singular vectors as columns (T, T), and scale the
+    singular values a fit regresses on (kept_scale): sigma_i below
+    rank_used, 0 from it on (T,). The denoised window X V_r V_r' (values) is
+    formed only when read. A stack of pools has the stack's leading axis on
+    every array and one rank per pool; the placebo core's stacks carry no
+    donors, which only values and the lasso read.
+    """
+
+    donors: np.ndarray | None
+    v: np.ndarray
+    scale: np.ndarray
+    rank_used: int | tuple[int, ...]
+
+    @property
+    def values(self) -> np.ndarray:
+        return rank_projection(self.donors, self.v, self.rank_used)
+
+    @property
+    def loadings(self) -> np.ndarray:
+        """V_r Sigma_r, padded to (T, T) with zero columns past the rank."""
+        return self.v * self.scale[..., None, :]
+
+
 @dataclass
 class ScFit:
-    """A learned synthetic control: weights plus the denoised donor window.
-
-    A fit of a stack of targets (see sc_fit_weights) holds one row of weights
-    per target, and the pool or stack of pools it was fitted on.
+    """A learned synthetic control: the donor weights, the pool they were
+    fitted on, and coords, the same fit in the pool's singular coordinates
+    (sc_infer reads these). A fit of a stack of targets (see sc_fit_weights)
+    holds one row of weights and of coords per target.
     """
 
     weights: WeightVector
     donor_ids: list
-    denoised_donors: np.ndarray
-    rank_used: int | tuple[int, ...]
+    pool: DenoisedPool
+    coords: np.ndarray
     cluster_label: int | None = None
+
+    @property
+    def rank_used(self) -> int | tuple[int, ...]:
+        return self.pool.rank_used
+
+    @property
+    def denoised_donors(self) -> np.ndarray:
+        """X V_r V_r', formed when read."""
+        return self.pool.values
 
 
 @dataclass
@@ -92,29 +141,75 @@ class EffectEstimate:
     pre_fit_residual: np.ndarray
 
 
-@dataclass(frozen=True)
-class DenoisedPool:
-    """A donor window after HSVT at the rank the rule selected; a stack of
-    windows has the stack's leading axis and one rank per window."""
-
-    values: np.ndarray
-    rank_used: int | tuple[int, ...]
+def kept_scale(sigma, rank) -> np.ndarray:
+    """The singular values a fit regresses on: sigma (T,) with every value
+    from position rank on set to 0, and every value at or below
+    sqrt(T eps) sigma_1 too, since a Gram's eigenvalues carry an error of
+    about T eps sigma_1^2, so such a value may be rounding alone. A stack of
+    spectra (B, T) takes one rank per row.
+    """
+    periods = sigma.shape[-1]
+    floor = math.sqrt(periods * np.finfo(float).eps) * sigma[..., :1]
+    keep = (np.arange(periods) < np.asarray(rank)[..., None]) & (sigma > floor)
+    return np.where(keep, sigma, 0.0)
 
 
 def sc_denoise(donors, rule: RankRule) -> DenoisedPool:
     """The target-free step of sc_learn: spectrum, rank selection, HSVT.
 
     donors is one window (n, T) or a stack of equally shaped windows
-    (B, n, T). The stack takes one eigh call, a rank per window and one HSVT
-    product, and each window's result is the one it gets alone, bit for bit.
+    (B, n, T). The stack takes one eigh call and a rank per window, and each
+    window's factors are the ones it gets alone, bit for bit.
     """
     donors = as_matrix(donors, stacked=True)
-    sigma, v = gram_factors(donors)
+    sigma, v = gram_eigen(*gram(donors))
+    p = min(donors.shape[-2:])
     if sigma.ndim == 1:
-        rank = select_rank(sigma, rule)
+        rank = select_rank(sigma[:p], rule)
     else:
-        rank = tuple([select_rank(s, rule) for s in sigma])
-    return DenoisedPool(rank_projection(donors, v, rank), rank)
+        rank = tuple([select_rank(s[:p], rule) for s in sigma])
+    return DenoisedPool(donors, v, kept_scale(sigma, rank), rank)
+
+
+def fit_coordinates(pool: DenoisedPool, t0: int, target_pre, reg: RegressionSpec, donor_ids=None):
+    """Each target's fit in the pool's singular coordinates, and, for the
+    lasso, its donor weights; returns (coords, WeightVector or None).
+
+    OLS and ridge regress the target on Z = V_r[:t0] Sigma_r (t0 x T, zero
+    past the rank): the donor weights X V_r Sigma_r^-1 coords (weight_direction)
+    are those of the same solver on the denoised design (X V_r V_r')[:, :t0]',
+    and the pre fit is Z coords. The lasso keeps its primal path on that
+    design, so it needs the pool's donors; its coords are Sigma_r^-1 V_r' X'
+    times its weights. target_pre is (t0,) or a stack (B, t0); pool is one
+    pool or a stack of B pools. The weights are donor_ids' (one per donor).
+    """
+    if reg.method != "lasso":
+        return fit_stack(pool.loadings[..., :t0, :], target_pre, reg).values, None
+    design = pool.values[..., :t0].swapaxes(-1, -2)
+    weights = fit_stack(design, target_pre, reg, donor_ids)
+    back = (pool.donors.swapaxes(-1, -2) @ weights.values[..., None])[..., 0]
+    coords = _inverse(pool.scale) * (pool.v.swapaxes(-1, -2) @ back[..., None])[..., 0]
+    return coords, weights
+
+
+def _inverse(scale) -> np.ndarray:
+    """1 / sigma where HSVT keeps a positive sigma, 0 elsewhere."""
+    inverse = np.zeros_like(scale)
+    np.divide(1.0, scale, out=inverse, where=scale > 0)
+    return inverse
+
+
+def weight_direction(pool: DenoisedPool, coords) -> np.ndarray:
+    """V_r Sigma_r^-1 coords, (T,) per target: a pool's donors times it give
+    the donor weights of an OLS or ridge fit (see fit_coordinates)."""
+    return (pool.v @ (_inverse(pool.scale) * coords)[..., None])[..., 0]
+
+
+def project(pool: DenoisedPool, t0: int, coords) -> tuple[np.ndarray, np.ndarray]:
+    """The pre fit Z coords and the counterfactual V_r[t0:] Sigma_r coords."""
+    loadings = pool.loadings
+    coords = coords[..., None]
+    return (loadings[..., :t0, :] @ coords)[..., 0], (loadings[..., t0:, :] @ coords)[..., 0]
 
 
 def sc_fit_weights(
@@ -131,8 +226,7 @@ def sc_fit_weights(
     target each, or one pool with a stack of targets (B, t0). Then the
     weights hold one row per target, fitted by regression.fit_stack.
     """
-    values = pool.values
-    periods = values.shape[-1]
+    periods = pool.v.shape[-1]
     if periods != split.t_total:
         raise ShapeError(f"donors have {periods} periods, split expects {split.t_total}")
     target_pre = np.asarray(target_pre, dtype=float)
@@ -140,18 +234,21 @@ def sc_fit_weights(
         raise ShapeError(
             f"target_pre must have length t0={split.t0}, got {target_pre.shape}"
         )
-    single = values.ndim == 2 and target_pre.ndim == 1
-    design = values[..., : split.t0].swapaxes(-1, -2)
-    weights = fit_stack(design, target_pre[None] if single else target_pre, reg, donor_ids)
-    if single:
-        weights.values = weights.values[0]
-    return ScFit(
-        weights=weights,
-        donor_ids=weights.donor_ids,
-        denoised_donors=values,
-        rank_used=pool.rank_used,
-        cluster_label=cluster_label,
+    n = pool.donors.shape[-2]
+    if donor_ids is None:
+        donor_ids = list(range(n))
+    elif len(donor_ids) != n:
+        raise ShapeError(f"{len(donor_ids)} donor ids for {n} donors")
+    single = pool.v.ndim == 2 and target_pre.ndim == 1
+    coords, weights = fit_coordinates(
+        pool, split.t0, target_pre[None] if single else target_pre, reg, donor_ids
     )
+    if weights is None:
+        values = (pool.donors @ weight_direction(pool, coords)[..., None])[..., 0]
+        weights = WeightVector(values, list(donor_ids))
+    if single:
+        weights.values, coords = weights.values[0], coords[0]
+    return ScFit(weights, weights.donor_ids, pool, coords, cluster_label)
 
 
 def sc_learn(
@@ -170,8 +267,8 @@ def sc_learn(
 
 
 def sc_infer(sc_fit: ScFit, split: InterventionSplit, target_full) -> EffectEstimate:
-    """The counterfactual (the denoised post block through the weights), the
-    effect (observed post minus it), and the pre-period fit with its residual.
+    """The counterfactual, the effect (observed post minus it), and the
+    pre-period fit with its residual, all read from the fit's coords.
 
     A stack of fits takes a stack of targets (B, T) and returns one row of
     each per target, every product one matmul over the stack.
@@ -181,15 +278,11 @@ def sc_infer(sc_fit: ScFit, split: InterventionSplit, target_full) -> EffectEsti
         raise ShapeError(
             f"target_full must have length {split.t_total}, got {target_full.shape}"
         )
-    donors = sc_fit.denoised_donors
-    periods = donors.shape[-1]
+    periods = sc_fit.pool.v.shape[-1]
     if periods != split.t_total:
         raise ShapeError(f"fit covers {periods} periods, split expects {split.t_total}")
-    # matmul broadcasts a pool over a stack of weights
-    weights = sc_fit.weights.values[..., None]
-    counterfactual = (donors[..., split.t0 :].swapaxes(-1, -2) @ weights)[..., 0]
+    pre_fit, counterfactual = project(sc_fit.pool, split.t0, sc_fit.coords)
     observed_post = target_full[..., split.t0 :]
-    pre_fit = (donors[..., : split.t0].swapaxes(-1, -2) @ weights)[..., 0]
     return EffectEstimate(
         counterfactual_post=counterfactual,
         observed_post=observed_post,

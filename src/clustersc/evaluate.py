@@ -10,42 +10,42 @@ to compare with). The report records which reference was used.
 
 Both harnesses hand their targets to one placebo core, in one call: the
 leave-one-out harness all of them, the split harness all of an iteration's
-targets. Every donor pool is a set of panel rows: the core
-gathers each pool it fits from the panel, and scores its fits' selections
-against a mask of the planted group's rows when the harness has one. Given
+targets. Every donor pool is a set of panel rows, and the core fits each
+pool in its T x T Gram form (see engine), stacking no pool's rows. Given
 the targets' panel rows, the matrix their reference series are read from,
-their donor rows and a cluster source, the core fits the one PlaceboDesign:
-SC on the full pool (sc_full), on the target's cluster (cluster_sc) and
-optionally on a random donor subset of the cluster's size
+the rows of their full pool and a cluster source, the core fits the one
+PlaceboDesign: SC on the full pool (sc_full), on the target's cluster
+(cluster_sc) and optionally on a random donor subset of the cluster's size
 (sc_random_subset). It records the skipped cells with their reason and
-builds the placebo rows. Each fit is the engine's steps: sc_denoise the
-pool, sc_fit_weights the target on it, sc_infer the counterfactual. The
-core alone decides how targets are stacked: a pool that several targets
-share is fitted once, with the stack of all of them; a variant's other pools
-that share a shape are stacked along a leading axis, TARGET_CHUNK at a time,
-which keeps memory flat. So each step, the MSEs and the selection scores run
-once per stack, not once per target; every number is the one the target
-gets alone, bit for bit. If the stacked fit raises, every target is fitted
-again alone, in order, so the error raised is the first in target order.
+builds the placebo rows.
+
+A pool never holds its own target. When a target's row lies in the rows it
+is given, its pool is those rows less that row, and the pool's Gram is the
+rows' Gram less the row's outer product: a downdate. So a leave-one-out call
+forms the panel's Gram once, and each per_dataset cluster's Gram once, and
+downdates them for every target; a split iteration's targets lie outside
+its donors, so the full pool and each cluster are one pool, decomposed and
+fitted once for all the targets that use them. Per_target clusters and
+random subsets get their own Gram, formed from their gathered rows. Each variant's Grams then take one eigh
+call, one select_rank per spectrum, one ridge solve (engine.fit_coordinates)
+and one product per step over all the call's targets, with no cap on the
+stack: a target adds a few T x T matrices, not its pool. Only the lasso,
+which keeps its primal path, gathers each pool's rows. Donor weights are
+formed only to score a leave-one-out fit's selection, a bounded block of
+targets at a time. A shared or own pool gives the numbers sc_learn gives
+on its gathered rows, bit for bit; a downdated pool's MSEs agree with those
+to rounding, within a relative 1e-10 as measured (the tests bound it at
+1e-9), and its selections and counts exactly. If a step raises, every
+target is fitted again alone, in order, so the error raised is the first in
+target order.
+
 The harnesses keep the rest: which units are targets, which reference the
 errors are measured against, where the target's cluster comes from (a fresh
-clustering of each donor pool, the dataset's pool model with the target
-removed, or the split iteration's donor model), and, for the split harness,
-the per-iteration aggregates.
-
-What the targets of a call share follows from where the pools come from.
-In a leave-one-out run every target removes itself from the pool, so the
-harness gives each target its own donor rows and every pool is denoised for
-its target. In a split iteration every target sees the same donors and the
-same donor model, so the harness gives one set of donor rows, and the full
-pool and each cluster are denoised and fitted once, for all the targets that
-use them; only the random subsets are drawn and denoised per target. The
-denoised shared pools are kept through the call, so a retry one target at a
-time does not denoise them again. The leave-one-out harness maps its
-targets to their donors' panel rows once; the per_target clustering input
-and the per_dataset clusters come from that map, and every cluster source
-returns its cluster as panel rows. Both harnesses run in the calling
-process and fork nothing.
+clustering of each donor pool, the dataset's pool model, or the split
+iteration's donor model), and, for the split harness, the per-iteration
+aggregates. A target's donor rows are built only where a step needs them:
+the per_target clustering input and the random-subset draw. Both harnesses
+run in the calling process and fork nothing.
 
 Alongside the placebo machinery live the two Monte-Carlo experiments that
 back the method's premises: the singular value gap between the full pool and
@@ -62,7 +62,6 @@ import numpy as np
 from .cluster import (
     SEED_CEILING,
     Partition,
-    cluster_members,
     fit_cluster_model,
     nearest_cluster,
     partition_symmetric_difference,
@@ -71,7 +70,7 @@ from .cluster import (
 from .datagen import (
     GROUP_A_SPEC, NoiseSpec, SignalSpec, SyntheticDataset, add_noise, gen_dataset, gen_group,
 )
-from .engine import sc_denoise, sc_fit_weights, sc_infer
+from .engine import DenoisedPool, fit_coordinates, kept_scale, project, weight_direction
 from .errors import (
     DegenerateClusterError,
     InvalidInputError,
@@ -79,7 +78,7 @@ from .errors import (
     ShapeError,
     UndefinedPrecisionError,
 )
-from .linalg import RankRule, as_matrix
+from .linalg import RankRule, as_matrix, gram, gram_eigen, select_rank
 from .panel import TimePanel
 from .regression import ACTIVE_SET_TOL, RegressionSpec
 
@@ -102,10 +101,8 @@ __all__ = [
     "cluster_recovery_experiment",
 ]
 CLUSTER_MODES = ("per_target", "per_dataset")  # see leave_one_out_placebo
-# the core's cap on distinct pools fitted as one stack (see the module
-# docstring): enough to share each NumPy and LAPACK call's fixed cost, few
-# enough to keep stacks small
-TARGET_CHUNK = 8
+# how many donor weights the scoring forms at a time (see _selection_counts)
+_SCORE_BLOCK = 1 << 18
 
 def mse(predicted, reference) -> float:
     """Mean squared difference between two equal-length vectors."""
@@ -316,7 +313,7 @@ def _placebo_target(
     panel: TimePanel,
     target_rows: np.ndarray,
     truth: np.ndarray,
-    donor_rows,
+    donor_rows: np.ndarray,
     design: PlaceboDesign,
     seeds,
     cluster_source,
@@ -325,102 +322,141 @@ def _placebo_target(
     """Fit and score the design's variants on every target of a call; returns
     (rows, skipped) per target, in target order.
 
-    Every pool is a set of panel rows, ascending, and is fitted on those
-    rows of panel.values. target_rows holds the B targets' panel rows: a
+    Every pool is a set of panel rows, ascending, less the target's own row
+    when it holds it. target_rows holds the B targets' panel rows: a
     target's id and series are its unit id and its row of panel.values, and
     its reference, the series the errors are measured against, is its row of
     truth, a matrix shaped like panel.values; both are split at
-    panel.split.t0. donor_rows is one set of rows that every target shares,
-    or (B, n), each target's own. seeds holds one integer seed per target
-    and variant: cluster_source gets seeds[:, 1] and the random subset is
-    drawn from seeds[:, 2]. seeds[:, 0] goes unused, as sc_full draws
-    nothing; it keeps every later seed in its place.
-    cluster_source(j, seed) returns the label and member rows of the cluster
-    of target j, its position in target_rows, taken from its donor rows, or
-    raises DegenerateClusterError (see cluster_members) when the cluster has
-    fewer than 2 donors. That skips cluster_sc and, with it,
+    panel.split.t0. donor_rows holds the rows of every target's full pool.
+    seeds holds one integer seed per target and variant: cluster_source gets
+    seeds[:, 1] and the random subset is drawn from seeds[:, 2]. seeds[:, 0]
+    goes unused, as sc_full draws nothing; it keeps every later seed in its
+    place. cluster_source(j, seed) returns the label and the rows of the
+    cluster of target j, its position in target_rows, or raises
+    DegenerateClusterError (see cluster_members) when the cluster has fewer
+    than 2 donors besides the target. That skips cluster_sc and, with it,
     sc_random_subset, whose size the cluster sets.
     in_group, when given, marks the planted group's panel rows; each fit
     records its active donors' precision and recall against it.
 
-    With shared donor rows, the full pool and each cluster are fitted once,
-    with the stack of all the targets that use them: the pool's one
-    denoise, one fit, one infer and one scoring. Every other pool of a
-    variant (each target's own pools, and the random subsets) is stacked
-    with the variant's pools of its shape, at most TARGET_CHUNK at a time,
-    with the same four steps. Every number is the one the target gets
-    alone, bit for bit. If the stacked fit raises, every target is fitted
-    again alone, in order, so the error raised is the first in target order;
-    the shared pools denoised before it are not denoised again.
+    Targets handed the very same rows array (donor_rows, or one cluster's
+    rows) share its Gram, formed once per call: the targets outside the rows
+    share one pool, decomposed and fitted once for all of them, and each
+    target inside them gets the Gram less its own row's outer product. Each
+    variant's pools then take one eigh call, one select_rank per spectrum,
+    one regression.fit for ridge (one per target for OLS, one per pool for
+    the lasso), and one product per step; see engine.fit_coordinates. A pool
+    of its own rows gets its own Gram (linalg.gram), so it and every shared
+    pool give the numbers sc_learn gives on its rows, bit for bit; a
+    downdated pool agrees with that to rounding. If a step raises, every
+    target is fitted again alone, in order, so the error raised is the first
+    in target order; the shared Grams are not formed again.
     """
     split = panel.split
+    t0 = split.t0
+    values = panel.values
     target_ids = [panel.unit_ids[t] for t in target_rows.tolist()]
-    target_full, reference = panel.values[target_rows], truth[target_rows]
-    shared_donors = np.ndim(donor_rows) == 1
-    # one row of donors per target: views of the one set when it is shared
-    donor_rows = np.broadcast_to(donor_rows, (len(target_ids), np.shape(donor_rows)[-1]))
-    # the denoised shared pools, under (variant name, cluster label)
-    pools: dict = {}
+    target_full, reference = values[target_rows], truth[target_rows]
+    # id(rows) -> (rows, mask of rows, Gram, exponent); holding rows keeps its id unique
+    bases: dict = {}
+
+    def base(rows):
+        entry = bases.get(id(rows))
+        if entry is None:
+            mask = np.zeros(values.shape[0], dtype=bool)
+            mask[rows] = True
+            entry = bases[id(rows)] = (rows, mask, *gram(values[rows]))
+        return entry
 
     def add_rows(rows, variant, rule, fits):
-        # fits: (position in target_rows, cluster label, pool rows)
-        shared = shared_donors and variant != "sc_random_subset"
+        # fits: (position in target_rows, cluster label, base rows), in target order
+        if not fits:
+            return
+        # each base's targets that drop their own row from it, and those that share it
         groups: dict = {}
-        for fit in fits:
-            groups.setdefault(fit[1] if shared else len(fit[2]), []).append(fit)
-        # a shared pool is one stack of all its targets; distinct pools stack
-        # TARGET_CHUNK at a time, which keeps memory flat
-        stacks = []
-        for group in groups.values():
-            step = len(group) if shared else TARGET_CHUNK
-            stacks += [group[start : start + step] for start in range(0, len(group), step)]
-        for group in stacks:
-            at = [j for j, _, _ in group]
-            if shared:
-                pool_rows = group[0][2]
-                key = (variant, group[0][1])
-                if key not in pools:
-                    pools[key] = sc_denoise(panel.values[pool_rows], rule)
-                pool = pools[key]
-            else:
-                pool_rows = np.stack([r for _, _, r in group])
-                # held through the fit: freed right after the denoise, page faults rose by half
-                donors = panel.values[pool_rows]
-                pool = sc_denoise(donors, rule)
-            series, ref = target_full[at], reference[at]
-            fit = sc_fit_weights(pool, split, series[:, : split.t0], design.reg)
-            estimate = sc_infer(fit, split, series)
-            pre_mse = _mean_squares(estimate.pre_fit - ref[:, : split.t0]).tolist()
-            post_mse = _mean_squares(estimate.counterfactual_post - ref[:, split.t0 :]).tolist()
-            scores = [(None, None)] * len(group)
+        for i, (j, _, base_rows) in enumerate(fits):
+            entry = base(base_rows)
+            group = groups.setdefault(id(base_rows), (entry, [], []))
+            group[1 if entry[1][target_rows[j]] else 2].append(i)
+        # per pool: its Gram, the Gram's exponent, its size and its rows' mask
+        grams, exponents, sizes, masks = [], [], [], []
+        pool_of = np.empty(len(fits), dtype=int)
+        for (base_rows, mask, g, exponent), dropping, sharing in groups.values():
+            if dropping:
+                dropped = target_rows[[fits[i][0] for i in dropping]]
+                x = np.ldexp(values[dropped], -exponent)
+                pool_of[dropping] = len(sizes) + np.arange(len(dropping))
+                grams.append(g - x[:, :, None] * x[:, None, :])
+                exponents += [exponent] * len(dropping)
+                sizes += [len(base_rows) - 1] * len(dropping)
+                own = np.repeat(mask[None], len(dropping), axis=0)
+                own[np.arange(len(dropping)), dropped] = False
+                masks += list(own)
+            if sharing:
+                pool_of[sharing] = len(sizes)
+                grams.append(g[None])
+                exponents.append(exponent)
+                sizes.append(len(base_rows))
+                masks.append(mask)
+        sigma, v = gram_eigen(np.concatenate(grams), np.array(exponents))
+        periods = v.shape[-1]
+        ranks = [select_rank(s[: min(n, periods)], rule) for s, n in zip(sigma, sizes)]
+        scale = kept_scale(sigma, ranks)
+        at = [j for j, _, _ in fits]
+        series, ref = target_full[at], reference[at]
+        stack = DenoisedPool(None, v[pool_of], scale[pool_of], tuple(ranks[p] for p in pool_of))
+        if design.reg.method == "lasso":
+            # the primal path needs each pool's donors, gathered one pool at a time
+            coords = np.empty((len(fits), periods))
+            chosen, hits = np.empty(len(fits), dtype=int), np.empty(len(fits), dtype=int)
+            for p in range(len(sizes)):
+                members = np.flatnonzero(pool_of == p)
+                pool_rows = np.flatnonzero(masks[p])
+                pool = DenoisedPool(values[pool_rows], v[p], scale[p], ranks[p])
+                coords[members], weights = fit_coordinates(pool, t0, series[members, :t0], design.reg)
+                if in_group is not None:
+                    active = np.abs(weights.values) > ACTIVE_SET_TOL
+                    chosen[members] = np.count_nonzero(active, axis=1)
+                    hits[members] = np.count_nonzero(active & in_group[pool_rows], axis=1)
+        else:
+            coords, _ = fit_coordinates(stack, t0, series[:, :t0], design.reg)
             if in_group is not None:
-                active = np.abs(fit.weights.values) > ACTIVE_SET_TOL
-                hits = np.count_nonzero(active & in_group[pool_rows], axis=1).tolist()
-                chosen = np.count_nonzero(active, axis=1).tolist()
-                # a Python int keeps every recall a float, which the writers' fast paths need
-                size = int(np.count_nonzero(in_group))
-                # an empty selection has no precision
-                scores = [(h / c, h / size) if c else (None, None) for h, c in zip(hits, chosen)]
-            for (j, label, _), pre, post, (precision, recall) in zip(group, pre_mse, post_mse, scores):
-                rows[j].append(
-                    PlaceboRow(
-                        iteration=iteration,
-                        target_id=target_ids[j],
-                        variant=variant,
-                        pre_mse=pre,
-                        post_mse=post,
-                        selected_donor_count=pool.values.shape[-2],
-                        cluster_label=label,
-                        active_donor_precision=precision,
-                        active_donor_recall=recall,
-                    )
+                in_pool = np.stack([masks[p] for p in pool_of], axis=1)
+                chosen, hits = _selection_counts(values, weight_direction(stack, coords), in_pool, in_group)
+        pre_fit, counterfactual = project(stack, t0, coords)
+        pre_mse = _mean_squares(pre_fit - ref[:, :t0]).tolist()
+        post_mse = _mean_squares(counterfactual - ref[:, t0:]).tolist()
+        scores = [(None, None)] * len(fits)
+        if in_group is not None:
+            # a Python int keeps every recall a float, which the writers' fast paths need
+            size = int(np.count_nonzero(in_group))
+            # an empty selection has no precision
+            scores = [
+                (h / c, h / size) if c else (None, None)
+                for h, c in zip(hits.tolist(), chosen.tolist())
+            ]
+        for (j, label, _), p, pre, post, (precision, recall) in zip(
+            fits, pool_of.tolist(), pre_mse, post_mse, scores
+        ):
+            rows[j].append(
+                PlaceboRow(
+                    iteration=iteration,
+                    target_id=target_ids[j],
+                    variant=variant,
+                    pre_mse=pre,
+                    post_mse=post,
+                    selected_donor_count=sizes[p],
+                    cluster_label=label,
+                    active_donor_precision=precision,
+                    active_donor_recall=recall,
                 )
+            )
 
     def fit_targets(targets):
         # targets: positions in target_rows, ascending
         rows = {j: [] for j in targets}
         skipped = {j: [] for j in targets}
-        add_rows(rows, "sc_full", design.rule, [(j, None, donor_rows[j]) for j in targets])
+        add_rows(rows, "sc_full", design.rule, [(j, None, donor_rows) for j in targets])
         clustered = []
         for j in targets:
             try:
@@ -435,13 +471,14 @@ def _placebo_target(
             clustered.append((j, label, members))
         add_rows(rows, "cluster_sc", design.cluster_rule, clustered)
         if design.with_random_subset:
-            # the draw reads only the pool's row count, so it is given the rows alone
-            add_rows(rows, "sc_random_subset", design.rule, [
-                (j, None, donor_rows[j][
-                    random_subset_variant(donor_rows[j][:, None], len(members), seeds[j][2])
-                ])
-                for j, _, members in clustered
-            ])
+            subsets = []
+            for j, _, members in clustered:
+                # the target's full pool and its cluster's size, each without
+                # the target; the draw reads only the pool's row count
+                pool = donor_rows[donor_rows != target_rows[j]]
+                size = int(np.count_nonzero(members != target_rows[j]))
+                subsets.append((j, None, pool[random_subset_variant(pool[:, None], size, seeds[j][2])]))
+            add_rows(rows, "sc_random_subset", design.rule, subsets)
         return [(rows[j], skipped[j]) for j in targets]
 
     try:
@@ -450,6 +487,24 @@ def _placebo_target(
         if len(target_ids) == 1:
             raise
     return [result for j in range(len(target_ids)) for result in fit_targets([j])]
+
+
+def _selection_counts(values, directions, in_pool, in_group):
+    """Per fit, how many of its pool's donors its weights make active, and
+    how many of those are in the group.
+
+    A fit's donor weights are its pool's rows of values times its direction
+    (B, T); in_pool (n_units, B) marks each pool's rows. The weights are
+    formed _SCORE_BLOCK entries at a time, which keeps memory flat.
+    """
+    chosen, hits = np.empty(len(directions), dtype=int), np.empty(len(directions), dtype=int)
+    step = max(1, _SCORE_BLOCK // values.shape[0])
+    for start in range(0, len(directions), step):
+        block = slice(start, start + step)
+        active = (np.abs(values @ directions[block].T) > ACTIVE_SET_TOL) & in_pool[:, block]
+        chosen[block] = np.count_nonzero(active, axis=0)
+        hits[block] = np.count_nonzero(active & in_group[:, None], axis=0)
+    return chosen, hits
 
 
 def leave_one_out_placebo(
@@ -500,25 +555,30 @@ def leave_one_out_placebo(
     if cluster_mode == "per_dataset":
         pool_labels = _fit_pool_model(design, panel.pre, rng).assignments.labels
 
-    # each target's donors are the panel rows other than its own, in order
-    donor_row = np.arange(values.shape[0] - 1)
-    donor_rows = donor_row + (donor_row >= target_rows[:, None])
+    if pool_labels is not None:
+        # each label's rows, the target's among them: the core drops it
+        clusters = [np.flatnonzero(pool_labels == label) for label in range(pool_labels.max() + 1)]
 
     def cluster_source(j, seed):
+        target = target_rows[j]
         if pool_labels is None:
             model = fit_cluster_model(
-                values[donor_rows[j], :t0], design.cluster_rule, k=design.k, rng=seed
+                np.delete(values[:, :t0], target, axis=0), design.cluster_rule, k=design.k, rng=seed
             )
-            label, members = nearest_cluster(model, values[target_rows[j], :t0])
-            return label, donor_rows[j][members]
-        label = int(pool_labels[target_rows[j]])
-        return label, donor_rows[j][cluster_members(pool_labels[donor_rows[j]], label)]
+            label, members = nearest_cluster(model, values[target, :t0])
+            # donor positions to panel rows
+            return label, members + (members >= target)
+        label = int(pool_labels[target])
+        members = clusters[label]
+        if members.size < 3:
+            raise DegenerateClusterError(label, members.size - 1)
+        return label, members
 
     rows: list[PlaceboRow] = []
     skipped: list[dict] = []
     for cell_rows, cell_skipped in _placebo_target(
-        0, panel, target_rows, dataset.true_signal, donor_rows, design, seeds, cluster_source,
-        in_a,
+        0, panel, target_rows, dataset.true_signal, np.arange(values.shape[0]), design, seeds,
+        cluster_source, in_a,
     ):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
@@ -583,9 +643,14 @@ def split_placebo(
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(design.variants)))
         model = _fit_pool_model(design, values[train_rows, :t0], it_rng)
 
+        clusters: dict = {}
+
         def cluster_source(j, seed):
+            # one rows array per cluster, so its targets share its pool
             label, members = nearest_cluster(model, values[test_rows[j], :t0])
-            return label, train_rows[members]
+            if label not in clusters:
+                clusters[label] = train_rows[members]
+            return label, clusters[label]
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []

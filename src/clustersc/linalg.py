@@ -7,18 +7,22 @@ cumulative singular value mass. Flags, config files and reports write a
 rule one way, fixed:R, energy:T or energy:T:squared: parse_rule reads that
 grammar and rule_tag writes it. RankRule checks itself, however it is built.
 
-HSVT needs only the right singular vectors, so gram_factors finds them, and
+HSVT needs only the right singular vectors, so the package finds them, and
 the singular values, from the eigendecomposition of the T x T Gram matrix
-X'X, one eigh call for a matrix or a whole stack; the donor pools here are
-tall (hundreds of units over about ten periods), so that is much cheaper
-than an SVD of X. Each matrix is first scaled by 2**-e, e being the exponent
-of its largest entry, so its Gram cannot overflow and LAPACK never rescales
-it by a factor that is not a power of two: scaling X by 2**j scales every
-singular value and the HSVT result by exactly 2**j. A Gram squares the
-condition number, so singular values below about 1e-8 times the largest
-lose their relative accuracy (the leading ones, and the directions they
-span, keep it). svd stays the decomposition for the k-means embedding, which
-needs the left factors too, and for spectrum reports.
+X'X: gram forms it, gram_eigen decomposes a Gram or a whole stack of them in
+one eigh call, and gram_factors does both for a matrix. The donor pools here
+are tall (hundreds of units over about ten periods), so that is much cheaper
+than an SVD of X, and a Gram can be updated without X: the placebo core
+takes a leave-one-out pool's Gram as a shared Gram less one row's outer
+product. Each matrix is first scaled by 2**-e, e being the exponent of its
+largest entry, so its Gram cannot overflow and LAPACK never rescales it by a
+factor that is not a power of two: scaling X by 2**j scales every singular
+value and the HSVT result by exactly 2**j. A downdated Gram keeps the
+exponent of the rows it came from. A Gram squares the condition number, so
+singular values below about 1e-8 times the largest lose their relative
+accuracy (the leading ones, and the directions they span, keep it). svd
+stays the decomposition for the k-means embedding, which needs the left
+factors too, and for spectrum reports.
 """
 
 from __future__ import annotations
@@ -90,10 +94,39 @@ def svd(x) -> SvdFactors:
     return SvdFactors(u=u, sigma=sigma, v=v)
 
 
+def gram(x) -> tuple[np.ndarray, np.ndarray]:
+    """The Gram matrix of x (n, T), or of each matrix of a stack (B, n, T),
+    taken of x times 2**-e, e being the exponent of the matrix's largest
+    entry (see the module docstring). Returns the Gram, (T, T) or (B, T, T),
+    and e, a NumPy integer or (B,). x must be finite, as as_matrix returns it.
+    """
+    exponent = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
+    scaled = np.ldexp(x, -exponent[..., None, None])
+    return scaled.swapaxes(-1, -2) @ scaled, exponent
+
+
+def gram_eigen(g, exponent) -> tuple[np.ndarray, np.ndarray]:
+    """All T singular values and right singular vectors of the matrix whose
+    Gram under the prescale 2**-exponent is g (T, T), as gram returns them,
+    or of each of a stack (B, T, T) with one exponent each.
+
+    Returns sigma, (T,) or (B, T), nonincreasing: the square roots of the
+    eigenvalues, negative ones (rounding) clipped to 0, scaled back by
+    2**exponent; and v, the matching eigenvectors as columns. A matrix of
+    n < T rows has T - n values of rounding noise past its first n. One eigh
+    call serves the whole stack, and each Gram's factors are the ones it gets
+    alone, bit for bit.
+    """
+    lam, v = np.linalg.eigh(g)
+    sigma = np.ldexp(np.sqrt(np.maximum(lam[..., ::-1], 0.0)), np.asarray(exponent)[..., None])
+    # contiguous, so the products over v stay BLAS calls
+    return sigma, np.ascontiguousarray(v[..., ::-1])
+
+
 def gram_factors(x) -> tuple[np.ndarray, np.ndarray]:
     """The singular values and right singular vectors of a matrix x (n, T),
     or of each matrix of a stack (B, n, T), from the eigendecomposition of
-    its Gram matrix (see the module docstring).
+    its Gram matrix (gram, then gram_eigen).
 
     x must be finite, as as_matrix returns it. Returns sigma, (p,) or
     (B, p) with p = min(n, T), nonincreasing and nonnegative, and v, (T, T)
@@ -101,13 +134,8 @@ def gram_factors(x) -> tuple[np.ndarray, np.ndarray]:
     order (the last T - p span x's null space when x is wide). A stack's
     factors are the ones each matrix gets alone, bit for bit.
     """
-    exponent = np.frexp(np.abs(x).max(axis=(-2, -1)))[1]
-    scaled = np.ldexp(x, -exponent[..., None, None])
-    lam, v = np.linalg.eigh(scaled.swapaxes(-1, -2) @ scaled)
-    # descending; rounding can leave a zero eigenvalue slightly negative
-    lam = np.maximum(lam[..., ::-1][..., : min(x.shape[-2:])], 0.0)
-    # contiguous, so the projector's products stay BLAS calls
-    return np.ldexp(np.sqrt(lam), exponent[..., None]), np.ascontiguousarray(v[..., ::-1])
+    sigma, v = gram_eigen(*gram(x))
+    return sigma[..., : min(x.shape[-2:])], v
 
 
 def rank_projection(x, v, rank) -> np.ndarray:
@@ -227,11 +255,13 @@ def select_rank(sigma, rule: RankRule) -> int:
     # of two scales every sum exactly, so the ratios keep their bits
     vals = np.ldexp(sigma, -math.frexp(sigma[0])[1])
     vals = vals**2 if rule.squared else vals
-    total = vals.sum()
+    # the ufuncs sum and cumsum call, without their wrappers: this runs once
+    # per pool
+    total = np.add.reduce(vals)
     if total <= 0:
         raise DegenerateSpectrumError("all singular values are zero; energy rule undefined")
-    ratios = np.cumsum(vals) / total
-    return int(np.argmax(ratios >= rule.threshold - ENERGY_TIE_TOL)) + 1
+    ratios = np.add.accumulate(vals) / total
+    return int((ratios >= rule.threshold - ENERGY_TIE_TOL).argmax()) + 1
 
 
 def spectrum_report(x) -> list[tuple[int, float, float]]:

@@ -726,13 +726,13 @@ RECORDED_DIGESTS = {
     "simulate/simulate_signal.csv":
         "ed7aac1d175ef1c180f264856a72c443eae6f2de492c99b3556aa98562c12750",
     "placebo-synthetic/placebo_synthetic.json":
-        "dd9ef3c16f6646b6ec6b508fbe49041023c80d9ea11c5adc5bad0fc85d209b1e",
+        "1df057ff709b9acba0c917f3015dc73f49d77d507b511d1bf9c8071a3ad78a96",
     "placebo-synthetic/placebo_synthetic_plot.csv":
-        "8f106dbdfe476c5e1688bf8c07632211c48774b19b4290e39c4b0d15cb2e0feb",
+        "4dc47022e0399f399fe9c7b8ab747005e4c276632de2cdd836b05bfd09045d60",
     "placebo-panel/placebo_panel.json":
-        "c583de541ed4bebc8929e8661749c1ac261f8614e6a81ef4cce72e9c59d40d7f",
+        "eac2a22402d16aabafedc0659095fab93326ecb3e747cd0eda43722cab26912a",
     "placebo-panel/placebo_panel_plot.csv":
-        "7db6dc07d1ed8f11c1691809612734578fb7cb59831465ce0988564ef2c57967",
+        "9b6cd1d832e244269d22c81b10eef01a0571169e73e807773b04ce4dae09c383",
     "cluster/cluster.json":
         "1699ef2ff3565d210d49d95eccedb12638cb89272868d723c47a97a581bcb462",
     "cluster/cluster_plot.csv":
@@ -750,17 +750,17 @@ RECORDED_DIGESTS = {
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
     "placebo-synthetic-lasso/placebo_synthetic.json":
-        "b61845dad98dff70143799e6c3313e5bb3b2ed7c04a30b91064348ceb9f41811",
+        "d6f36b939b340baa48d5d27935bb1cb1c88e192ff3dc1d9b62487d3818cdf68f",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
-        "7117f27ebc76a1b0aa15af9cbdf7eeca18643963124b3b63d83321567d7dbfe3",
+        "8c3bd5458cea2be6352bf8ef84fc12d86da2b4f80590e17a9acba3d1a91f08e3",
     "placebo-panel-auto/placebo_panel.json":
-        "4865d18616c766bed4a6cd2eeb885ec80cd08f1b3ca9888b29424362f722fb0a",
+        "fd49e1e6b01b72026ca969a0a8c6050256cf118a45a4e181b185996a2e1e5202",
     "placebo-panel-auto/placebo_panel_plot.csv":
-        "cfa039f1e860847db9477ae609f77a139e6f0757453c4c956f202d9e203fe50a",
+        "d88efbfe43284da43e59eb39b51887e5f43a694c5d82cf30257c1b5ed2b2180f",
     "placebo-synthetic-subset/placebo_synthetic.json":
-        "9eb356a0414bbb8dbd2a975f3ca69069e776b531f74546aec9421025c5bfdc11",
+        "6733ffc9a35fecd04c7c90a6ae5e81babea5ffe423f23ddf8c1a72c8819215cb",
     "placebo-synthetic-subset/placebo_synthetic_plot.csv":
-        "585bf9aad84b2e62d159d66ed1299051df8c35fcc044757a0064d672eb7cec88",
+        "50ca5bbf887cb59b542ec3366c8432ff7819db1c867fc0321e9fe1a444d9a993",
 }
 
 
@@ -983,13 +983,13 @@ PRESCOTT_DIGESTS = {
     "simulate/simulate_signal.csv":
         "b49574322f261fe762db715bf3f9eecfecc6e3122a0739c3b6cf09d7204d5cf6",
     "placebo-synthetic/placebo_synthetic.json":
-        "54171ef8b7e494aab35819616d8def762d4a9140492ccb8370a342728bbedbc2",
+        "3313a9545acd54cbc6fefc75f3a133eb73279e05a828d9d4a9cb58d793fac5d9",
     "placebo-synthetic/placebo_synthetic_plot.csv":
-        "be1d9064352481f767361a83b8211043583c7c9ac89a71c484fa34c852e609d5",
+        "1d6e8dcee4170bd704334b373d3512acf1cefb470c6c467da8fcc4c5570c0377",
     "placebo-panel/placebo_panel.json":
-        "71fcb921727efaaba7a48998128a214219c27bd6161a4f4e4eec4082b74ee316",
+        "2e344a7505c94affbfe0b82f3f1c0fffee6f1612ae22b98aad9fd7639d282a0e",
     "placebo-panel/placebo_panel_plot.csv":
-        "ebc14c27488cc68c546611001e91ae42720de1f9a5a4ebffb38f6275607282b6",
+        "47336cb168d121e66290973c8cf570e976e1692c0d5c03021a5deea8a3be468f",
     "cluster/cluster.json":
         "8c3824807d78f8a8797f6f0969fce83b289765d71227fb3aa83dedc3c303f4ec",
     "cluster/cluster_plot.csv":
@@ -1007,17 +1007,17 @@ PRESCOTT_DIGESTS = {
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
     "placebo-synthetic-lasso/placebo_synthetic.json":
-        "9324d568770af149561449d9865dc5882b8c78e95d2bc7453261a9c3f8692235",
+        "277c8004e7c46ed8ea202c36e6e573dfc3b5a16ce2ab54695c56ed60d4cc493d",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
-        "40a11406eb55b08b54c481ea05b0c2a0a16587e80cd4acf2fd5fa644469c1619",
+        "006bd23fa0449f9be08762970af6968bd9789c43d20cc78bd1a944e0157e4ef8",
     "placebo-panel-auto/placebo_panel.json":
-        "35d992168ffa261e27b4f48bb647002c61702bbc440332859fa94bfee64e23be",
+        "852523ddd292b1e8b8c0f5dc6e3190222c8b21dd66871d44b9f8fe92fad27fe2",
     "placebo-panel-auto/placebo_panel_plot.csv":
-        "c60e4a1b16e5342a1a82f44b4a82a57eff1d42b7f034edcc5aa520efbf9116f9",
+        "2ce0d6d73d6d30e1ba9fe1536d414ea88f8dffa2380d1e4547355166ab218b97",
     "placebo-synthetic-subset/placebo_synthetic.json":
-        "1b91dcd6816f8f629ef04393c1126206b8e2db5d89d97769a38536aae50b9f5f",
+        "66d803fe73dc1b844a9e1aec019bd378cccdab0a045ee9b23df741670a0cd982",
     "placebo-synthetic-subset/placebo_synthetic_plot.csv":
-        "5cfb27d7abd8fe701cf3616925461810e536c5e3090e5bae8ce3f4dd39785253",
+        "3c48a041a1550e49fb8dc925bb997c13582f54caabaa05871963a84748753cdd",
 }
 
 # run by a fresh interpreter: argv[1] is the output directory, argv[2] the

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import cdist
 
 import clustersc.cluster as cluster_module
@@ -36,6 +37,7 @@ from clustersc.cluster import (
     fit_cluster_model,
     kmeans_pp_init,
     lloyd,
+    max_assignment,
     nearest_cluster,
     partition_symmetric_difference,
     silhouette,
@@ -1000,6 +1002,37 @@ class TestPartitionSymmetricDifference:
             assert stages[stage] == [], stage
         assert "scipy.spatial" in stages["cluster"]
         assert "scipy.optimize" not in stages["cluster"]
+
+    @pytest.mark.parametrize("shape", ["square", "rectangular"])
+    def test_max_assignment_matches_scipy(self, shape):
+        # the Hungarian method against scipy's assignment solver, k = 1..12,
+        # on sparse, dense and tied tables
+        rng = np.random.default_rng(379 if shape == "square" else 383)
+        for k in range(1, 13):
+            for high in (2, 5, 1000):
+                rows = k if shape == "square" else int(rng.integers(1, 13))
+                table = rng.integers(0, high, size=(rows, k))
+                best_rows, best_cols = linear_sum_assignment(-table)
+                assert max_assignment(table.tolist()) == table[best_rows, best_cols].sum(), table
+
+    def test_recovery_check_never_loads_the_assignment_solver(self, tmp_path):
+        # partition matching is max_assignment's, so scipy.optimize (about
+        # 0.4 s of import) stays unloaded, at any --k
+        script = (
+            "import sys\n"
+            "from clustersc.cli import main\n"
+            "for k in ('2', '3', 'auto'):\n"
+            "    assert main(['recovery-check', '--na', '6', '--nb', '6', '--datasets', '1',\n"
+            "                 '--k', k, '--seed', '1', '--out', sys.argv[1]]) == 0\n"
+            "assert 'scipy.spatial' in sys.modules\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
 
     def test_partition_label_validation(self):
         with pytest.raises(InvalidParamsError):

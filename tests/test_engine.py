@@ -35,7 +35,7 @@ from clustersc.errors import (
     ShapeError,
 )
 from clustersc.evaluate import _mean_squares
-from clustersc.linalg import RankRule, select_rank, svd
+from clustersc.linalg import RankRule, gram_factors, select_rank, svd
 from clustersc.regression import RegressionSpec
 
 
@@ -131,17 +131,21 @@ class TestScProjectInfer:
         np.testing.assert_allclose(projection(fit, split), expected, atol=0)
 
     def test_unit_weight_picks_one_donor(self):
+        # a target equal to donor 3 is fitted by the weights e_3 (5 donors at
+        # full rank), whose counterfactual is donor 3's denoised post block
         rng = np.random.default_rng(411)
         donors = rng.normal(size=(5, 8))
         split = InterventionSplit(6, 8)
         fit = sc_learn(donors, split, donors[3, :6], RankRule.fixed(5), RegressionSpec("ols"))
-        fit.weights.values[:] = 0.0
-        fit.weights.values[3] = 1.0
-        np.testing.assert_allclose(projection(fit, split), fit.denoised_donors[3, 6:], atol=0)
+        np.testing.assert_allclose(fit.weights.values, np.eye(5)[3], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(
+            projection(fit, split), fit.denoised_donors[3, 6:], rtol=0, atol=1e-12
+        )
 
     def test_zero_weights_zero_projection(self, noisy_fit):
+        # sc_infer reads the fit in the pool's singular coordinates
         fit, split = noisy_fit
-        fit.weights.values[:] = 0.0
+        fit.coords[:] = 0.0
         np.testing.assert_allclose(projection(fit, split), 0.0, atol=0)
 
     def test_zero_effect_when_observed_matches(self, noisy_fit):
@@ -493,3 +497,83 @@ class TestScDenoise:
         scaled = sc_denoise(np.ldexp(donors, j), rule)
         assert scaled.rank_used == base.rank_used
         assert np.array_equal(scaled.values, np.ldexp(base.values, j))
+
+
+class TestGramForm:
+    """sc_fit_weights regresses on Z = V_r[:t0] Sigma_r; its weights, pre fit
+    and counterfactual must be those of the same solver on the denoised
+    design (X V_r V_r')[:, :t0]', formed here the plain way."""
+
+    SPLIT = InterventionSplit(8, 10)
+
+    @staticmethod
+    def denoised_oracle(donors, target_pre, rank, lam):
+        """Weights on the denoised design: minimum-norm least squares at
+        lam 0, else ridge's dual closed form."""
+        design = svd_truncation(donors, rank)[:, :8].T
+        if lam == 0:
+            return np.linalg.lstsq(design, target_pre, rcond=None)[0]
+        return design.T @ np.linalg.solve(design @ design.T + lam * np.eye(8), target_pre)
+
+    def test_ols_weights_are_the_minimum_norm_solution(self):
+        # rank 2 over three periods, the other seven all zero: at fixed rank
+        # 6 the fifth and sixth singular values are 0, the third and fourth
+        # the Gram's rounding (about 1e-8 sigma_1), and the weights must stay
+        # finite and ignore all four directions, as least squares on the
+        # denoised design does
+        rng = np.random.default_rng(3)
+        donors = np.zeros((30, 10))
+        donors[:, [0, 3, 8]] = rng.normal(size=(30, 2)) @ rng.normal(size=(2, 3))
+        target_pre = rng.normal(size=8)
+        pool = sc_denoise(donors, RankRule.fixed(6))
+        sigma, _ = gram_factors(donors)
+        assert np.array_equal(sigma[4:6], np.zeros(2)) and np.all(sigma[2:4] < 1e-7 * sigma[0])
+        assert pool.rank_used == 6 and np.array_equal(pool.scale[2:], np.zeros(8))
+        fit = sc_fit_weights(pool, self.SPLIT, target_pre, RegressionSpec("ols"))
+        want = np.linalg.lstsq(pool.values[:, :8].T, target_pre, rcond=None)[0]
+        assert np.all(np.isfinite(fit.weights.values))
+        np.testing.assert_allclose(fit.weights.values, want, rtol=0, atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("n", [2, 5, 40])
+    @pytest.mark.parametrize("lam", [0.0, 0.05])
+    def test_weights_and_products_match_the_denoised_design(self, n, lam):
+        # n = 2 is a cluster of exactly two donors: a wide pool of rank 2
+        rng = np.random.default_rng(17 + n)
+        donors = rng.normal(size=(n, 3)) @ rng.normal(size=(3, 10)) + 0.1 * rng.normal(size=(n, 10))
+        target = rng.normal(size=10)
+        rank = min(n, 3)
+        reg = RegressionSpec("ols") if lam == 0 else RegressionSpec("ridge", lam=lam)
+        fit = sc_learn(donors, self.SPLIT, target[:8], RankRule.fixed(rank), reg)
+        want = self.denoised_oracle(donors, target[:8], rank, lam)
+        scale = np.abs(want).max()
+        np.testing.assert_allclose(fit.weights.values, want, rtol=0, atol=1e-10 * scale)
+        estimate = sc_infer(fit, self.SPLIT, target)
+        denoised = svd_truncation(donors, rank)
+        np.testing.assert_allclose(
+            estimate.pre_fit, denoised[:, :8].T @ want, rtol=0, atol=1e-10 * np.abs(target).max()
+        )
+        np.testing.assert_allclose(
+            estimate.counterfactual_post, denoised[:, 8:].T @ want,
+            rtol=0, atol=1e-10 * np.abs(target).max(),
+        )
+
+    @pytest.mark.parametrize("j", [-600, 600])
+    @pytest.mark.parametrize("rule", [RankRule.energy(0.95), RankRule.fixed(3)])
+    def test_power_of_two_scaling_is_exact(self, j, rule):
+        # the Gram's prescale makes every factor the same at any scale; past
+        # about 2**450 LAPACK's least squares rescales by factors that are
+        # not powers of two, so the fits' own relation is checked at
+        # |j| <= 400 (TestScaleEquivariance in test_evaluate.py)
+        donors = np.random.default_rng(23).normal(size=(40, 10))
+        base = sc_denoise(donors, rule)
+        pool = sc_denoise(np.ldexp(donors, j), rule)
+        assert pool.rank_used == base.rank_used
+        assert np.array_equal(pool.v, base.v)
+        assert np.array_equal(pool.scale, np.ldexp(base.scale, j))
+        assert np.array_equal(pool.values, np.ldexp(base.values, j))
+
+
+def svd_truncation(donors, rank):
+    """The rank-r SVD truncation of donors."""
+    factors = svd(donors)
+    return (factors.u[:, :rank] * factors.sigma[:rank]) @ factors.v[:, :rank].T

@@ -42,8 +42,7 @@ from clustersc.errors import (
     ShapeError,
     UndefinedPrecisionError,
 )
-from clustersc import engine, evaluate
-from clustersc.engine import sc_learn
+from clustersc import engine, evaluate, regression
 from clustersc.evaluate import (
     CLUSTER_MODES,
     PlaceboDesign,
@@ -62,8 +61,9 @@ from clustersc.evaluate import (
 )
 from clustersc.linalg import RankRule
 from clustersc.panel import InterventionSplit, TimePanel
-from clustersc.regression import RegressionSpec, active_set
+from clustersc.regression import RegressionSpec
 from clustersc.reporting import write_json
+from placebo_reference import reference_leave_one_out, reference_split
 
 RIDGE = RegressionSpec("ridge", lam=0.01)
 ENERGY = RankRule.energy(0.95)
@@ -403,14 +403,20 @@ class TestLeaveOneOutPlacebo:
         # subset run under rule
         design = PlaceboDesign(RIDGE, RankRule.fixed(3), k=2, cluster_rule=RankRule.fixed(2),
                                with_random_subset=True)
-        fits = record_fits(monkeypatch)
-        report = leave_one_out_placebo(
-            small_dataset(), 0.3, design, np.random.default_rng(5), cluster_mode=mode
-        )
+        rules = []  # the rule of each pool the core denoises
+        select_rank = evaluate.select_rank
+
+        def recording(sigma, rule):
+            rules.append(rule.r)
+            return select_rank(sigma, rule)
+
+        monkeypatch.setattr(evaluate, "select_rank", recording)
+        args = (small_dataset(), 0.3, design, 5)
+        report = leave_one_out_placebo(*args, cluster_mode=mode)
         assert report.skipped == []
-        ranks = {"sc_full": 3, "cluster_sc": 2, "sc_random_subset": 3}
-        assert [fit.rank_used for fit in fits] == [ranks[r.variant] for r in report.rows]
         assert [r.variant for r in report.rows] == list(VARIANT_NAMES) * 6
+        assert rules == [3] * 6 + [2] * 6 + [3] * 6
+        assert_matches_reference(report, reference_leave_one_out(*args, cluster_mode=mode))
 
     def test_subset_size_paired_with_cluster(self):
         report = leave_one_out_placebo(
@@ -634,226 +640,219 @@ class TestScaleEquivariance:
             self.assert_scaled(base, run(j), j)
 
 
-def single_fit(fit, i):
-    """Target i's fit of a stack, as sc_learn returns that fit alone."""
-    donors, rank = fit.denoised_donors, fit.rank_used
-    if donors.ndim == 3:  # a stack of pools, one per target
-        donors, rank = donors[i], rank[i]
-    return replace(
-        fit, weights=replace(fit.weights, values=fit.weights.values[i]),
-        denoised_donors=donors, rank_used=rank,
-    )
+class TestGramScale:
+    """The Grams' prescale keeps every pool's factors exact at 2**+-600,
+    past TestScaleEquivariance's range."""
+
+    @pytest.mark.parametrize("j", [-600, 600])
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    def test_leave_one_out(self, mode, j):
+        # k-means' D^2 seeding cannot run there yet, so k is 1, and OLS has
+        # no penalty to scale by 4**600, past the float range. The MSEs scale
+        # by 2**+-1200 to inf or 0, as np.ldexp says
+        dataset = small_dataset(seed=71, s=0.25)
+        design = PlaceboDesign(RegressionSpec("ols"), ENERGY, 1, with_random_subset=True)
+        base = leave_one_out_placebo(dataset, 0.5, design, 72, cluster_mode=mode)
+        report = leave_one_out_placebo(scaled_dataset(dataset, j), 0.5, design, 72, cluster_mode=mode)
+        assert any(row.active_donor_precision is not None for row in report.rows)
+        with np.errstate(over="ignore"):
+            scaled = [
+                replace(row, pre_mse=float(np.ldexp(row.pre_mse, 2 * j)),
+                        post_mse=float(np.ldexp(row.post_mse, 2 * j)))
+                for row in base.rows
+            ]
+        assert report.rows == scaled
 
 
-def record_fits(monkeypatch, panel=None) -> list:
-    """Every fit the harnesses push through sc_infer, in the order of their rows.
+# how far a leave-one-out MSE may sit from the reference's, relative to it:
+# the core's full pools and per_dataset clusters downdate a shared Gram,
+# where the reference decomposes each gathered pool alone. Measured at most
+# 8.1e-11 (OLS on noiseless panels; 4e-11 with noise) over 144 runs of both
+# cluster modes, the three solvers, energy and fixed rules, noise 0 to 0.4
+# and 40 to 200 units. Noiseless fits leave MSEs of rounding size, so gaps
+# below LOO_MSE_FLOOR (unit-scale data) count as equal
+LOO_MSE_RTOL = 1e-9
+LOO_MSE_FLOOR = 1e-24
 
-    The core fits stacks: a shared pool with all of its
-    targets, or pools of one shape with one target each. Each sc_infer
-    stack is split into its targets' fits, found by their series, and a core
-    call's fits join the list in row order once it returns. Distinct pools
-    are held to stacks of one (TARGET_CHUNK 1), so each denoised matrix is
-    one window; TestTargetStacks and TestSplitSharedPools check that the
-    rows do not depend on the stack cap.
 
-    The harnesses fit on donor rows alone, so a fit's donor_ids are its
-    positions in the pool. Given the panel, whose rows must be distinct, each
-    fit carries the unit ids of its donors instead: every matrix the harness
-    denoises is matched back to the panel row by row.
-    """
-    monkeypatch.setattr(evaluate, "TARGET_CHUNK", 1)
-    fits = []
-    # the core call running: (position of each target by its series, each target's fits)
-    running = []
+def assert_matches_reference(report, reference, exact=False):
+    """The report's rows and skipped cells equal the reference's: every
+    field bit for bit, except that leave-one-out MSEs (exact False) agree to
+    LOO_MSE_RTOL."""
+    rows, skipped = reference
+    assert report.skipped == skipped
+    assert len(report.rows) == len(rows)
+    for got, want in zip(report.rows, rows):
+        if exact:
+            assert got == want, (got, want)
+            continue
+        assert replace(got, pre_mse=0.0, post_mse=0.0) == replace(want, pre_mse=0.0, post_mse=0.0)
+        for name in ("pre_mse", "post_mse"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert abs(a - b) <= LOO_MSE_RTOL * abs(b) + LOO_MSE_FLOOR, (got, want, name)
+    assert_aggregates_match_oracles(report)
 
-    def core(iteration, core_panel, target_rows, *args, **kwargs):
-        position = {core_panel.values[t].tobytes(): j for j, t in enumerate(target_rows)}
-        assert len(position) == len(target_rows)
-        by_target = [[] for _ in target_rows]
-        running.append((position, by_target))
-        try:
-            result = placebo_target(iteration, core_panel, target_rows, *args, **kwargs)
-        finally:
-            running.pop()
-        fits.extend(fit for target_fits in by_target for fit in target_fits)
-        return result
 
-    def recording(fit, split, target_full):
-        position, by_target = running[-1]
-        for i, series in enumerate(target_full):
-            by_target[position[series.tobytes()]].append(single_fit(fit, i))
-        return sc_infer(fit, split, target_full)
+class TestMatchesReference:
+    """Both harnesses against the plain reference (tests/placebo_reference.py):
+    split rows bit for bit, leave-one-out rows to LOO_MSE_RTOL in the MSEs
+    and exactly in every other field, at both cluster modes, all three
+    solvers and with random subsets."""
 
-    # a second call wraps the first one's core, which then records nothing
-    placebo_target, sc_infer = evaluate._placebo_target, engine.sc_infer
-    monkeypatch.setattr(evaluate, "_placebo_target", core)
-    monkeypatch.setattr(evaluate, "sc_infer", recording)
-    if panel is None:
-        return fits
-    unit_of = {row.tobytes(): uid for row, uid in zip(panel.values, panel.unit_ids)}
-    assert len(unit_of) == len(panel.unit_ids)
-    # id(pool) -> (pool, unit ids of its rows); holding the pool keeps its id unique
-    pool_units = {}
+    REGS = {"ols": RegressionSpec("ols"), "ridge": RIDGE, "lasso": RegressionSpec("lasso", 0.01)}
 
-    def denoising(donors, rule):
-        # a window, or a stack of one window
-        pool = sc_denoise(donors, rule)
-        rows = donors.reshape(-1, donors.shape[-1])
-        pool_units[id(pool)] = pool, [unit_of[row.tobytes()] for row in rows]
-        return pool
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    @pytest.mark.parametrize("reg", sorted(REGS))
+    def test_leave_one_out(self, reg, mode):
+        for seed, noise in ((81, 0.1), (82, 0.4)):
+            args = (small_dataset(seed=seed, s=noise), 0.4, standard_design(reg=self.REGS[reg]), seed)
+            report = leave_one_out_placebo(*args, cluster_mode=mode)
+            assert_matches_reference(report, reference_leave_one_out(*args, cluster_mode=mode))
 
-    def fitting(pool, split, target_pre, reg, donor_ids=None, cluster_label=None):
-        assert donor_ids is None
-        return sc_fit_weights(pool, split, target_pre, reg, pool_units[id(pool)][1], cluster_label)
+    @pytest.mark.parametrize("reg", sorted(REGS))
+    def test_split(self, reg):
+        panel = small_dataset(seed=83, s=0.25, n_a=15, n_b=15).panel
+        args = (panel, 0.6, 2, standard_design(reg=self.REGS[reg], k="auto"), 84)
+        assert_matches_reference(split_placebo(*args), reference_split(*args), exact=True)
 
-    # the engine's own functions: a second call must not wrap the first one's wrappers
-    sc_denoise, sc_fit_weights = engine.sc_denoise, engine.sc_fit_weights
-    monkeypatch.setattr(evaluate, "sc_denoise", denoising)
-    monkeypatch.setattr(evaluate, "sc_fit_weights", fitting)
-    return fits
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    def test_skipped_cells(self, mode):
+        args = (outlier_pair_dataset(), 1.0, TestSkipPath.DESIGN, 0)
+        report = leave_one_out_placebo(*args, cluster_mode=mode)
+        assert report.skipped
+        assert_matches_reference(report, reference_leave_one_out(*args, cluster_mode=mode))
+        args = (outlier_pair_dataset().panel, 0.5, 6, TestSkipPath.DESIGN, 0)
+        assert_matches_reference(split_placebo(*args), reference_split(*args), exact=True)
+
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    def test_two_donor_cluster(self, mode):
+        # u00..u02 form a far cluster of three, so a target among them has a
+        # cluster of exactly two donors: a pool wider than it is tall
+        dataset = outlier_pair_dataset(far=3)
+        args = (dataset, 1.0, standard_design(rule=RankRule.fixed(2)), 0)
+        report = leave_one_out_placebo(*args, cluster_mode=mode)
+        pairs = [r for r in report.rows if r.variant == "cluster_sc" and r.selected_donor_count == 2]
+        assert {r.target_id for r in pairs} == {"u00", "u01", "u02"}
+        assert_matches_reference(report, reference_leave_one_out(*args, cluster_mode=mode))
+
+    def test_target_holding_the_largest_entry(self):
+        # the full pool is the panel's Gram less the target's row, taken
+        # under the panel's prescale, which that row sets
+        dataset = small_dataset(seed=85, s=0.25)
+        dataset.panel.values[3, 4] = 40.0 * np.abs(dataset.panel.values).max()
+        for mode in CLUSTER_MODES:
+            args = (dataset, 1.0, standard_design(), 86)
+            report = leave_one_out_placebo(*args, cluster_mode=mode)
+            assert dataset.panel.unit_ids[3] in {r.target_id for r in report.rows}
+            assert_matches_reference(report, reference_leave_one_out(*args, cluster_mode=mode))
 
 
 class TestSelectionScoringOracle:
-    """The leave-one-out harness scores selections on row arrays; the oracle
-    maps the active donors' ids back to panel rows one by one."""
+    """The leave-one-out harness scores selections on row masks; the
+    reference maps the active donors' ids back to panel rows one by one."""
 
     @staticmethod
-    def oracle(fit, dataset, target_id):
-        id_to_row = {u: i for i, u in enumerate(dataset.panel.unit_ids)}
-        labels = dataset.group_labels
-        try:
-            return donor_selection_scores(
-                [id_to_row[u] for u in active_set(fit.weights)], labels,
-                labels[id_to_row[target_id]],
-            )
-        except UndefinedPrecisionError:
-            return None, None
-
-    def scored_rows(self, monkeypatch, reg, mode, seed):
+    def scored_rows(reg, mode, seed):
         dataset = small_dataset(seed=seed, s=0.2)
-        fits = record_fits(monkeypatch, dataset.panel)
-        report = leave_one_out_placebo(
-            dataset, 0.3, standard_design(reg=reg), np.random.default_rng(seed),
-            cluster_mode=mode,
-        )
-        assert len(fits) == len(report.rows)
-        for fit, row in zip(fits, report.rows):
-            assert (row.active_donor_precision, row.active_donor_recall) == self.oracle(
-                fit, dataset, row.target_id
-            ), (row.target_id, row.variant)
+        args = (dataset, 0.3, standard_design(reg=reg), seed)
+        report = leave_one_out_placebo(*args, cluster_mode=mode)
+        rows, _ = reference_leave_one_out(*args, cluster_mode=mode)
+        assert len(rows) == len(report.rows)
+        for got, want in zip(report.rows, rows):
+            assert (got.active_donor_precision, got.active_donor_recall) == (
+                want.active_donor_precision, want.active_donor_recall
+            ), (got.target_id, got.variant)
         return report.rows
 
     @pytest.mark.parametrize("mode", ["per_target", "per_dataset"])
     @pytest.mark.parametrize("reg", [RIDGE, RegressionSpec("lasso", 0.01)])
-    def test_matches_id_oracle(self, monkeypatch, reg, mode):
+    def test_matches_id_oracle(self, reg, mode):
         rows = []
         for seed in (41, 42):
-            rows += self.scored_rows(monkeypatch, reg, mode, seed)
+            rows += self.scored_rows(reg, mode, seed)
         for name in VARIANT_NAMES:
             assert any(
                 r.variant == name and r.active_donor_precision is not None for r in rows
             ), name
 
-    def test_empty_active_set_scores_none(self, monkeypatch):
+    def test_empty_active_set_scores_none(self):
         # a penalty this large zeroes every lasso weight
-        rows = self.scored_rows(monkeypatch, RegressionSpec("lasso", 1e6), "per_dataset", 43)
+        rows = self.scored_rows(RegressionSpec("lasso", 1e6), "per_dataset", 43)
         assert rows
         assert all(
             (r.active_donor_precision, r.active_donor_recall) == (None, None) for r in rows
         )
 
 
+def counting(module, name, calls):
+    """module.name, with each call's first argument appended to calls[name]."""
+    original = getattr(module, name)
+
+    def call(*args, **kwargs):
+        calls.setdefault(name, []).append(args[0])
+        return original(*args, **kwargs)
+
+    return call
+
+
+def fail_once(monkeypatch):
+    """Make the core's first fit raise, so it fits every target again alone."""
+    fit_coordinates, failed = evaluate.fit_coordinates, []
+
+    def fit(*args, **kwargs):
+        if not failed:
+            failed.append(None)
+            raise InvalidInputError("first stack")
+        return fit_coordinates(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "fit_coordinates", fit)
+    return failed
+
+
 class TestSplitSharedPools:
-    """The split harness denoises the full pool once per iteration and each
-    cluster once; every row must still be what a fresh sc_learn gives."""
+    """The split harness forms the full pool's Gram once per iteration and
+    each cluster's once; every row must still be what a fresh sc_learn gives."""
 
     def test_rows_equal_fresh_fits_and_decompositions_are_shared(self, monkeypatch):
         panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
         design = standard_design(k="auto")
-        # the cluster model's SVDs and the pools' Gram eigendecompositions
-        calls = {"svd": [], "eigh": []}
+        args = (panel, 0.6, 2, design, 52)
+        reference = reference_split(*args)
+        calls: dict = {}
+        core = evaluate._placebo_target
 
-        def counting(name):
-            numpy_call = getattr(np.linalg, name)
+        def recording_core(*core_args, **kwargs):
+            calls.setdefault("core", []).append({name: len(made) for name, made in calls.items()})
+            return core(*core_args, **kwargs)
 
-            def call(*args, **kwargs):
-                calls[name].append(None)
-                return numpy_call(*args, **kwargs)
-
-            return call
-
-        # (svd and eigh calls made before the model, the model) per iteration
-        models = []
-        fit_cluster_model = evaluate.fit_cluster_model
-
-        def recording_model(*args, **kwargs):
-            before = {name: len(made) for name, made in calls.items()}
-            model = fit_cluster_model(*args, **kwargs)
-            models.append((before, model))
-            return model
-
-        fits = record_fits(monkeypatch, panel)
-        for name in calls:
-            monkeypatch.setattr(np.linalg, name, counting(name))
-        monkeypatch.setattr(evaluate, "fit_cluster_model", recording_model)
-        report = split_placebo(panel, 0.6, 2, design, np.random.default_rng(52))
+        monkeypatch.setattr(evaluate, "_placebo_target", recording_core)
+        monkeypatch.setattr(evaluate, "gram", counting(evaluate, "gram", calls))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", calls))
+        report = split_placebo(*args)
         monkeypatch.undo()
-
-        assert len(fits) == len(report.rows)
+        assert_matches_reference(report, reference, exact=True)
         assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
-        id_to_row = {u: i for i, u in enumerate(panel.unit_ids)}
-        split, t0 = panel.split, panel.split.t0
-        rule_of = {"sc_full": design.rule, "cluster_sc": design.cluster_rule,
-                   "sc_random_subset": design.rule}
-        full_ids = {r.iteration: f.donor_ids for f, r in zip(fits, report.rows)
-                    if r.variant == "sc_full"}
-        for fit, row in zip(fits, report.rows):
-            if row.variant == "cluster_sc":
-                labels = models[row.iteration - 1][1].assignments.labels
-                assert fit.donor_ids == [
-                    full_ids[row.iteration][i]
-                    for i in np.flatnonzero(labels == row.cluster_label)
-                ]
-            observed = panel.values[id_to_row[row.target_id]]
-            pool = panel.values[[id_to_row[u] for u in fit.donor_ids]]
-            fresh = sc_learn(
-                pool, split, observed[:t0], rule_of[row.variant], design.reg,
-                donor_ids=fit.donor_ids,
-                cluster_label=row.cluster_label,
-            )
-            assert np.array_equal(fresh.denoised_donors, fit.denoised_donors)
-            assert np.array_equal(fresh.weights.values, fit.weights.values)
-            assert fresh.rank_used == fit.rank_used
-            counterfactual = fresh.denoised_donors[:, t0:].T @ fresh.weights.values
-            pre = fresh.denoised_donors[:, :t0].T @ fresh.weights.values
-            assert row.post_mse == mse(counterfactual, observed[t0:])
-            assert row.pre_mse == mse(pre, observed[:t0])
 
-        # one SVD for the cluster model, and one eigh for the full pool, one
-        # per cluster used and one per random subset, in each iteration
-        assert len(models) == 2
-        ends = {name: len(made) for name, made in calls.items()}
-        bounds = [before for before, _ in models] + [ends]
-        for it, ((_, model), entry) in enumerate(zip(models, report.per_iteration), start=1):
-            n_targets = entry["n_targets"]
-            made = {name: bounds[it][name] - bounds[it - 1][name] for name in calls}
-            assert made["svd"] == 1
-            assert made["eigh"] <= 1 + model.k + n_targets
+        # per iteration: one Gram for the full pool, one per cluster used and
+        # one per random subset, and one eigh per variant
+        ends = {"gram": len(calls["gram"]), "eigh": len(calls["eigh"])}
+        bounds = calls["core"] + [ends]
+        assert len(calls["core"]) == 2
+        for it, entry in enumerate(report.per_iteration, start=1):
+            made = {name: bounds[it][name] - bounds[it - 1].get(name, 0) for name in ends}
             it_rows = [r for r in report.rows if r.iteration == it]
             clusters = {r.cluster_label for r in it_rows if r.variant == "cluster_sc"}
             subsets = sum(r.variant == "sc_random_subset" for r in it_rows)
-            assert made["eigh"] == 1 + len(clusters) + subsets
-            assert len(clusters) < n_targets  # some cluster served two targets
+            assert made == {"gram": 1 + len(clusters) + subsets, "eigh": 3}
+            assert len(clusters) < entry["n_targets"]  # some cluster served two targets
 
-    @pytest.mark.parametrize("chunk", [3, evaluate.TARGET_CHUNK])
-    def test_each_shared_pool_is_fitted_once_per_iteration(self, chunk, monkeypatch):
-        # the core gets all of an iteration's targets: one fit of the full
-        # pool, one per cluster used, and the random subsets of each size
-        # stacked chunk at a time
+    @pytest.mark.parametrize("iterations", [3, 8])
+    def test_each_shared_pool_is_fitted_once_per_iteration(self, iterations, monkeypatch):
+        # the core gets all of an iteration's targets: ridge fits each
+        # variant's pools, shared or not, in one regression.fit call
         panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
-        monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
-        calls = []  # [iteration, sc_fit_weights calls] per core call
-        placebo_target, sc_fit_weights = evaluate._placebo_target, evaluate.sc_fit_weights
+        calls = []  # [iteration, regression.fit calls] per core call
+        placebo_target, fit = evaluate._placebo_target, regression.fit
 
         def core(iteration, *args, **kwargs):
             calls.append([iteration, 0])
@@ -861,41 +860,31 @@ class TestSplitSharedPools:
 
         def fitting(*args, **kwargs):
             calls[-1][1] += 1
-            return sc_fit_weights(*args, **kwargs)
+            return fit(*args, **kwargs)
 
         monkeypatch.setattr(evaluate, "_placebo_target", core)
-        monkeypatch.setattr(evaluate, "sc_fit_weights", fitting)
-        report = split_placebo(panel, 0.6, 2, standard_design(k="auto"), np.random.default_rng(52))
-
-        assert [it for it, _ in calls] == [1, 2]
-        for (it, fits), entry in zip(calls, report.per_iteration):
-            it_rows = [r for r in report.rows if r.iteration == it]
-            clusters = {r.cluster_label for r in it_rows if r.variant == "cluster_sc"}
-            sizes = Counter(r.selected_donor_count for r in it_rows
-                            if r.variant == "sc_random_subset")
-            assert fits == 1 + len(clusters) + sum(-(-count // chunk) for count in sizes.values())
-            assert entry["n_targets"] > chunk  # more than one chunk's worth
-        if chunk == 3:
-            assert max(sizes.values()) > chunk  # the cap splits a size's subsets
+        monkeypatch.setattr(regression, "fit", fitting)
+        report = split_placebo(
+            panel, 0.6, iterations, standard_design(k="auto"), np.random.default_rng(52)
+        )
+        assert calls == [[it, 3] for it in range(1, iterations + 1)]
+        assert all(entry["n_targets"] == 12 for entry in report.per_iteration)
 
     def test_rows_do_not_depend_on_chunk_size(self, monkeypatch):
-        # at chunks of 8, a chunk stacks targets that share a pool and the
-        # random subsets of one size
+        # the rows of one stack of every target equal those of each target
+        # fitted alone, which a failing first stack forces
         panel = small_dataset(seed=51, s=0.2, n_a=15, n_b=15).panel
-        reports = []
-        for chunk in (1, 3, evaluate.TARGET_CHUNK):
-            monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
-            reports.append(asdict(
-                split_placebo(panel, 0.6, 2, standard_design(k="auto"), np.random.default_rng(52))
-            ))
-        assert reports[1] == reports[0]
-        assert reports[2] == reports[0]
+        args = (panel, 0.6, 2, standard_design(k="auto"), 52)
+        stacked = asdict(split_placebo(*args))
+        failed = fail_once(monkeypatch)
+        assert asdict(split_placebo(*args)) == stacked
+        assert failed
 
     @pytest.mark.parametrize("failing", [(0,), (2, 5), (7, 3), (15,)])
     def test_first_error_in_target_order_is_raised(self, failing, monkeypatch):
         # a failing iteration is fitted again one target at a time, in
-        # order, up to the first bad one; the shared pools denoised before
-        # the failure are not denoised again
+        # order, up to the first bad one; the shared Grams formed before the
+        # failure are not formed again
         panel = small_dataset(seed=51, s=0.2).panel
         design = standard_design()
         serial = split_placebo(panel, 0.6, 2, design, 52)
@@ -905,22 +894,17 @@ class TestSplitSharedPools:
         calls = []
         bad = {target_ids[i] for i in failing}
         monkeypatch.setattr(
-            evaluate, "sc_infer", failing_infer(panel, bad, InvalidInputError, calls)
+            evaluate, "fit_coordinates", failing_fit(panel, bad, InvalidInputError, calls)
         )
-        shared = []  # each 2-d pool denoised; distinct pools are stacks, 3-d
-        denoise = evaluate.sc_denoise
-
-        def recording(donors, rule):
-            if donors.ndim == 2:
-                shared.append((donors.shape, donors.tobytes()))
-            return denoise(donors, rule)
-
-        monkeypatch.setattr(evaluate, "sc_denoise", recording)
+        grams: dict = {}
+        monkeypatch.setattr(evaluate, "gram", counting(evaluate, "gram", grams))
         first = min(failing)
         with pytest.raises(InvalidInputError, match=f"^target {target_ids[first]} failed$"):
             split_placebo(panel, 0.6, 2, design, 52)
         assert calls == [target_ids] + alone_up_to(first_iteration, target_ids, first)
-        assert len(set(shared)) == len(shared)
+        # the failing iteration fits its targets twice, and forms the full
+        # pool's Gram once
+        assert [len(made) for made in grams["gram"]].count(24) == 1
 
 
 class TestRowFieldTypes:
@@ -949,14 +933,15 @@ class TestRowFieldTypes:
             assert any(r.active_donor_recall is not None for r in report.rows)
 
 
-def outlier_pair_dataset():
-    """Twelve units: ten noise series near zero and a far pair u00, u01.
+def outlier_pair_dataset(far=2):
+    """Twelve units: noise series near zero and far ones, by default a pair
+    u00, u01.
 
-    With k=2 the far pair forms a cluster of its own, so a target from the
+    With k=2 the far units form a cluster of their own, so a target from the
     pair finds a single donor in its cluster. Group A holds u00..u05.
     """
     values = np.random.default_rng(31).normal(0.0, 1.0, size=(12, 10))
-    values[:2] += 50.0
+    values[:far] += 50.0
     panel = TimePanel(
         [f"u{i:02d}" for i in range(12)], [f"t{j}" for j in range(10)], values,
         InterventionSplit(8, 10),
@@ -1021,29 +1006,30 @@ class TestSkipPath:
         assert sum(e["n_skipped_cells"] for e in report.per_iteration) == len(cells)
 
 
-def failing_infer(panel, bad, error, calls=None):
-    """The engine's sc_infer, except that a stack holding a target of bad
-    raises error. A stack names its last bad target, so only a rerun one
-    target at a time raises the first. Targets are found by their series in
-    panel, whose rows must be distinct; calls, when given, gets each stack's
-    target ids."""
-    unit_of = {row.tobytes(): uid for row, uid in zip(panel.values, panel.unit_ids)}
+def failing_fit(panel, bad, error, calls=None):
+    """The engine's fit_coordinates, except that a stack holding a target of
+    bad raises error. A stack names its last bad target, so only a rerun one
+    target at a time raises the first. Targets are found by their pre-period
+    series in panel, whose rows must be distinct; calls, when given, gets
+    each stack's target ids."""
+    t0 = panel.split.t0
+    unit_of = {row[:t0].tobytes(): uid for row, uid in zip(panel.values, panel.unit_ids)}
     assert len(unit_of) == len(panel.unit_ids)
 
-    def infer(fit, split, target_full):
-        target_ids = [unit_of[series.tobytes()] for series in target_full]
+    def fit(pool, t0, target_pre, *args, **kwargs):
+        target_ids = [unit_of[series.tobytes()] for series in target_pre]
         if calls is not None:
             calls.append(target_ids)
         failed = [t for t in target_ids if t in bad]
         if failed:
             raise error(f"target {failed[-1]} failed")
-        return engine.sc_infer(fit, split, target_full)
+        return engine.fit_coordinates(pool, t0, target_pre, *args, **kwargs)
 
-    return infer
+    return fit
 
 
 def alone_up_to(serial, target_ids, first) -> list:
-    """The sc_infer stacks of fitting each target alone, in order, up to the
+    """The fit stacks of fitting each target alone, in order, up to the
     target first, whose sc_full stack raises: a stack per row of serial."""
     rows = Counter(r.target_id for r in serial.rows)
     return [[t] for t in target_ids[:first] for _ in range(rows[t])] + [[target_ids[first]]]
@@ -1051,9 +1037,9 @@ def alone_up_to(serial, target_ids, first) -> list:
 
 class TestTargetStacks:
     """The leave-one-out harness fits all of its targets in one core call,
-    which stacks each variant's pools of one shape; the report must not
-    depend on the stack cap, and a failing stack is retried one target at a
-    time, so the error raised is the first in target order."""
+    which fits each variant's pools as one stack; the report must not depend
+    on the stacking, and a failing stack is retried one target at a time,
+    so the error raised is the first in target order."""
 
     CASES = {
         "per_target": (lambda: small_dataset(seed=61, s=0.2), 0.5, "per_target"),
@@ -1072,7 +1058,7 @@ class TestTargetStacks:
         assert len(target_ids) == 8
         bad = {target_ids[i] for i in failing}
         monkeypatch.setattr(
-            evaluate, "sc_infer", failing_infer(dataset.panel, bad, InvalidInputError)
+            evaluate, "fit_coordinates", failing_fit(dataset.panel, bad, InvalidInputError)
         )
         with pytest.raises(InvalidInputError, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
@@ -1081,24 +1067,22 @@ class TestTargetStacks:
                              ids=["first_chunk", "mid_chunk", "two_mid_chunk", "last_chunk",
                                   "two_last_chunk"])
     def test_one_call_fits_each_chunk_once(self, failing, monkeypatch):
-        # a failure does not rerun the whole call: every stack up to the
-        # failing one is fitted once, then each target alone, in order, up to
-        # the first bad one
+        # a failure does not rerun the whole call: the call's one stack of
+        # full pools is fitted once, then each target alone, in order, up to
+        # the first bad one, wherever it sits among the targets
         dataset = small_dataset(seed=63)
         design = standard_design()
         serial = leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
         target_ids = list(dict.fromkeys(r.target_id for r in serial.rows))
         assert len(target_ids) == 8
-        monkeypatch.setattr(evaluate, "TARGET_CHUNK", 3)
         calls = []
         bad = {target_ids[i] for i in failing}
         monkeypatch.setattr(
-            evaluate, "sc_infer", failing_infer(dataset.panel, bad, InvalidInputError, calls)
+            evaluate, "fit_coordinates", failing_fit(dataset.panel, bad, InvalidInputError, calls)
         )
         with pytest.raises(InvalidInputError, match=f"^target {target_ids[failing[0]]} failed$"):
             leave_one_out_placebo(dataset, 0.4, design, np.random.default_rng(64))
-        stacks = [target_ids[start : start + 3] for start in range(0, failing[0] + 1, 3)]
-        assert calls == stacks + alone_up_to(serial, target_ids, failing[0])
+        assert calls == [target_ids] + alone_up_to(serial, target_ids, failing[0])
 
     @pytest.mark.parametrize("harness", ["leave_one_out", "split"])
     def test_interrupt_is_not_retried(self, harness, monkeypatch):
@@ -1106,11 +1090,11 @@ class TestTargetStacks:
         # call at the first stack that meets it
         calls = []
 
-        def interrupted(fit, split, target_full):
-            calls.append(len(target_full))
+        def interrupted(pool, t0, target_pre, *args, **kwargs):
+            calls.append(len(target_pre))
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(evaluate, "sc_infer", interrupted)
+        monkeypatch.setattr(evaluate, "fit_coordinates", interrupted)
         dataset = small_dataset(seed=63)
         with pytest.raises(KeyboardInterrupt):
             if harness == "leave_one_out":
@@ -1147,7 +1131,7 @@ class TestTargetStacks:
         raises = {"raises": InvalidInputError, "interrupt": KeyboardInterrupt}.get(path)
         if raises is not None:
             monkeypatch.setattr(
-                evaluate, "sc_infer", failing_infer(dataset.panel, {target_ids[3]}, raises)
+                evaluate, "fit_coordinates", failing_fit(dataset.panel, {target_ids[3]}, raises)
             )
         before = sorted(os.listdir("/proc/self/fd"))
         threads = threading.enumerate()
@@ -1184,52 +1168,43 @@ class TestTargetStacks:
         assert target_ids == sorted(target_ids, key=dataset.panel.unit_ids.index)
         assert len(target_ids) == report.config["n_targets"]
 
-    @pytest.mark.parametrize("mode, fraction, chunk", [
-        ("per_target", 0.4, evaluate.TARGET_CHUNK), ("per_dataset", 1.0, 3),
-    ])
-    def test_chunk_stacks_the_pools_of_one_shape(self, mode, fraction, chunk, monkeypatch):
-        # one core call stacks each variant's pools of one shape, chunk at a
-        # time, none rerun. per_target, 8 targets make one stack of full
-        # pools, and one stack of cluster pools and one of random subsets per
-        # cluster size (each target clusters its own pool, so the sizes
-        # differ). per_dataset, the targets of one cluster have pools of one
-        # size, stacked whatever their place among the call's targets
-        monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
-        shapes = []
-        denoise = evaluate.sc_denoise
-
-        def recording(donors, rule):
-            shapes.append(donors.shape)
-            return denoise(donors, rule)
-
-        monkeypatch.setattr(evaluate, "sc_denoise", recording)
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    def test_one_eigh_per_variant(self, mode, monkeypatch):
+        # one core call decomposes each variant's pools in one eigh call, a
+        # Gram per pool. The full pools share the panel's Gram, and
+        # per_dataset clusters their label's; per_target, each target
+        # clusters its own pool, so each cluster has a Gram of its own
+        calls: dict = {}
+        monkeypatch.setattr(evaluate, "gram", counting(evaluate, "gram", calls))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", calls))
         report = leave_one_out_placebo(
-            small_dataset(seed=61, s=0.2), fraction, standard_design(), 64, cluster_mode=mode
+            small_dataset(seed=61, s=0.2), 1.0, standard_design(), 64, cluster_mode=mode
         )
-        pools = Counter((r.variant, r.selected_donor_count) for r in report.rows)
-        assert len(shapes) == sum(-(-count // chunk) for count in pools.values())
-        assert sum(shape[0] for shape in shapes) == len(report.rows)
-        sizes = {r.selected_donor_count for r in report.rows if r.variant == "cluster_sc"}
-        if mode == "per_target":
-            assert len(report.rows) == 24
-            assert 1 < len(sizes) < 8
+        monkeypatch.undo()
+        assert len(report.rows) == 60 and report.skipped == []
+        assert [len(g) for g in calls["eigh"]] == [20, 20, 20]
+        clusters = {r.cluster_label for r in report.rows if r.variant == "cluster_sc"}
+        if mode == "per_dataset":
+            assert len(calls["gram"]) == 1 + len(clusters) + 20
         else:
-            assert len(sizes) > 1
+            assert len(calls["gram"]) == 1 + 20 + 20
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_report_bytes_do_not_depend_on_chunk_size(self, case, monkeypatch, tmp_path):
+        # the bytes of one stack of every target equal those of each target
+        # fitted alone, which a failing first stack forces
         make_dataset, fraction, mode = self.CASES[case]
         dataset = make_dataset()
         design = TestSkipPath.DESIGN if case.startswith("skipped") else standard_design()
         written = []
-        for chunk in (1, 3, evaluate.TARGET_CHUNK):
-            monkeypatch.setattr(evaluate, "TARGET_CHUNK", chunk)
+        for alone in (False, True):
+            if alone:
+                assert not fail_once(monkeypatch)
             report = leave_one_out_placebo(
                 dataset, fraction, design, np.random.default_rng(62), cluster_mode=mode
             )
-            written.append(write_json(report, tmp_path / f"{chunk}.json").read_bytes())
+            written.append(write_json(report, tmp_path / f"{alone}.json").read_bytes())
         assert written[1] == written[0]
-        assert written[2] == written[0]
         assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
         if case.startswith("skipped"):
             assert {s["target_id"] for s in report.skipped} == {"u00", "u01"}
