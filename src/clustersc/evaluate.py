@@ -421,8 +421,9 @@ def _placebo_target(
         else:
             coords, _ = fit_coordinates(stack, t0, series[:, :t0], design.reg)
             if in_group is not None:
-                in_pool = np.stack([masks[p] for p in pool_of], axis=1)
-                chosen, hits = _selection_counts(values, weight_direction(stack, coords), in_pool, in_group)
+                chosen, hits = _selection_counts(
+                    values, weight_direction(stack, coords), [masks[p] for p in pool_of], in_group
+                )
         pre_fit, counterfactual = project(stack, t0, coords)
         pre_mse = _mean_squares(pre_fit - ref[:, :t0]).tolist()
         post_mse = _mean_squares(counterfactual - ref[:, t0:]).tolist()
@@ -494,14 +495,16 @@ def _selection_counts(values, directions, in_pool, in_group):
     how many of those are in the group.
 
     A fit's donor weights are its pool's rows of values times its direction
-    (B, T); in_pool (n_units, B) marks each pool's rows. The weights are
-    formed _SCORE_BLOCK entries at a time, which keeps memory flat.
+    (B, T); in_pool holds each fit's mask of its pool's rows. The weights
+    and masks are stacked _SCORE_BLOCK entries at a time, which keeps
+    memory flat.
     """
     chosen, hits = np.empty(len(directions), dtype=int), np.empty(len(directions), dtype=int)
     step = max(1, _SCORE_BLOCK // values.shape[0])
     for start in range(0, len(directions), step):
         block = slice(start, start + step)
-        active = (np.abs(values @ directions[block].T) > ACTIVE_SET_TOL) & in_pool[:, block]
+        active = np.abs(values @ directions[block].T) > ACTIVE_SET_TOL
+        active &= np.stack(in_pool[block], axis=1)
         chosen[block] = np.count_nonzero(active, axis=0)
         hits[block] = np.count_nonzero(active & in_group[:, None], axis=0)
     return chosen, hits
