@@ -16,20 +16,22 @@ residual, so scoring it against another reference needs no second product.
 
 Every pool the package fits is tall (hundreds of donors over about ten
 periods), so each step works in period space, in the pool's T x T Gram
-form. sc_denoise takes the pool's spectrum and right singular vectors V from
-one eigh of its prescaled Gram matrix (linalg.gram, linalg.gram_eigen) and
-picks the rank r from that spectrum (select_rank, as for any spectrum). HSVT
-at rank r is X V_r V_r', which is formed only when a caller reads it.
-sc_fit_weights regresses OLS and ridge targets on Z = V_r[:t0] Sigma_r
-(t0 x r) through regression.fit: the coordinates it returns give the pre fit
-Z c and the counterfactual V_r[t0:] Sigma_r c (project), and the donor
-weights X V_r Sigma_r^-1 c (0 for each sigma kept_scale drops), which are
-the solver's weights on the denoised design (X V_r V_r')[:, :t0]'. The lasso
-keeps its primal path on that design. The placebo core runs the same steps
-on stacks of Gram factors: it builds each pool's Gram itself (a
-leave-one-out pool is a downdate of a shared Gram, which agrees with the
-pool's own Gram to rounding), never stacks pools' rows, and forms weights
-only to score them.
+form. hsvt_factors takes a stack of prescaled Grams (linalg.gram) to each
+pool's spectrum and right singular vectors V in one eigh call, picks each
+rank r from its spectrum (select_rank) and keeps the singular values the fit
+regresses on (kept_scale); sc_denoise runs it on a pool's own Gram, and the
+placebo core on the Grams it builds (a leave-one-out pool's is a downdate of
+a shared Gram). HSVT at rank r is X V_r V_r', which a DenoisedPool forms
+only when read. sc_fit_weights regresses OLS and ridge targets on
+Z = V_r[:t0] Sigma_r (t0 x r) through regression.fit (fit_coordinates): the
+coordinates c it returns give the donor weights X V_r Sigma_r^-1 c (0 for
+each sigma kept_scale drops), which are the solver's weights on the
+denoised design (X V_r V_r')[:, :t0]'. The lasso keeps its primal path on
+that design. sc_infer pushes the weights through the denoised window, as
+the weights are what a caller reads and may change. The placebo core reads
+its pre fits and counterfactuals from the coordinates instead (project: Z c
+and V_r[t0:] Sigma_r c), which agree with sc_infer's to rounding, and forms
+weights only to score them.
 
 The steps also take stacks: pools of one shape (B, n, T) with one target
 each, or one pool with a stack of targets, and the core's stacks of factors
@@ -78,55 +80,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DenoisedPool:
-    """A donor window X (n, T) and its HSVT in factor form.
-
-    v holds X's right singular vectors as columns (T, T), and scale the
-    singular values a fit regresses on (kept_scale): sigma_i below
-    rank_used, 0 from it on (T,). The denoised window X V_r V_r' (values) is
-    formed only when read. A stack of pools has the stack's leading axis on
-    every array and one rank per pool; the placebo core's stacks carry no
-    donors, which only values and the lasso read.
-    """
-
-    donors: np.ndarray | None
-    v: np.ndarray
-    scale: np.ndarray
-    rank_used: int | tuple[int, ...]
-
-    @property
-    def values(self) -> np.ndarray:
-        return rank_projection(self.donors, self.v, self.rank_used)
-
-    @property
-    def loadings(self) -> np.ndarray:
-        """V_r Sigma_r, padded to (T, T) with zero columns past the rank."""
-        return self.v * self.scale[..., None, :]
-
-
 @dataclass
 class ScFit:
-    """A learned synthetic control: the donor weights, the pool they were
-    fitted on, and coords, the same fit in the pool's singular coordinates
-    (sc_infer reads these). A fit of a stack of targets (see sc_fit_weights)
-    holds one row of weights and of coords per target.
+    """A learned synthetic control: weights plus the denoised donor window.
+
+    A fit of a stack of targets (see sc_fit_weights) holds one row of weights
+    per target, and the pool or stack of pools it was fitted on.
     """
 
     weights: WeightVector
     donor_ids: list
-    pool: DenoisedPool
-    coords: np.ndarray
+    denoised_donors: np.ndarray
+    rank_used: int | tuple[int, ...]
     cluster_label: int | None = None
-
-    @property
-    def rank_used(self) -> int | tuple[int, ...]:
-        return self.pool.rank_used
-
-    @property
-    def denoised_donors(self) -> np.ndarray:
-        """X V_r V_r', formed when read."""
-        return self.pool.values
 
 
 @dataclass
@@ -139,6 +105,27 @@ class EffectEstimate:
     effect: np.ndarray
     pre_fit: np.ndarray
     pre_fit_residual: np.ndarray
+
+
+@dataclass(frozen=True)
+class DenoisedPool:
+    """A donor window X (n, T) and its HSVT in factor form.
+
+    v holds X's right singular vectors as columns (T, T), and scale the
+    singular values a fit regresses on (kept_scale): sigma_i below
+    rank_used, 0 from it on (T,). The denoised window X V_r V_r' (values) is
+    formed only when read. A stack of pools has the stack's leading axis on
+    every array and one rank per pool.
+    """
+
+    donors: np.ndarray
+    v: np.ndarray
+    scale: np.ndarray
+    rank_used: int | tuple[int, ...]
+
+    @property
+    def values(self) -> np.ndarray:
+        return rank_projection(self.donors, self.v, self.rank_used)
 
 
 def kept_scale(sigma, rank) -> np.ndarray:
@@ -154,6 +141,27 @@ def kept_scale(sigma, rank) -> np.ndarray:
     return np.where(keep, sigma, 0.0)
 
 
+def hsvt_factors(g, exponent, sizes, rule: RankRule):
+    """The HSVT of pools given by their Grams: spectrum, rank, kept scale.
+
+    g is a Gram (T, T) or a stack of them (B, T, T) under the prescales
+    2**-exponent, as linalg.gram returns them (a caller may also downdate
+    one); sizes holds each pool's row count (one int for all). The rule
+    reads each pool's first min(n, T) singular values, as many as its rows
+    span. Returns (v, scale, rank): the right singular vectors, kept_scale's
+    values, and the rank, one per pool for a stack. One eigh call serves
+    the stack.
+    """
+    sigma, v = gram_eigen(g, exponent)
+    periods = v.shape[-1]
+    if sigma.ndim == 1:
+        rank = select_rank(sigma[: min(sizes, periods)], rule)
+    else:
+        sizes = np.broadcast_to(sizes, sigma.shape[:1]).tolist()
+        rank = tuple([select_rank(s[: min(n, periods)], rule) for s, n in zip(sigma, sizes)])
+    return v, kept_scale(sigma, rank), rank
+
+
 def sc_denoise(donors, rule: RankRule) -> DenoisedPool:
     """The target-free step of sc_learn: spectrum, rank selection, HSVT.
 
@@ -162,34 +170,21 @@ def sc_denoise(donors, rule: RankRule) -> DenoisedPool:
     window's factors are the ones it gets alone, bit for bit.
     """
     donors = as_matrix(donors, stacked=True)
-    sigma, v = gram_eigen(*gram(donors))
-    p = min(donors.shape[-2:])
-    if sigma.ndim == 1:
-        rank = select_rank(sigma[:p], rule)
-    else:
-        rank = tuple([select_rank(s[:p], rule) for s in sigma])
-    return DenoisedPool(donors, v, kept_scale(sigma, rank), rank)
+    return DenoisedPool(donors, *hsvt_factors(*gram(donors), donors.shape[-2], rule))
 
 
-def fit_coordinates(pool: DenoisedPool, t0: int, target_pre, reg: RegressionSpec, donor_ids=None):
-    """Each target's fit in the pool's singular coordinates, and, for the
-    lasso, its donor weights; returns (coords, WeightVector or None).
+def fit_coordinates(v, scale, t0: int, target_pre, reg: RegressionSpec) -> np.ndarray:
+    """Each target's OLS or ridge fit in its pool's singular coordinates.
 
-    OLS and ridge regress the target on Z = V_r[:t0] Sigma_r (t0 x T, zero
-    past the rank): the donor weights X V_r Sigma_r^-1 coords (weight_direction)
-    are those of the same solver on the denoised design (X V_r V_r')[:, :t0]',
-    and the pre fit is Z coords. The lasso keeps its primal path on that
-    design, so it needs the pool's donors; its coords are Sigma_r^-1 V_r' X'
-    times its weights. target_pre is (t0,) or a stack (B, t0); pool is one
-    pool or a stack of B pools. The weights are donor_ids' (one per donor).
+    The fit regresses the target on Z = V_r[:t0] Sigma_r (t0 x T, zero past
+    the rank; v and scale as a DenoisedPool holds them): the donor weights
+    X V_r Sigma_r^-1 coords (weight_direction) are those of the same solver
+    on the denoised design (X V_r V_r')[:, :t0]', and the pre fit is
+    Z coords (project). target_pre is (t0,) or a stack (B, t0); v and scale
+    are one pool's or a stack of B pools'.
     """
-    if reg.method != "lasso":
-        return fit_stack(pool.loadings[..., :t0, :], target_pre, reg).values, None
-    design = pool.values[..., :t0].swapaxes(-1, -2)
-    weights = fit_stack(design, target_pre, reg, donor_ids)
-    back = (pool.donors.swapaxes(-1, -2) @ weights.values[..., None])[..., 0]
-    coords = _inverse(pool.scale) * (pool.v.swapaxes(-1, -2) @ back[..., None])[..., 0]
-    return coords, weights
+    loadings = v * scale[..., None, :]
+    return fit_stack(loadings[..., :t0, :], target_pre, reg).values
 
 
 def _inverse(scale) -> np.ndarray:
@@ -199,15 +194,15 @@ def _inverse(scale) -> np.ndarray:
     return inverse
 
 
-def weight_direction(pool: DenoisedPool, coords) -> np.ndarray:
+def weight_direction(v, scale, coords) -> np.ndarray:
     """V_r Sigma_r^-1 coords, (T,) per target: a pool's donors times it give
     the donor weights of an OLS or ridge fit (see fit_coordinates)."""
-    return (pool.v @ (_inverse(pool.scale) * coords)[..., None])[..., 0]
+    return (v @ (_inverse(scale) * coords)[..., None])[..., 0]
 
 
-def project(pool: DenoisedPool, t0: int, coords) -> tuple[np.ndarray, np.ndarray]:
+def project(v, scale, t0: int, coords) -> tuple[np.ndarray, np.ndarray]:
     """The pre fit Z coords and the counterfactual V_r[t0:] Sigma_r coords."""
-    loadings = pool.loadings
+    loadings = v * scale[..., None, :]
     coords = coords[..., None]
     return (loadings[..., :t0, :] @ coords)[..., 0], (loadings[..., t0:, :] @ coords)[..., 0]
 
@@ -222,9 +217,11 @@ def sc_fit_weights(
 ) -> ScFit:
     """The per-target step of sc_learn: fit the weights on a denoised pool.
 
-    Either argument may carry a leading stack axis: a stack of pools with one
-    target each, or one pool with a stack of targets (B, t0). Then the
-    weights hold one row per target, fitted by regression.fit_stack.
+    OLS and ridge fit in the pool's singular coordinates (fit_coordinates);
+    the lasso keeps its primal path on the denoised design. Either argument
+    may carry a leading stack axis: a stack of pools with one target each,
+    or one pool with a stack of targets (B, t0). Then the weights hold one
+    row per target, fitted by regression.fit_stack.
     """
     periods = pool.v.shape[-1]
     if periods != split.t_total:
@@ -240,15 +237,23 @@ def sc_fit_weights(
     elif len(donor_ids) != n:
         raise ShapeError(f"{len(donor_ids)} donor ids for {n} donors")
     single = pool.v.ndim == 2 and target_pre.ndim == 1
-    coords, weights = fit_coordinates(
-        pool, split.t0, target_pre[None] if single else target_pre, reg, donor_ids
-    )
-    if weights is None:
-        values = (pool.donors @ weight_direction(pool, coords)[..., None])[..., 0]
-        weights = WeightVector(values, list(donor_ids))
+    target_pre = target_pre[None] if single else target_pre
+    values = pool.values
+    if reg.method == "lasso":
+        weights = fit_stack(values[..., : split.t0].swapaxes(-1, -2), target_pre, reg, donor_ids)
+    else:
+        coords = fit_coordinates(pool.v, pool.scale, split.t0, target_pre, reg)
+        direction = weight_direction(pool.v, pool.scale, coords)
+        weights = WeightVector((pool.donors @ direction[..., None])[..., 0], list(donor_ids))
     if single:
-        weights.values, coords = weights.values[0], coords[0]
-    return ScFit(weights, weights.donor_ids, pool, coords, cluster_label)
+        weights.values = weights.values[0]
+    return ScFit(
+        weights=weights,
+        donor_ids=weights.donor_ids,
+        denoised_donors=values,
+        rank_used=pool.rank_used,
+        cluster_label=cluster_label,
+    )
 
 
 def sc_learn(
@@ -267,8 +272,8 @@ def sc_learn(
 
 
 def sc_infer(sc_fit: ScFit, split: InterventionSplit, target_full) -> EffectEstimate:
-    """The counterfactual, the effect (observed post minus it), and the
-    pre-period fit with its residual, all read from the fit's coords.
+    """The counterfactual (the denoised post block through the weights), the
+    effect (observed post minus it), and the pre-period fit with its residual.
 
     A stack of fits takes a stack of targets (B, T) and returns one row of
     each per target, every product one matmul over the stack.
@@ -278,11 +283,15 @@ def sc_infer(sc_fit: ScFit, split: InterventionSplit, target_full) -> EffectEsti
         raise ShapeError(
             f"target_full must have length {split.t_total}, got {target_full.shape}"
         )
-    periods = sc_fit.pool.v.shape[-1]
+    donors = sc_fit.denoised_donors
+    periods = donors.shape[-1]
     if periods != split.t_total:
         raise ShapeError(f"fit covers {periods} periods, split expects {split.t_total}")
-    pre_fit, counterfactual = project(sc_fit.pool, split.t0, sc_fit.coords)
+    # matmul broadcasts a pool over a stack of weights
+    weights = sc_fit.weights.values[..., None]
+    counterfactual = (donors[..., split.t0 :].swapaxes(-1, -2) @ weights)[..., 0]
     observed_post = target_full[..., split.t0 :]
+    pre_fit = (donors[..., : split.t0].swapaxes(-1, -2) @ weights)[..., 0]
     return EffectEstimate(
         counterfactual_post=counterfactual,
         observed_post=observed_post,

@@ -19,25 +19,35 @@ PlaceboDesign: SC on the full pool (sc_full), on the target's cluster
 (sc_random_subset). It records the skipped cells with their reason and
 builds the placebo rows.
 
-A pool never holds its own target. When a target's row lies in the rows it
-is given, its pool is those rows less that row, and the pool's Gram is the
-rows' Gram less the row's outer product: a downdate. So a leave-one-out call
-forms the panel's Gram once, and each per_dataset cluster's Gram once, and
-downdates them for every target; a split iteration's targets lie outside
-its donors, so the full pool and each cluster are one pool, decomposed and
-fitted once for all the targets that use them. Per_target clusters and
-random subsets get their own Gram, formed from their gathered rows. Each variant's Grams then take one eigh
-call, one select_rank per spectrum, one ridge solve (engine.fit_coordinates)
-and one product per step over all the call's targets, with no cap on the
-stack: a target adds a few T x T matrices, not its pool. Only the lasso,
-which keeps its primal path, gathers each pool's rows. Donor weights are
-formed only to score a leave-one-out fit's selection, a bounded block of
-targets at a time. A shared or own pool gives the numbers sc_learn gives
-on its gathered rows, bit for bit; a downdated pool's MSEs agree with those
-to rounding, within a relative 1e-10 as measured (the tests bound it at
-1e-9), and its selections and counts exactly. If a step raises, every
-target is fitted again alone, in order, so the error raised is the first in
-target order.
+A pool never holds its own target. When a target's row lies in the rows of
+a shared pool, its pool is those rows less that row, and the pool's Gram is
+the rows' Gram less the row's outer product: a downdate. So a leave-one-out
+call forms the panel's Gram once, and each per_dataset cluster's Gram once,
+and downdates them for every target; a split iteration's targets lie
+outside its donors, so the full pool and each cluster are one pool,
+decomposed and fitted once for all the targets that use them. The harness
+says which pools are shared: the full pool always, and a cluster when its
+label names the same rows for every target (per_dataset and split). A
+target whose row carries more than half of some period's sum of squares in
+a shared pool gets that pool's own Gram, as the downdate would lose more
+than one bit there. Per_target clusters and random subsets get their own
+Gram, formed from their gathered rows. Each variant's Grams then take one
+engine.hsvt_factors call (one eigh, one select_rank per spectrum), one
+ridge solve (engine.fit_coordinates) and one product per step over all the
+call's targets, with no cap on the stack: a target adds a few T x T
+matrices, not its pool. Only the lasso, which keeps its primal path,
+gathers each pool's rows, and reads its fits through engine.sc_infer. Donor
+weights are formed only to score a leave-one-out fit's selection, a bounded
+block of targets at a time. A pool with its own Gram and every shared pool
+give the numbers the engine's steps give on its gathered rows, bit for bit.
+A downdated Gram carries at most about twice the rounding of the pool's own
+Gram, so its MSEs agree with those to rounding: within a relative 1e-10 on
+unit-scale panels as measured (the tests bound it at 1e-9), and its
+selections and counts exactly. Where a donor's row is far above the others'
+scale, both Grams lose the other rows' low digits, and the two agree only
+to that (1e-7 measured with one donor at 1e4 times the rest). If a step
+raises, every target is fitted again alone, in order, so the error raised is
+the first in target order.
 
 The harnesses keep the rest: which units are targets, which reference the
 errors are measured against, where the target's cluster comes from (a fresh
@@ -70,7 +80,9 @@ from .cluster import (
 from .datagen import (
     GROUP_A_SPEC, NoiseSpec, SignalSpec, SyntheticDataset, add_noise, gen_dataset, gen_group,
 )
-from .engine import DenoisedPool, fit_coordinates, kept_scale, project, weight_direction
+from .engine import (
+    DenoisedPool, fit_coordinates, hsvt_factors, project, sc_fit_weights, sc_infer, weight_direction,
+)
 from .errors import (
     DegenerateClusterError,
     InvalidInputError,
@@ -78,7 +90,7 @@ from .errors import (
     ShapeError,
     UndefinedPrecisionError,
 )
-from .linalg import RankRule, as_matrix, gram, gram_eigen, select_rank
+from .linalg import RankRule, as_matrix, gram
 from .panel import TimePanel
 from .regression import ACTIVE_SET_TOL, RegressionSpec
 
@@ -317,6 +329,7 @@ def _placebo_target(
     design: PlaceboDesign,
     seeds,
     cluster_source,
+    shared_clusters: bool,
     in_group=None,
 ) -> list[tuple[list[PlaceboRow], list[dict]]]:
     """Fit and score the design's variants on every target of a call; returns
@@ -335,20 +348,25 @@ def _placebo_target(
     cluster of target j, its position in target_rows, or raises
     DegenerateClusterError (see cluster_members) when the cluster has fewer
     than 2 donors besides the target. That skips cluster_sc and, with it,
-    sc_random_subset, whose size the cluster sets.
+    sc_random_subset, whose size the cluster sets. With shared_clusters, a
+    label names the same rows for every target (a per_dataset or split
+    model's cluster); without, each target's cluster is its own.
     in_group, when given, marks the planted group's panel rows; each fit
     records its active donors' precision and recall against it.
 
-    Targets handed the very same rows array (donor_rows, or one cluster's
-    rows) share its Gram, formed once per call: the targets outside the rows
-    share one pool, decomposed and fitted once for all of them, and each
-    target inside them gets the Gram less its own row's outer product. Each
-    variant's pools then take one eigh call, one select_rank per spectrum,
-    one regression.fit for ridge (one per target for OLS, one per pool for
-    the lasso), and one product per step; see engine.fit_coordinates. A pool
-    of its own rows gets its own Gram (linalg.gram), so it and every shared
-    pool give the numbers sc_learn gives on its rows, bit for bit; a
-    downdated pool agrees with that to rounding. If a step raises, every
+    The full pool and each shared cluster have one Gram per call, formed
+    once: the targets outside the rows share one pool, decomposed and fitted
+    once for all of them, and each target inside them gets the Gram less its
+    own row's outer product, unless its row carries more than half of some
+    period's sum of squares (a diagonal entry of the Gram): the downdate
+    would then lose more than one bit of that entry's accuracy, so that
+    target's pool gets its own Gram. A cluster of its own and a random
+    subset get their own Gram too (linalg.gram). Each variant's Grams then
+    take one engine.hsvt_factors call, one regression.fit for ridge (one per
+    target for OLS, one per pool for the lasso), and one product per step;
+    see engine.fit_coordinates. A pool with its own Gram and every shared
+    pool give the numbers sc_denoise gives on its rows, bit for bit; a
+    downdated pool agrees with those to rounding. If a step raises, every
     target is fitted again alone, in order, so the error raised is the first
     in target order; the shared Grams are not formed again.
     """
@@ -357,74 +375,88 @@ def _placebo_target(
     values = panel.values
     target_ids = [panel.unit_ids[t] for t in target_rows.tolist()]
     target_full, reference = values[target_rows], truth[target_rows]
-    # id(rows) -> (rows, mask of rows, Gram, exponent); holding rows keeps its id unique
+    # the shared pools: key -> (rows, mask of rows, Gram, exponent)
     bases: dict = {}
 
-    def base(rows):
-        entry = bases.get(id(rows))
-        if entry is None:
+    def base(key, rows):
+        if key is None or key not in bases:
             mask = np.zeros(values.shape[0], dtype=bool)
             mask[rows] = True
-            entry = bases[id(rows)] = (rows, mask, *gram(values[rows]))
-        return entry
+            entry = (rows, mask, *gram(values[rows]))
+            if key is None:
+                return entry
+            bases[key] = entry
+        return bases[key]
 
     def add_rows(rows, variant, rule, fits):
-        # fits: (position in target_rows, cluster label, base rows), in target order
+        # fits: (position in target_rows, cluster label, pool rows, key of a
+        # shared pool or None), in target order
         if not fits:
             return
-        # each base's targets that drop their own row from it, and those that share it
-        groups: dict = {}
-        for i, (j, _, base_rows) in enumerate(fits):
-            entry = base(base_rows)
-            group = groups.setdefault(id(base_rows), (entry, [], []))
-            group[1 if entry[1][target_rows[j]] else 2].append(i)
         # per pool: its Gram, the Gram's exponent, its size and its rows' mask
         grams, exponents, sizes, masks = [], [], [], []
         pool_of = np.empty(len(fits), dtype=int)
-        for (base_rows, mask, g, exponent), dropping, sharing in groups.values():
+        # each shared pool's targets that drop their own row from it, and those that use it whole
+        groups: dict = {}
+        for i, (j, _, pool_rows, key) in enumerate(fits):
+            if key is None:
+                pool_rows, mask, g, exponent = base(None, pool_rows)
+                pool_of[i] = len(sizes)
+                grams.append(g[None])
+                exponents.append(exponent)
+                sizes.append(len(pool_rows))
+                masks.append(mask)
+                continue
+            entry = base(key, pool_rows)
+            group = groups.setdefault(key, (entry, [], []))
+            group[1 if entry[1][target_rows[j]] else 2].append(i)
+        for (base_rows, mask, g, exponent), dropping, whole in groups.values():
             if dropping:
                 dropped = target_rows[[fits[i][0] for i in dropping]]
                 x = np.ldexp(values[dropped], -exponent)
+                downdated = g - x[:, :, None] * x[:, None, :]
+                own_exponents = np.full(len(dropping), exponent)
+                for d in np.flatnonzero(np.any(x * x > np.diagonal(g) / 2, axis=1)):
+                    downdated[d], own_exponents[d] = gram(values[base_rows[base_rows != dropped[d]]])
                 pool_of[dropping] = len(sizes) + np.arange(len(dropping))
-                grams.append(g - x[:, :, None] * x[:, None, :])
-                exponents += [exponent] * len(dropping)
+                grams.append(downdated)
+                exponents += own_exponents.tolist()
                 sizes += [len(base_rows) - 1] * len(dropping)
                 own = np.repeat(mask[None], len(dropping), axis=0)
                 own[np.arange(len(dropping)), dropped] = False
                 masks += list(own)
-            if sharing:
-                pool_of[sharing] = len(sizes)
+            if whole:
+                pool_of[whole] = len(sizes)
                 grams.append(g[None])
                 exponents.append(exponent)
                 sizes.append(len(base_rows))
                 masks.append(mask)
-        sigma, v = gram_eigen(np.concatenate(grams), np.array(exponents))
-        periods = v.shape[-1]
-        ranks = [select_rank(s[: min(n, periods)], rule) for s, n in zip(sigma, sizes)]
-        scale = kept_scale(sigma, ranks)
-        at = [j for j, _, _ in fits]
+        v, scale, ranks = hsvt_factors(np.concatenate(grams), np.array(exponents), sizes, rule)
+        at = [j for j, _, _, _ in fits]
         series, ref = target_full[at], reference[at]
-        stack = DenoisedPool(None, v[pool_of], scale[pool_of], tuple(ranks[p] for p in pool_of))
         if design.reg.method == "lasso":
             # the primal path needs each pool's donors, gathered one pool at a time
-            coords = np.empty((len(fits), periods))
+            pre_fit, counterfactual = np.empty((len(fits), t0)), np.empty((len(fits), split.t_total - t0))
             chosen, hits = np.empty(len(fits), dtype=int), np.empty(len(fits), dtype=int)
             for p in range(len(sizes)):
                 members = np.flatnonzero(pool_of == p)
                 pool_rows = np.flatnonzero(masks[p])
                 pool = DenoisedPool(values[pool_rows], v[p], scale[p], ranks[p])
-                coords[members], weights = fit_coordinates(pool, t0, series[members, :t0], design.reg)
+                fit = sc_fit_weights(pool, split, series[members, :t0], design.reg)
+                estimate = sc_infer(fit, split, series[members])
+                pre_fit[members], counterfactual[members] = estimate.pre_fit, estimate.counterfactual_post
                 if in_group is not None:
-                    active = np.abs(weights.values) > ACTIVE_SET_TOL
+                    active = np.abs(fit.weights.values) > ACTIVE_SET_TOL
                     chosen[members] = np.count_nonzero(active, axis=1)
                     hits[members] = np.count_nonzero(active & in_group[pool_rows], axis=1)
         else:
-            coords, _ = fit_coordinates(stack, t0, series[:, :t0], design.reg)
+            v, scale = v[pool_of], scale[pool_of]
+            coords = fit_coordinates(v, scale, t0, series[:, :t0], design.reg)
+            pre_fit, counterfactual = project(v, scale, t0, coords)
             if in_group is not None:
                 chosen, hits = _selection_counts(
-                    values, weight_direction(stack, coords), [masks[p] for p in pool_of], in_group
+                    values, weight_direction(v, scale, coords), [masks[p] for p in pool_of], in_group
                 )
-        pre_fit, counterfactual = project(stack, t0, coords)
         pre_mse = _mean_squares(pre_fit - ref[:, :t0]).tolist()
         post_mse = _mean_squares(counterfactual - ref[:, t0:]).tolist()
         scores = [(None, None)] * len(fits)
@@ -436,7 +468,7 @@ def _placebo_target(
                 (h / c, h / size) if c else (None, None)
                 for h, c in zip(hits.tolist(), chosen.tolist())
             ]
-        for (j, label, _), p, pre, post, (precision, recall) in zip(
+        for (j, label, _, _), p, pre, post, (precision, recall) in zip(
             fits, pool_of.tolist(), pre_mse, post_mse, scores
         ):
             rows[j].append(
@@ -457,7 +489,7 @@ def _placebo_target(
         # targets: positions in target_rows, ascending
         rows = {j: [] for j in targets}
         skipped = {j: [] for j in targets}
-        add_rows(rows, "sc_full", design.rule, [(j, None, donor_rows) for j in targets])
+        add_rows(rows, "sc_full", design.rule, [(j, None, donor_rows, "full") for j in targets])
         clustered = []
         for j in targets:
             try:
@@ -469,16 +501,16 @@ def _placebo_target(
                     for name, reason in zip(design.variants[1:], reasons)
                 ]
                 continue
-            clustered.append((j, label, members))
+            clustered.append((j, label, members, ("cluster", label) if shared_clusters else None))
         add_rows(rows, "cluster_sc", design.cluster_rule, clustered)
         if design.with_random_subset:
             subsets = []
-            for j, _, members in clustered:
+            for j, _, members, _ in clustered:
                 # the target's full pool and its cluster's size, each without
                 # the target; the draw reads only the pool's row count
                 pool = donor_rows[donor_rows != target_rows[j]]
                 size = int(np.count_nonzero(members != target_rows[j]))
-                subsets.append((j, None, pool[random_subset_variant(pool[:, None], size, seeds[j][2])]))
+                subsets.append((j, None, pool[random_subset_variant(pool[:, None], size, seeds[j][2])], None))
             add_rows(rows, "sc_random_subset", design.rule, subsets)
         return [(rows[j], skipped[j]) for j in targets]
 
@@ -581,7 +613,7 @@ def leave_one_out_placebo(
     skipped: list[dict] = []
     for cell_rows, cell_skipped in _placebo_target(
         0, panel, target_rows, dataset.true_signal, np.arange(values.shape[0]), design, seeds,
-        cluster_source, in_a,
+        cluster_source, pool_labels is not None, in_a,
     ):
         rows.extend(cell_rows)
         skipped.extend(cell_skipped)
@@ -646,21 +678,16 @@ def split_placebo(
         seeds = it_rng.integers(0, SEED_CEILING, size=(test_rows.size, len(design.variants)))
         model = _fit_pool_model(design, values[train_rows, :t0], it_rng)
 
-        clusters: dict = {}
-
         def cluster_source(j, seed):
-            # one rows array per cluster, so its targets share its pool
             label, members = nearest_cluster(model, values[test_rows[j], :t0])
-            if label not in clusters:
-                clusters[label] = train_rows[members]
-            return label, clusters[label]
+            return label, train_rows[members]
 
         it_rows: list[PlaceboRow] = []
         it_skipped: list[dict] = []
         # every target shares the donors and the model's clusters, so the core
         # fits each of those pools once
         for cell_rows, cell_skipped in _placebo_target(
-            it, panel, test_rows, values, train_rows, design, seeds, cluster_source,
+            it, panel, test_rows, values, train_rows, design, seeds, cluster_source, True,
         ):
             it_rows.extend(cell_rows)
             it_skipped.extend(cell_skipped)

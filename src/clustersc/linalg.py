@@ -18,7 +18,9 @@ product. Each matrix is first scaled by 2**-e, e being the exponent of its
 largest entry, so its Gram cannot overflow and LAPACK never rescales it by a
 factor that is not a power of two: scaling X by 2**j scales every singular
 value and the HSVT result by exactly 2**j. A downdated Gram keeps the
-exponent of the rows it came from. A Gram squares the condition number, so
+exponent of the rows it came from; the core forms a pool's own Gram instead
+when the dropped row carries more than half of a diagonal entry, where the
+downdate would lose more than one bit. A Gram squares the condition number, so
 singular values below about 1e-8 times the largest lose their relative
 accuracy (the leading ones, and the directions they span, keep it). svd
 stays the decomposition for the k-means embedding, which needs the left

@@ -3,10 +3,14 @@
 For each target, in order, it draws the harness's seeds, builds the target's
 donor rows, clusters them with the public fit_cluster_model and
 nearest_cluster (or reads the dataset's pool model), and fits each variant
-alone with engine.sc_learn and sc_infer on the gathered donors. Selections
-are scored by unit id with donor_selection_scores, one donor at a time. It
-shares no code with the placebo core, so a harness row that equals a
-reference row was computed right.
+alone on the gathered donors: engine.sc_denoise, then sc_fit_weights for
+the weights. The lasso's pre fit and counterfactual come from sc_infer; an
+OLS or ridge fit's from its singular coordinates (engine.fit_coordinates and
+project), where the core reads them, which agree with sc_infer's weights
+path to rounding. Selections are scored by unit id with
+donor_selection_scores, one donor at a time. It shares no code with the
+placebo core, so a harness row that equals a reference row was computed
+right.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from clustersc.cluster import SEED_CEILING, cluster_members, fit_cluster_model, nearest_cluster
-from clustersc.engine import sc_infer, sc_learn
+from clustersc.engine import fit_coordinates, project, sc_denoise, sc_fit_weights, sc_infer
 from clustersc.errors import DegenerateClusterError, UndefinedPrecisionError
 from clustersc.evaluate import PlaceboRow, donor_selection_scores, mse, random_subset_variant
 from clustersc.regression import active_set
@@ -40,14 +44,20 @@ def reference_cells(iteration, panel, target, reference, donors, design, seeds, 
 
     def row(variant, positions, rule, label=None):
         ids = [panel.unit_ids[r] for r in donors[positions]]
-        fit = sc_learn(panel.values[donors[positions]], split, series[:t0], rule, design.reg, donor_ids=ids)
-        estimate = sc_infer(fit, split, series)
+        pool = sc_denoise(panel.values[donors[positions]], rule)
+        fit = sc_fit_weights(pool, split, series[:t0], design.reg, donor_ids=ids)
+        if design.reg.method == "lasso":
+            estimate = sc_infer(fit, split, series)
+            pre_fit, counterfactual = estimate.pre_fit, estimate.counterfactual_post
+        else:
+            coords = fit_coordinates(pool.v, pool.scale, t0, series[None, :t0], design.reg)
+            pre_fit, counterfactual = (block[0] for block in project(pool.v, pool.scale, t0, coords))
         precision, recall = (None, None)
         if labels is not None:
             precision, recall = id_scores(fit, panel.unit_ids, labels, target_id)
         return PlaceboRow(
-            iteration, target_id, variant, mse(estimate.pre_fit, reference[:t0]),
-            mse(estimate.counterfactual_post, reference[t0:]), len(ids), label, precision, recall,
+            iteration, target_id, variant, mse(pre_fit, reference[:t0]),
+            mse(counterfactual, reference[t0:]), len(ids), label, precision, recall,
         )
 
     rows = [row("sc_full", np.arange(len(donors)), design.rule)]

@@ -750,17 +750,17 @@ RECORDED_DIGESTS = {
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
     "placebo-synthetic-lasso/placebo_synthetic.json":
-        "d6f36b939b340baa48d5d27935bb1cb1c88e192ff3dc1d9b62487d3818cdf68f",
+        "90284aeb6acea4929a973e7dcbac91b935ac5c966b39a4797dc2583bc7b08615",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
-        "8c3bd5458cea2be6352bf8ef84fc12d86da2b4f80590e17a9acba3d1a91f08e3",
+        "bbdce8a6b8b78c761f9125489af5e5ce3edcbc9188842f31402f71bb9384dbcc",
     "placebo-panel-auto/placebo_panel.json":
         "fd49e1e6b01b72026ca969a0a8c6050256cf118a45a4e181b185996a2e1e5202",
     "placebo-panel-auto/placebo_panel_plot.csv":
         "d88efbfe43284da43e59eb39b51887e5f43a694c5d82cf30257c1b5ed2b2180f",
     "placebo-synthetic-subset/placebo_synthetic.json":
-        "6733ffc9a35fecd04c7c90a6ae5e81babea5ffe423f23ddf8c1a72c8819215cb",
+        "29b03959c21df838056ff2deafd828cea29d2f571f84e455f26dae665c237a6b",
     "placebo-synthetic-subset/placebo_synthetic_plot.csv":
-        "50ca5bbf887cb59b542ec3366c8432ff7819db1c867fc0321e9fe1a444d9a993",
+        "a16b9b0adcb7abcc9aa4d81a78f46abd863d996aac02f16db82da4c2bb3b454e",
 }
 
 
@@ -1007,17 +1007,17 @@ PRESCOTT_DIGESTS = {
     "recovery-check/recovery_check_plot.csv":
         "4ed73641b189fd02e83690bccfdd4a9fc86d95ab0dd3cac8cbbe4d5915a4b69f",
     "placebo-synthetic-lasso/placebo_synthetic.json":
-        "277c8004e7c46ed8ea202c36e6e573dfc3b5a16ce2ab54695c56ed60d4cc493d",
+        "106a9bb03dfaa30ded99d635ad372f6febf4ef5b29ea475399617323a162442c",
     "placebo-synthetic-lasso/placebo_synthetic_plot.csv":
-        "006bd23fa0449f9be08762970af6968bd9789c43d20cc78bd1a944e0157e4ef8",
+        "192b532c0f1b5c6c6d4bb0aa52261cf275ff29ebbec0cf6a4d45a570043d1165",
     "placebo-panel-auto/placebo_panel.json":
         "852523ddd292b1e8b8c0f5dc6e3190222c8b21dd66871d44b9f8fe92fad27fe2",
     "placebo-panel-auto/placebo_panel_plot.csv":
         "2ce0d6d73d6d30e1ba9fe1536d414ea88f8dffa2380d1e4547355166ab218b97",
     "placebo-synthetic-subset/placebo_synthetic.json":
-        "66d803fe73dc1b844a9e1aec019bd378cccdab0a045ee9b23df741670a0cd982",
+        "97781d74086b0075dbc0b8b8789f05fedf69cb6eec4ab97a236b19ac18a41d67",
     "placebo-synthetic-subset/placebo_synthetic_plot.csv":
-        "3c48a041a1550e49fb8dc925bb997c13582f54caabaa05871963a84748753cdd",
+        "37d9c500b127c51219716e9e08914a98bd8ee8c591bcb6965e6645cdc666b7d8",
 }
 
 # run by a fresh interpreter: argv[1] is the output directory, argv[2] the

@@ -404,13 +404,13 @@ class TestLeaveOneOutPlacebo:
         design = PlaceboDesign(RIDGE, RankRule.fixed(3), k=2, cluster_rule=RankRule.fixed(2),
                                with_random_subset=True)
         rules = []  # the rule of each pool the core denoises
-        select_rank = evaluate.select_rank
+        select_rank = engine.select_rank
 
         def recording(sigma, rule):
             rules.append(rule.r)
             return select_rank(sigma, rule)
 
-        monkeypatch.setattr(evaluate, "select_rank", recording)
+        monkeypatch.setattr(engine, "select_rank", recording)
         args = (small_dataset(), 0.3, design, 5)
         report = leave_one_out_placebo(*args, cluster_mode=mode)
         assert report.skipped == []
@@ -746,6 +746,32 @@ class TestMatchesReference:
             assert dataset.panel.unit_ids[3] in {r.target_id for r in report.rows}
             assert_matches_reference(report, reference_leave_one_out(*args, cluster_mode=mode))
 
+    @pytest.mark.parametrize("where", ["row", "entry"])
+    @pytest.mark.parametrize("mode", CLUSTER_MODES)
+    def test_target_far_above_its_pool(self, mode, where):
+        # the only group-A unit, so the only target, has its row, or its
+        # last post-period entry, at 1e4 times the others' scale. Its row
+        # then carries nearly all of a period's sum of squares in each pool
+        # it is dropped from, and the Gram less its outer product would keep
+        # about eight fewer digits there (gaps to 4e-7 measured), so those
+        # pools get their own Gram, which gives the reference's rows bit for
+        # bit. Per_dataset, the scaled row is a cluster of its own (skipped);
+        # the scaled entry is past t0, so it keeps its cluster, which is
+        # then its own Gram too
+        for seed in (89, 91):
+            dataset = small_dataset(seed=seed, s=0.25, n_a=1, n_b=30)
+            assert dataset.group_labels[0] == "A"
+            if where == "row":
+                dataset.panel.values[0] *= 1e4
+            else:
+                dataset.panel.values[0, -1] *= 1e4
+            args = (dataset, 1.0, standard_design(), seed + 1)
+            report = leave_one_out_placebo(*args, cluster_mode=mode)
+            assert len(report.rows) == (1 if (mode, where) == ("per_dataset", "row") else 3)
+            assert_matches_reference(
+                report, reference_leave_one_out(*args, cluster_mode=mode), exact=True
+            )
+
 
 class TestSelectionScoringOracle:
     """The leave-one-out harness scores selections on row masks; the
@@ -818,32 +844,40 @@ class TestSplitSharedPools:
         design = standard_design(k="auto")
         args = (panel, 0.6, 2, design, 52)
         reference = reference_split(*args)
-        calls: dict = {}
-        core = evaluate._placebo_target
+        # the cluster model's SVDs, the pools' Grams and their eigendecompositions
+        calls: dict = {"svd": [], "gram": [], "eigh": []}
+        # (calls made before the model, the model) per iteration
+        models = []
+        fit_cluster_model = evaluate.fit_cluster_model
 
-        def recording_core(*core_args, **kwargs):
-            calls.setdefault("core", []).append({name: len(made) for name, made in calls.items()})
-            return core(*core_args, **kwargs)
+        def recording_model(*model_args, **kwargs):
+            before = {name: len(made) for name, made in calls.items()}
+            model = fit_cluster_model(*model_args, **kwargs)
+            models.append((before, model))
+            return model
 
-        monkeypatch.setattr(evaluate, "_placebo_target", recording_core)
+        monkeypatch.setattr(evaluate, "fit_cluster_model", recording_model)
         monkeypatch.setattr(evaluate, "gram", counting(evaluate, "gram", calls))
-        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg, "eigh", calls))
+        for name in ("svd", "eigh"):
+            monkeypatch.setattr(np.linalg, name, counting(np.linalg, name, calls))
         report = split_placebo(*args)
         monkeypatch.undo()
         assert_matches_reference(report, reference, exact=True)
         assert {r.variant for r in report.rows} == set(VARIANT_NAMES)
 
-        # per iteration: one Gram for the full pool, one per cluster used and
-        # one per random subset, and one eigh per variant
-        ends = {"gram": len(calls["gram"]), "eigh": len(calls["eigh"])}
-        bounds = calls["core"] + [ends]
-        assert len(calls["core"]) == 2
-        for it, entry in enumerate(report.per_iteration, start=1):
-            made = {name: bounds[it][name] - bounds[it - 1].get(name, 0) for name in ends}
+        # per iteration: one SVD for the cluster model, one Gram for the full
+        # pool, one per cluster used and one per random subset, and one eigh
+        # per variant
+        assert len(models) == 2
+        ends = {name: len(made) for name, made in calls.items()}
+        bounds = [before for before, _ in models] + [ends]
+        for it, ((_, model), entry) in enumerate(zip(models, report.per_iteration), start=1):
+            made = {name: bounds[it][name] - bounds[it - 1][name] for name in calls}
             it_rows = [r for r in report.rows if r.iteration == it]
             clusters = {r.cluster_label for r in it_rows if r.variant == "cluster_sc"}
             subsets = sum(r.variant == "sc_random_subset" for r in it_rows)
-            assert made == {"gram": 1 + len(clusters) + subsets, "eigh": 3}
+            assert made == {"svd": 1, "gram": 1 + len(clusters) + subsets, "eigh": 3}
+            assert len(clusters) <= model.k
             assert len(clusters) < entry["n_targets"]  # some cluster served two targets
 
     @pytest.mark.parametrize("iterations", [3, 8])
@@ -896,15 +930,21 @@ class TestSplitSharedPools:
         monkeypatch.setattr(
             evaluate, "fit_coordinates", failing_fit(panel, bad, InvalidInputError, calls)
         )
-        grams: dict = {}
+        grams: dict = {"gram": []}
         monkeypatch.setattr(evaluate, "gram", counting(evaluate, "gram", grams))
         first = min(failing)
         with pytest.raises(InvalidInputError, match=f"^target {target_ids[first]} failed$"):
             split_placebo(panel, 0.6, 2, design, 52)
         assert calls == [target_ids] + alone_up_to(first_iteration, target_ids, first)
-        # the failing iteration fits its targets twice, and forms the full
-        # pool's Gram once
-        assert [len(made) for made in grams["gram"]].count(24) == 1
+        # the failing iteration fits its targets twice, and forms no Gram
+        # twice: not the full pool's, not a cluster's its retried targets share
+        made = [(rows.shape, rows.tobytes()) for rows in grams["gram"]]
+        assert len(set(made)) == len(made)
+        assert [shape[0] for shape, _ in made].count(24) == 1
+        if first == 15:  # some cluster serves two of the retried targets
+            retried = [r for r in first_iteration.rows if r.target_id in target_ids[:first]]
+            labels = [r.cluster_label for r in retried if r.variant == "cluster_sc"]
+            assert len(set(labels)) < len(labels)
 
 
 class TestRowFieldTypes:
@@ -1016,14 +1056,14 @@ def failing_fit(panel, bad, error, calls=None):
     unit_of = {row[:t0].tobytes(): uid for row, uid in zip(panel.values, panel.unit_ids)}
     assert len(unit_of) == len(panel.unit_ids)
 
-    def fit(pool, t0, target_pre, *args, **kwargs):
+    def fit(v, scale, t0, target_pre, *args, **kwargs):
         target_ids = [unit_of[series.tobytes()] for series in target_pre]
         if calls is not None:
             calls.append(target_ids)
         failed = [t for t in target_ids if t in bad]
         if failed:
             raise error(f"target {failed[-1]} failed")
-        return engine.fit_coordinates(pool, t0, target_pre, *args, **kwargs)
+        return engine.fit_coordinates(v, scale, t0, target_pre, *args, **kwargs)
 
     return fit
 
@@ -1090,7 +1130,7 @@ class TestTargetStacks:
         # call at the first stack that meets it
         calls = []
 
-        def interrupted(pool, t0, target_pre, *args, **kwargs):
+        def interrupted(v, scale, t0, target_pre, *args, **kwargs):
             calls.append(len(target_pre))
             raise KeyboardInterrupt
 
