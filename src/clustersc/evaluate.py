@@ -19,35 +19,27 @@ PlaceboDesign: SC on the full pool (sc_full), on the target's cluster
 (sc_random_subset). It records the skipped cells with their reason and
 builds the placebo rows.
 
-A pool never holds its own target. When a target's row lies in the rows of
-a shared pool, its pool is those rows less that row, and the pool's Gram is
-the rows' Gram less the row's outer product: a downdate. So a leave-one-out
-call forms the panel's Gram once, and each per_dataset cluster's Gram once,
-and downdates them for every target; a split iteration's targets lie
-outside its donors, so the full pool and each cluster are one pool,
-decomposed and fitted once for all the targets that use them. The harness
-says which pools are shared: the full pool always, and a cluster when its
-label names the same rows for every target (per_dataset and split). A
-target whose row carries more than half of some period's sum of squares in
-a shared pool gets that pool's own Gram, as the downdate would lose more
-than one bit there. Per_target clusters and random subsets get their own
-Gram, formed from their gathered rows. Each variant's Grams then take one
-engine.hsvt_factors call (one eigh, one select_rank per spectrum), one
-ridge solve (engine.fit_coordinates) and one product per step over all the
-call's targets, with no cap on the stack: a target adds a few T x T
-matrices, not its pool. Only the lasso, which keeps its primal path,
-gathers each pool's rows, and reads its fits through engine.sc_infer. Donor
-weights are formed only to score a leave-one-out fit's selection, a bounded
-block of targets at a time. A pool with its own Gram and every shared pool
-give the numbers the engine's steps give on its gathered rows, bit for bit.
-A downdated Gram carries at most about twice the rounding of the pool's own
-Gram, so its MSEs agree with those to rounding: within a relative 1e-10 on
-unit-scale panels as measured (the tests bound it at 1e-9), and its
-selections and counts exactly. Where a donor's row is far above the others'
-scale, both Grams lose the other rows' low digits, and the two agree only
-to that (1e-7 measured with one donor at 1e4 times the rest). If a step
-raises, every target is fitted again alone, in order, so the error raised is
-the first in target order.
+A pool never holds its own target. When a target's row lies in a shared
+pool's rows (the full pool, and a per_dataset or split cluster: the harness
+says which), its pool's Gram is the shared Gram less the row's outer
+product, a downdate, unless that row carries most of a period's sum of
+squares (see _placebo_target). So a leave-one-out call forms the panel's
+Gram once, and each per_dataset cluster's once; a split iteration's targets
+lie outside its donors, so its full pool and each cluster are one pool,
+fitted once for all the targets that use them. Per_target clusters and
+random subsets get their own Gram. Each variant's Grams then take one
+engine.hsvt_factors call, one ridge solve (engine.fit_coordinates) and one
+product per step over all the call's targets, with no cap on the stack: a
+target adds a few T x T matrices, not its pool. Only the lasso, which keeps
+its primal path, gathers each pool's rows. Donor weights are formed only to
+score a leave-one-out fit's selection, a bounded block of targets at a
+time. A pool with its own Gram and every shared pool give the engine's
+numbers on its gathered rows, bit for bit; a downdated pool's MSEs agree
+with those to rounding (a relative 1e-10 on unit-scale panels as measured,
+1e-7 with one donor at 1e4 times the others' scale, where both Grams lose
+the small rows' low digits; the tests bound it at 1e-9), and its
+selections and counts exactly. If a step raises, every target is fitted
+again alone, in order, so the error raised is the first in target order.
 
 The harnesses keep the rest: which units are targets, which reference the
 errors are measured against, where the target's cluster comes from (a fresh
@@ -365,8 +357,8 @@ def _placebo_target(
     take one engine.hsvt_factors call, one regression.fit for ridge (one per
     target for OLS, one per pool for the lasso), and one product per step;
     see engine.fit_coordinates. A pool with its own Gram and every shared
-    pool give the numbers sc_denoise gives on its rows, bit for bit; a
-    downdated pool agrees with those to rounding. If a step raises, every
+    pool give the numbers the engine's steps give on its rows, bit for bit;
+    a downdated pool agrees with those to rounding. If a step raises, every
     target is fitted again alone, in order, so the error raised is the first
     in target order; the shared Grams are not formed again.
     """
@@ -375,18 +367,14 @@ def _placebo_target(
     values = panel.values
     target_ids = [panel.unit_ids[t] for t in target_rows.tolist()]
     target_full, reference = values[target_rows], truth[target_rows]
-    # the shared pools: key -> (rows, mask of rows, Gram, exponent)
+    # the shared pools by key, each as pool_entry gives it
     bases: dict = {}
 
-    def base(key, rows):
-        if key is None or key not in bases:
-            mask = np.zeros(values.shape[0], dtype=bool)
-            mask[rows] = True
-            entry = (rows, mask, *gram(values[rows]))
-            if key is None:
-                return entry
-            bases[key] = entry
-        return bases[key]
+    def pool_entry(rows):
+        # (rows, mask of rows, Gram, exponent)
+        mask = np.zeros(values.shape[0], dtype=bool)
+        mask[rows] = True
+        return (rows, mask, *gram(values[rows]))
 
     def add_rows(rows, variant, rule, fits):
         # fits: (position in target_rows, cluster label, pool rows, key of a
@@ -400,14 +388,16 @@ def _placebo_target(
         groups: dict = {}
         for i, (j, _, pool_rows, key) in enumerate(fits):
             if key is None:
-                pool_rows, mask, g, exponent = base(None, pool_rows)
+                _, mask, g, exponent = pool_entry(pool_rows)
                 pool_of[i] = len(sizes)
                 grams.append(g[None])
                 exponents.append(exponent)
                 sizes.append(len(pool_rows))
                 masks.append(mask)
                 continue
-            entry = base(key, pool_rows)
+            if key not in bases:
+                bases[key] = pool_entry(pool_rows)
+            entry = bases[key]
             group = groups.setdefault(key, (entry, [], []))
             group[1 if entry[1][target_rows[j]] else 2].append(i)
         for (base_rows, mask, g, exponent), dropping, whole in groups.values():
